@@ -1,24 +1,30 @@
 """Exact linear algebra over the rationals.
 
-Everything here works on plain Python ints (arbitrary precision) or
-fractions.Fraction; there is no floating point and hence no tolerance
-anywhere.  Rank is computed by fraction-free Bareiss elimination after
-splitting the matrix into connected components of its nonzero pattern —
-the operators arising from block-diagonal group elements decompose into
-many small blocks, and eliminating them separately keeps the integer
-growth down.
+Entries are plain Python ints (arbitrary precision) or fractions.Fraction;
+there is no floating point and hence no tolerance anywhere.  Rank is
+computed by fraction-free Bareiss elimination after splitting the matrix
+into connected components of its nonzero pattern -- the operators arising
+from block-diagonal group elements decompose into many small blocks, and
+eliminating them separately keeps the integer growth down.
 
-The inner elimination loop exists twice: `bareiss_rank_pure` below and a
-compiled twin in `liecheck._speedups` (built when Cython is available).
-`bareiss_rank_fast` points at whichever is loaded; both are exported so
-they can be benchmarked and cross-checked against each other.
+Only nonzero entries are ever looked at past a zero count: a row whose
+nonzero entries are all ints hands them on as they are, and only a row
+holding some other rational (a Fraction, or an int-like such as a bool) is
+scaled by the lcm of its denominators into ints.  Elimination runs on
+fresh blocks, so the caller's rows are never mutated.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
+# the elimination loop runs in pure Python; reported in benchmark provenance
+BACKEND = "pure"
 
-def bareiss_rank_pure(m):
+_INT_ONLY = {int}
+
+
+def bareiss_rank(m):
     """Rank of a list-of-rows integer matrix.  Mutates m."""
     nr = len(m)
     nc = len(m[0]) if nr else 0
@@ -50,29 +56,30 @@ def bareiss_rank_pure(m):
     return row
 
 
-try:
-    from liecheck._speedups import bareiss_rank as bareiss_rank_fast
+def _sparse_rows(rows, nc):
+    """(columns, values) of the nonzero entries of every nonzero row.
 
-    BACKEND = "compiled"
-except ImportError:
-    bareiss_rank_fast = bareiss_rank_pure
-    BACKEND = "pure"
-
-
-def _integer_rows(rows):
+    Values of a row that are all ints are taken as they are; a row holding
+    any other rational is scaled by the lcm of its denominators into ints.
+    """
+    cols = list(range(nc))
     out = []
     for row in rows:
-        if any(isinstance(x, Fraction) for x in row):
-            scale = lcm(*(x.denominator for x in map(Fraction, row)))
-            out.append([int(x * scale) for x in map(Fraction, row)])
-        else:
-            out.append([int(x) for x in row])
+        if row.count(0) == nc:
+            continue
+        sup = list(compress(cols, row))
+        vals = [row[c] for c in sup]
+        if not set(map(type, vals)) <= _INT_ONLY:
+            fracs = [Fraction(x) for x in vals]
+            scale = lcm(*(x.denominator for x in fracs))
+            vals = [int(x * scale) for x in fracs]
+        out.append((sup, vals))
     return out
 
 
-def _components(rows, nc):
-    """Split into blocks of rows/columns connected through nonzero entries."""
-    parent = list(range(nc))
+def _components(rows):
+    """Split sparse rows into dense blocks connected through nonzero entries."""
+    parent = {}
 
     def find(a):
         while parent[a] != a:
@@ -80,44 +87,41 @@ def _components(rows, nc):
             a = parent[a]
         return a
 
-    supports = []
-    for row in rows:
-        sup = [c for c, x in enumerate(row) if x]
-        supports.append(sup)
+    for sup, _ in rows:
+        for c in sup:
+            parent.setdefault(c, c)
+        root = find(sup[0])
         for c in sup[1:]:
-            ra, rb = find(sup[0]), find(c)
-            if ra != rb:
-                parent[rb] = ra
+            rc = find(c)
+            if rc != root:
+                parent[rc] = root
 
     by_root = {}
-    for i, sup in enumerate(supports):
-        if sup:
-            by_root.setdefault(find(sup[0]), []).append(i)
+    for row in rows:
+        by_root.setdefault(find(row[0][0]), []).append(row)
 
     blocks = []
-    for row_idx in by_root.values():
-        cols = sorted({c for i in row_idx for c in supports[i]})
-        remap = {c: j for j, c in enumerate(cols)}
+    for members in by_root.values():
+        block_cols = sorted({c for sup, _ in members for c in sup})
+        remap = {c: j for j, c in enumerate(block_cols)}
         block = []
-        for i in row_idx:
-            packed = [0] * len(cols)
-            for c in supports[i]:
-                packed[remap[c]] = rows[i][c]
+        for sup, vals in members:
+            packed = [0] * len(block_cols)
+            for c, x in zip(sup, vals):
+                packed[remap[c]] = x
             block.append(packed)
         blocks.append(block)
     return blocks
 
 
-def rank(rows, backend=None):
+def rank(rows):
     """Exact rank of a matrix given as a list of equal-length rows."""
-    rows = _integer_rows(rows)
     if not rows:
         return 0
-    nc = len(rows[0])
-    elim = {"pure": bareiss_rank_pure, "fast": bareiss_rank_fast, None: bareiss_rank_fast}[backend]
-    return sum(elim(block) for block in _components(rows, nc))
+    blocks = _components(_sparse_rows(rows, len(rows[0])))
+    return sum(bareiss_rank(block) for block in blocks)
 
 
-def kernel_dim(rows, ncols, backend=None):
+def kernel_dim(rows, ncols):
     """Dimension of {x : Mx = 0} for the ncols-column matrix M."""
-    return ncols - rank(rows, backend=backend)
+    return ncols - rank(rows)

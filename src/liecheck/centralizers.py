@@ -152,6 +152,11 @@ def _validate(sig: Signature) -> None:
 def signature_dim(sig: Signature) -> int:
     """dim C_K(A) for compact families, dim S^A for indefinite ones."""
     _validate(sig)
+    return _dim(sig)
+
+
+def _dim(sig: Signature) -> int:
+    """The dimension polynomial of `signature_dim`, for validated signatures."""
     fam = sig.family
     if fam is SigFamily.SO_N:
         return sum(
@@ -360,7 +365,7 @@ def oracle_max(family: SigFamily, params):
     best = None
     best_key = None
     for sig in enumerate_signatures(family, params):
-        key = (signature_dim(sig), sig.blocks)
+        key = (_dim(sig), sig.blocks)
         if best_key is None or key > best_key:
             best_key, best = key, sig
     if best is None:

@@ -29,7 +29,7 @@ Conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -47,6 +47,10 @@ class InvalidElement(ValueError):
     """Entries, finite order, or invariance requirements are violated."""
 
 
+class OracleInvariantError(RuntimeError):
+    """An internal consistency check of the oracle failed (a bug, not bad input)."""
+
+
 class FixedDims(NamedTuple):
     dim_centralizer_g: int
     dim_centralizer_k: int
@@ -55,11 +59,18 @@ class FixedDims(NamedTuple):
 
 @dataclass(frozen=True)
 class MatrixElement:
-    """A validated finite-order element in the defining representation."""
+    """A validated finite-order element in the defining representation.
+
+    Integral entries are ints, the others Fractions.  ``operator_rows`` holds
+    A M A^-1 - M, flattened, for every basis matrix M of the ambient (the k
+    basis first, then p): the rows of X -> A X A^-1 - X that validation
+    checked and that `matrix_fixed_dims` eliminates.
+    """
 
     ambient: SimpleAlgebra
     entries: tuple
     order: int
+    operator_rows: tuple = field(compare=False, repr=False)
 
 
 _REAL_SIZE = {
@@ -137,8 +148,44 @@ def _is_identity(m):
     )
 
 
-def _flat(m):
-    return [x for row in m for x in row]
+def _sparse(m):
+    """The nonzero entries of a square matrix as (row, column, value)."""
+    return tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+
+
+def _dense_rows(basis, n):
+    """Sparse basis matrices as flattened dense rows of length n * n."""
+    rows = []
+    for m in basis:
+        row = [0] * (n * n)
+        for i, j, x in m:
+            row[i * n + j] = x
+        rows.append(row)
+    return rows
+
+
+def _operator_rows(a, inv, basis):
+    """A M A^-1 - M, flattened, for each sparse basis matrix M.
+
+    A E_ij A^-1 is column i of A times row j of A^-1, so only the nonzeros
+    of M, of those columns and of those rows are ever touched.
+    """
+    n = len(a)
+    cols = [[(r, a[r][i]) for r in range(n) if a[r][i]] for i in range(n)]
+    inv_rows = [[(c, y) for c, y in enumerate(row) if y] for row in inv]
+    out = []
+    for m in basis:
+        row = [0] * (n * n)
+        for i, j, x in m:
+            row[i * n + j] -= x
+            targets = inv_rows[j]
+            for r, ar in cols[i]:
+                base = r * n
+                coeff = ar * x
+                for c, y in targets:
+                    row[base + c] += coeff * y
+        out.append(row)
+    return out
 
 
 def _realify(x, y):
@@ -454,9 +501,11 @@ def _bases(a: SimpleAlgebra):
         k, p = _basis_sp_r(*a.params)
     else:
         raise UnsupportedFamily(f"no matrix basis wired for {fam.value}")
-    flat = [_flat(m) for m in k + p]
-    assert rank(flat) == len(flat), "basis matrices must be independent"
-    return tuple(k), tuple(p)
+    k = tuple(map(_sparse, k))
+    p = tuple(map(_sparse, p))
+    if rank(_dense_rows(k + p, _size(a))) != len(k) + len(p):
+        raise OracleInvariantError(f"basis matrices of {a} are not independent")
+    return k, p
 
 
 # ---------------------------------------------------------------------------
@@ -474,35 +523,34 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
         for x in r:
             if isinstance(x, float):
                 raise InvalidElement("floating point entries are not exact")
-            out.append(Fraction(x))
+            x = Fraction(x)
+            out.append(x.numerator if x.denominator == 1 else x)
         a.append(out)
 
     a2 = _mul(a, a)
-    a4 = _mul(a2, a2)
     if _is_identity(a):
-        order = 1
+        order, inv = 1, a
     elif _is_identity(a2):
-        order = 2
-    elif _is_identity(a4):
-        order = 4
+        order, inv = 2, a
+    elif _is_identity(_mul(a2, a2)):
+        order, inv = 4, _mul(a2, a)
     else:
         raise InvalidElement("element order must divide 4")
-    inv = {1: a, 2: a, 4: _mul(a2, a)}[order]
 
     bk, bp = _bases(ambient)
-
-    def stays_inside(basis):
-        moved = [_flat(_mul(_mul(a, m), inv)) for m in basis]
-        return rank([_flat(m) for m in basis] + moved) == len(basis)
-
-    if not stays_inside(bk + bp):
+    nk = len(bk)
+    basis = _dense_rows(bk + bp, n)
+    moved = _operator_rows(a, inv, bk + bp)
+    # span(B, A B A^-1) = span(B, A B A^-1 - B): the basis is carried into
+    # its own span exactly when appending the operator rows keeps the rank
+    if rank(basis + moved) != len(basis):
         raise InvalidElement("conjugation does not preserve the ambient algebra")
-    if not stays_inside(bk):
+    if rank(basis[:nk] + moved[:nk]) != nk:
         raise InvalidElement(
             "conjugation must preserve the maximal compact subalgebra; "
             "bring the element to the standard orthogonal position first"
         )
-    return MatrixElement(ambient, tuple(tuple(r) for r in a), order)
+    return MatrixElement(ambient, tuple(tuple(r) for r in a), order, tuple(moved))
 
 
 def identity_element(ambient: SimpleAlgebra) -> MatrixElement:
@@ -560,7 +608,8 @@ def _so_rows(params, blocks, split):
             mult = (mp, mm)[which] if split else mp
             cells.extend([t if t in (1, -1) else "rot"] * mult)
             filled += mult if t in (1, -1) else 2 * mult
-        assert filled == total
+        if filled != total:
+            raise OracleInvariantError(f"blocks {blocks} fill {filled} of {total} coordinates")
     n = sum(2 if c == "rot" else 1 for c in cells)
     m = _zeros(n)
     pos = 0
@@ -639,29 +688,17 @@ def from_signature(sig: Signature) -> MatrixElement:
 
 def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
     """(dim C_g(A), dim C_k(A), dim S^A) by exact kernel computation."""
-    bk, bp = _bases(e.ambient)
-    a = [list(r) for r in e.entries]
-    if e.order == 1:
-        inv = _eye(len(a))
-    elif e.order == 2:
-        inv = a
-    else:
-        inv = _mul(_mul(a, a), a)
-
-    def moved(basis):
-        rows = []
-        for m in basis:
-            conj = _mul(_mul(a, m), inv)
-            rows.append([x - y for x, y in zip(_flat(conj), _flat(m))])
-        return rows
-
-    rows_k = moved(bk)
-    rows_p = moved(bp)
-    fixed_k = len(bk) - rank(rows_k)
-    fixed_p = len(bp) - rank(rows_p)
-    fixed_g = len(bk) + len(bp) - rank(rows_k + rows_p)
+    nk = len(_bases(e.ambient)[0])
+    rows_k = list(e.operator_rows[:nk])
+    rows_p = list(e.operator_rows[nk:])
+    fixed_k = nk - rank(rows_k)
+    fixed_p = len(rows_p) - rank(rows_p)
+    fixed_g = len(e.operator_rows) - rank(rows_k + rows_p)
     # a validated element respects the k/p split, so the counts must add up
-    assert fixed_g == fixed_k + fixed_p
+    if fixed_g != fixed_k + fixed_p:
+        raise OracleInvariantError(
+            f"fixed dimensions do not split: {fixed_g} != {fixed_k} + {fixed_p}"
+        )
     return FixedDims(fixed_g, fixed_k, fixed_p)
 
 

@@ -592,6 +592,10 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """Run every applicable route over the catalog up to ``max_param``."""
     if scope not in _SCOPES:
         raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
+    if max_param < 2:
+        # no classical family starts below 2; a sweep would check only the
+        # exceptional rows and still report PASS
+        raise OutOfDomain("max-param must be at least 2, got %d" % max_param)
     cases = []
     if scope != "semisimple":
         for a in iter_noncompact_simple(max_param):

@@ -100,6 +100,7 @@ def test_criterion_2_bound_vs_oracle():
 
 
 def test_criterion_3_dual_oracle_agreement():
+    start = time.monotonic()
     pairs = []
     for p in range(1, 8):
         for q in range(p, 9 - p):
@@ -115,8 +116,10 @@ def test_criterion_3_dual_oracle_agreement():
             assert got.dim_s_fixed == signature_dim(s), s
             assert got.dim_centralizer_k == signature_compact_dim(s), s
             checked += 1
+    elapsed = time.monotonic() - start
     assert checked > 1000
-    print("[criterion 3] combinatorial and matrix oracles agree on %d classes: PASS" % checked)
+    assert elapsed < 8.0, elapsed
+    print("[criterion 3] combinatorial and matrix oracles agree on %d classes under 8 s: PASS" % checked)
 
 
 def test_criterion_4_full_sweep():

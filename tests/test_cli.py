@@ -123,6 +123,20 @@ def test_verify_json(capsys):
     assert payload["products"]
 
 
+@pytest.mark.parametrize("size", ["-3", "0", "1"])
+def test_verify_size_below_two_exits_2(capsys, size):
+    # below 2 no classical family is reached; a PASS would rest on the
+    # exceptional rows alone
+    rc, out, err = run(capsys, "verify", "--max-param", size)
+    assert rc == 2 and "error:" in err
+    assert "PASS" not in out
+
+
+def test_verify_smallest_size_passes(capsys):
+    rc, out, _ = run(capsys, "verify", "--max-param", "2")
+    assert rc == 0 and "result: PASS" in out
+
+
 def test_verify_bad_scope_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--scope", "everything"])

@@ -82,12 +82,6 @@ def test_block_diagonal_splitting():
     assert _exact.rank(m) == reference_rank(m)
 
 
-def test_backends_agree_on_fixed_matrix():
-    m = [[3, 1, 4, 1], [5, 9, 2, 6], [8, 7, 5, 7], [3, 1, 4, 1]]
-    assert _exact.bareiss_rank_pure([row[:] for row in m]) == 3
-    assert _exact.bareiss_rank_fast([row[:] for row in m]) == 3
-
-
 small_matrices = st.lists(
     st.lists(st.integers(-9, 9), min_size=1, max_size=6),
     min_size=1,
@@ -101,12 +95,26 @@ def test_rank_matches_reference(rows):
     assert _exact.rank(rows) == reference_rank(rows)
 
 
-@given(small_matrices)
+# an entry is a plain int, an integral Fraction, or a truly fractional one
+mixed_entries = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+mixed_matrices = st.integers(1, 6).flatmap(
+    lambda nc: st.lists(st.lists(mixed_entries, min_size=nc, max_size=nc), min_size=1, max_size=6)
+)
+
+
+@given(mixed_matrices)
 @settings(max_examples=200)
-def test_backends_agree(rows):
-    pure = _exact.bareiss_rank_pure([list(r) for r in rows])
-    fast = _exact.bareiss_rank_fast([list(r) for r in rows])
-    assert pure == fast
+def test_mixed_int_and_fraction_rows_match_reference(rows):
+    before = [list(r) for r in rows]
+    assert _exact.rank(rows) == reference_rank(rows)
+    # int entries go to elimination as they are; the caller's rows stay intact
+    assert rows == before
+    assert [list(map(type, r)) for r in rows] == [list(map(type, r)) for r in before]
 
 
 @given(small_matrices)

@@ -6,12 +6,18 @@ signature recipes.  The matrix route computes kernels of X -> AXA^-1 - X
 over exact rationals, so every comparison is literal integer equality.
 """
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecheck import matrixoracle as mo
 from liecheck.algebras import Family, OutOfDomain
 from liecheck.centralizers import (
     InvalidSignature,
@@ -312,3 +318,60 @@ def test_g22_rotation_case_report():
 def test_g22_quarter_matches_direct_signature_construction():
     s = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (2, 1, 1))
     assert matrix_fixed_dims(from_signature(s)) == g22_case().quarter_turn
+
+
+def test_integral_fractions_give_the_int_element():
+    # q_split of so(3,4) is a signed permutation: integral entries only
+    a = model(Family.SO, 3, 4)
+    split = q_split_element(a)
+    as_fractions = [[Fraction(x) for x in row] for row in split.entries]
+    e = element(a, as_fractions)
+    assert e == split
+    assert {type(x) for row in e.entries for x in row} == {int}
+    assert matrix_fixed_dims(e) == matrix_fixed_dims(split) == FixedDims(15, 6, 9)
+
+    # a Pythagorean conjugate mixes integral and truly fractional entries
+    base = from_signature(sig(SigFamily.SO_PQ, (2, 3), (1, 0, 1), (2, 1, 1)))
+    p = rotation(5, 2, 3, Fraction(3, 5), Fraction(4, 5))
+    pinv = rotation(5, 2, 3, Fraction(3, 5), Fraction(-4, 5))
+    rows = mul(mul(p, [list(r) for r in base.entries]), pinv)
+    as_ints = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+    from_fractions = element(model(Family.SO, 2, 3), rows)
+    from_ints = element(model(Family.SO, 2, 3), as_ints)
+    assert from_fractions == from_ints
+    types = {type(x) for row in from_fractions.entries for x in row}
+    assert types == {int, Fraction}
+    assert all(x.denominator != 1 for row in from_fractions.entries for x in row if type(x) is Fraction)
+    assert matrix_fixed_dims(from_fractions) == matrix_fixed_dims(from_ints) == FixedDims(4, 2, 2)
+
+
+def test_broken_invariants_raise_named_errors(monkeypatch):
+    # dependent basis matrices
+    k, p = mo._basis_sl_r(3)
+    monkeypatch.setattr(mo, "_basis_sl_r", lambda n: (k + k[:1], p))
+    with pytest.raises(mo.OracleInvariantError):
+        mo._bases.__wrapped__(model(Family.SL_R, 3))
+    # blocks that do not fill the coordinates
+    with pytest.raises(mo.OracleInvariantError):
+        mo._so_rows((3,), ((1, 1, 0), (-1, 1, 0)), False)
+    # operator rows whose k and p parts overlap cannot split the fixed space
+    e = identity_element(model(Family.SO, 1, 2))
+    bump = [1] + [0] * 8
+    with pytest.raises(mo.OracleInvariantError):
+        matrix_fixed_dims(dataclasses.replace(e, operator_rows=(bump, bump, bump)))
+
+
+@pytest.mark.skipif(sys.flags.optimize > 0, reason="this run already has -O")
+def test_matrix_tests_pass_under_optimize():
+    # the oracle's invariants are explicit raises, so they survive -O
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__))],
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

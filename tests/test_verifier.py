@@ -322,6 +322,12 @@ def test_sweep_scopes_partition():
         vf.sweep("everything", 8)
 
 
+def test_sweep_rejects_sizes_below_two():
+    for size in (-3, 0, 1):
+        with pytest.raises(al.OutOfDomain):
+            vf.sweep("all", size)
+
+
 def test_sweep_deterministic():
     assert vf.sweep("real", 6) == vf.sweep("real", 6)
 
