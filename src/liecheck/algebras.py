@@ -74,6 +74,10 @@ class Family(Enum):
     E8_8 = "e8_8"
     E8_M24 = "e8_m24"
 
+    # members compare by identity, so the identity hash is consistent with
+    # equality; it replaces Enum's Python-level hash(self._name_)
+    __hash__ = object.__hash__
+
 
 COMPLEX_CLASSICAL = frozenset({Family.SL_C, Family.SO_C, Family.SP_C})
 COMPLEX_EXCEPTIONAL = frozenset(
@@ -126,7 +130,7 @@ _ONE_PARAM = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleAlgebra:
     family: Family
     params: tuple[int, ...] = ()
@@ -135,7 +139,7 @@ class SimpleAlgebra:
         return (self.family.value, self.params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductiveAlgebra:
     """Multiset of simple factors plus abelian summands.
 
@@ -148,7 +152,7 @@ class ReductiveAlgebra:
     split_abelian_dim: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpaceDims:
     dim_g: int
     dim_k: int
@@ -208,8 +212,18 @@ def _raw(family, *params):
     return ReductiveAlgebra((SimpleAlgebra(family, params),))
 
 
+@lru_cache(maxsize=None, typed=True)
 def algebra(family: Family, *params: int) -> ReductiveAlgebra:
-    """Canonical ReductiveAlgebra for the named family and parameters."""
+    """Canonical ReductiveAlgebra for the named family and parameters.
+
+    Parameters must be ``int`` (``bool`` and ``float`` are rejected).  The
+    result is a shared immutable value: equal arguments return the same
+    object.  ``typed=True`` keeps ``algebra(F, 2.0)`` from hitting the
+    cache entry of ``algebra(F, 2)``; errors are never cached, so invalid
+    input raises on every call.
+    """
+    if any(type(x) is not int for x in params):
+        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
     if family in _TWO_PARAM:
         if len(params) != 2:
             raise OutOfDomain(f"{family.value} takes (p, q), got {params}")

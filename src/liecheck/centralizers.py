@@ -37,6 +37,12 @@ class InvalidSignature(ValueError):
     """Malformed multiplicity data, or a central (single-tag) class."""
 
 
+# Largest number of candidate block tuples `oracle_max` will build and
+# test.  A candidate costs about 20 us, so the budget is a few seconds of
+# work; the criterion-2 sizes (n <= 12, p+q <= 10) need at most 32,926.
+ENUMERATION_BUDGET = 100_000
+
+
 class SigFamily(Enum):
     SO_N = "so_n"
     SU_N = "su_n"
@@ -350,6 +356,79 @@ def _assemble(a, b, angles, pair_a=None, pair_b=None):
     return tuple(blocks)
 
 
+def _multiset_counts(n, kinds):
+    """c[t], t = 0, 1, ...: multisets of parts with weights summing to t,
+    when kinds(k) distinct parts have weight k >= 1.
+
+    Stops after t = n, or after the first count above ENUMERATION_BUDGET,
+    so the work stays small for any n.  Uses the recurrence
+    t c[t] = sum_j sigma(j) c[t - j] with sigma(j) = sum_{d | j} d kinds(d).
+    """
+    c, sigma = [1], [0]
+    while len(c) <= n and c[-1] <= ENUMERATION_BUDGET:
+        t = len(c)
+        sigma.append(sum(d * kinds(d) for d in range(1, t + 1) if t % d == 0))
+        c.append(sum(sigma[j] * c[t - j] for j in range(1, t + 1)) // t)
+    return c
+
+
+def _pair_partitions(p, q):
+    """c[i][j] for i <= p, j <= q: multisets of pairs (a,b) != (0,0) with
+    componentwise sum (i, j), the shapes `_pair_multisets` builds."""
+    c = [[0] * (q + 1) for _ in range(p + 1)]
+    c[0][0] = 1
+    for a in range(p + 1):
+        for b in range(q + 1):
+            if (a, b) == (0, 0):
+                continue
+            for i in range(a, p + 1):
+                row, src = c[i], c[i - a]
+                for j in range(b, q + 1):
+                    row[j] += src[j - b]
+    return c
+
+
+def _candidate_count(family, params):
+    """Exact number of block tuples `enumerate_signatures` builds and tests
+    for nonnegative (family, params), capped at ENUMERATION_BUDGET + 1.
+
+    Each count is at least the product, over the size parameters n, of the
+    partition numbers p(n // weight): the candidates that split each size
+    into blocks on its own.  So a partition number past the budget settles
+    the answer, and the exact counts below only ever run on small sizes.
+    """
+    over = ENUMERATION_BUDGET + 1
+    if family is SigFamily.SOSTAR_2N:
+        # angle blocks of total multiplicity k come in k + 1 shapes (a, k - a)
+        (n,) = params
+        angles = _multiset_counts(n, lambda k: k + 1)
+        if angles[-1] > ENUMERATION_BUDGET:
+            return over
+        return min(sum((n - r + 1) * angles[r] for r in range(n + 1)), over)
+    weight = 2 if family in (SigFamily.SO_N, SigFamily.SO_PQ) else 1
+    parts = [_multiset_counts(x // weight, lambda k: 1) for x in params]
+    floor = 1
+    for c in parts:
+        floor *= c[-1]
+    if floor > ENUMERATION_BUDGET:
+        return over
+    if family is SigFamily.SU_N:
+        return floor
+    if len(params) == 1:  # so(n), sp(n): +-1 blocks fill n - weight*r coordinates
+        (n,) = params
+        return min(sum((n - weight * r + 1) * parts[0][r] for r in range(n // weight + 1)), over)
+    p, q = params
+    if family is SigFamily.SU_PQ:
+        return min(_pair_partitions(p, q)[p][q], over)
+    pairs = _pair_partitions(p // weight, q // weight)
+    total = sum(
+        (p - weight * i + 1) * (q - weight * j + 1) * pairs[i][j]
+        for i in range(p // weight + 1)
+        for j in range(q // weight + 1)
+    )
+    return min(total, over)
+
+
 def _tag(i):
     return (1, -1)[i] if i < 2 else i
 
@@ -359,9 +438,16 @@ def oracle_max(family: SigFamily, params):
 
     Only defined for the families with a closed-form bound.  Ties are
     broken toward the lexicographically largest block tuple so the
-    witness is independent of enumeration order.
+    witness is independent of enumeration order.  Raises OutOfDomain,
+    before enumerating, when more than ENUMERATION_BUDGET candidate
+    signatures would be built.
     """
     bound(family, params)  # domain gate only
+    if _candidate_count(family, tuple(params)) > ENUMERATION_BUDGET:
+        raise OutOfDomain(
+            f"{family.value}{tuple(params)}: more than the enumeration budget of "
+            f"{ENUMERATION_BUDGET} candidate signatures"
+        )
     best = None
     best_key = None
     for sig in enumerate_signatures(family, params):

@@ -35,6 +35,7 @@ Routes
 """
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from . import involutions as inv
@@ -90,7 +91,7 @@ ROUTE_RESTRICTED = "restricted_form"
 ROUTE_TRIALITY = "triality"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseResult:
     """Outcome of one route applied to one algebra.
 
@@ -589,31 +590,38 @@ def _product_demos(max_param: int):
 
 
 def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
-    """Run every applicable route over the catalog up to ``max_param``."""
+    """Run every applicable route over the catalog up to ``max_param``.
+
+    ``cases`` lists the algebras by rendered name and, within one algebra,
+    its cases by route, then by decreasing margin, then by witness.
+    """
     if scope not in _SCOPES:
         raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
     if max_param < 2:
         # no classical family starts below 2; a sweep would check only the
         # exceptional rows and still report PASS
         raise OutOfDomain("max-param must be at least 2, got %d" % max_param)
-    cases = []
+    by_algebra = []
     if scope != "semisimple":
         for a in iter_noncompact_simple(max_param):
             if scope == "complex" and not is_complex(a):
                 continue
             if scope == "real" and is_complex(a):
                 continue
-            cases.extend(verify_case(a))
-    cases.sort(key=lambda c: (render(c.algebra), c.route, -c.margin, c.witness))
+            results = verify_case(a)
+            results.sort(key=lambda c: (c.route, -c.margin, c.witness))
+            by_algebra.append((render(a), results))
+    # rendered names are distinct, so this is the global order by
+    # (name, route, -margin, witness) at one render per algebra
+    by_algebra.sort(key=itemgetter(0))
+    cases = tuple(c for _, results in by_algebra for c in results)
     products = []
     if scope in ("semisimple", "all"):
         products = [check_semisimple(pair) for pair in _product_demos(max_param)]
     flagged = tuple(c for c in cases if c.route == ROUTE_EQUALITY)
     failures = tuple(c for c in cases if not c.passed)
     passed = not failures and all(p.passed for p in products)
-    return SweepReport(
-        scope, max_param, tuple(cases), tuple(products), flagged, failures, passed
-    )
+    return SweepReport(scope, max_param, cases, tuple(products), flagged, failures, passed)
 
 
 def maximal_rank_rows() -> list:

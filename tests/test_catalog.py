@@ -138,6 +138,26 @@ def test_out_of_domain():
         algebra(Family.SU, 2)  # wrong arity
 
 
+def test_algebra_takes_int_parameters_only():
+    # algebra() is memoized, so a float or bool accepted once would be
+    # handed back to later int calls and render as so(2.0,3)
+    assert render(algebra(Family.SO, 2, 3)) == "so(2,3)"
+    for bad in ((2.0, 3), (2, 3.0), (True, 3)):
+        with pytest.raises(OutOfDomain):
+            algebra(Family.SO, *bad)
+    with pytest.raises(OutOfDomain):
+        algebra(Family.SL_R, True)
+    with pytest.raises(OutOfDomain):
+        simple(Family.SL_H, 3.0)
+    assert render(algebra(Family.SO, 2, 3)) == "so(2,3)"
+    assert render(algebra(Family.SU, 1, 4)) == "su(1,4)"
+
+
+def test_algebra_returns_one_shared_value():
+    for fam, params in FROZEN_DIMS:
+        assert algebra(fam, *params) is algebra(fam, *params)
+
+
 FROZEN_OUT = {
     "sl(2,R)": ("Z2", True),
     "sl(5,R)": ("Z2", True),

@@ -5,9 +5,12 @@ from small centralizer computations (e.g. the centralizer of diag(-I6, 1)
 in SO(7) is SO(6), of dimension 15).
 """
 
+import time
+
 import pytest
 
 from liecheck.centralizers import (
+    ENUMERATION_BUDGET,
     InvalidSignature,
     OutOfDomain,
     SigFamily,
@@ -16,6 +19,8 @@ from liecheck.centralizers import (
     enumerate_signatures,
     oracle_max,
     signature_dim,
+    _candidate_count,
+    _raw_blocks,
 )
 
 
@@ -135,3 +140,33 @@ def test_order_le_4_enumeration_restricts_tags():
     for s in small:
         angle_tags = [t for t, _, _ in s.blocks if t not in (1, -1)]
         assert len(angle_tags) <= 1
+
+
+def test_candidate_count_matches_enumeration():
+    for fam in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N):
+        for n in range(0, 10):
+            built = sum(1 for _ in _raw_blocks(fam, (n,), False))
+            assert _candidate_count(fam, (n,)) == built, (fam, n)
+    for fam in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ):
+        for p in range(0, 6):
+            for q in range(0, 7):
+                built = sum(1 for _ in _raw_blocks(fam, (p, q), False))
+                assert _candidate_count(fam, (p, q)) == built, (fam, p, q)
+
+
+def test_oracle_refuses_enumerations_over_budget():
+    start = time.monotonic()
+    for fam, params in [
+        (SigFamily.SU_N, (70,)),
+        (SigFamily.SO_N, (10**9,)),
+        (SigFamily.SOSTAR_2N, (14,)),
+        (SigFamily.SU_PQ, (30, 40)),
+        (SigFamily.SP_PQ, (1, 10**6)),
+    ]:
+        assert _candidate_count(fam, params) == ENUMERATION_BUDGET + 1, (fam, params)
+        with pytest.raises(OutOfDomain, match=str(ENUMERATION_BUDGET)):
+            oracle_max(fam, params)
+    assert time.monotonic() - start < 1.0
+    # the largest sizes the acceptance suite enumerates stay under the budget
+    assert _candidate_count(SigFamily.SOSTAR_2N, (10,)) <= ENUMERATION_BUDGET
+    assert _candidate_count(SigFamily.SP_PQ, (5, 5)) <= ENUMERATION_BUDGET

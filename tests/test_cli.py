@@ -1,12 +1,18 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from liecheck import algebras as al
+from liecheck import centralizers as cz
 from liecheck import cli
 from liecheck import verify as vf
 
@@ -81,6 +87,26 @@ def test_oracle_parameter_shapes(capsys):
     assert rc == 2 and "--n" in err
     rc, _, err = run(capsys, "oracle", "--family", "su", "--p", "2")
     assert rc == 2
+
+
+def test_oracle_refuses_unbounded_enumeration():
+    # su(70) has about 4 million eigenvalue signatures; counting them first
+    # turns an unbounded run into a prompt exit 2
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liecheck.cli", "oracle", "--family", "su", "--n", "70"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 2, proc.stderr
+    assert "budget" in proc.stderr and str(cz.ENUMERATION_BUDGET) in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 2.0, elapsed
 
 
 def test_oracle_matrix_q_split(capsys):

@@ -332,6 +332,22 @@ def test_sweep_deterministic():
     assert vf.sweep("real", 6) == vf.sweep("real", 6)
 
 
+@pytest.mark.parametrize("scope", ["complex", "real", "all", "semisimple"])
+def test_sweep_case_order(scope):
+    # algebras by rendered name, then route, -margin and witness
+    rep = vf.sweep(scope, 12)
+    key = lambda c: (al.render(c.algebra), c.route, -c.margin, c.witness)
+    assert list(rep.cases) == sorted(rep.cases, key=key)
+    assert isinstance(rep.cases, tuple) and isinstance(rep.flagged, tuple)
+
+
+def test_sweep_cases_grow_with_max_param():
+    for m in (2, 3, 8, 12):
+        small, large = vf.sweep("all", m).cases, vf.sweep("all", m + 1).cases
+        assert set(small) <= set(large), m
+        assert len(small) < len(large), m
+
+
 MAXIMAL_RANK_ROWS = [
     {
         "algebra": "g2(C)",
