@@ -135,9 +135,6 @@ class SimpleAlgebra:
     family: Family
     params: tuple[int, ...] = ()
 
-    def _key(self):
-        return (self.family.value, self.params)
-
 
 @dataclass(frozen=True, slots=True)
 class ReductiveAlgebra:
@@ -187,10 +184,20 @@ class OutGroup:
     all_order_le_2: bool
 
 
+# plain dict lookup: Enum's `value` is a Python-level property, and this
+# key runs once per factor of every direct sum
+_FAMILY_VALUE = {f: f.value for f in Family}
+
+
+def _factor_key(a):
+    return (_FAMILY_VALUE[a.family], a.params)
+
+
 def reductive(simples=(), compact_abelian=0, split_abelian=0):
-    return ReductiveAlgebra(
-        tuple(sorted(simples, key=SimpleAlgebra._key)), compact_abelian, split_abelian
-    )
+    simples = tuple(simples)
+    if len(simples) > 1:
+        simples = tuple(sorted(simples, key=_factor_key))
+    return ReductiveAlgebra(simples, compact_abelian, split_abelian)
 
 
 def direct_sum(*parts: ReductiveAlgebra) -> ReductiveAlgebra:
@@ -676,6 +683,7 @@ _EXC_RENDER = {
 }
 
 
+@lru_cache(maxsize=None)
 def render_simple(a: SimpleAlgebra) -> str:
     fam, params = a.family, a.params
     if fam is Family.SL_R:

@@ -65,6 +65,13 @@ class Signature:
     blocks: tuple[tuple[int, int, int], ...]
 
 
+# the families `bound` has a closed form for; the others have only the
+# exhaustive `oracle_max` and the matrix oracle
+BOUNDED_FAMILIES = frozenset(
+    {SigFamily.SO_N, SigFamily.SU_N, SigFamily.SU_PQ, SigFamily.SP_PQ, SigFamily.SOSTAR_2N}
+)
+
+
 def bound(family: SigFamily, params) -> int:
     """Closed-form upper bound for the non-central centralizer dimension.
 

@@ -14,7 +14,6 @@ from . import centralizers as cz
 from . import involutions as inv
 from . import matrixoracle as mo
 from . import verify as vf
-from .algebras import Family
 from .centralizers import SigFamily
 
 
@@ -85,15 +84,6 @@ _INDEFINITE_FAMILIES = {
     "su": SigFamily.SU_PQ,
     "sp": SigFamily.SP_PQ,
 }
-_MODEL_FAMILY = {
-    SigFamily.SO_N: Family.SO_CPT,
-    SigFamily.SU_N: Family.SU_CPT,
-    SigFamily.SP_N_COMPACT: Family.SP_CPT,
-    SigFamily.SO_PQ: Family.SO,
-    SigFamily.SU_PQ: Family.SU,
-    SigFamily.SP_PQ: Family.SP,
-    SigFamily.SOSTAR_2N: Family.SO_STAR,
-}
 
 
 def _oracle_target(args):
@@ -102,17 +92,24 @@ def _oracle_target(args):
     if has_n == has_pq or (has_pq and (args.p is None or args.q is None)):
         raise al.OutOfDomain("give either --n N or both --p P and --q Q")
     if has_n:
-        return _DEFINITE_FAMILIES[args.family], (args.n,)
-    family = _INDEFINITE_FAMILIES.get(args.family)
-    if family is None:
-        raise al.OutOfDomain("family %s takes --n, not a signature" % args.family)
-    return family, (args.p, args.q)
+        family, params = _DEFINITE_FAMILIES[args.family], (args.n,)
+    else:
+        family = _INDEFINITE_FAMILIES.get(args.family)
+        if family is None:
+            raise al.OutOfDomain("family %s takes --n, not a signature" % args.family)
+        params = (args.p, args.q)
+    if not args.matrix and family not in cz.BOUNDED_FAMILIES:
+        raise al.OutOfDomain(
+            "no closed-form bound for %s; use --matrix for the exact kernel computation"
+            % family.value
+        )
+    return family, params
 
 
 def _cmd_oracle(args) -> int:
     family, params = _oracle_target(args)
     if args.matrix:
-        ambient = mo.model(_MODEL_FAMILY[family], *params)
+        ambient = mo.model(mo.SIG_AMBIENT[family], *params)
         elem = mo.named_element(ambient, args.element)
         fixed = mo.matrix_fixed_dims(elem)
         print("model %s, element %s (order %d)" % (al.render(ambient), args.element, elem.order))

@@ -87,6 +87,7 @@ class TrialityClass:
 
 def _entry(ambient, template, instances, *, source, kind=LINEAR, constraints=(), notes=()):
     ambient_red = reductive((ambient,))
+    # distinct splits can still coincide through low-rank isomorphisms
     kept = dict.fromkeys(h for h in instances if h != ambient_red)
     if not kept:
         return None
@@ -98,6 +99,21 @@ def _entry(ambient, template, instances, *, source, kind=LINEAR, constraints=(),
 _SPLIT_NOTE = (
     "signature splits across the two summands are assumed componentwise",
 )
+
+
+def _splits(p, q):
+    """One (kp, kq) per unordered split of (p, q) into two nonzero parts.
+
+    A split and its complement (p - kp, q - kq) give the same direct sum, and
+    the lexicographically smaller of the two comes first in the (kp, kq) loop
+    order, so keeping only that one leaves `_entry` with exactly the values,
+    in exactly the first-occurrence order, that the loop over every ordered
+    split gives after deduplication.
+    """
+    for kp in range(p + 1):
+        for kq in range(q + 1):
+            if (0, 0) != (kp, kq) <= (p - kp, q - kq):
+                yield kp, kq
 
 
 def _rows_sl_r(a):
@@ -145,6 +161,11 @@ def _rows_sl_r(a):
 
 
 def _rows_su(a):
+    """Rows of su(p,q).
+
+    The split row holds each unordered split once, in first-occurrence order
+    (see `_splits`).
+    """
     p, q = a.params
     src = "sl-family"
     rows = [_entry(a, f"so({p},{q})", [algebra(Family.SO, p, q)], source=src)]
@@ -162,9 +183,7 @@ def _rows_su(a):
                     algebra(Family.SU, p - kp, q - kq),
                     COMPACT_LINE,
                 )
-                for kp in range(p + 1)
-                for kq in range(q + 1)
-                if (kp, kq) != (0, 0) and (kp, kq) != (p, q)
+                for kp, kq in _splits(p, q)
             ],
             source=src,
             constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
@@ -205,6 +224,11 @@ def _rows_su(a):
 
 
 def _rows_so(a):
+    """Rows of so(p,q).
+
+    The split row holds each unordered split once, in first-occurrence order
+    (see `_splits`).
+    """
     p, q = a.params
     src = "so-family"
     rows = [
@@ -213,9 +237,7 @@ def _rows_so(a):
             "so(kp,kq)+so(lp,lq)",
             [
                 direct_sum(algebra(Family.SO, kp, kq), algebra(Family.SO, p - kp, q - kq))
-                for kp in range(p + 1)
-                for kq in range(q + 1)
-                if (kp, kq) != (0, 0) and (kp, kq) != (p, q)
+                for kp, kq in _splits(p, q)
             ],
             source=src,
             constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
@@ -248,6 +270,11 @@ def _rows_so(a):
 
 
 def _rows_sp(a):
+    """Rows of sp(p,q).
+
+    The split row holds each unordered split once, in first-occurrence order
+    (see `_splits`).
+    """
     p, q = a.params
     src = "sp-family"
     rows = [
@@ -256,9 +283,7 @@ def _rows_sp(a):
             "sp(kp,kq)+sp(lp,lq)",
             [
                 direct_sum(algebra(Family.SP, kp, kq), algebra(Family.SP, p - kp, q - kq))
-                for kp in range(p + 1)
-                for kq in range(q + 1)
-                if (kp, kq) != (0, 0) and (kp, kq) != (p, q)
+                for kp, kq in _splits(p, q)
             ],
             source=src,
             constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
@@ -682,19 +707,7 @@ _EXCEPTIONAL_REAL_FORMS = {
 
 
 def _source_for(family):
-    if family in _CLASSICAL_ROWS:
-        return {
-            Family.SL_R: "sl-family",
-            Family.SU: "sl-family",
-            Family.SL_H: "sl-family",
-            Family.SL_C: "sl-family",
-            Family.SO: "so-family",
-            Family.SO_STAR: "so-family",
-            Family.SO_C: "so-family",
-            Family.SP: "sp-family",
-            Family.SP_R: "sp-family",
-            Family.SP_C: "sp-family",
-        }[family]
+    # only the exceptional families get here; classical rows carry their own
     return f"{family.value[:2]}-family"
 
 

@@ -576,7 +576,9 @@ def named_element(ambient: SimpleAlgebra, name: str) -> MatrixElement:
     return builders[name](ambient)
 
 
-_SIG_AMBIENT = {
+# matrix model family of each centralizer-signature family (also the CLI's
+# `oracle --matrix` target)
+SIG_AMBIENT = {
     SigFamily.SO_N: Family.SO_CPT,
     SigFamily.SU_N: Family.SU_CPT,
     SigFamily.SP_N_COMPACT: Family.SP_CPT,
@@ -678,7 +680,7 @@ def _realized(sig: Signature):
 def from_signature(sig: Signature) -> MatrixElement:
     """Realize a centralizer class as an order-dividing-4 matrix element."""
     signature_dim(sig)  # validates the block data, rejects central classes
-    ambient = model(_SIG_AMBIENT[sig.family], *sig.params)
+    ambient = model(SIG_AMBIENT[sig.family], *sig.params)
     return element(ambient, _realized(sig))
 
 

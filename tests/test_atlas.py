@@ -569,3 +569,52 @@ def test_triality_only_for_the_two_d4_forms():
     for a in [A(Family.SL_C, 5), A(Family.SO_C, 7), A(Family.SO, 3, 4), A(Family.SO, 3, 3)]:
         with pytest.raises(inv.UnsupportedAlgebra):
             inv.triality_classes(a)
+
+
+_SPLIT_ROWS = {
+    Family.SU: ("s(u(kp,kq)+u(lp,lq))", (CPT,)),
+    Family.SO: ("so(kp,kq)+so(lp,lq)", ()),
+    Family.SP: ("sp(kp,kq)+sp(lp,lq)", ()),
+}
+
+
+def _reference_split_instances(a):
+    """Every ordered split, deduplicated in loop order, ambient excluded."""
+    p, q = a.params
+    template, extra = _SPLIT_ROWS[a.family]
+    built = [
+        plus(red(a.family, kp, kq), red(a.family, p - kp, q - kq), *extra)
+        for kp in range(p + 1)
+        for kq in range(q + 1)
+        if (kp, kq) not in ((0, 0), (p, q))
+    ]
+    ambient = al.reductive((a,))
+    return template, tuple(dict.fromkeys(h for h in built if h != ambient))
+
+
+def test_split_rows_match_every_ordered_split():
+    checked = 0
+    for a in al.iter_noncompact_simple(20):
+        if a.family not in _SPLIT_ROWS:
+            continue
+        template, want = _reference_split_instances(a)
+        entries = inv.isotropy_entries(a)
+        rows = [e for e in entries if e.template == template]
+        if not want:
+            assert rows == []
+            continue
+        (row,) = rows
+        # same values in the same first-occurrence order, not only as sets
+        assert row.instances == want, al.render(a)
+        # max_fixed_dim keeps the earliest instance among ties, so the
+        # witness depends on that order too
+        best = None
+        for e in entries:
+            for h in want if e is row else e.instances:
+                dim_s = al.reductive_dims(h).dim_s
+                if best is None or dim_s > best[0]:
+                    best = (dim_s, e.template, h)
+        dim_s, item = inv.max_fixed_dim(a)
+        assert (dim_s, item.entry.template, item.isotropy) == best, al.render(a)
+        checked += 1
+    assert checked > 250

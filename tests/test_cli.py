@@ -89,6 +89,38 @@ def test_oracle_parameter_shapes(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, label",
+    [(["--family", "so", "--p", "2", "--q", "3"], "so_pq"), (["--family", "sp", "--n", "3"], "sp_n_compact")],
+)
+def test_oracle_without_closed_form_names_matrix(capsys, monkeypatch, argv, label):
+    # refused when the arguments are read, before the bound or the
+    # enumeration runs
+    def never(*_):
+        raise AssertionError("reached the oracle")
+
+    monkeypatch.setattr(cz, "bound", never)
+    monkeypatch.setattr(cz, "oracle_max", never)
+    rc, out, err = run(capsys, "oracle", *argv)
+    assert rc == 2 and out == ""
+    assert "no closed-form bound for %s" % label in err and "--matrix" in err
+
+
+def test_bounded_families_are_the_closed_forms():
+    F = cz.SigFamily
+    sample = {
+        F.SO_N: (4,), F.SU_N: (3,), F.SP_N_COMPACT: (3,), F.SOSTAR_2N: (5,),
+        F.SO_PQ: (3, 3), F.SU_PQ: (3, 3), F.SP_PQ: (3, 3),
+    }
+    assert set(sample) == set(F)
+    for family, params in sample.items():
+        if family in cz.BOUNDED_FAMILIES:
+            assert isinstance(cz.bound(family, params), int)
+        else:
+            with pytest.raises(al.OutOfDomain, match="no closed-form bound"):
+                cz.bound(family, params)
+
+
 def test_oracle_refuses_unbounded_enumeration():
     # su(70) has about 4 million eigenvalue signatures; counting them first
     # turns an unbounded run into a prompt exit 2
