@@ -11,7 +11,8 @@ bounds in `bound` are validated against.
 Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
     distinct rotation-angle classes (the angle value never enters the
-    dimension count).
+    dimension count).  Every other tag is rejected, and parameters, tags
+    and multiplicities must be exactly ``int`` (not ``bool``).
   * A class with a single tag is treated as central and rejected.  This
     deliberately removes the one-rotation-class elements (complex or
     quaternionic scalar-like); for so*(2n) with n in {2, 4} such a class
@@ -29,6 +30,7 @@ the fixed-set dimension in the symmetric space.
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from liecheck.algebras import OutOfDomain
 
@@ -37,9 +39,16 @@ class InvalidSignature(ValueError):
     """Malformed multiplicity data, or a central (single-tag) class."""
 
 
-# Largest number of candidate block tuples `oracle_max` will build and
-# test.  A candidate costs about 20 us, so the budget is a few seconds of
-# work; the criterion-2 sizes (n <= 12, p+q <= 10) need at most 32,926.
+class OracleInvariantError(RuntimeError):
+    """An internal consistency check of the oracle failed (a bug, not bad input)."""
+
+
+# Largest number of candidate block tuples `oracle_max` will test.  A
+# candidate costs 2-3 us for the families with +-1 blocks and up to about
+# 20 us for su(n) and su(p,q), whose one angle table holds every candidate
+# (su(45): 89,134 candidates in 1.8 s on a 2-core Xeon, Python 3.11), so
+# the budget is at most about 2 s of work; the criterion-2 sizes
+# (n <= 12, p+q <= 10) need at most 32,926.
 ENUMERATION_BUDGET = 100_000
 
 
@@ -54,6 +63,22 @@ class SigFamily(Enum):
 
 
 _DEFINITE = (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT)
+_TWO_PARAM = (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+
+# The dimension polynomial of `signature_dim`, one term per block: (term of
+# a +-1 block, term of an angle block), each in (mult_plus, mult_minus).
+# _CENTRE holds the constant: su(n) drops its one-dimensional centre.
+_TERMS = {
+    SigFamily.SO_N: (lambda a, _: a * (a - 1) // 2, lambda a, _: a * a),
+    SigFamily.SU_N: (lambda a, _: a * a, lambda a, _: a * a),
+    SigFamily.SP_N_COMPACT: (lambda a, _: a * (2 * a + 1), lambda a, _: a * a),
+    SigFamily.SO_PQ: (lambda a, b: a * b, lambda a, b: 2 * a * b),
+    SigFamily.SU_PQ: (lambda a, b: 2 * a * b, lambda a, b: 2 * a * b),
+    SigFamily.SP_PQ: (lambda a, b: 4 * a * b, lambda a, b: 2 * a * b),
+    # so*(2n): +-1 blocks centralize a smaller so*, angle blocks a u(a,b)
+    SigFamily.SOSTAR_2N: (lambda a, _: a * (a - 1), lambda a, b: 2 * a * b),
+}
+_CENTRE = {SigFamily.SU_N: -1}
 
 
 @dataclass(frozen=True)
@@ -86,7 +111,11 @@ def bound(family: SigFamily, params) -> int:
     2*floor(n/2)*ceil(n/2), which exceeds the formula for n in {2, 4}
     (those parameters never occur in the exceptional-group reductions
     this bound feeds, which use n = 5 and n = 8).
+
+    Parameters must be exactly ``int`` (``bool`` and ``float`` are
+    rejected), as many as the family takes.
     """
+    _check_params(family, params, OutOfDomain)
     if family is SigFamily.SO_N:
         (n,) = params
         if n < 3:
@@ -118,15 +147,33 @@ def _pq_domain(params, label):
     return p, q
 
 
+def _check_params(family, params, error, blocks=()):
+    """Raise error unless params (and each block's entries) are exactly int,
+    as many params as the family takes and three entries per block."""
+    arity = 2 if family in _TWO_PARAM else 1
+    if (
+        len(params) != arity
+        or set(map(len, blocks)) - {3}
+        or set(map(type, chain(params, *blocks))) != {int}
+    ):
+        if blocks:
+            raise error(
+                f"{family.value} takes {arity} int parameter(s) and blocks of three ints"
+                f" (tag, mult_plus, mult_minus), got {tuple(params)} {tuple(blocks)}"
+            )
+        raise error(f"{family.value} takes {arity} int parameter(s), got {tuple(params)}")
+
+
 def _validate(sig: Signature) -> None:
     blocks = sig.blocks
     if not blocks:
         raise InvalidSignature("no blocks")
+    _check_params(sig.family, sig.params, InvalidSignature, blocks)
     tags = [t for t, _, _ in blocks]
     if len(set(tags)) != len(tags):
         raise InvalidSignature(f"repeated eigenvalue tag in {blocks}")
-    if any(t == 0 for t in tags):
-        raise InvalidSignature("tag 0 is not a valid eigenvalue tag")
+    if any(t < 2 and t not in (1, -1) for t in tags):
+        raise InvalidSignature(f"eigenvalue tags are 1, -1 or angle classes >= 2, got {tags}")
     if len(blocks) < 2:
         raise InvalidSignature("single eigenvalue tag: central element class")
     for t, mp, mm in blocks:
@@ -170,31 +217,13 @@ def signature_dim(sig: Signature) -> int:
 
 def _dim(sig: Signature) -> int:
     """The dimension polynomial of `signature_dim`, for validated signatures."""
-    fam = sig.family
-    if fam is SigFamily.SO_N:
-        return sum(
-            mp * (mp - 1) // 2 if t in (1, -1) else mp * mp for t, mp, _ in sig.blocks
-        )
-    if fam is SigFamily.SU_N:
-        return sum(mp * mp for _, mp, _ in sig.blocks) - 1
-    if fam is SigFamily.SP_N_COMPACT:
-        return sum(
-            mp * (2 * mp + 1) if t in (1, -1) else mp * mp for t, mp, _ in sig.blocks
-        )
-    if fam is SigFamily.SO_PQ:
-        return sum(
-            mp * mm if t in (1, -1) else 2 * mp * mm for t, mp, mm in sig.blocks
-        )
-    if fam is SigFamily.SU_PQ:
-        return sum(2 * mp * mm for _, mp, mm in sig.blocks)
-    if fam is SigFamily.SP_PQ:
-        return sum(
-            4 * mp * mm if t in (1, -1) else 2 * mp * mm for t, mp, mm in sig.blocks
-        )
-    # so*(2n): +-1 blocks centralize a smaller so*, angle blocks a u(a,b)
-    return sum(
-        mp * (mp - 1) if t in (1, -1) else 2 * mp * mm for t, mp, mm in sig.blocks
-    )
+    return _blocks_dim(sig.family, sig.blocks) + _CENTRE.get(sig.family, 0)
+
+
+def _blocks_dim(family, blocks):
+    """Sum of the `_TERMS` of some blocks (no centre constant)."""
+    real, angle = _TERMS[family]
+    return sum(real(mp, mm) if t in (1, -1) else angle(mp, mm) for t, mp, mm in blocks)
 
 
 def signature_compact_dim(sig: Signature) -> int:
@@ -226,46 +255,34 @@ def signature_compact_dim(sig: Signature) -> int:
     raise OutOfDomain(f"{fam.value} is compact; use signature_dim")
 
 
-def _partitions(n, cap=None):
-    """Nonincreasing positive partitions of n (n = 0 gives the empty one)."""
-    cap = n if cap is None else cap
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
-def _pair_multisets(p, q, single=False):
-    """Nonincreasing multisets of pairs (a,b) != (0,0) with componentwise
-    sums (p, q); with single=True, the one-block multiset only."""
-    if single:
-        if (p, q) != (0, 0):
-            yield ((p, q),)
-        else:
-            yield ()
-        return
-    yield from _pair_rec(p, q, (p, q))
-
-
-def _pair_rec(p, q, capped):
+def _pair_multisets(p, q, tags, cap=None):
+    """Nonincreasing multisets of pairs (a,b) != (0,0), each at most cap,
+    with componentwise sums (p, q), as blocks (tag, a, b) tagged in order
+    from tags, so at most len(tags) blocks; with q = 0, the partitions of p."""
     if (p, q) == (0, 0):
         yield ()
         return
-    for a in range(p, -1, -1):
-        for b in range(q, -1, -1):
-            if (a, b) == (0, 0) or (a, b) > capped:
+    if not tags:
+        return
+    if cap is None:
+        cap = (p, q)
+    for a in range(min(p, cap[0]), -1, -1):
+        top = q if a < cap[0] else min(q, cap[1])
+        for b in range(top, -1, -1):
+            if (a, b) == (0, 0):
                 continue
-            for rest in _pair_rec(p - a, q - b, (a, b)):
-                yield ((a, b),) + rest
+            block = ((tags[0], a, b),)
+            for rest in _pair_multisets(p - a, q - b, tags[1:], (a, b)):
+                yield block + rest
 
 
-def _sum_pairs(total, cap=None):
+def _sum_pairs(total, tags, cap=None):
     """Nonincreasing multisets of pairs (a,b) != (0,0) with sum of all
-    a+b equal to total (the so* angle-block shape)."""
+    a+b equal to total (the so* angle-block shape), tagged as above."""
     if total == 0:
         yield ()
+        return
+    if not tags:
         return
     if cap is None:
         cap = (total, total)
@@ -274,15 +291,17 @@ def _sum_pairs(total, cap=None):
         for b in range(top, -1, -1):
             if (a, b) == (0, 0):
                 continue
-            for rest in _sum_pairs(total - a - b, (a, b)):
-                yield ((a, b),) + rest
+            block = ((tags[0], a, b),)
+            for rest in _sum_pairs(total - a - b, tags[1:], (a, b)):
+                yield block + rest
 
 
 def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
     """All valid (non-central) signatures; order_le_4 keeps at most one
     angle class, so every enumerated element satisfies A^4 = 1."""
-    for blocks in _raw_blocks(family, tuple(params), order_le_4):
-        sig = Signature(family, tuple(params), blocks)
+    params = tuple(params)
+    for blocks in _raw_blocks(family, params, order_le_4):
+        sig = Signature(family, params, blocks)
         try:
             _validate(sig)
         except InvalidSignature:
@@ -291,76 +310,60 @@ def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
 
 
 def _raw_blocks(family, params, order_le_4):
-    if family is SigFamily.SU_N:
-        # all tags contribute alike, so one representative per partition
-        (n,) = params
-        for part in _partitions(n):
-            if order_le_4 and len(part) > 4:
-                continue
-            yield tuple((_tag(i), m, 0) for i, m in enumerate(part))
+    """Every candidate block tuple, in enumeration order, central ones too."""
+    for prefix, _, table in _candidates(family, params, order_le_4):
+        for angles, _ in table:
+            yield prefix + angles
+
+
+def _candidates(family, params, order_le_4):
+    """The candidates as runs (prefix, prefix_dim, table): every tuple
+    `prefix + angles` for (angles, angle_dim) in `table`, in order.
+
+    The prefix holds the +-1 blocks and the table the angle multisets that
+    fill what they leave; a candidate's dimension is prefix_dim + angle_dim.
+    Tables are built once per remainder and live only as long as the
+    generator.  su(n) and su(p,q) tag every block alike, so they are one
+    run with an empty prefix; a one-parameter family runs as (n, 0).
+    """
+    _check_params(family, params, OutOfDomain)
+    p, q = params if len(params) == 2 else (*params, 0)
+    centre = _CENTRE.get(family, 0)
+    if family in (SigFamily.SU_N, SigFamily.SU_PQ):
+        yield (), centre, _angle_table(family, p, q, order_le_4)
         return
-    if family in (SigFamily.SO_N, SigFamily.SP_N_COMPACT):
-        (n,) = params
-        weight = 2 if family is SigFamily.SO_N else 1
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                rem = n - a - b
-                if rem % weight:
-                    continue
-                for angles in _partitions(rem // weight):
-                    if order_le_4 and len(angles) > 1:
+    weight = 2 if family in (SigFamily.SO_N, SigFamily.SO_PQ) else 1
+    tables = {}
+    for ap in range(p + 1):
+        for aq in range(q + 1):
+            for bp in range(p - ap + 1):
+                for bq in range(q - aq + 1):
+                    rp, rq = p - ap - bp, q - aq - bq
+                    if rp % weight or rq % weight:
                         continue
-                    yield _assemble(a, b, [(m, 0) for m in angles])
-        return
-    if family is SigFamily.SU_PQ:
-        p, q = params
-        for pairs in _pair_multisets(p, q):
-            if order_le_4 and len(pairs) > 4:
-                continue
-            yield tuple((_tag(i), a, b) for i, (a, b) in enumerate(pairs))
-        return
-    if family in (SigFamily.SP_PQ, SigFamily.SO_PQ):
-        p, q = params
-        weight = 2 if family is SigFamily.SO_PQ else 1
-        for ap in range(p + 1):
-            for aq in range(q + 1):
-                for bp in range(p - ap + 1):
-                    for bq in range(q - aq + 1):
-                        rp, rq = p - ap - bp, q - aq - bq
-                        if rp % weight or rq % weight:
-                            continue
-                        for angles in _pair_multisets(
-                            rp // weight, rq // weight, single=order_le_4
-                        ):
-                            yield _assemble(None, None, angles, (ap, aq), (bp, bq))
-        return
+                    prefix = ((1, ap, aq),) if ap or aq else ()
+                    if bp or bq:
+                        prefix += ((-1, bp, bq),)
+                    key = (rp // weight, rq // weight)
+                    table = tables.get(key)
+                    if table is None:
+                        table = tables[key] = _angle_table(family, *key, order_le_4)
+                    yield prefix, _blocks_dim(family, prefix) + centre, table
+
+
+def _angle_table(family, p, q, order_le_4):
+    """(blocks, dim) of every tagged angle multiset filling (p, q), in
+    enumeration order; order_le_4 keeps at most one angle class (four
+    eigenvalue classes for su, whose tags are all alike)."""
+    su = family in (SigFamily.SU_N, SigFamily.SU_PQ)
+    tags = ((1, -1) if su else ()) + tuple(range(2, p + q + 2))
+    if order_le_4:
+        tags = tags[: 4 if su else 1]
     if family is SigFamily.SOSTAR_2N:
-        (n,) = params
-        for mp in range(n + 1):
-            for mm in range(n - mp + 1):
-                for angles in _sum_pairs(n - mp - mm):
-                    if order_le_4 and len(angles) > 1:
-                        continue
-                    yield _assemble(mp, mm, angles)
-        return
-    raise OutOfDomain(f"cannot enumerate {family.value}")
-
-
-def _assemble(a, b, angles, pair_a=None, pair_b=None):
-    blocks = []
-    if pair_a is not None:
-        if pair_a != (0, 0):
-            blocks.append((1, pair_a[0], pair_a[1]))
-        if pair_b != (0, 0):
-            blocks.append((-1, pair_b[0], pair_b[1]))
+        multisets = _sum_pairs(p, tags)
     else:
-        if a:
-            blocks.append((1, a, 0))
-        if b:
-            blocks.append((-1, b, 0))
-    for i, (mp, mm) in enumerate(angles):
-        blocks.append((2 + i, mp, mm))
-    return tuple(blocks)
+        multisets = _pair_multisets(p, q, tags)
+    return [(blocks, _blocks_dim(family, blocks)) for blocks in multisets]
 
 
 def _multiset_counts(n, kinds):
@@ -436,31 +439,39 @@ def _candidate_count(family, params):
     return min(total, over)
 
 
-def _tag(i):
-    return (1, -1)[i] if i < 2 else i
-
-
 def oracle_max(family: SigFamily, params):
     """Exhaustive maximum of signature_dim and the attaining signature.
 
     Only defined for the families with a closed-form bound.  Ties are
     broken toward the lexicographically largest block tuple so the
-    witness is independent of enumeration order.  Raises OutOfDomain,
+    witness is independent of enumeration order.  A candidate costs one
+    addition and one comparison: its block tuple is built only when its
+    dimension reaches the best so far, and only the winner becomes a
+    `Signature`, re-checked through `signature_dim`.  Raises OutOfDomain,
     before enumerating, when more than ENUMERATION_BUDGET candidate
     signatures would be built.
     """
     bound(family, params)  # domain gate only
-    if _candidate_count(family, tuple(params)) > ENUMERATION_BUDGET:
+    params = tuple(params)
+    if _candidate_count(family, params) > ENUMERATION_BUDGET:
         raise OutOfDomain(
-            f"{family.value}{tuple(params)}: more than the enumeration budget of "
+            f"{family.value}{params}: more than the enumeration budget of "
             f"{ENUMERATION_BUDGET} candidate signatures"
         )
-    best = None
-    best_key = None
-    for sig in enumerate_signatures(family, params):
-        key = (_dim(sig), sig.blocks)
-        if best_key is None or key > best_key:
-            best_key, best = key, sig
-    if best is None:
-        raise OutOfDomain(f"no non-central classes for {family.value}{tuple(params)}")
-    return best_key[0], best
+    best_dim, best = -1, ()  # every dimension is >= 0 and every tuple > ()
+    for prefix, prefix_dim, table in _candidates(family, params, False):
+        for angles, angle_dim in table:
+            d = prefix_dim + angle_dim
+            if d >= best_dim:
+                blocks = prefix + angles
+                if len(blocks) > 1 and (d > best_dim or blocks > best):
+                    best_dim, best = d, blocks
+    if not best:
+        raise OutOfDomain(f"no non-central classes for {family.value}{params}")
+    witness = Signature(family, params, best)
+    checked = signature_dim(witness)
+    if checked != best_dim:
+        raise OracleInvariantError(
+            f"{witness}: enumerated dimension {best_dim}, signature_dim {checked}"
+        )
+    return best_dim, witness

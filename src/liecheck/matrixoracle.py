@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 from liecheck._exact import rank
 from liecheck.algebras import Family, OutOfDomain, SimpleAlgebra
-from liecheck.centralizers import SigFamily, Signature, signature_dim
+from liecheck.centralizers import OracleInvariantError, SigFamily, Signature, signature_dim
 
 
 class UnsupportedFamily(ValueError):
@@ -45,10 +45,6 @@ class UnsupportedFamily(ValueError):
 
 class InvalidElement(ValueError):
     """Entries, finite order, or invariance requirements are violated."""
-
-
-class OracleInvariantError(RuntimeError):
-    """An internal consistency check of the oracle failed (a bug, not bad input)."""
 
 
 class FixedDims(NamedTuple):

@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+from liecheck import centralizers
 from liecheck.centralizers import (
     ENUMERATION_BUDGET,
     InvalidSignature,
+    OracleInvariantError,
     OutOfDomain,
     SigFamily,
     Signature,
@@ -88,6 +90,47 @@ def test_malformed_signatures_rejected():
         signature_dim(sig(SigFamily.SO_N, (7,), (1, 6, 1), (-1, 1, 0)))  # definite
     with pytest.raises(InvalidSignature):
         signature_dim(sig(SigFamily.SU_PQ, (2, 3), (1, 2, 2), (-1, 0, 0)))  # empty block
+
+
+def test_non_int_signature_data_rejected():
+    # half-integer multiplicities once summed to 3 and gave dim 3.5
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_N, (3,), (1, 1.5, 0), (2, 1.5, 0)))
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_N, (3.0,), (1, 2, 0), (-1, 1, 0)))
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_PQ, (1, 2), (1.0, 1, 1), (-1, 0, 1)))
+    # bool is not int, even where it compares equal to 1
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_PQ, (1, 2), (True, 1, 1), (-1, 0, 1)))
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SO_N, (True,), (1, 1, 0)))
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_PQ, (1, 2), (1, 1, True), (-1, 0, 1)))
+
+
+def test_angle_tags_are_real_or_at_least_two():
+    # tag -2 was accepted here while the matrix oracle refused the class
+    with pytest.raises(InvalidSignature):
+        signature_dim(sig(SigFamily.SU_PQ, (1, 2), (1, 1, 1), (-2, 0, 1)))
+    for tag in (0, -3, -100):
+        with pytest.raises(InvalidSignature):
+            signature_dim(sig(SigFamily.SO_N, (5,), (1, 1, 0), (tag, 2, 0)))
+    assert signature_dim(sig(SigFamily.SO_N, (5,), (1, 1, 0), (7, 2, 0))) == 4
+
+
+def test_non_int_params_out_of_domain():
+    with pytest.raises(OutOfDomain):
+        bound(SigFamily.SU_N, (3.0,))  # once returned 4.0
+    with pytest.raises(OutOfDomain):
+        bound(SigFamily.SU_PQ, (1, True))
+    with pytest.raises(OutOfDomain):
+        oracle_max(SigFamily.SU_PQ, (2.0, 3))  # once a TypeError
+    with pytest.raises(OutOfDomain):
+        oracle_max(SigFamily.SU_PQ, (True, 2))  # once a witness with params (True, 2)
+    with pytest.raises(OutOfDomain):
+        oracle_max(SigFamily.SOSTAR_2N, (4, 1))
+    assert bound(SigFamily.SU_PQ, [1, 2]) == 2  # any int sequence still works
 
 
 def test_oracle_max_witnesses():
@@ -170,3 +213,28 @@ def test_oracle_refuses_enumerations_over_budget():
     # the largest sizes the acceptance suite enumerates stay under the budget
     assert _candidate_count(SigFamily.SOSTAR_2N, (10,)) <= ENUMERATION_BUDGET
     assert _candidate_count(SigFamily.SP_PQ, (5, 5)) <= ENUMERATION_BUDGET
+
+
+def _reference_max(family, params):
+    return max((signature_dim(s), s.blocks) for s in enumerate_signatures(family, params))
+
+
+def test_oracle_max_matches_brute_force_reference():
+    cases = [(SigFamily.SO_N, (n,)) for n in range(3, 11)]
+    cases += [(SigFamily.SU_N, (n,)) for n in range(2, 11)]
+    cases += [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 9)]
+    for p in range(1, 5):
+        for q in range(p, 9 - p):
+            if p + q >= 3:
+                cases += [(SigFamily.SU_PQ, (p, q)), (SigFamily.SP_PQ, (p, q))]
+    for family, params in cases:
+        value, witness = oracle_max(family, params)
+        want_value, want_blocks = _reference_max(family, params)
+        assert (value, witness.blocks) == (want_value, want_blocks), (family, params)
+        assert witness == Signature(family, params, want_blocks)
+
+
+def test_oracle_max_rechecks_its_witness(monkeypatch):
+    monkeypatch.setattr(centralizers, "signature_dim", lambda s: 0)
+    with pytest.raises(OracleInvariantError):
+        oracle_max(SigFamily.SU_N, (3,))

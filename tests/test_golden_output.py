@@ -1,9 +1,12 @@
 """Frozen digests of user-visible output.
 
-The three SHA-256 values were taken from the code before the involution
-rows stopped building each split twice; any change to case order, witness
-text, atlas rows or the printed row order of `liecheck involutions` shows
-up here.  Refreeze only when an answer is meant to change.
+The first three SHA-256 values were taken from the code before the
+involution rows stopped building each split twice; any change to case
+order, witness text, atlas rows or the printed row order of `liecheck
+involutions` shows up here.  The two centralizer digests were taken from
+the code before `oracle_max` stopped building a `Signature` per candidate;
+they pin the order of `enumerate_signatures` and every criterion-2 maximum
+and witness.  Refreeze only when an answer is meant to change.
 """
 
 import hashlib
@@ -11,11 +14,15 @@ import json
 
 from liecheck import cli
 from liecheck import verify as vf
+from liecheck.centralizers import SigFamily, enumerate_signatures, oracle_max
 
 SWEEP_16_CASES = 4531
 SWEEP_16_SHA256 = "d0ef4b265de253193a1dd35cb5e6e5985a0c2c053fc00793cfd38e67304587b8"
 EXPORT_16_SHA256 = "597fceb910e0d4827b74da09b6b4554288d082904392e2a8c4e3f554cb5289d2"
 INVOLUTIONS_SHA256 = "3ed076c8116c6ff249de79fc24315969e63e3611369e17fb7d96dfdd60a426be"
+SIGNATURES_8_COUNT = 25907
+SIGNATURES_8_SHA256 = "03cea3a26f802710006fef960807cc51255ad82dee66d428aa58aa9b6cf85dde"
+ORACLE_MAX_C2_SHA256 = "cbbd901ab4b0aece42980fc5a77365d9c262693b9d25ac8f04b9645854fe229c"
 
 
 def test_sweep_16_case_lines():
@@ -41,3 +48,45 @@ def test_involutions_row_order(capsys):
         assert cli.main(["involutions", name]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_SHA256
+
+
+def _sizes_up_to(family, total):
+    if family in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ):
+        return [(p, q) for p in range(total + 1) for q in range(total + 1 - p)]
+    return [(n,) for n in range(total + 1)]
+
+
+def _criterion_2_cases():
+    cases = [(SigFamily.SO_N, (n,)) for n in range(3, 13)]
+    cases += [(SigFamily.SU_N, (n,)) for n in range(2, 13)]
+    for p in range(1, 10):
+        for q in range(p, 11 - p):
+            if p + q >= 3:
+                cases.append((SigFamily.SU_PQ, (p, q)))
+                cases.append((SigFamily.SP_PQ, (p, q)))
+    cases += [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 11)]
+    return cases
+
+
+def test_enumerated_signatures_up_to_8():
+    digest = hashlib.sha256()
+    count = 0
+    for family in SigFamily:
+        for params in _sizes_up_to(family, 8):
+            for order_le_4 in (False, True):
+                for s in enumerate_signatures(family, params, order_le_4):
+                    line = "%s\t%r\t%r\t%s\n" % (s.family.value, s.params, s.blocks, order_le_4)
+                    digest.update(line.encode())
+                    count += 1
+    assert count == SIGNATURES_8_COUNT
+    assert digest.hexdigest() == SIGNATURES_8_SHA256
+
+
+def test_oracle_max_on_criterion_2_cases():
+    cases = _criterion_2_cases()
+    assert len(cases) == 78
+    digest = hashlib.sha256()
+    for family, params in cases:
+        value, witness = oracle_max(family, params)
+        digest.update(("%s%r\t%d\t%r\n" % (family.value, params, value, witness.blocks)).encode())
+    assert digest.hexdigest() == ORACLE_MAX_C2_SHA256

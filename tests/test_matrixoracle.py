@@ -248,6 +248,15 @@ def test_from_signature_needs_order_dividing_four():
         from_signature(sig(SigFamily.SO_PQ, (2, 3), (1, 2, 3)))  # central
 
 
+def test_from_signature_rejects_what_signature_dim_rejects():
+    # half-integer multiplicities once reached the matrix builder (TypeError)
+    with pytest.raises(InvalidSignature):
+        from_signature(sig(SigFamily.SU_PQ, (1, 2), (1, 0.5, 1), (-1, 0.5, 1)))
+    # a negative angle tag is refused by both oracles alike
+    with pytest.raises(InvalidSignature):
+        from_signature(sig(SigFamily.SU_PQ, (1, 2), (1, 1, 1), (-2, 0, 1)))
+
+
 def test_conjugation_invariance_hand_picked():
     a = model(Family.SO, 2, 3)
     base = from_signature(sig(SigFamily.SO_PQ, (2, 3), (1, 0, 1), (2, 1, 1)))
