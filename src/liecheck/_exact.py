@@ -120,8 +120,3 @@ def rank(rows):
         return 0
     blocks = _components(_sparse_rows(rows, len(rows[0])))
     return sum(bareiss_rank(block) for block in blocks)
-
-
-def kernel_dim(rows, ncols):
-    """Dimension of {x : Mx = 0} for the ncols-column matrix M."""
-    return ncols - rank(rows)

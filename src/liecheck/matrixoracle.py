@@ -7,13 +7,11 @@ That yields (dim C_g(A), dim C_k(A), dim S^A) with no tolerances anywhere.
 
 Conventions.
 
-* Complex entries are realified as z = x + iy -> [[x, -y], [y, x]], with the
-  real parts of all coordinates listed first.  Under this map the conjugate
-  transpose becomes the real transpose, so the Cartan involution is
-  X -> -X^t in every model below.
-* Quaternionic matrices M = A + Bj are doubled to complex 2n x 2n via
-  [[A, B], [-conj(B), conj(A)]] and then realified; both steps are ring
-  homomorphisms, so conjugation can be carried out at the real level.
+* Complex and quaternionic matrices are realified by one unit table,
+  `_UNITS`, which states the convention.  It takes the conjugate transpose
+  to the real transpose, so the Cartan involution is X -> -X^t in every
+  model below, and it is a ring homomorphism, so conjugation can be carried
+  out at the real level.
 * Elements must have order dividing 4.  Keeping to fourth roots of unity is
   what keeps every entry rational; other rotation angles would drag in
   cyclotomic arithmetic.
@@ -32,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
 from typing import NamedTuple
 
 from liecheck._exact import rank
@@ -83,10 +82,17 @@ _REAL_SIZE = {
 }
 
 
+# largest realified size N accepted by `model`: an element's operator rows
+# take dim g * N^2 entries, so memory grows as N^4
+MATRIX_SIZE_LIMIT = 64
+
+
 def model(family: Family, *params: int) -> SimpleAlgebra:
     """Ambient algebra in its defining matrix presentation (not collapsed)."""
     if family not in _REAL_SIZE:
         raise UnsupportedFamily(f"no matrix basis wired for {family.value}")
+    if any(type(x) is not int for x in params):
+        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
     if family in (Family.SO, Family.SU, Family.SP):
         if len(params) != 2 or min(params) < 1:
             raise OutOfDomain(f"{family.value} needs two positive parameters")
@@ -96,6 +102,12 @@ def model(family: Family, *params: int) -> SimpleAlgebra:
     else:
         if len(params) != 1 or params[0] < 1:
             raise OutOfDomain(f"{family.value} needs one positive parameter")
+    size = _REAL_SIZE[family](params)
+    if size > MATRIX_SIZE_LIMIT:
+        raise OutOfDomain(
+            f"{family.value}{params} acts on R^{size}, past the matrix size limit "
+            f"{MATRIX_SIZE_LIMIT}"
+        )
     return SimpleAlgebra(family, tuple(params))
 
 
@@ -184,257 +196,97 @@ def _operator_rows(a, inv, basis):
     return out
 
 
-def _realify(x, y):
-    """Complex x + iy on C^n as a real matrix on R^2n (real parts first)."""
-    n = len(x)
-    out = _zeros(2 * n)
-    for i in range(n):
-        for j in range(n):
-            out[i][j] = x[i][j]
-            out[i][n + j] = -y[i][j]
-            out[n + i][j] = y[i][j]
-            out[n + i][n + j] = x[i][j]
-    return out
-
-
-def _quat_real(ax, ay, bx, by):
-    """A + Bj with complex parts (ax+i*ay, bx+i*by) as a real 4n x 4n matrix."""
-    n = len(ax)
-    x = _zeros(2 * n)
-    y = _zeros(2 * n)
-    for i in range(n):
-        for j in range(n):
-            x[i][j] = ax[i][j]
-            y[i][j] = ay[i][j]
-            x[i][n + j] = bx[i][j]
-            y[i][n + j] = by[i][j]
-            x[n + i][j] = -bx[i][j]
-            y[n + i][j] = by[i][j]
-            x[n + i][n + j] = ax[i][j]
-            y[n + i][n + j] = -ay[i][j]
-    return _realify(x, y)
-
-
-def _cpair(n):
-    return _zeros(n), _zeros(n)
-
-
-def _qquad(n):
-    return _zeros(n), _zeros(n), _zeros(n), _zeros(n)
-
-
 # ---------------------------------------------------------------------------
-# bases, one (k, p) pair per family
+# bases: one division-ring builder, plus sp(2n,R)
+#
+# Every model but sp(2n,R) is a realified F-matrix shape for F = R, C or H:
+# k is spanned by matrices E_ij u - (E_ij u)* and p by E_ij u + (E_ij u)*,
+# for units u of F, where (E_ij u)* = E_ji conj(u).  A basis matrix is a list
+# of terms (i, j, u, c), meaning the sum of c E_ij u; `_expand` realifies it
+# through the unit table below.
+
+# realified pattern of each unit: (row block, column block, sign) on the
+# blocks of size n of R^(dn).  This table is the realification convention:
+# complex z = x + iy -> [[x, -y], [y, x]] (real parts of all coordinates
+# first), and quaternionic A + Bj -> [[A, B], [-conj(B), conj(A)]] followed
+# by the complex map.
+_UNITS = {
+    "R": {"1": ((0, 0, 1),)},
+    "C": {"1": ((0, 0, 1), (1, 1, 1)), "i": ((0, 1, -1), (1, 0, 1))},
+    "H": {
+        "1": ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
+        "i": ((0, 2, -1), (1, 3, 1), (2, 0, 1), (3, 1, -1)),
+        "j": ((0, 1, 1), (1, 0, -1), (2, 3, 1), (3, 2, -1)),
+        "k": ((0, 3, -1), (1, 2, -1), (2, 1, 1), (3, 0, 1)),
+    },
+}
 
 
-def _basis_sl_r(n):
-    k, p = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = _zeros(n)
-            m[i][j] = 1
-            m[j][i] = -1
-            k.append(m)
-            m = _zeros(n)
-            m[i][j] = 1
-            m[j][i] = 1
-            p.append(m)
-    for d in range(n - 1):
-        m = _zeros(n)
-        m[d][d] = 1
-        m[d + 1][d + 1] = -1
-        p.append(m)
-    return k, p
+def _expand(field, n, terms):
+    """The realified sum of c E_ij u over terms (i, j, u, c), as sorted triples."""
+    units = _UNITS[field]
+    return tuple(sorted(
+        (a * n + i, b * n + j, c * s)
+        for i, j, u, c in terms
+        if c
+        for a, b, s in units[u]
+    ))
 
 
-def _basis_so(pp, qq):
-    # X^t Q + Q X = 0 for Q = diag(I_p, -I_q): same-part skew is k, the
-    # symmetric cross block is p
+def _pairs(index_pairs, units, sign):
+    """E_ij u + sign (E_ij u)* for every (i, j) and unit u."""
+    return [
+        ((i, j, u, 1), (j, i, u, sign if u == "1" else -sign))
+        for i, j in index_pairs
+        for u in units
+    ]
+
+
+def _trace_free(n, u):
+    return [((d, d, u, 1), (d + 1, d + 1, u, -1)) for d in range(n - 1)]
+
+
+def _unitary(field, pp, qq=0):
+    # X* Q + Q X = 0 for Q = diag(I_p, -I_q): so, su (trace free) and sp(p,q);
+    # k is the block diagonal, p the hermitian cross block
     n = pp + qq
-    k, p = [], []
-    for part in (range(pp), range(pp, n)):
-        for i in part:
-            for j in part:
-                if i < j:
-                    m = _zeros(n)
-                    m[i][j] = 1
-                    m[j][i] = -1
-                    k.append(m)
-    for i in range(pp):
-        for j in range(pp, n):
-            m = _zeros(n)
-            m[i][j] = 1
-            m[j][i] = 1
-            p.append(m)
+    units = _UNITS[field]
+    same = [*combinations(range(pp), 2), *combinations(range(pp, n), 2)]
+    k = _pairs(same, units, -1)
+    if field == "C":
+        k += _trace_free(n, "i")
+    elif field == "H":
+        k += [((d, d, u, 1),) for d in range(n) for u in "ijk"]
+    p = _pairs(product(range(pp), range(pp, n)), units, 1)
     return k, p
 
 
-def _basis_su(pp, qq):
-    n = pp + qq
-    k, p = [], []
-    for part in (range(pp), range(pp, n)):
-        for i in part:
-            for j in part:
-                if i >= j:
-                    continue
-                x, y = _cpair(n)
-                x[i][j] = 1
-                x[j][i] = -1
-                k.append(_realify(x, y))
-                x, y = _cpair(n)
-                y[i][j] = 1
-                y[j][i] = 1
-                k.append(_realify(x, y))
-    for d in range(n - 1):
-        x, y = _cpair(n)
-        y[d][d] = 1
-        y[d + 1][d + 1] = -1
-        k.append(_realify(x, y))
-    for i in range(pp):
-        for j in range(pp, n):
-            x, y = _cpair(n)
-            x[i][j] = 1
-            x[j][i] = 1
-            p.append(_realify(x, y))
-            x, y = _cpair(n)
-            y[i][j] = 1
-            y[j][i] = -1
-            p.append(_realify(x, y))
+def _sl(field, n):
+    # real trace zero: k is the compact form, p the hermitian trace-free part
+    k, _ = _unitary(field, n)
+    p = _pairs(combinations(range(n), 2), _UNITS[field], 1) + _trace_free(n, "1")
     return k, p
 
 
-def _basis_sp_pq(pp, qq):
-    # quaternionic A + Bj with A in u(p,q) and (diag form)*B symmetric; the
-    # block-diagonal part is sp(p) + sp(q), the cross blocks form p
-    n = pp + qq
-    k, p = [], []
-    for part in (range(pp), range(pp, n)):
-        for d in part:
-            ax, ay, bx, by = _qquad(n)
-            ay[d][d] = 1
-            k.append(_quat_real(ax, ay, bx, by))
-        for i in part:
-            for j in part:
-                if i > j:
-                    continue
-                if i < j:
-                    ax, ay, bx, by = _qquad(n)
-                    ax[i][j] = 1
-                    ax[j][i] = -1
-                    k.append(_quat_real(ax, ay, bx, by))
-                    ax, ay, bx, by = _qquad(n)
-                    ay[i][j] = 1
-                    ay[j][i] = 1
-                    k.append(_quat_real(ax, ay, bx, by))
-                ax, ay, bx, by = _qquad(n)
-                bx[i][j] = 1
-                bx[j][i] = 1
-                k.append(_quat_real(ax, ay, bx, by))
-                ax, ay, bx, by = _qquad(n)
-                by[i][j] = 1
-                by[j][i] = 1
-                k.append(_quat_real(ax, ay, bx, by))
-    for i in range(pp):
-        for j in range(pp, n):
-            ax, ay, bx, by = _qquad(n)
-            ax[i][j] = 1
-            ax[j][i] = 1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            ay[i][j] = 1
-            ay[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            bx[i][j] = 1
-            bx[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            by[i][j] = 1
-            by[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-    return k, p
-
-
-def _basis_so_star(n):
+def _so_star(_, n):
     # A + Bj with A anti-hermitian and B complex skew (the form x* i y);
     # k is the A-part, a copy of u(n)
-    k, p = [], []
-    for d in range(n):
-        ax, ay, bx, by = _qquad(n)
-        ay[d][d] = 1
-        k.append(_quat_real(ax, ay, bx, by))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ax, ay, bx, by = _qquad(n)
-            ax[i][j] = 1
-            ax[j][i] = -1
-            k.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            ay[i][j] = 1
-            ay[j][i] = 1
-            k.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            bx[i][j] = 1
-            bx[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            by[i][j] = 1
-            by[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
+    k = [((d, d, "i", 1),) for d in range(n)] + _pairs(combinations(range(n), 2), "1i", -1)
+    p = _pairs(combinations(range(n), 2), "jk", 1)
     return k, p
 
 
-def _basis_sl_h(n):
-    # real trace zero; k is the compact sp(n) (A anti-hermitian, B
-    # symmetric), p takes A hermitian traceless and B skew
-    k, p = [], []
-    for d in range(n):
-        ax, ay, bx, by = _qquad(n)
-        ay[d][d] = 1
-        k.append(_quat_real(ax, ay, bx, by))
-    for i in range(n):
-        for j in range(i, n):
-            if i < j:
-                ax, ay, bx, by = _qquad(n)
-                ax[i][j] = 1
-                ax[j][i] = -1
-                k.append(_quat_real(ax, ay, bx, by))
-                ax, ay, bx, by = _qquad(n)
-                ay[i][j] = 1
-                ay[j][i] = 1
-                k.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            bx[i][j] = 1
-            bx[j][i] = 1
-            k.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            by[i][j] = 1
-            by[j][i] = 1
-            k.append(_quat_real(ax, ay, bx, by))
-    for d in range(n - 1):
-        ax, ay, bx, by = _qquad(n)
-        ax[d][d] = 1
-        ax[d + 1][d + 1] = -1
-        p.append(_quat_real(ax, ay, bx, by))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ax, ay, bx, by = _qquad(n)
-            ax[i][j] = 1
-            ax[j][i] = 1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            ay[i][j] = 1
-            ay[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            bx[i][j] = 1
-            bx[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-            ax, ay, bx, by = _qquad(n)
-            by[i][j] = 1
-            by[j][i] = -1
-            p.append(_quat_real(ax, ay, bx, by))
-    return k, p
+_SHAPES = {
+    Family.SL_R: ("R", _sl),
+    Family.SL_H: ("H", _sl),
+    Family.SO: ("R", _unitary),
+    Family.SO_CPT: ("R", _unitary),
+    Family.SU: ("C", _unitary),
+    Family.SU_CPT: ("C", _unitary),
+    Family.SP: ("H", _unitary),
+    Family.SP_CPT: ("H", _unitary),
+    Family.SO_STAR: ("H", _so_star),
+}
 
 
 def _basis_sp_r(n):
@@ -474,31 +326,16 @@ def _basis_sp_r(n):
 
 @lru_cache(maxsize=None)
 def _bases(a: SimpleAlgebra):
-    fam = a.family
-    if fam is Family.SL_R:
-        k, p = _basis_sl_r(*a.params)
-    elif fam is Family.SO:
-        k, p = _basis_so(*a.params)
-    elif fam is Family.SO_CPT:
-        k, p = _basis_so(a.params[0], 0)
-    elif fam is Family.SU:
-        k, p = _basis_su(*a.params)
-    elif fam is Family.SU_CPT:
-        k, p = _basis_su(a.params[0], 0)
-    elif fam is Family.SP:
-        k, p = _basis_sp_pq(*a.params)
-    elif fam is Family.SP_CPT:
-        k, p = _basis_sp_pq(a.params[0], 0)
-    elif fam is Family.SO_STAR:
-        k, p = _basis_so_star(*a.params)
-    elif fam is Family.SL_H:
-        k, p = _basis_sl_h(*a.params)
-    elif fam is Family.SP_R:
+    if a.family is Family.SP_R:
         k, p = _basis_sp_r(*a.params)
+        k = tuple(map(_sparse, k))
+        p = tuple(map(_sparse, p))
+    elif a.family in _SHAPES:
+        field, shape = _SHAPES[a.family]
+        n = sum(a.params)
+        k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
     else:
-        raise UnsupportedFamily(f"no matrix basis wired for {fam.value}")
-    k = tuple(map(_sparse, k))
-    p = tuple(map(_sparse, p))
+        raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
     if rank(_dense_rows(k + p, _size(a))) != len(k) + len(p):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
     return k, p
@@ -633,14 +470,14 @@ def _unitary_diag(params, blocks, split):
     return diag
 
 
-def _quat_diag_rows(diag):
+def _diagonal(field, diag):
+    """The diagonal F-matrix with entries re + im i, as real rows."""
     n = len(diag)
-    x, y = _cpair(n)
-    for i, (re, im) in enumerate(diag):
-        x[i][i] = re
-        y[i][i] = im
-    zx, zy = _cpair(n)
-    return _quat_real(x, y, zx, zy)
+    m = _zeros(len(_UNITS[field]["1"]) * n)
+    terms = [t for d, (re, im) in enumerate(diag) for t in ((d, d, "1", re), (d, d, "i", im))]
+    for i, j, x in _expand(field, n, terms):
+        m[i][j] = x
+    return m
 
 
 def _realized(sig: Signature):
@@ -648,18 +485,11 @@ def _realized(sig: Signature):
     if fam in (SigFamily.SO_N, SigFamily.SO_PQ):
         return _so_rows(params, blocks, fam is SigFamily.SO_PQ)
     if fam in (SigFamily.SU_N, SigFamily.SU_PQ):
-        diag = _unitary_diag(params, blocks, fam is SigFamily.SU_PQ)
-        x, y = _cpair(len(diag))
-        for i, (re, im) in enumerate(diag):
-            x[i][i] = re
-            y[i][i] = im
-        return _realify(x, y)
+        return _diagonal("C", _unitary_diag(params, blocks, fam is SigFamily.SU_PQ))
     if fam in (SigFamily.SP_N_COMPACT, SigFamily.SP_PQ):
         _single_angle(blocks)
         quat = [b if b[0] in (1, -1) else (2, b[1], b[2]) for b in blocks]
-        return _quat_diag_rows(
-            _unitary_diag(params, quat, fam is SigFamily.SP_PQ)
-        )
+        return _diagonal("H", _unitary_diag(params, quat, fam is SigFamily.SP_PQ))
     # so*(2n): +-1 blocks carry one multiplicity, an angle block (t, a, b)
     # puts i on a coordinates and -i on b
     _single_angle(blocks)
@@ -670,7 +500,7 @@ def _realized(sig: Signature):
         else:
             diag.extend([(0, 1)] * mp)
             diag.extend([(0, -1)] * mm)
-    return _quat_diag_rows(diag)
+    return _diagonal("H", diag)
 
 
 def from_signature(sig: Signature) -> MatrixElement:

@@ -172,22 +172,10 @@ def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
     return CaseResult(a, ROUTE_RANK1, d.dim_s - 1 - best, witness, True)
 
 
-def _part_dim(sig_family: SigFamily, params: tuple) -> int:
-    if sig_family is SigFamily.SO_N:
-        (n,) = params
-        return n * (n - 1) // 2
-    if sig_family is SigFamily.SU_N:
-        (n,) = params
-        return n * n - 1
-    raise ValueError("unsupported compact part %s" % sig_family)
-
-
-def _part_rank(sig_family: SigFamily, params: tuple) -> int:
-    if sig_family is SigFamily.SO_N:
-        return params[0] // 2
-    if sig_family is SigFamily.SU_N:
-        return params[0] - 1
-    raise ValueError("unsupported compact part %s" % sig_family)
+def _subgroup_dims(parts, torus: int) -> tuple:
+    """(dim H, rk H) from the catalog values of the compact summands of H."""
+    ds = [reductive_dims(algebra(mo.SIG_AMBIENT[sf], *ps)) for sf, ps in parts]
+    return torus + sum(d.dim_g for d in ds), torus + sum(d.rk_cpt for d in ds)
 
 
 # Maximal rank subgroups H of the compact form K, one per complex
@@ -217,8 +205,7 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
         raise MissingTableRow(render(a))
     label, parts, torus = pair
     d = dims(a)
-    dim_h = torus + sum(_part_dim(*p) for p in parts)
-    rk_h = torus + sum(_part_rank(*p) for p in parts)
+    dim_h, rk_h = _subgroup_dims(parts, torus)
     if rk_h != d.rk_cpt:
         raise AssertionError("%s row is not maximal rank" % label)
     rk = d.rk_r
@@ -630,15 +617,16 @@ def maximal_rank_rows() -> list:
     for fam, (label, parts, torus) in _MAXIMAL_RANK_PAIRS.items():
         a = simple(fam)
         d = dims(a)
+        dim_h, rk_h = _subgroup_dims(parts, torus)
         rows.append(
             {
                 "algebra": render(a),
                 "compact_form": render(max_compact(a)),
                 "subgroup": label,
                 "dim_compact": d.dim_k,
-                "dim_subgroup": torus + sum(_part_dim(*p) for p in parts),
+                "dim_subgroup": dim_h,
                 "rk_compact": d.rk_cpt,
-                "rk_subgroup": torus + sum(_part_rank(*p) for p in parts),
+                "rk_subgroup": rk_h,
             }
         )
     return rows

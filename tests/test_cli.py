@@ -14,6 +14,7 @@ import pytest
 from liecheck import algebras as al
 from liecheck import centralizers as cz
 from liecheck import cli
+from liecheck import matrixoracle as mo
 from liecheck import verify as vf
 
 
@@ -104,6 +105,17 @@ def test_oracle_without_closed_form_names_matrix(capsys, monkeypatch, argv, labe
     rc, out, err = run(capsys, "oracle", *argv)
     assert rc == 2 and out == ""
     assert "no closed-form bound for %s" % label in err and "--matrix" in err
+
+
+def test_oracle_matrix_refuses_models_past_the_size_limit(capsys, monkeypatch):
+    # so*(34) is realified on R^68: refused before any basis is built
+    def never(*_):
+        raise AssertionError("built an element")
+
+    monkeypatch.setattr(mo, "element", never)
+    rc, out, err = run(capsys, "oracle", "--family", "so_star", "--n", "17", "--matrix", "--element", "identity")
+    assert rc == 2 and out == ""
+    assert "68" in err and "64" in err
 
 
 def test_bounded_families_are_the_closed_forms():

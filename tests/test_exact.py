@@ -53,12 +53,6 @@ def test_fraction_entries():
     assert reference_rank(m) == 1
 
 
-def test_kernel_dim():
-    assert _exact.kernel_dim([], 5) == 5
-    assert _exact.kernel_dim([[1, 1, 1]], 3) == 2
-    assert _exact.kernel_dim([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 0
-
-
 def test_large_entries_stay_exact():
     # Scaled Hilbert-like matrix: classically ill-conditioned in floats but
     # has full rank; entries grow large under elimination.

@@ -6,7 +6,10 @@ order, witness text, atlas rows or the printed row order of `liecheck
 involutions` shows up here.  The two centralizer digests were taken from
 the code before `oracle_max` stopped building a `Signature` per candidate;
 they pin the order of `enumerate_signatures` and every criterion-2 maximum
-and witness.  Refreeze only when an answer is meant to change.
+and witness.  The basis digest was taken from the code before the matrix
+models' hand-written basis loops gave way to one division-ring builder; it
+pins every k and p basis matrix, signs included, up to order within k and
+within p.  Refreeze only when an answer is meant to change.
 """
 
 import hashlib
@@ -14,6 +17,8 @@ import json
 
 from liecheck import cli
 from liecheck import verify as vf
+from liecheck import matrixoracle as mo
+from liecheck.algebras import Family, OutOfDomain, algebra, reductive_dims
 from liecheck.centralizers import SigFamily, enumerate_signatures, oracle_max
 
 SWEEP_16_CASES = 4531
@@ -23,6 +28,8 @@ INVOLUTIONS_SHA256 = "3ed076c8116c6ff249de79fc24315969e63e3611369e17fb7d96dfdd60
 SIGNATURES_8_COUNT = 25907
 SIGNATURES_8_SHA256 = "03cea3a26f802710006fef960807cc51255ad82dee66d428aa58aa9b6cf85dde"
 ORACLE_MAX_C2_SHA256 = "cbbd901ab4b0aece42980fc5a77365d9c262693b9d25ac8f04b9645854fe229c"
+MATRIX_MODELS_7_COUNT = 109
+MATRIX_BASES_7_SHA256 = "fd75237ff396c7068816b4049f73104574b47932ed2e842ce28677a7626423b7"
 
 
 def test_sweep_16_case_lines():
@@ -90,3 +97,33 @@ def test_oracle_max_on_criterion_2_cases():
         value, witness = oracle_max(family, params)
         digest.update(("%s%r\t%d\t%r\n" % (family.value, params, value, witness.blocks)).encode())
     assert digest.hexdigest() == ORACLE_MAX_C2_SHA256
+
+
+def _matrix_models_up_to_7():
+    """Every wired matrix model with p + q <= 7 or n <= 7 that `model` accepts."""
+    for family in mo._REAL_SIZE:
+        two = family in (Family.SO, Family.SU, Family.SP)
+        for params in _sizes_up_to(SigFamily.SO_PQ if two else SigFamily.SO_N, 7):
+            try:
+                yield mo.model(family, *params)
+            except OutOfDomain:
+                continue
+
+
+def test_matrix_bases_up_to_7():
+    digest = hashlib.sha256()
+    count = 0
+    for m in _matrix_models_up_to_7():
+        k, p = mo._bases(m)
+        digest.update(repr((m.family.value, m.params, sorted(k), sorted(p))).encode())
+        count += 1
+    assert count == MATRIX_MODELS_7_COUNT
+    assert digest.hexdigest() == MATRIX_BASES_7_SHA256
+
+
+def test_matrix_basis_sizes_match_the_catalog():
+    # model su(2,2) against catalog so(2,4), sl(1,H) against su(2), ...
+    for m in _matrix_models_up_to_7():
+        k, p = mo._bases(m)
+        d = reductive_dims(algebra(m.family, *m.params))
+        assert (len(k), len(p)) == (d.dim_k, d.dim_s), m

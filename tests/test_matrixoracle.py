@@ -99,6 +99,29 @@ def test_identity_centralizer_is_everything():
         assert matrix_fixed_dims(e) == FixedDims(*expected), (family, params)
 
 
+def realified_unit(field, u, c=1):
+    d = len(mo._UNITS[field]["1"])
+    m = [[0] * d for _ in range(d)]
+    for i, j, x in mo._expand(field, 1, [(0, 0, u, c)]):
+        m[i][j] = x
+    return m
+
+
+def test_unit_table_realifies_the_division_rings():
+    # 1 x 1 matrices: the realified units multiply as in C and H, and the
+    # conjugate of each unit is its transpose
+    assert realified_unit("R", "1") == [[1]]
+    for field, units in (("C", "i"), ("H", "ijk")):
+        one = realified_unit(field, "1")
+        assert one == eye(len(one))
+        for u in units:
+            assert mul(realified_unit(field, u), realified_unit(field, u)) == realified_unit(field, "1", -1)
+            assert [list(r) for r in zip(*realified_unit(field, u))] == realified_unit(field, u, -1)
+    for a, b, c in ("ijk", "jki", "kij"):
+        assert mul(realified_unit("H", a), realified_unit("H", b)) == realified_unit("H", c)
+        assert mul(realified_unit("H", b), realified_unit("H", a)) == realified_unit("H", c, -1)
+
+
 def test_model_keeps_the_given_presentation():
     # low-rank isomorphisms (su(2,2) ~ so(2,4), sp(4,R) ~ so(2,3)) must not
     # collapse here: the matrix model depends on the presentation.
@@ -239,6 +262,32 @@ def test_unsupported_ambients():
         model(Family.SL_R, 1)
 
 
+@pytest.mark.parametrize("params", [(2.0, 3), (True, 2), (2, Fraction(3)), ("2", 3)])
+def test_model_takes_int_parameters_only(params):
+    # floats once reached _zeros as a bare TypeError, and True was answered
+    # as 1
+    with pytest.raises(OutOfDomain):
+        model(Family.SO, *params)
+
+
+def test_model_refuses_sizes_past_the_limit():
+    assert mo.MATRIX_SIZE_LIMIT == 64
+    # at the limit: accepted (only the model is built, no basis)
+    assert model(Family.SO, 32, 32).params == (32, 32)
+    assert model(Family.SO_STAR, 16).params == (16,)
+    assert model(Family.SP_R, 32).params == (32,)
+    for family, params in [
+        (Family.SO, (32, 33)),
+        (Family.SO_CPT, (65,)),
+        (Family.SU, (16, 17)),
+        (Family.SO_STAR, (17,)),
+        (Family.SL_H, (17,)),
+        (Family.SP_CPT, (17,)),
+    ]:
+        with pytest.raises(OutOfDomain, match="64"):
+            model(family, *params)
+
+
 def test_from_signature_needs_order_dividing_four():
     # two distinct rotation angles cannot both have order <= 4
     s = sig(SigFamily.SO_PQ, (4, 4), (2, 1, 1), (3, 1, 1))
@@ -356,8 +405,8 @@ def test_integral_fractions_give_the_int_element():
 
 def test_broken_invariants_raise_named_errors(monkeypatch):
     # dependent basis matrices
-    k, p = mo._basis_sl_r(3)
-    monkeypatch.setattr(mo, "_basis_sl_r", lambda n: (k + k[:1], p))
+    k, p = mo._sl("R", 3)
+    monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p)))
     with pytest.raises(mo.OracleInvariantError):
         mo._bases.__wrapped__(model(Family.SL_R, 3))
     # blocks that do not fill the coordinates
