@@ -473,37 +473,25 @@ def dims(a: SimpleAlgebra) -> SpaceDims:
         g, k = n * (2 * n - 1), n * n
         return SpaceDims(g, k, n * n - n, n // 2, n)
     if fam in COMPLEX:
-        d, r = _complex_dim_rank(fam, params)
+        d, r = _dim_rank(fam, params)
         return SpaceDims(2 * d, d, d, r, r)
     if fam in COMPACT:
-        d, r = _compact_dim_rank(fam, params)
+        d, r = _dim_rank(fam, params)
         return SpaceDims(d, d, 0, 0, r)
     dim_k, rk_r = _EXC_REAL[fam]
     dim_g = _EXC_BASE[_exc_letters(fam)][0]
     return SpaceDims(dim_g, dim_k, dim_g - dim_k, rk_r, _EXC_RK_CPT[fam])
 
 
-def _complex_dim_rank(fam, params):
-    if fam is Family.SL_C:
+def _dim_rank(fam, params):
+    """(dim, rank) of a complex simple algebra, or the same of a compact one."""
+    if fam in (Family.SL_C, Family.SU_CPT):
         (n,) = params
         return n * n - 1, n - 1
-    if fam is Family.SO_C:
+    if fam in (Family.SO_C, Family.SO_CPT):
         (n,) = params
         return n * (n - 1) // 2, n // 2
-    if fam is Family.SP_C:
-        (n,) = params
-        return n * (2 * n + 1), n
-    return _EXC_BASE[_exc_letters(fam)]
-
-
-def _compact_dim_rank(fam, params):
-    if fam is Family.SU_CPT:
-        (n,) = params
-        return n * n - 1, n - 1
-    if fam is Family.SO_CPT:
-        (n,) = params
-        return n * (n - 1) // 2, n // 2
-    if fam is Family.SP_CPT:
+    if fam in (Family.SP_C, Family.SP_CPT):
         (n,) = params
         return n * (2 * n + 1), n
     return _EXC_BASE[_exc_letters(fam)]
@@ -813,39 +801,54 @@ def parse_algebra(text: str) -> ReductiveAlgebra:
     return direct_sum(*parts)
 
 
+def is_canonical(a: SimpleAlgebra) -> bool:
+    """True when `algebra()` names `a` as exactly this one factor.
+
+    False for every low-rank coincidence (sl(4,R) is so(3,3), so(1,1) is a
+    split line), for swapped (q, p) signatures and for compact (0, n) ones.
+    """
+    return algebra(a.family, *a.params) == ReductiveAlgebra((a,))
+
+
+# largest size parameter (see `iter_noncompact_simple`) that sweeps, atlas
+# exports and involution rows accept; the catalog grows as its square, and
+# the split rows of su(p,q) alone as p*q
+SIZE_LIMIT = 64
+
+# catalog order: the classical noncompact families, then the exceptional
+# forms by name
+_NONCOMPACT_ORDER = (
+    Family.SL_R,
+    Family.SL_H,
+    Family.SU,
+    Family.SO,
+    Family.SP_R,
+    Family.SP,
+    Family.SO_STAR,
+    Family.SL_C,
+    Family.SO_C,
+    Family.SP_C,
+    *sorted(COMPLEX_EXCEPTIONAL | REAL_EXCEPTIONAL, key=lambda f: f.value),
+)
+
+
 def iter_noncompact_simple(max_param: int):
     """All canonical noncompact simple algebras with size parameter <= max_param.
 
     The size parameter is n for sl(n,R)/sl(n,C)/sl(n,H), p+q for the
     (p,q)-families, n for sp(2n,R)/sp(2n,C)/so*(2n) and so(n,C); the
-    exceptional forms carry no parameter and are always included.
+    exceptional forms carry no parameter and are always included.  Each
+    family runs from size 1 and keeps the parameters that `is_canonical`
+    accepts, so the low-rank coincidences are stated only in `algebra()`.
     """
-    for n in range(2, max_param + 1):
-        if n != 4:
-            yield SimpleAlgebra(Family.SL_R, (n,))
-    for n in range(3, max_param + 1):
-        yield SimpleAlgebra(Family.SL_H, (n,))
-    for p in range(1, max_param + 1):
-        for q in range(p, max_param - p + 1):
-            if (p, q) not in ((1, 1), (1, 3), (2, 2)):
-                yield SimpleAlgebra(Family.SU, (p, q))
-    for p in range(1, max_param + 1):
-        for q in range(p, max_param - p + 1):
-            if (p, q) not in ((1, 1), (1, 2), (1, 3), (2, 2)):
-                yield SimpleAlgebra(Family.SO, (p, q))
-    for n in range(3, max_param + 1):
-        yield SimpleAlgebra(Family.SP_R, (n,))
-    for p in range(1, max_param + 1):
-        for q in range(p, max_param - p + 1):
-            if (p, q) != (1, 1):
-                yield SimpleAlgebra(Family.SP, (p, q))
-    for n in range(3, max_param + 1):
-        yield SimpleAlgebra(Family.SO_STAR, (n,))
-    for n in range(2, max_param + 1):
-        yield SimpleAlgebra(Family.SL_C, (n,))
-    for n in range(7, max_param + 1):
-        yield SimpleAlgebra(Family.SO_C, (n,))
-    for n in range(2, max_param + 1):
-        yield SimpleAlgebra(Family.SP_C, (n,))
-    for fam in sorted(COMPLEX_EXCEPTIONAL | REAL_EXCEPTIONAL, key=lambda f: f.value):
-        yield SimpleAlgebra(fam, ())
+    for fam in _NONCOMPACT_ORDER:
+        if fam in _TWO_PARAM:
+            sizes = ((p, q) for p in range(1, max_param + 1) for q in range(p, max_param - p + 1))
+        elif fam in _ONE_PARAM:
+            sizes = ((n,) for n in range(1, max_param + 1))
+        else:
+            sizes = ((),)
+        for params in sizes:
+            a = SimpleAlgebra(fam, params)
+            if is_canonical(a):
+                yield a

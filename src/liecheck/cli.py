@@ -59,15 +59,15 @@ def _require_one_simple(red, label):
 
 def _cmd_involutions(args) -> int:
     a = _require_one_simple(al.parse_algebra(args.algebra), "involutions")
+    try:
+        results = vf.check_involutions(a)
+    except vf.NeedsTrialityRoute:
+        results = vf.check_triality(a)
     d = al.dims(a)
     print(
         "%s: dim S = %d, rk_R = %d, target dim S - rk = %d"
         % (al.render(a), d.dim_s, d.rk_r, d.dim_s - d.rk_r)
     )
-    try:
-        results = vf.check_involutions(a)
-    except vf.NeedsTrialityRoute:
-        results = vf.check_triality(a)
     for case in results:
         print("  margin %3d  [%s]  %s" % (case.margin, case.route, case.witness))
     return 0
@@ -198,6 +198,8 @@ def _cmd_vcd(args) -> int:
 
 
 def export_payload(max_param: int) -> dict:
+    if max_param > al.SIZE_LIMIT:
+        raise al.OutOfDomain("max-param must be at most %d, got %d" % (al.SIZE_LIMIT, max_param))
     entries = []
     for a in al.iter_noncompact_simple(max_param):
         for entry in inv.isotropy_entries(a):

@@ -7,6 +7,16 @@ one synthetic row for the Cartan involution.  Row templates keep the
 free parameters of the printed tables; `instances` holds every admissible
 instantiation as a canonical catalog value.
 
+Rows are written as plain specs (`_Row`: template, instances, constraints,
+kind, notes) by three helpers: `_one` for a single instance, `_sum_row` for
+the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq) signature
+splits of so/su/sp(p,q).  Each classical family has one row builder over its
+parameters; `_CLASSICAL_ROWS` pairs it with the family's source label, and
+`_EXCEPTIONAL_ROWS` lists the exceptional rows.  `isotropy_entries` alone
+turns specs into `IsotropyEntry` values, dropping instances equal to the
+ambient and repeats that low-rank isomorphisms create.  Algebras whose size
+parameter exceeds `SIZE_LIMIT` get no rows.
+
 The two forms whose outer automorphism group has order-3 elements carry a
 separate list of order-3 fixed-point classes.
 
@@ -16,12 +26,13 @@ classification.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .algebras import (
     COMPACT,
     COMPACT_LINE,
+    SIZE_LIMIT,
     SPLIT_LINE,
     Family,
     ReductiveAlgebra,
@@ -29,6 +40,7 @@ from .algebras import (
     SpaceDims,
     algebra,
     direct_sum,
+    is_canonical,
     max_compact,
     reductive,
     reductive_dims,
@@ -53,7 +65,7 @@ CARTAN = "compact"
 
 
 class UnsupportedAlgebra(ValueError):
-    """The ambient algebra has no row set here (compact, or noncanonical)."""
+    """The ambient algebra has no row set here (compact, noncanonical or too large)."""
 
 
 @dataclass(frozen=True)
@@ -85,14 +97,24 @@ class TrialityClass:
     kind: str
 
 
-def _entry(ambient, template, instances, *, source, kind=LINEAR, constraints=(), notes=()):
+class _Row(NamedTuple):
+    """A row spec: an IsotropyEntry without its ambient and source."""
+
+    template: str
+    instances: list
+    constraints: tuple = ()
+    kind: str = LINEAR
+    notes: tuple = ()
+
+
+def _entry(ambient, source, row):
     ambient_red = reductive((ambient,))
     # distinct splits can still coincide through low-rank isomorphisms
-    kept = dict.fromkeys(h for h in instances if h != ambient_red)
+    kept = dict.fromkeys(h for h in row.instances if h != ambient_red)
     if not kept:
         return None
     return IsotropyEntry(
-        ambient, template, tuple(constraints), source, kind, tuple(kept), tuple(notes)
+        ambient, row.template, row.constraints, source, row.kind, tuple(kept), row.notes
     )
 
 
@@ -116,599 +138,299 @@ def _splits(p, q):
                 yield kp, kq
 
 
-def _rows_sl_r(a):
-    (n,) = a.params
-    src = "sl-family"
+def _one(template, instance, *constraints, kind=LINEAR, notes=()):
+    """A row with a single instance."""
+    return _Row(template, [instance], constraints, kind, notes)
+
+
+def _sum_row(template, n, build, letters="kl", kind=LINEAR):
+    """A row over k+l=n, 1<=k<=l: one instance build(k, l) per k."""
+    a, b = letters
+    instances = [build(k, n - k) for k in range(1, n // 2 + 1)]
+    return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind)
+
+
+def _split_row(template, family, p, q, *extra):
+    """family(kp,kq) + family(lp,lq) + extra over the splits of (p, q).
+
+    The row holds each unordered split once, in first-occurrence order (see
+    `_splits`).
+    """
+    instances = [
+        direct_sum(algebra(family, kp, kq), algebra(family, p - kp, q - kq), *extra)
+        for kp, kq in _splits(p, q)
+    ]
+    constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
+    return _Row(template, instances, constraints, notes=_SPLIT_NOTE)
+
+
+def _pair(family, *extra):
+    """The instance builder (k, l) -> family(k) + family(l) + extra."""
+    return lambda k, l: direct_sum(algebra(family, k), algebra(family, l), *extra)
+
+
+def _u(k, l):
+    """u(k,l) = su(k,l) + u(1)."""
+    return direct_sum(algebra(Family.SU, k, l), COMPACT_LINE)
+
+
+def _rows_sl_r(n):
     rows = [
-        _entry(
-            a,
-            "so(k,l)",
-            [algebra(Family.SO, k, n - k) for k in range(1, n // 2 + 1)],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        ),
-        _entry(
-            a,
-            "s(gl(k,R)+gl(l,R))",
-            [
-                direct_sum(algebra(Family.SL_R, k), algebra(Family.SL_R, n - k), SPLIT_LINE)
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        ),
+        _sum_row("so(k,l)", n, partial(algebra, Family.SO)),
+        _sum_row("s(gl(k,R)+gl(l,R))", n, _pair(Family.SL_R, SPLIT_LINE)),
     ]
     if n % 2 == 0:
+        even = f"n={n} even"
         rows.append(
-            _entry(
-                a,
-                f"gl({n // 2},C)",
-                [direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE)],
-                source=src,
-                constraints=(f"n={n} even",),
-            )
+            _one(f"gl({n // 2},C)", direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE), even)
         )
-        rows.append(
-            _entry(
-                a,
-                f"sp({n},R)",
-                [algebra(Family.SP_R, n // 2)],
-                source=src,
-                constraints=(f"n={n} even",),
-            )
-        )
+        rows.append(_one(f"sp({n},R)", algebra(Family.SP_R, n // 2), even))
     return rows
 
 
-def _rows_su(a):
-    """Rows of su(p,q).
-
-    The split row holds each unordered split once, in first-occurrence order
-    (see `_splits`).
-    """
-    p, q = a.params
-    src = "sl-family"
-    rows = [_entry(a, f"so({p},{q})", [algebra(Family.SO, p, q)], source=src)]
+def _rows_su(p, q):
+    rows = [_one(f"so({p},{q})", algebra(Family.SO, p, q))]
     if p == q:
-        rows.append(
-            _entry(a, f"so*({2 * p})", [algebra(Family.SO_STAR, p)], source=src, constraints=("p=q",))
-        )
-    rows.append(
-        _entry(
-            a,
-            "s(u(kp,kq)+u(lp,lq))",
-            [
-                direct_sum(
-                    algebra(Family.SU, kp, kq),
-                    algebra(Family.SU, p - kp, q - kq),
-                    COMPACT_LINE,
-                )
-                for kp, kq in _splits(p, q)
-            ],
-            source=src,
-            constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
-            notes=_SPLIT_NOTE,
-        )
-    )
+        rows.append(_one(f"so*({2 * p})", algebra(Family.SO_STAR, p), "p=q"))
+    rows.append(_split_row("s(u(kp,kq)+u(lp,lq))", Family.SU, p, q, COMPACT_LINE))
     if p == q:
-        rows.append(
-            _entry(
-                a,
-                f"gl({p},C)",
-                [direct_sum(algebra(Family.SL_C, p), SPLIT_LINE)],
-                source=src,
-                constraints=("p=q",),
-            )
-        )
+        rows.append(_one(f"gl({p},C)", direct_sum(algebra(Family.SL_C, p), SPLIT_LINE), "p=q"))
     if p % 2 == 0 and q % 2 == 0:
-        rows.append(
-            _entry(
-                a,
-                f"sp({p // 2},{q // 2})",
-                [algebra(Family.SP, p // 2, q // 2)],
-                source=src,
-                constraints=("p,q even",),
-            )
-        )
+        rows.append(_one(f"sp({p // 2},{q // 2})", algebra(Family.SP, p // 2, q // 2), "p,q even"))
     if p == q:
-        rows.append(
-            _entry(
-                a,
-                f"sp({2 * p},R)",
-                [algebra(Family.SP_R, p)],
-                source=src,
-                constraints=("p=q",),
-            )
-        )
+        rows.append(_one(f"sp({2 * p},R)", algebra(Family.SP_R, p), "p=q"))
     return rows
 
 
-def _rows_so(a):
-    """Rows of so(p,q).
-
-    The split row holds each unordered split once, in first-occurrence order
-    (see `_splits`).
-    """
-    p, q = a.params
-    src = "so-family"
-    rows = [
-        _entry(
-            a,
-            "so(kp,kq)+so(lp,lq)",
-            [
-                direct_sum(algebra(Family.SO, kp, kq), algebra(Family.SO, p - kp, q - kq))
-                for kp, kq in _splits(p, q)
-            ],
-            source=src,
-            constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
-            notes=_SPLIT_NOTE,
-        )
-    ]
+def _rows_so(p, q):
+    rows = [_split_row("so(kp,kq)+so(lp,lq)", Family.SO, p, q)]
     if p == q:
-        rows.append(_entry(a, f"so({p},C)", [algebra(Family.SO_C, p)], source=src, constraints=("p=q",)))
+        rows.append(_one(f"so({p},C)", algebra(Family.SO_C, p), "p=q"))
     if p % 2 == 0 and q % 2 == 0:
-        rows.append(
-            _entry(
-                a,
-                f"u({p // 2},{q // 2})",
-                [direct_sum(algebra(Family.SU, p // 2, q // 2), COMPACT_LINE)],
-                source=src,
-                constraints=("p,q even",),
-            )
-        )
+        rows.append(_one(f"u({p // 2},{q // 2})", _u(p // 2, q // 2), "p,q even"))
     if p == q:
-        rows.append(
-            _entry(
-                a,
-                f"gl({p},R)",
-                [direct_sum(algebra(Family.SL_R, p), SPLIT_LINE)],
-                source=src,
-                constraints=("p=q",),
-            )
-        )
+        rows.append(_one(f"gl({p},R)", direct_sum(algebra(Family.SL_R, p), SPLIT_LINE), "p=q"))
     return rows
 
 
-def _rows_sp(a):
-    """Rows of sp(p,q).
-
-    The split row holds each unordered split once, in first-occurrence order
-    (see `_splits`).
-    """
-    p, q = a.params
-    src = "sp-family"
-    rows = [
-        _entry(
-            a,
-            "sp(kp,kq)+sp(lp,lq)",
-            [
-                direct_sum(algebra(Family.SP, kp, kq), algebra(Family.SP, p - kp, q - kq))
-                for kp, kq in _splits(p, q)
-            ],
-            source=src,
-            constraints=(f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero"),
-            notes=_SPLIT_NOTE,
-        )
-    ]
+def _rows_sp(p, q):
+    rows = [_split_row("sp(kp,kq)+sp(lp,lq)", Family.SP, p, q)]
     if p == q:
-        rows.append(
-            _entry(a, f"sp({2 * p},C)", [algebra(Family.SP_C, p)], source=src, constraints=("p=q",))
-        )
-    rows.append(
-        _entry(
-            a,
-            f"u({p},{q})",
-            [direct_sum(algebra(Family.SU, p, q), COMPACT_LINE)],
-            source=src,
-        )
-    )
+        rows.append(_one(f"sp({2 * p},C)", algebra(Family.SP_C, p), "p=q"))
+    rows.append(_one(f"u({p},{q})", _u(p, q)))
     if p == q:
-        rows.append(
-            _entry(
-                a,
-                f"gl({p},H)",
-                [direct_sum(algebra(Family.SL_H, p), SPLIT_LINE)],
-                source=src,
-                constraints=("p=q",),
-            )
-        )
+        rows.append(_one(f"gl({p},H)", direct_sum(algebra(Family.SL_H, p), SPLIT_LINE), "p=q"))
     return rows
 
 
-def _rows_sp_r(a):
-    (n,) = a.params
-    src = "sp-family"
-    rows = [
-        _entry(
-            a,
-            "sp(2k,R)+sp(2l,R)",
-            [
-                direct_sum(algebra(Family.SP_R, k), algebra(Family.SP_R, n - k))
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        )
-    ]
+def _rows_sp_r(n):
+    rows = [_sum_row("sp(2k,R)+sp(2l,R)", n, _pair(Family.SP_R))]
     if n % 2 == 0:
-        rows.append(
-            _entry(
-                a,
-                f"sp({n},C)",
-                [algebra(Family.SP_C, n // 2)],
-                source=src,
-                constraints=(f"n={n} even",),
-            )
-        )
-    rows.append(
-        _entry(
-            a,
-            "u(k,l)",
-            [
-                direct_sum(algebra(Family.SU, k, n - k), COMPACT_LINE)
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        )
-    )
-    rows.append(
-        _entry(
-            a,
-            f"gl({n},R)",
-            [direct_sum(algebra(Family.SL_R, n), SPLIT_LINE)],
-            source=src,
-        )
-    )
+        rows.append(_one(f"sp({n},C)", algebra(Family.SP_C, n // 2), f"n={n} even"))
+    rows.append(_sum_row("u(k,l)", n, _u))
+    rows.append(_one(f"gl({n},R)", direct_sum(algebra(Family.SL_R, n), SPLIT_LINE)))
     return rows
 
 
-def _rows_so_star(a):
-    (m,) = a.params  # the algebra is so*(2m)
-    src = "so-family"
+def _rows_so_star(m):  # the algebra is so*(2m)
     rows = [
-        _entry(
-            a,
-            "so*(2k)+so*(2l)",
-            [
-                direct_sum(algebra(Family.SO_STAR, k), algebra(Family.SO_STAR, m - k))
-                for k in range(1, m // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={m}", "1<=k<=l"),
-        ),
-        _entry(a, f"so({m},C)", [algebra(Family.SO_C, m)], source=src),
-        _entry(
-            a,
-            "u(k,l)",
-            [
-                direct_sum(algebra(Family.SU, k, m - k), COMPACT_LINE)
-                for k in range(1, m // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={m}", "1<=k<=l"),
-        ),
+        _sum_row("so*(2k)+so*(2l)", m, _pair(Family.SO_STAR)),
+        _one(f"so({m},C)", algebra(Family.SO_C, m)),
+        _sum_row("u(k,l)", m, _u),
     ]
     if m % 2 == 0:
         rows.append(
-            _entry(
-                a,
-                f"gl({m // 2},H)",
-                [direct_sum(algebra(Family.SL_H, m // 2), SPLIT_LINE)],
-                source=src,
-                constraints=(f"{m} even",),
-            )
+            _one(f"gl({m // 2},H)", direct_sum(algebra(Family.SL_H, m // 2), SPLIT_LINE), f"{m} even")
         )
     return rows
 
 
-def _rows_sl_h(a):
-    (m,) = a.params
-    src = "sl-family"
+def _rows_sl_h(m):
     return [
-        _entry(a, f"so*({2 * m})", [algebra(Family.SO_STAR, m)], source=src),
-        _entry(
-            a,
-            "s(gl(k,H)+gl(l,H))",
-            [
-                direct_sum(algebra(Family.SL_H, k), algebra(Family.SL_H, m - k), SPLIT_LINE)
-                for k in range(1, m // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={m}", "1<=k<=l"),
-        ),
-        _entry(
-            a,
-            f"gl({m},C)",
-            [direct_sum(algebra(Family.SL_C, m), COMPACT_LINE)],
-            source=src,
-        ),
-        _entry(
-            a,
-            "sp(k,l)",
-            [algebra(Family.SP, k, m - k) for k in range(1, m // 2 + 1)],
-            source=src,
-            constraints=(f"k+l={m}", "1<=k<=l"),
-        ),
+        _one(f"so*({2 * m})", algebra(Family.SO_STAR, m)),
+        _sum_row("s(gl(k,H)+gl(l,H))", m, _pair(Family.SL_H, SPLIT_LINE)),
+        _one(f"gl({m},C)", direct_sum(algebra(Family.SL_C, m), COMPACT_LINE)),
+        _sum_row("sp(k,l)", m, partial(algebra, Family.SP)),
     ]
 
 
-def _rows_sl_c(a):
-    (n,) = a.params
-    src = "sl-family"
+def _rows_sl_c(n):
     rows = [
-        _entry(a, f"so({n},C)", [algebra(Family.SO_C, n)], source=src),
-        _entry(
-            a,
-            "s(gl(k,C)+gl(l,C))",
-            [
-                direct_sum(
-                    algebra(Family.SL_C, k),
-                    algebra(Family.SL_C, n - k),
-                    COMPACT_LINE,
-                    SPLIT_LINE,
-                )
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        ),
+        _one(f"so({n},C)", algebra(Family.SO_C, n)),
+        _sum_row("s(gl(k,C)+gl(l,C))", n, _pair(Family.SL_C, COMPACT_LINE, SPLIT_LINE)),
     ]
     if n % 2 == 0:
-        rows.append(
-            _entry(
-                a,
-                f"sp({n},C)",
-                [algebra(Family.SP_C, n // 2)],
-                source=src,
-                constraints=(f"n={n} even",),
-            )
-        )
-    rows.append(_entry(a, f"sl({n},R)", [algebra(Family.SL_R, n)], source=src, kind=REAL_FORM))
-    rows.append(
-        _entry(
-            a,
-            "su(p,q)",
-            [algebra(Family.SU, p, n - p) for p in range(1, n // 2 + 1)],
-            source=src,
-            kind=REAL_FORM,
-            constraints=(f"p+q={n}", "1<=p<=q"),
-        )
-    )
+        rows.append(_one(f"sp({n},C)", algebra(Family.SP_C, n // 2), f"n={n} even"))
+    rows.append(_one(f"sl({n},R)", algebra(Family.SL_R, n), kind=REAL_FORM))
+    rows.append(_sum_row("su(p,q)", n, partial(algebra, Family.SU), "pq", REAL_FORM))
     if n % 2 == 0:
         rows.append(
-            _entry(
-                a,
-                f"sl({n // 2},H)",
-                [algebra(Family.SL_H, n // 2)],
-                source=src,
-                kind=REAL_FORM,
-                constraints=(f"n={n} even",),
-            )
+            _one(f"sl({n // 2},H)", algebra(Family.SL_H, n // 2), f"n={n} even", kind=REAL_FORM)
         )
     return rows
 
 
-def _rows_so_c(a):
-    (n,) = a.params
-    src = "so-family"
-    rows = [
-        _entry(
-            a,
-            "so(k,C)+so(l,C)",
-            [
-                direct_sum(algebra(Family.SO_C, k), algebra(Family.SO_C, n - k))
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        )
-    ]
+def _rows_so_c(n):
+    rows = [_sum_row("so(k,C)+so(l,C)", n, _pair(Family.SO_C))]
+    if n % 2 == 0:
+        gl = direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE, SPLIT_LINE)
+        rows.append(_one(f"gl({n // 2},C)", gl, f"n={n} even"))
+    rows.append(_sum_row("so(p,q)", n, partial(algebra, Family.SO), "pq", REAL_FORM))
     if n % 2 == 0:
         rows.append(
-            _entry(
-                a,
-                f"gl({n // 2},C)",
-                [direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE, SPLIT_LINE)],
-                source=src,
-                constraints=(f"n={n} even",),
-            )
-        )
-    rows.append(
-        _entry(
-            a,
-            "so(p,q)",
-            [algebra(Family.SO, p, n - p) for p in range(1, n // 2 + 1)],
-            source=src,
-            kind=REAL_FORM,
-            constraints=(f"p+q={n}", "1<=p<=q"),
-        )
-    )
-    if n % 2 == 0:
-        rows.append(
-            _entry(
-                a,
-                f"so*({n})",
-                [algebra(Family.SO_STAR, n // 2)],
-                source=src,
-                kind=REAL_FORM,
-                constraints=(f"n={n} even",),
-            )
+            _one(f"so*({n})", algebra(Family.SO_STAR, n // 2), f"n={n} even", kind=REAL_FORM)
         )
     return rows
 
 
-def _rows_sp_c(a):
-    (n,) = a.params  # the algebra is sp(2n,C)
-    src = "sp-family"
+def _rows_sp_c(n):  # the algebra is sp(2n,C)
     return [
-        _entry(
-            a,
-            "sp(2k,C)+sp(2l,C)",
-            [
-                direct_sum(algebra(Family.SP_C, k), algebra(Family.SP_C, n - k))
-                for k in range(1, n // 2 + 1)
-            ],
-            source=src,
-            constraints=(f"k+l={n}", "1<=k<=l"),
-        ),
-        _entry(
-            a,
-            f"gl({n},C)",
-            [direct_sum(algebra(Family.SL_C, n), COMPACT_LINE, SPLIT_LINE)],
-            source=src,
-        ),
-        _entry(a, f"sp({2 * n},R)", [algebra(Family.SP_R, n)], source=src, kind=REAL_FORM),
-        _entry(
-            a,
-            "sp(p,q)",
-            [algebra(Family.SP, p, n - p) for p in range(1, n // 2 + 1)],
-            source=src,
-            kind=REAL_FORM,
-            constraints=(f"p+q={n}", "1<=p<=q"),
-        ),
+        _sum_row("sp(2k,C)+sp(2l,C)", n, _pair(Family.SP_C)),
+        _one(f"gl({n},C)", direct_sum(algebra(Family.SL_C, n), COMPACT_LINE, SPLIT_LINE)),
+        _one(f"sp({2 * n},R)", algebra(Family.SP_R, n), kind=REAL_FORM),
+        _sum_row("sp(p,q)", n, partial(algebra, Family.SP), "pq", REAL_FORM),
     ]
 
 
+# family -> (source label, row builder over the family's parameters)
 _CLASSICAL_ROWS = {
-    Family.SL_R: _rows_sl_r,
-    Family.SU: _rows_su,
-    Family.SO: _rows_so,
-    Family.SP: _rows_sp,
-    Family.SP_R: _rows_sp_r,
-    Family.SO_STAR: _rows_so_star,
-    Family.SL_H: _rows_sl_h,
-    Family.SL_C: _rows_sl_c,
-    Family.SO_C: _rows_so_c,
-    Family.SP_C: _rows_sp_c,
+    Family.SL_R: ("sl-family", _rows_sl_r),
+    Family.SU: ("sl-family", _rows_su),
+    Family.SO: ("so-family", _rows_so),
+    Family.SP: ("sp-family", _rows_sp),
+    Family.SP_R: ("sp-family", _rows_sp_r),
+    Family.SO_STAR: ("so-family", _rows_so_star),
+    Family.SL_H: ("sl-family", _rows_sl_h),
+    Family.SL_C: ("sl-family", _rows_sl_c),
+    Family.SO_C: ("so-family", _rows_so_c),
+    Family.SP_C: ("sp-family", _rows_sp_c),
 }
 
 _PRODUCT_SIGN_NOTE = (
     "printed with a product sign in the source row; stored as a direct sum",
 )
 
-# Fixed rows of the real exceptional forms: (template, instance, notes).
+
+def _real_forms(*forms):
+    """The real-form rows of a complex exceptional algebra."""
+    return tuple(_one(render(algebra(f)), algebra(f), kind=REAL_FORM) for f in forms)
+
+
+# Rows of the exceptional families: the fixed rows of the real forms, and the
+# linear rows of the complex algebras followed by their real forms.
 _EXCEPTIONAL_ROWS = {
     Family.G2_2: (
-        ("sl(2,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 2), algebra(Family.SL_R, 2)), ()),
+        _one("sl(2,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 2), algebra(Family.SL_R, 2))),
     ),
     Family.F4_4: (
-        ("sp(6,R)+sp(2,R)", direct_sum(algebra(Family.SP_R, 3), algebra(Family.SP_R, 1)), ()),
-        ("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1)), ()),
-        ("so(4,5)", algebra(Family.SO, 4, 5), ()),
+        _one("sp(6,R)+sp(2,R)", direct_sum(algebra(Family.SP_R, 3), algebra(Family.SP_R, 1))),
+        _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
+        _one("so(4,5)", algebra(Family.SO, 4, 5)),
     ),
     Family.F4_M20: (
-        ("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1)), ()),
-        ("so(1,8)", algebra(Family.SO, 1, 8), ()),
+        _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
+        _one("so(1,8)", algebra(Family.SO, 1, 8)),
     ),
     Family.E6_6: (
-        ("sp(2,2)", algebra(Family.SP, 2, 2), ()),
-        ("sp(8,R)", algebra(Family.SP_R, 4), ()),
-        ("sl(6,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 6), algebra(Family.SL_R, 2)), ()),
-        ("sl(3,H)+su(2)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SU_CPT, 2)), ()),
-        ("so(5,5)+so(1,1)", direct_sum(algebra(Family.SO, 5, 5), SPLIT_LINE), ()),
-        ("f4(4)", algebra(Family.F4_4), ()),
+        _one("sp(2,2)", algebra(Family.SP, 2, 2)),
+        _one("sp(8,R)", algebra(Family.SP_R, 4)),
+        _one("sl(6,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 6), algebra(Family.SL_R, 2))),
+        _one("sl(3,H)+su(2)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SU_CPT, 2))),
+        _one("so(5,5)+so(1,1)", direct_sum(algebra(Family.SO, 5, 5), SPLIT_LINE)),
+        _one("f4(4)", algebra(Family.F4_4)),
     ),
     Family.E6_2: (
-        ("sp(1,3)", algebra(Family.SP, 1, 3), ()),
-        ("sp(8,R)", algebra(Family.SP_R, 4), ()),
-        ("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2)), ()),
-        ("su(3,3)+sl(2,R)", direct_sum(algebra(Family.SU, 3, 3), algebra(Family.SL_R, 2)), ()),
-        ("so(4,6)+so(2)", direct_sum(algebra(Family.SO, 4, 6), COMPACT_LINE), ()),
-        ("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE), ()),
-        ("f4(4)", algebra(Family.F4_4), ()),
+        _one("sp(1,3)", algebra(Family.SP, 1, 3)),
+        _one("sp(8,R)", algebra(Family.SP_R, 4)),
+        _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
+        _one("su(3,3)+sl(2,R)", direct_sum(algebra(Family.SU, 3, 3), algebra(Family.SL_R, 2))),
+        _one("so(4,6)+so(2)", direct_sum(algebra(Family.SO, 4, 6), COMPACT_LINE)),
+        _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
+        _one("f4(4)", algebra(Family.F4_4)),
     ),
     Family.E6_M14: (
-        ("sp(2,2)", algebra(Family.SP, 2, 2), ()),
-        ("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2)), ()),
-        ("su(1,5)+sl(2,R)", direct_sum(algebra(Family.SU, 1, 5), algebra(Family.SL_R, 2)), ()),
-        ("so(2,8)+so(2)", direct_sum(algebra(Family.SO, 2, 8), COMPACT_LINE), ()),
-        ("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE), ()),
-        ("f4(-20)", algebra(Family.F4_M20), ()),
+        _one("sp(2,2)", algebra(Family.SP, 2, 2)),
+        _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
+        _one("su(1,5)+sl(2,R)", direct_sum(algebra(Family.SU, 1, 5), algebra(Family.SL_R, 2))),
+        _one("so(2,8)+so(2)", direct_sum(algebra(Family.SO, 2, 8), COMPACT_LINE)),
+        _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
+        _one("f4(-20)", algebra(Family.F4_M20)),
     ),
     Family.E6_M26: (
-        ("sp(1,3)", algebra(Family.SP, 1, 3), ()),
-        ("sl(3,H)+sp(1)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SP_CPT, 1)), ()),
-        ("so(1,9)+so(1,1)", direct_sum(algebra(Family.SO, 1, 9), SPLIT_LINE), ()),
-        ("f4(-20)", algebra(Family.F4_M20), ()),
+        _one("sp(1,3)", algebra(Family.SP, 1, 3)),
+        _one("sl(3,H)+sp(1)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SP_CPT, 1))),
+        _one("so(1,9)+so(1,1)", direct_sum(algebra(Family.SO, 1, 9), SPLIT_LINE)),
+        _one("f4(-20)", algebra(Family.F4_M20)),
     ),
     Family.E7_7: (
-        ("su(4,4)", algebra(Family.SU, 4, 4), ()),
-        ("sl(8,R)", algebra(Family.SL_R, 8), ()),
-        ("sl(4,H)", algebra(Family.SL_H, 4), ()),
-        ("so(6,6)+sl(2,R)", direct_sum(algebra(Family.SO, 6, 6), algebra(Family.SL_R, 2)), ()),
-        ("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1)), ()),
-        ("e6(6)+so(1,1)", direct_sum(algebra(Family.E6_6), SPLIT_LINE), ()),
-        ("e6(2)+so(2)", direct_sum(algebra(Family.E6_2), COMPACT_LINE), ()),
+        _one("su(4,4)", algebra(Family.SU, 4, 4)),
+        _one("sl(8,R)", algebra(Family.SL_R, 8)),
+        _one("sl(4,H)", algebra(Family.SL_H, 4)),
+        _one("so(6,6)+sl(2,R)", direct_sum(algebra(Family.SO, 6, 6), algebra(Family.SL_R, 2))),
+        _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
+        _one("e6(6)+so(1,1)", direct_sum(algebra(Family.E6_6), SPLIT_LINE)),
+        _one("e6(2)+so(2)", direct_sum(algebra(Family.E6_2), COMPACT_LINE)),
     ),
     Family.E7_M5: (
-        ("su(4,4)", algebra(Family.SU, 4, 4), ()),
-        ("su(2,6)", algebra(Family.SU, 2, 6), ()),
-        ("so(4,8)+su(2)", direct_sum(algebra(Family.SO, 4, 8), algebra(Family.SU_CPT, 2)), ()),
-        ("so*(12)+sl(2,R)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SL_R, 2)), ()),
-        ("e6(2)+so(2)", direct_sum(algebra(Family.E6_2), COMPACT_LINE), _PRODUCT_SIGN_NOTE),
-        ("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE), ()),
+        _one("su(4,4)", algebra(Family.SU, 4, 4)),
+        _one("su(2,6)", algebra(Family.SU, 2, 6)),
+        _one("so(4,8)+su(2)", direct_sum(algebra(Family.SO, 4, 8), algebra(Family.SU_CPT, 2))),
+        _one("so*(12)+sl(2,R)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SL_R, 2))),
+        _one(
+            "e6(2)+so(2)",
+            direct_sum(algebra(Family.E6_2), COMPACT_LINE),
+            notes=_PRODUCT_SIGN_NOTE,
+        ),
+        _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
     ),
     Family.E7_M25: (
-        ("sl(4,H)", algebra(Family.SL_H, 4), ()),
-        ("su(2,6)", algebra(Family.SU, 2, 6), ()),
-        ("so(2,10)+sl(2,R)", direct_sum(algebra(Family.SO, 2, 10), algebra(Family.SL_R, 2)), ()),
-        ("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1)), ()),
-        ("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE), ()),
-        ("e6(-26)+so(1,1)", direct_sum(algebra(Family.E6_M26), SPLIT_LINE), ()),
+        _one("sl(4,H)", algebra(Family.SL_H, 4)),
+        _one("su(2,6)", algebra(Family.SU, 2, 6)),
+        _one("so(2,10)+sl(2,R)", direct_sum(algebra(Family.SO, 2, 10), algebra(Family.SL_R, 2))),
+        _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
+        _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
+        _one("e6(-26)+so(1,1)", direct_sum(algebra(Family.E6_M26), SPLIT_LINE)),
     ),
     Family.E8_8: (
-        ("e7(7)+sl(2,R)", direct_sum(algebra(Family.E7_7), algebra(Family.SL_R, 2)), ()),
-        ("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2)), ()),
-        ("so(8,8)", algebra(Family.SO, 8, 8), ()),
-        ("so*(16)", algebra(Family.SO_STAR, 8), ()),
+        _one("e7(7)+sl(2,R)", direct_sum(algebra(Family.E7_7), algebra(Family.SL_R, 2))),
+        _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
+        _one("so(8,8)", algebra(Family.SO, 8, 8)),
+        _one("so*(16)", algebra(Family.SO_STAR, 8)),
     ),
     Family.E8_M24: (
-        ("e7(-25)+sl(2,R)", direct_sum(algebra(Family.E7_M25), algebra(Family.SL_R, 2)), ()),
-        ("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2)), ()),
-        ("so(4,12)", algebra(Family.SO, 4, 12), ()),
-        ("so*(16)", algebra(Family.SO_STAR, 8), ()),
+        _one("e7(-25)+sl(2,R)", direct_sum(algebra(Family.E7_M25), algebra(Family.SL_R, 2))),
+        _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
+        _one("so(4,12)", algebra(Family.SO, 4, 12)),
+        _one("so*(16)", algebra(Family.SO_STAR, 8)),
     ),
-}
-
-# Linear rows of the complex exceptional algebras.
-_EXCEPTIONAL_COMPLEX_ROWS = {
     Family.G2_C: (
-        ("sl(2,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 2), algebra(Family.SL_C, 2)), ()),
+        _one("sl(2,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 2), algebra(Family.SL_C, 2))),
+        *_real_forms(Family.G2_2),
     ),
     Family.F4_C: (
-        ("sp(6,C)+sp(2,C)", direct_sum(algebra(Family.SP_C, 3), algebra(Family.SP_C, 1)), ()),
-        ("so(9,C)", algebra(Family.SO_C, 9), ()),
+        _one("sp(6,C)+sp(2,C)", direct_sum(algebra(Family.SP_C, 3), algebra(Family.SP_C, 1))),
+        _one("so(9,C)", algebra(Family.SO_C, 9)),
+        *_real_forms(Family.F4_4, Family.F4_M20),
     ),
     Family.E6_C: (
-        ("sp(8,C)", algebra(Family.SP_C, 4), ()),
-        ("sl(6,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 6), algebra(Family.SL_C, 2)), ()),
-        ("so(10,C)+so(2,C)", direct_sum(algebra(Family.SO_C, 10), algebra(Family.SO_C, 2)), ()),
-        ("f4(C)", algebra(Family.F4_C), ()),
+        _one("sp(8,C)", algebra(Family.SP_C, 4)),
+        _one("sl(6,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 6), algebra(Family.SL_C, 2))),
+        _one("so(10,C)+so(2,C)", direct_sum(algebra(Family.SO_C, 10), algebra(Family.SO_C, 2))),
+        _one("f4(C)", algebra(Family.F4_C)),
+        *_real_forms(Family.E6_6, Family.E6_2, Family.E6_M14, Family.E6_M26),
     ),
     Family.E7_C: (
-        ("sl(8,C)", algebra(Family.SL_C, 8), ()),
-        ("so(12,C)+sl(2,C)", direct_sum(algebra(Family.SO_C, 12), algebra(Family.SL_C, 2)), ()),
-        ("e6(C)+so(2,C)", direct_sum(algebra(Family.E6_C), algebra(Family.SO_C, 2)), ()),
+        _one("sl(8,C)", algebra(Family.SL_C, 8)),
+        _one("so(12,C)+sl(2,C)", direct_sum(algebra(Family.SO_C, 12), algebra(Family.SL_C, 2))),
+        _one("e6(C)+so(2,C)", direct_sum(algebra(Family.E6_C), algebra(Family.SO_C, 2))),
+        *_real_forms(Family.E7_7, Family.E7_M5, Family.E7_M25),
     ),
     Family.E8_C: (
-        ("e7(C)+sl(2,C)", direct_sum(algebra(Family.E7_C), algebra(Family.SL_C, 2)), ()),
-        ("so(16,C)", algebra(Family.SO_C, 16), ()),
+        _one("e7(C)+sl(2,C)", direct_sum(algebra(Family.E7_C), algebra(Family.SL_C, 2))),
+        _one("so(16,C)", algebra(Family.SO_C, 16)),
+        *_real_forms(Family.E8_8, Family.E8_M24),
     ),
 }
-
-_EXCEPTIONAL_REAL_FORMS = {
-    Family.G2_C: (Family.G2_2,),
-    Family.F4_C: (Family.F4_4, Family.F4_M20),
-    Family.E6_C: (Family.E6_6, Family.E6_2, Family.E6_M14, Family.E6_M26),
-    Family.E7_C: (Family.E7_7, Family.E7_M5, Family.E7_M25),
-    Family.E8_C: (Family.E8_8, Family.E8_M24),
-}
-
-
-def _source_for(family):
-    # only the exceptional families get here; classical rows carry their own
-    return f"{family.value[:2]}-family"
 
 
 def _require_row_ambient(a):
@@ -716,10 +438,14 @@ def _require_row_ambient(a):
         raise TypeError(f"expected a SimpleAlgebra, got {type(a).__name__}")
     if a.family in COMPACT:
         raise UnsupportedAlgebra(f"{render(a)} is compact; it has no involution rows here")
-    canonical = algebra(a.family, *a.params)
-    if canonical != reductive((a,)):
+    if not is_canonical(a):
         raise UnsupportedAlgebra(
-            f"{render(a)} is a noncanonical presentation; use {render(canonical)}"
+            f"{render(a)} is a noncanonical presentation; use "
+            f"{render(algebra(a.family, *a.params))}"
+        )
+    if sum(a.params) > SIZE_LIMIT:
+        raise UnsupportedAlgebra(
+            f"{render(a)} has size {sum(a.params)}, past the size limit {SIZE_LIMIT}"
         )
 
 
@@ -729,30 +455,18 @@ def isotropy_entries(a):
 
     The returned tuple keeps the printed column order of the source tables
     and always ends with the synthetic Cartan row (`kind == "compact"`).
+    Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.
     """
     _require_row_ambient(a)
     fam = a.family
     if fam in _CLASSICAL_ROWS:
-        rows = _CLASSICAL_ROWS[fam](a)
-    elif fam in _EXCEPTIONAL_COMPLEX_ROWS:
-        src = _source_for(fam)
-        rows = [
-            _entry(a, template, [inst], source=src, notes=notes)
-            for template, inst, notes in _EXCEPTIONAL_COMPLEX_ROWS[fam]
-        ]
-        rows.extend(
-            _entry(a, render(algebra(form)), [algebra(form)], source=src, kind=REAL_FORM)
-            for form in _EXCEPTIONAL_REAL_FORMS[fam]
-        )
+        source, rows_of = _CLASSICAL_ROWS[fam]
+        rows = rows_of(*a.params)
     else:
-        src = _source_for(fam)
-        rows = [
-            _entry(a, template, [inst], source=src, notes=notes)
-            for template, inst, notes in _EXCEPTIONAL_ROWS[fam]
-        ]
-    rows = [row for row in rows if row is not None]
-    rows.append(_entry(a, "compact", [max_compact(a)], source="cartan", kind=CARTAN))
-    return tuple(rows)
+        source, rows = f"{fam.value[:2]}-family", _EXCEPTIONAL_ROWS[fam]
+    entries = [_entry(a, source, row) for row in rows]
+    entries.append(_entry(a, "cartan", _one("compact", max_compact(a), kind=CARTAN)))
+    return tuple(e for e in entries if e is not None)
 
 
 def instantiations(a):

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from liecheck._exact import rank
@@ -156,11 +156,6 @@ def _is_identity(m):
     )
 
 
-def _sparse(m):
-    """The nonzero entries of a square matrix as (row, column, value)."""
-    return tuple((i, j, x) for i, row in enumerate(m) for j, x in enumerate(row) if x)
-
-
 def _dense_rows(basis, n):
     """Sparse basis matrices as flattened dense rows of length n * n."""
     rows = []
@@ -197,13 +192,14 @@ def _operator_rows(a, inv, basis):
 
 
 # ---------------------------------------------------------------------------
-# bases: one division-ring builder, plus sp(2n,R)
+# bases: one division-ring builder
 #
-# Every model but sp(2n,R) is a realified F-matrix shape for F = R, C or H:
-# k is spanned by matrices E_ij u - (E_ij u)* and p by E_ij u + (E_ij u)*,
-# for units u of F, where (E_ij u)* = E_ji conj(u).  A basis matrix is a list
-# of terms (i, j, u, c), meaning the sum of c E_ij u; `_expand` realifies it
-# through the unit table below.
+# Every model is a realified F-matrix shape for F = R, C or H.  All but
+# sp(2n,R) span k by matrices E_ij u - (E_ij u)* and p by E_ij u + (E_ij u)*,
+# for units u of F, where (E_ij u)* = E_ji conj(u); sp(2n,R) lists its real
+# 2n x 2n blocks directly.  A basis matrix is a list of terms (i, j, u, c),
+# meaning the sum of c E_ij u; `_expand` realifies it through the unit table
+# below.
 
 # realified pattern of each unit: (row block, column block, sign) on the
 # blocks of size n of R^(dn).  This table is the realification convention:
@@ -276,6 +272,24 @@ def _so_star(_, n):
     return k, p
 
 
+def _sp_r(_, n):
+    # [[a, b], [c, -a^t]] on R^2n with b, c symmetric; k = {a skew, c = -b} is
+    # u(n).  For i == j two terms name one cell, so each matrix keeps it once.
+    def matrix(*terms):
+        return tuple(dict.fromkeys((r, c, "1", x) for r, c, x in terms))
+
+    k = [
+        matrix((i, j, 1), (j, i, -1), (n + i, n + j, 1), (n + j, n + i, -1))
+        for i, j in combinations(range(n), 2)
+    ]
+    p = []
+    for i, j in combinations_with_replacement(range(n), 2):
+        k.append(matrix((i, n + j, 1), (j, n + i, 1), (n + i, j, -1), (n + j, i, -1)))
+        p.append(matrix((i, j, 1), (j, i, 1), (n + i, n + j, -1), (n + j, n + i, -1)))
+        p.append(matrix((i, n + j, 1), (j, n + i, 1), (n + i, j, 1), (n + j, i, 1)))
+    return k, p
+
+
 _SHAPES = {
     Family.SL_R: ("R", _sl),
     Family.SL_H: ("H", _sl),
@@ -286,56 +300,18 @@ _SHAPES = {
     Family.SP: ("H", _unitary),
     Family.SP_CPT: ("H", _unitary),
     Family.SO_STAR: ("H", _so_star),
+    Family.SP_R: ("R", _sp_r),
 }
-
-
-def _basis_sp_r(n):
-    # [[a, b], [c, -a^t]] with b, c symmetric; k = {a skew, c = -b} is u(n)
-    big = 2 * n
-    k, p = [], []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = _zeros(big)
-            m[i][j] = 1
-            m[j][i] = -1
-            m[n + i][n + j] = 1
-            m[n + j][n + i] = -1
-            k.append(m)
-    for i in range(n):
-        for j in range(i, n):
-            m = _zeros(big)
-            m[i][n + j] = 1
-            m[j][n + i] = 1
-            m[n + i][j] = -1
-            m[n + j][i] = -1
-            k.append(m)
-            m = _zeros(big)
-            m[i][j] = 1
-            m[j][i] = 1
-            m[n + i][n + j] = -1
-            m[n + j][n + i] = -1
-            p.append(m)
-            m = _zeros(big)
-            m[i][n + j] = 1
-            m[j][n + i] = 1
-            m[n + i][j] = 1
-            m[n + j][i] = 1
-            p.append(m)
-    return k, p
 
 
 @lru_cache(maxsize=None)
 def _bases(a: SimpleAlgebra):
-    if a.family is Family.SP_R:
-        k, p = _basis_sp_r(*a.params)
-        k = tuple(map(_sparse, k))
-        p = tuple(map(_sparse, p))
-    elif a.family in _SHAPES:
-        field, shape = _SHAPES[a.family]
-        n = sum(a.params)
-        k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
-    else:
+    if a.family not in _SHAPES:
         raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
+    field, shape = _SHAPES[a.family]
+    # F-matrix size: the realified size over the real dimension of F
+    n = _size(a) // len(_UNITS[field]["1"])
+    k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
     if rank(_dense_rows(k + p, _size(a))) != len(k) + len(p):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
     return k, p

@@ -43,6 +43,7 @@ from . import matrixoracle as mo
 from .algebras import (
     COMPACT_LINE,
     COMPLEX_EXCEPTIONAL,
+    SIZE_LIMIT,
     SPLIT_LINE,
     Family,
     OutOfDomain,
@@ -579,6 +580,9 @@ def _product_demos(max_param: int):
 def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """Run every applicable route over the catalog up to ``max_param``.
 
+    ``max_param`` runs from 2 to ``SIZE_LIMIT``; other values raise
+    OutOfDomain.
+
     ``cases`` lists the algebras by rendered name and, within one algebra,
     its cases by route, then by decreasing margin, then by witness.
     """
@@ -588,6 +592,8 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
         # no classical family starts below 2; a sweep would check only the
         # exceptional rows and still report PASS
         raise OutOfDomain("max-param must be at least 2, got %d" % max_param)
+    if max_param > SIZE_LIMIT:
+        raise OutOfDomain("max-param must be at most %d, got %d" % (SIZE_LIMIT, max_param))
     by_algebra = []
     if scope != "semisimple":
         for a in iter_noncompact_simple(max_param):

@@ -54,6 +54,21 @@ def test_input_must_be_canonical_and_noncompact():
             inv.isotropy_entries(raw)
 
 
+def test_rows_stop_at_the_size_limit():
+    assert al.SIZE_LIMIT == mo.MATRIX_SIZE_LIMIT == 64
+    for fam, params in [
+        (Family.SU, (32, 33)),
+        (Family.SO, (1, 64)),
+        (Family.SL_R, (65,)),
+        (Family.SO_C, (65,)),
+    ]:
+        with pytest.raises(inv.UnsupportedAlgebra, match="size limit 64"):
+            inv.isotropy_entries(A(fam, *params))
+    assert inv.isotropy_entries(A(Family.SL_R, 64))
+    # the exceptional families carry no size parameter
+    assert inv.isotropy_entries(A(Family.E8_C))
+
+
 def test_complex_sl5_row():
     a = A(Family.SL_C, 5)
     expected = {

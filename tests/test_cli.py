@@ -202,6 +202,34 @@ def test_verify_size_below_two_exits_2(capsys, size):
     assert "PASS" not in out
 
 
+def test_sizes_past_the_limit_exit_2(tmp_path, capsys, monkeypatch):
+    # refused before any case is checked or any row is built
+    def never(*_):
+        raise AssertionError("started the work")
+
+    monkeypatch.setattr(vf, "verify_case", never)
+    monkeypatch.setattr(cli.inv, "isotropy_entries", never)
+    out_path = tmp_path / "atlas.json"
+    for argv in (
+        ["verify", "--max-param", "65"],
+        ["verify", "--json", "--max-param", "65"],
+        ["export", "--max-param", "65", "--out", str(out_path)],
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert "error:" in err and "64" in err and "65" in err
+    assert not out_path.exists()
+
+
+def test_involutions_past_the_size_limit_exit_2(capsys):
+    # the split rows of su(p,q) grow as p*q; no partial report is printed
+    rc, out, err = run(capsys, "involutions", "su(33,32)")
+    assert rc == 2 and out == ""
+    assert "error:" in err and "size limit 64" in err
+    rc, out, _ = run(capsys, "involutions", "su(32,32)")
+    assert rc == 0 and out.startswith("su(32,32): ")
+
+
 def test_verify_smallest_size_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--max-param", "2")
     assert rc == 0 and "result: PASS" in out

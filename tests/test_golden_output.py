@@ -9,7 +9,10 @@ they pin the order of `enumerate_signatures` and every criterion-2 maximum
 and witness.  The basis digest was taken from the code before the matrix
 models' hand-written basis loops gave way to one division-ring builder; it
 pins every k and p basis matrix, signs included, up to order within k and
-within p.  Refreeze only when an answer is meant to change.
+within p.  The catalog digest was taken from the code before
+`iter_noncompact_simple` dropped its hand-written low-rank exclusions for
+the `algebras.is_canonical` filter; it pins the catalog and its order at
+`SIZE_LIMIT`.  Refreeze only when an answer is meant to change.
 """
 
 import hashlib
@@ -18,7 +21,15 @@ import json
 from liecheck import cli
 from liecheck import verify as vf
 from liecheck import matrixoracle as mo
-from liecheck.algebras import Family, OutOfDomain, algebra, reductive_dims
+from liecheck.algebras import (
+    SIZE_LIMIT,
+    Family,
+    OutOfDomain,
+    algebra,
+    iter_noncompact_simple,
+    reductive_dims,
+    render,
+)
 from liecheck.centralizers import SigFamily, enumerate_signatures, oracle_max
 
 SWEEP_16_CASES = 4531
@@ -30,6 +41,8 @@ SIGNATURES_8_SHA256 = "03cea3a26f802710006fef960807cc51255ad82dee66d428aa58aa9b6
 ORACLE_MAX_C2_SHA256 = "cbbd901ab4b0aece42980fc5a77365d9c262693b9d25ac8f04b9645854fe229c"
 MATRIX_MODELS_7_COUNT = 109
 MATRIX_BASES_7_SHA256 = "fd75237ff396c7068816b4049f73104574b47932ed2e842ce28677a7626423b7"
+CATALOG_64_COUNT = 3513
+CATALOG_64_SHA256 = "ae3f74f43dd9f91879c730f44b47a3da54db509538a81b70c11bbe36601a3f30"
 
 
 def test_sweep_16_case_lines():
@@ -43,6 +56,13 @@ def test_sweep_16_case_lines():
         digest.update(line.encode())
     assert len(rep.cases) == SWEEP_16_CASES
     assert digest.hexdigest() == SWEEP_16_SHA256
+
+
+def test_catalog_order_at_the_size_limit():
+    assert SIZE_LIMIT == 64
+    names = [render(a) for a in iter_noncompact_simple(SIZE_LIMIT)]
+    assert len(names) == CATALOG_64_COUNT
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == CATALOG_64_SHA256
 
 
 def test_export_16_payload():
