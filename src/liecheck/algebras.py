@@ -17,6 +17,12 @@ so*(8) and so(2,6) are isomorphic through triality but are kept as two
 catalog points; each side's data is stored under its own name, matching
 the per-family classification tables.
 
+Simple algebras are interned: `SimpleAlgebra(family, params)` returns the
+one object for that key, so equality and hashing are identity.  Each value
+computes its `SpaceDims`, its rendered name and its factor sort key once,
+when it is first built, and carries them as slots that `dims`, `render`,
+`reductive_dims` and `reductive` read.
+
 Dimension formulas for the classical families are the textbook closed
 forms; real ranks are the standard split ranks.  The exceptional entries
 are constants.  Everything is exact integer arithmetic.
@@ -24,9 +30,11 @@ are constants.  Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class OutOfDomain(ValueError):
@@ -130,10 +138,71 @@ _ONE_PARAM = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
+def _check_params(family, params):
+    """Raise OutOfDomain unless `params` is a tuple in `family`'s domain."""
+    if type(family) is not Family:
+        raise OutOfDomain(f"{family!r} is not a Family")
+    if type(params) is not tuple:
+        raise OutOfDomain(f"{family.value}: parameters must be a tuple, got {params!r}")
+    if any(type(x) is not int for x in params):
+        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
+    if family in _TWO_PARAM:
+        if len(params) != 2:
+            raise OutOfDomain(f"{family.value} takes (p, q), got {params}")
+        p, q = params
+        if p < 0 or q < 0 or p + q < 1:
+            raise OutOfDomain(f"{family.value}{params}: sizes must be nonnegative, not both zero")
+    elif family in _ONE_PARAM:
+        if len(params) != 1:
+            raise OutOfDomain(f"{family.value} takes one parameter, got {params}")
+        if params[0] < 1:
+            raise OutOfDomain(f"{family.value}({params[0]}): size must be >= 1")
+    elif params:
+        raise OutOfDomain(f"{family.value} takes no parameters, got {params}")
+
+
+_INTERNED = {}
+
+
 class SimpleAlgebra:
-    family: Family
-    params: tuple[int, ...] = ()
+    """One simple algebra, interned on (family, params).
+
+    Built only from a `Family` and a tuple of exact ints in the family's
+    domain (the one `algebra()` enforces, without collapsing coincidences);
+    anything else raises OutOfDomain, so no float or bool tuple can alias
+    an int one.  `space`, `name` and `sort_key` are computed once, here.
+    """
+
+    __slots__ = ("family", "params", "space", "name", "sort_key")
+
+    def __new__(cls, family: Family, params: tuple[int, ...] = ()):
+        _check_params(family, params)
+        key = (family, params)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for attr, value in (
+                ("family", family),
+                ("params", params),
+                ("space", _space(family, params)),
+                ("name", _name(family, params)),
+                ("sort_key", (family.value, params)),
+            ):
+                object.__setattr__(self, attr, value)
+            _INTERNED[key] = self
+        return self
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return SimpleAlgebra, (self.family, self.params)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(family={self.family!r}, params={self.params!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,8 +218,7 @@ class ReductiveAlgebra:
     split_abelian_dim: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class SpaceDims:
+class SpaceDims(NamedTuple):
     dim_g: int
     dim_k: int
     dim_s: int
@@ -184,19 +252,13 @@ class OutGroup:
     all_order_le_2: bool
 
 
-# plain dict lookup: Enum's `value` is a Python-level property, and this
-# key runs once per factor of every direct sum
-_FAMILY_VALUE = {f: f.value for f in Family}
-
-
-def _factor_key(a):
-    return (_FAMILY_VALUE[a.family], a.params)
+_SORT_KEY = attrgetter("sort_key")
 
 
 def reductive(simples=(), compact_abelian=0, split_abelian=0):
     simples = tuple(simples)
     if len(simples) > 1:
-        simples = tuple(sorted(simples, key=_factor_key))
+        simples = tuple(sorted(simples, key=_SORT_KEY))
     return ReductiveAlgebra(simples, compact_abelian, split_abelian)
 
 
@@ -229,26 +291,11 @@ def algebra(family: Family, *params: int) -> ReductiveAlgebra:
     cache entry of ``algebra(F, 2)``; errors are never cached, so invalid
     input raises on every call.
     """
-    if any(type(x) is not int for x in params):
-        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
+    _check_params(family, params)
     if family in _TWO_PARAM:
-        if len(params) != 2:
-            raise OutOfDomain(f"{family.value} takes (p, q), got {params}")
-        p, q = params
-        if p < 0 or q < 0 or p + q < 1:
-            raise OutOfDomain(f"{family.value}{params}: sizes must be nonnegative, not both zero")
-        if p > q:
-            p, q = q, p
-        return _CANON_TWO[family](p, q)
+        return _CANON_TWO[family](*sorted(params))
     if family in _ONE_PARAM:
-        if len(params) != 1:
-            raise OutOfDomain(f"{family.value} takes one parameter, got {params}")
-        (n,) = params
-        if n < 1:
-            raise OutOfDomain(f"{family.value}({n}): size must be >= 1")
-        return _CANON_ONE[family](n)
-    if params:
-        raise OutOfDomain(f"{family.value} takes no parameters, got {params}")
+        return _CANON_ONE[family](*params)
     return _raw(family)
 
 
@@ -438,9 +485,11 @@ def _exc_letters(family: Family) -> str:
     return family.value[:2]
 
 
-@lru_cache(maxsize=None)
 def dims(a: SimpleAlgebra) -> SpaceDims:
-    fam, params = a.family, a.params
+    return a.space
+
+
+def _space(fam, params):
     if fam is Family.SL_R:
         (n,) = params
         g, k = n * n - 1, n * (n - 1) // 2
@@ -498,18 +547,16 @@ def _dim_rank(fam, params):
 
 
 def reductive_dims(h: ReductiveAlgebra) -> SpaceDims:
-    dim_g = h.compact_abelian_dim + h.split_abelian_dim
-    dim_k = h.compact_abelian_dim
-    dim_s = h.split_abelian_dim
-    rk_r = h.split_abelian_dim
-    rk_cpt = h.compact_abelian_dim
+    rk_cpt = dim_k = h.compact_abelian_dim
+    rk_r = dim_s = h.split_abelian_dim
+    dim_g = dim_k + dim_s
     for a in h.simples:
-        d = dims(a)
-        dim_g += d.dim_g
-        dim_k += d.dim_k
-        dim_s += d.dim_s
-        rk_r += d.rk_r
-        rk_cpt += d.rk_cpt
+        g, k, s, r, c = a.space
+        dim_g += g
+        dim_k += k
+        dim_s += s
+        rk_r += r
+        rk_cpt += c
     return SpaceDims(dim_g, dim_k, dim_s, rk_r, rk_cpt)
 
 
@@ -671,9 +718,7 @@ _EXC_RENDER = {
 }
 
 
-@lru_cache(maxsize=None)
-def render_simple(a: SimpleAlgebra) -> str:
-    fam, params = a.family, a.params
+def _name(fam, params):
     if fam is Family.SL_R:
         return f"sl({params[0]},R)"
     if fam is Family.SL_H:
@@ -705,8 +750,8 @@ def render_simple(a: SimpleAlgebra) -> str:
 
 def render(x) -> str:
     if isinstance(x, SimpleAlgebra):
-        return render_simple(x)
-    parts = [render_simple(a) for a in x.simples]
+        return x.name
+    parts = [a.name for a in x.simples]
     parts.extend(["u(1)"] * x.compact_abelian_dim)
     parts.extend(["R"] * x.split_abelian_dim)
     return "+".join(parts) if parts else "0"
@@ -814,6 +859,17 @@ def is_canonical(a: SimpleAlgebra) -> bool:
 # exports and involution rows accept; the catalog grows as its square, and
 # the split rows of su(p,q) alone as p*q
 SIZE_LIMIT = 64
+
+
+def require_max_param(max_param: int) -> None:
+    """Refuse a sweep or export size outside 2..SIZE_LIMIT with OutOfDomain."""
+    if max_param < 2:
+        # no classical family starts below 2; a sweep would check only the
+        # exceptional rows and still report PASS
+        raise OutOfDomain("max-param must be at least 2, got %d" % max_param)
+    if max_param > SIZE_LIMIT:
+        raise OutOfDomain("max-param must be at most %d, got %d" % (SIZE_LIMIT, max_param))
+
 
 # catalog order: the classical noncompact families, then the exceptional
 # forms by name

@@ -198,8 +198,7 @@ def _cmd_vcd(args) -> int:
 
 
 def export_payload(max_param: int) -> dict:
-    if max_param > al.SIZE_LIMIT:
-        raise al.OutOfDomain("max-param must be at most %d, got %d" % (al.SIZE_LIMIT, max_param))
+    al.require_max_param(max_param)
     entries = []
     for a in al.iter_noncompact_simple(max_param):
         for entry in inv.isotropy_entries(a):

@@ -108,9 +108,9 @@ class _Row(NamedTuple):
 
 
 def _entry(ambient, source, row):
-    ambient_red = reductive((ambient,))
     # distinct splits can still coincide through low-rank isomorphisms
-    kept = dict.fromkeys(h for h in row.instances if h != ambient_red)
+    kept = dict.fromkeys(row.instances)
+    kept.pop(reductive((ambient,)), None)
     if not kept:
         return None
     return IsotropyEntry(

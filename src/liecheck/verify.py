@@ -43,7 +43,6 @@ from . import matrixoracle as mo
 from .algebras import (
     COMPACT_LINE,
     COMPLEX_EXCEPTIONAL,
-    SIZE_LIMIT,
     SPLIT_LINE,
     Family,
     OutOfDomain,
@@ -59,6 +58,7 @@ from .algebras import (
     max_compact,
     reductive_dims,
     render,
+    require_max_param,
     simple,
 )
 from .centralizers import SigFamily, bound
@@ -588,12 +588,7 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """
     if scope not in _SCOPES:
         raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
-    if max_param < 2:
-        # no classical family starts below 2; a sweep would check only the
-        # exceptional rows and still report PASS
-        raise OutOfDomain("max-param must be at least 2, got %d" % max_param)
-    if max_param > SIZE_LIMIT:
-        raise OutOfDomain("max-param must be at most %d, got %d" % (SIZE_LIMIT, max_param))
+    require_max_param(max_param)
     by_algebra = []
     if scope != "semisimple":
         for a in iter_noncompact_simple(max_param):

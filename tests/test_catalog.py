@@ -5,6 +5,10 @@ Expected values are frozen here from the closed-form dimension formulas
 forms; the catalog must reproduce them bit-exactly.
 """
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from liecheck.algebras import (
     Family,
     OutOfDomain,
+    SimpleAlgebra,
     algebra,
     complexify,
     dims,
@@ -156,6 +161,71 @@ def test_algebra_takes_int_parameters_only():
 def test_algebra_returns_one_shared_value():
     for fam, params in FROZEN_DIMS:
         assert algebra(fam, *params) is algebra(fam, *params)
+
+
+def test_simple_algebras_are_interned():
+    for fam, params in FROZEN_DIMS:
+        a = SimpleAlgebra(fam, params)
+        assert a is SimpleAlgebra(fam, params)
+        assert a is SimpleAlgebra(family=fam, params=params)
+        (b,) = algebra(fam, *params).simples
+        assert b is a
+    # a noncanonical presentation is its own interned value
+    assert SimpleAlgebra(Family.SU, (2, 2)) is SimpleAlgebra(Family.SU, (2, 2))
+    assert SimpleAlgebra(Family.SU, (2, 2)) not in algebra(Family.SU, 2, 2).simples
+
+
+def test_interned_values_survive_copy_and_pickle():
+    a = simple(Family.SO, 3, 4)
+    assert copy.copy(a) is a
+    assert copy.deepcopy(a) is a
+    assert copy.deepcopy([a, a]) == [a, a]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(a, protocol)) is a
+    red = algebra(Family.SO_STAR, 2)
+    assert pickle.loads(pickle.dumps(red)) == red
+
+
+def test_simple_algebras_are_immutable():
+    a = simple(Family.SL_R, 5)
+    for attr, value in (("family", Family.SU), ("params", (6,)), ("name", "x"), ("other", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(a, attr, value)
+    with pytest.raises(FrozenInstanceError):
+        del a.params
+    assert render(a) == "sl(5,R)" and a.params == (5,)
+
+
+def test_simple_algebra_repr_is_unchanged():
+    assert repr(simple(Family.SO, 2, 3)) == (
+        "SimpleAlgebra(family=<Family.SO: 'so'>, params=(2, 3))"
+    )
+    assert repr(simple(Family.E8_8)) == "SimpleAlgebra(family=<Family.E8_8: 'e8_8'>, params=())"
+
+
+def test_simple_algebra_takes_a_family_and_an_int_tuple_only():
+    for fam, params in (
+        (Family.SO, (2.0, 3)),
+        (Family.SO, (2, 3.0)),
+        (Family.SO, (True, 3)),
+        (Family.SL_R, (False,)),
+        (Family.SO, [2, 3]),
+        (Family.SL_R, 5),
+        (Family.SO, (2,)),
+        (Family.SO, (1, 2, 3)),
+        (Family.SL_R, ()),
+        (Family.E6_6, (1,)),
+        (Family.SO, (-1, 3)),
+        (Family.SO, (0, 0)),
+        (Family.SL_R, (0,)),
+        ("so", (2, 3)),
+        (None, ()),
+    ):
+        with pytest.raises(OutOfDomain):
+            SimpleAlgebra(fam, params)
+    a = SimpleAlgebra(Family.SO, (2, 3))
+    assert render(a) == "so(2,3)" and a.params == (2, 3)
+    assert all(type(x) is int for x in a.params)
 
 
 FROZEN_OUT = {

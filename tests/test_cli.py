@@ -202,6 +202,16 @@ def test_verify_size_below_two_exits_2(capsys, size):
     assert "PASS" not in out
 
 
+@pytest.mark.parametrize("size", ["-3", "1"])
+def test_export_size_below_two_exits_2(tmp_path, capsys, size):
+    # below 2 the atlas would hold the exceptional rows alone
+    out_path = tmp_path / "atlas.json"
+    rc, out, err = run(capsys, "export", "--max-param", size, "--out", str(out_path))
+    assert rc == 2 and out == ""
+    assert "error: max-param must be at least 2, got %s" % size in err
+    assert not out_path.exists()
+
+
 def test_sizes_past_the_limit_exit_2(tmp_path, capsys, monkeypatch):
     # refused before any case is checked or any row is built
     def never(*_):

@@ -12,7 +12,12 @@ pins every k and p basis matrix, signs included, up to order within k and
 within p.  The catalog digest was taken from the code before
 `iter_noncompact_simple` dropped its hand-written low-rank exclusions for
 the `algebras.is_canonical` filter; it pins the catalog and its order at
-`SIZE_LIMIT`.  Refreeze only when an answer is meant to change.
+`SIZE_LIMIT`.  The catalog-values digest was taken from the code before
+simple algebras became interned values carrying their own dimensions,
+name and sort key; it pins `render`, `dims`, `out_group`, `max_compact`
+and `complexify` of every catalog algebra at `SIZE_LIMIT` and of every
+su(n), so(n) and sp(n) up to it.  Refreeze only when an answer is meant
+to change.
 """
 
 import hashlib
@@ -25,8 +30,13 @@ from liecheck.algebras import (
     SIZE_LIMIT,
     Family,
     OutOfDomain,
+    SimpleAlgebra,
     algebra,
+    complexify,
+    dims,
     iter_noncompact_simple,
+    max_compact,
+    out_group,
     reductive_dims,
     render,
 )
@@ -43,6 +53,8 @@ MATRIX_MODELS_7_COUNT = 109
 MATRIX_BASES_7_SHA256 = "fd75237ff396c7068816b4049f73104574b47932ed2e842ce28677a7626423b7"
 CATALOG_64_COUNT = 3513
 CATALOG_64_SHA256 = "ae3f74f43dd9f91879c730f44b47a3da54db509538a81b70c11bbe36601a3f30"
+CATALOG_VALUES_64_COUNT = 3513 + 3 * 64
+CATALOG_VALUES_64_SHA256 = "785a445b7adb9044171a18fb56baa705cda21db19bfa0c9bf74a94826ce742fc"
 
 
 def test_sweep_16_case_lines():
@@ -63,6 +75,42 @@ def test_catalog_order_at_the_size_limit():
     names = [render(a) for a in iter_noncompact_simple(SIZE_LIMIT)]
     assert len(names) == CATALOG_64_COUNT
     assert hashlib.sha256("\n".join(names).encode()).hexdigest() == CATALOG_64_SHA256
+
+
+def _catalog_value_line(a):
+    d = dims(a)
+    out = out_group(a)
+    try:
+        cpt = render(max_compact(a))
+    except OutOfDomain:
+        cpt = "-"  # already compact
+    return "%s\t%d %d %d %d %d\t%s %d %s\t%s\t%s\n" % (
+        render(a),
+        d.dim_g,
+        d.dim_k,
+        d.dim_s,
+        d.rk_r,
+        d.rk_cpt,
+        out.iso_type.value,
+        out.exponent,
+        out.all_order_le_2,
+        cpt,
+        render(complexify(a)),
+    )
+
+
+def test_catalog_values_at_the_size_limit():
+    compact = [
+        SimpleAlgebra(family, (n,))
+        for family in (Family.SU_CPT, Family.SO_CPT, Family.SP_CPT)
+        for n in range(1, SIZE_LIMIT + 1)
+    ]
+    values = [*iter_noncompact_simple(SIZE_LIMIT), *compact]
+    assert len(values) == CATALOG_VALUES_64_COUNT
+    digest = hashlib.sha256()
+    for a in values:
+        digest.update(_catalog_value_line(a).encode())
+    assert digest.hexdigest() == CATALOG_VALUES_64_SHA256
 
 
 def test_export_16_payload():
