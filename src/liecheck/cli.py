@@ -2,11 +2,14 @@
 
 Exit codes: 0 on success, 1 when a verification sweep reports a failure,
 2 on input errors (unparseable algebra, out-of-domain parameters, rank or
-isotypy violations, bad flags).
+isotypy violations, bad flags), 141 (128 + SIGPIPE, as a shell reports a
+process killed by that signal) when stdout is closed before the output
+is written.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebras as al
@@ -17,37 +20,42 @@ from . import verify as vf
 from .centralizers import SigFamily
 
 
+EXIT_BROKEN_PIPE = 141
+
+
 def _out_name(iso) -> str:
     return "trivial" if iso.name == "TRIVIAL" else iso.name
 
 
 def _cmd_info(args) -> int:
+    # every line is built before any is printed, so an input rejected
+    # halfway (a compact algebra has no max compact) leaves stdout empty
     red = al.parse_algebra(args.algebra)
     if len(red.simples) == 1 and not red.compact_abelian_dim and not red.split_abelian_dim:
         a = red.simples[0]
         d = al.dims(a)
-        if al.is_compact(a):
-            kind = "compact simple"
-        elif al.is_complex(a):
-            kind = "complex simple"
-        else:
-            kind = "real simple"
+        kind = "complex simple" if al.is_complex(a) else "real simple"
         out = al.out_group(a)
-        print("algebra: %s (%s)" % (al.render(a), kind))
-        print("dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s))
-        print("rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt))
-        print("out = %s (exponent %d)" % (_out_name(out.iso_type), out.exponent))
-        print("max compact: %s" % al.render(al.max_compact(a)))
-        print("complexification: %s" % al.render(al.complexify(a)))
+        lines = [
+            "algebra: %s (%s)" % (al.render(a), kind),
+            "dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s),
+            "rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt),
+            "out = %s (exponent %d)" % (_out_name(out.iso_type), out.exponent),
+            "max compact: %s" % al.render(al.max_compact(a)),
+            "complexification: %s" % al.render(al.complexify(a)),
+        ]
     else:
         d = al.reductive_dims(red)
-        print("algebra: %s (reductive, %d simple factors)" % (al.render(red), len(red.simples)))
-        print("dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s))
-        print("rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt))
+        lines = [
+            "algebra: %s (reductive, %d simple factors)" % (al.render(red), len(red.simples)),
+            "dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s),
+            "rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt),
+        ]
         if red.compact_abelian_dim:
-            print("compact abelian part: dim %d" % red.compact_abelian_dim)
+            lines.append("compact abelian part: dim %d" % red.compact_abelian_dim)
         if red.split_abelian_dim:
-            print("split abelian part: dim %d" % red.split_abelian_dim)
+            lines.append("split abelian part: dim %d" % red.split_abelian_dim)
+    print("\n".join(lines))
     return 0
 
 
@@ -126,6 +134,77 @@ def _cmd_oracle(args) -> int:
     return 0 if value == closed else 1
 
 
+# One case of `verify --json`, already at its depth in the document: the
+# bytes json.dump(..., indent=2) gives `verify.case_payload(c)` there.
+_CASE_BLOCK = (
+    "    {\n"
+    '      "algebra": %s,\n'
+    '      "route": %s,\n'
+    '      "margin": %d,\n'
+    '      "witness": %s,\n'
+    '      "passed": %s\n'
+    "    }"
+)
+_CASES_PER_WRITE = 2000
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _case_block(c) -> str:
+    return _CASE_BLOCK % (
+        _encode_str(al.render(c.algebra)),
+        _encode_str(c.route),
+        c.margin,
+        _encode_str(c.witness),
+        "true" if c.passed else "false",
+    )
+
+
+def _write_verify_json(rep, route_counts, worst) -> None:
+    """Print the sweep as json.dump(payload, indent=2) would, a batch of cases per write.
+
+    The small head and the products go through json.dumps; a value nested
+    one level deeper only gains two spaces after each newline, since
+    encoded JSON strings hold no raw newline.  The cases, which are nearly
+    all of the document, are pre-encoded blocks, so neither the whole text
+    nor a dict per case is ever held.
+    """
+    write = sys.stdout.write
+    head = json.dumps(
+        {
+            "scope": rep.scope,
+            "max_param": rep.max_param,
+            "passed": rep.passed,
+            "route_counts": route_counts,
+            "worst_strict_margin": worst,
+        },
+        indent=2,
+    )
+    write(head[: -len("\n}")] + ',\n  "cases": [')
+    cases = rep.cases
+    for start in range(0, len(cases), _CASES_PER_WRITE):
+        batch = cases[start : start + _CASES_PER_WRITE]
+        write((",\n" if start else "\n") + ",\n".join(map(_case_block, batch)))
+    products = json.dumps(
+        [
+            {
+                "factors": [al.render(a) for a in p.factors],
+                "dim_s": p.dim_s,
+                "product_bound": p.product_bound,
+                "product_margin": p.product_margin,
+                "naive_fixed_dim": p.naive_fixed_dim,
+                "naive_bound": p.naive_bound,
+                "naive_exceeds": p.naive_exceeds,
+                "swap_fixed_dim": p.swap_fixed_dim,
+                "swap_margin": p.swap_margin,
+                "passed": p.passed,
+            }
+            for p in rep.products
+        ],
+        indent=2,
+    )
+    write(("\n  " if cases else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
+
+
 def _cmd_verify(args) -> int:
     rep = vf.sweep(args.scope, args.max_param)
     strict = [c for c in rep.cases if c.route not in (vf.ROUTE_EQUALITY, vf.ROUTE_RANK1)]
@@ -137,31 +216,7 @@ def _cmd_verify(args) -> int:
         {al.render(c.algebra) for c in strict if c.margin == worst}
     )[:4] if worst is not None else []
     if args.json:
-        payload = {
-            "scope": rep.scope,
-            "max_param": rep.max_param,
-            "passed": rep.passed,
-            "route_counts": route_counts,
-            "worst_strict_margin": worst,
-            "cases": [vf.case_payload(c) for c in rep.cases],
-            "products": [
-                {
-                    "factors": [al.render(a) for a in p.factors],
-                    "dim_s": p.dim_s,
-                    "product_bound": p.product_bound,
-                    "product_margin": p.product_margin,
-                    "naive_fixed_dim": p.naive_fixed_dim,
-                    "naive_bound": p.naive_bound,
-                    "naive_exceeds": p.naive_exceeds,
-                    "swap_fixed_dim": p.swap_fixed_dim,
-                    "swap_margin": p.swap_margin,
-                    "passed": p.passed,
-                }
-                for p in rep.products
-            ],
-        }
-        json.dump(payload, sys.stdout, indent=2)
-        print()
+        _write_verify_json(rep, route_counts, worst)
     else:
         print("verify scope=%s max-param=%d" % (rep.scope, rep.max_param))
         print(
@@ -275,7 +330,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.verb](args)
+        rc = _DISPATCH[args.verb](args)
+        sys.stdout.flush()
     except (
         al.ParseError,
         al.OutOfDomain,
@@ -290,6 +346,12 @@ def main(argv=None) -> int:
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`); send what is left, and the
+        # interpreter's flush at exit, to devnull instead of a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return rc
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import io
 import json
 import os
 import subprocess
@@ -47,6 +48,16 @@ def test_info_parse_error(capsys):
 def test_info_so4c_not_simple(capsys):
     rc, _, err = run(capsys, "info", "so(4,C)")
     assert rc == 2 and "sl(2,C)+sl(2,C)" in err
+
+
+@pytest.mark.parametrize("name", ["su(7)", "so(5)", "sp(3)", "g2(-14)"])
+def test_info_compact_prints_nothing(capsys, name):
+    # a compact algebra has no max compact to report: the error must come
+    # before any line of the report
+    rc, out, err = run(capsys, "info", name)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: %s is already compact\n" % name
 
 
 def test_involutions_sl6r(capsys):
@@ -191,6 +202,105 @@ def test_verify_json(capsys):
             assert case["margin"] == 0 and case["passed"]
     assert payload["worst_strict_margin"] >= 1
     assert payload["products"]
+
+
+def _dumped_payload(rep):
+    """The dict `verify --json` used to build whole and hand to json.dump."""
+    route_counts = {}
+    for c in rep.cases:
+        route_counts[c.route] = route_counts.get(c.route, 0) + 1
+    strict = [c.margin for c in rep.cases if c.route not in (vf.ROUTE_EQUALITY, vf.ROUTE_RANK1)]
+    return {
+        "scope": rep.scope,
+        "max_param": rep.max_param,
+        "passed": rep.passed,
+        "route_counts": route_counts,
+        "worst_strict_margin": min(strict, default=None),
+        "cases": [vf.case_payload(c) for c in rep.cases],
+        "products": [
+            {
+                "factors": [al.render(a) for a in p.factors],
+                "dim_s": p.dim_s,
+                "product_bound": p.product_bound,
+                "product_margin": p.product_margin,
+                "naive_fixed_dim": p.naive_fixed_dim,
+                "naive_bound": p.naive_bound,
+                "naive_exceeds": p.naive_exceeds,
+                "swap_fixed_dim": p.swap_fixed_dim,
+                "swap_margin": p.swap_margin,
+                "passed": p.passed,
+            }
+            for p in rep.products
+        ],
+    }
+
+
+def _nested_dump(obj, depth):
+    return "  " * depth + json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+@pytest.mark.parametrize("scope", ["all", "semisimple"])
+def test_verify_json_is_the_dumped_payload(capsys, scope):
+    rc, out, _ = run(capsys, "verify", "--json", "--scope", scope, "--max-param", "8")
+    assert rc == 0
+    payload = _dumped_payload(vf.sweep(scope, 8))
+    assert json.loads(out) == payload
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_case_blocks_match_case_payload():
+    rep = vf.sweep("all", 8)
+    hand_made = vf.CaseResult(
+        al.algebra(al.Family.SL_R, 3),
+        "berger_involution",
+        7,
+        'so(3) \u2192 "u(1)"\\ caf\u00e9\t\U0001d524 (fixed dim 0)',
+        False,
+    )
+    for c in (*rep.cases, hand_made):
+        block = cli._case_block(c)
+        assert json.loads(block) == vf.case_payload(c)
+        assert block == _nested_dump(vf.case_payload(c), 2)
+
+
+class _CountingWriter(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_verify_json_writes_in_batches(monkeypatch):
+    # json.dump made about 24 writes per case, each a write(2) on an
+    # unbuffered stdout; the streamed document makes one per batch
+    out = _CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["verify", "--json", "--max-param", "16"]) == 0
+    cases = len(json.loads(out.getvalue())["cases"])
+    assert cases > 4000
+    assert out.writes <= cases // 1000 + 5, out.writes
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_verify_json_into_a_closed_pipe_exits_141(unbuffered):
+    # `liecheck verify --json | head -c ...`: a reader that stops early is
+    # not a failed sweep (exit 1) and gets no traceback
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liecheck.cli", "verify", "--json", "--max-param", "16"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(64 * 1024)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert head.startswith(b'{\n  "scope": "all"')
+    assert err == b""
 
 
 @pytest.mark.parametrize("size", ["-3", "0", "1"])

@@ -16,12 +16,18 @@ the `algebras.is_canonical` filter; it pins the catalog and its order at
 simple algebras became interned values carrying their own dimensions,
 name and sort key; it pins `render`, `dims`, `out_group`, `max_compact`
 and `complexify` of every catalog algebra at `SIZE_LIMIT` and of every
-su(n), so(n) and sp(n) up to it.  Refreeze only when an answer is meant
-to change.
+su(n), so(n) and sp(n) up to it.  The `verify --json` digests were taken
+from the code before that command stopped handing its whole payload to
+`json.dump` and began streaming pre-encoded case blocks; they pin the
+bytes of the document, indentation and key order included, for each
+scope (the semisimple one has an empty `cases` array).  Refreeze only
+when an answer is meant to change.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from liecheck import cli
 from liecheck import verify as vf
@@ -55,6 +61,12 @@ CATALOG_64_COUNT = 3513
 CATALOG_64_SHA256 = "ae3f74f43dd9f91879c730f44b47a3da54db509538a81b70c11bbe36601a3f30"
 CATALOG_VALUES_64_COUNT = 3513 + 3 * 64
 CATALOG_VALUES_64_SHA256 = "785a445b7adb9044171a18fb56baa705cda21db19bfa0c9bf74a94826ce742fc"
+VERIFY_JSON_SHA256 = {
+    ("all", "12"): "bcb14958858ea4d71c7b0c80dc7f6e56550ec18b57041266c7b3f0050849827d",
+    ("complex", "8"): "091582fcba778e5875fc89924bdacb657f01b6e882e14eba4edb5e362f115eb5",
+    ("real", "6"): "23e775ef7189711f0dd310d7ada317e6d75c6ff5bbe166f589c72ff0be21aa9b",
+    ("semisimple", "5"): "2a7e357801250f6e06ddf22c51886b8da2119e1117dc7feb1d02e676fe3ebf0d",
+}
 
 
 def test_sweep_16_case_lines():
@@ -123,6 +135,13 @@ def test_involutions_row_order(capsys):
         assert cli.main(["involutions", name]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == INVOLUTIONS_SHA256
+
+
+@pytest.mark.parametrize("scope,max_param", sorted(VERIFY_JSON_SHA256))
+def test_verify_json_stdout(capsys, scope, max_param):
+    assert cli.main(["verify", "--json", "--scope", scope, "--max-param", max_param]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[scope, max_param]
 
 
 def _sizes_up_to(family, total):
