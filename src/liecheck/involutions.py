@@ -14,8 +14,10 @@ splits of so/su/sp(p,q).  Each classical family has one row builder over its
 parameters; `_CLASSICAL_ROWS` pairs it with the family's source label, and
 `_EXCEPTIONAL_ROWS` lists the exceptional rows.  `isotropy_entries` alone
 turns specs into `IsotropyEntry` values, dropping instances equal to the
-ambient and repeats that low-rank isomorphisms create.  Algebras whose size
-parameter exceeds `SIZE_LIMIT` get no rows.
+ambient and repeats that low-rank isomorphisms create.  Rows are built on
+each call and not kept: nothing in this module holds an algebra's rows
+after its caller lets them go.  Algebras whose size parameter exceeds
+`SIZE_LIMIT` get no rows.
 
 The two forms whose outer automorphism group has order-3 elements carry a
 separate list of order-3 fixed-point classes.
@@ -26,7 +28,7 @@ classification.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple
 
 from .algebras import (
@@ -150,16 +152,24 @@ def _sum_row(template, n, build, letters="kl", kind=LINEAR):
     return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind)
 
 
-def _split_row(template, family, p, q, *extra):
-    """family(kp,kq) + family(lp,lq) + extra over the splits of (p, q).
+def _split_row(template, family, p, q, compact_abelian=0):
+    """family(kp,kq) + family(lp,lq) + compact_abelian * u(1), per split of (p, q).
 
     The row holds each unordered split once, in first-occurrence order (see
-    `_splits`).
+    `_splits`).  Each instance is the `direct_sum` of the two canonical
+    parts, joined here without `direct_sum`'s loop over its arguments: the
+    split rows hold most of the instances a sweep builds.
     """
-    instances = [
-        direct_sum(algebra(family, kp, kq), algebra(family, p - kp, q - kq), *extra)
-        for kp, kq in _splits(p, q)
-    ]
+    instances = []
+    for kp, kq in _splits(p, q):
+        x, y = algebra(family, kp, kq), algebra(family, p - kp, q - kq)
+        instances.append(
+            reductive(
+                x.simples + y.simples,
+                x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
+                x.split_abelian_dim + y.split_abelian_dim,
+            )
+        )
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
     return _Row(template, instances, constraints, notes=_SPLIT_NOTE)
 
@@ -192,7 +202,7 @@ def _rows_su(p, q):
     rows = [_one(f"so({p},{q})", algebra(Family.SO, p, q))]
     if p == q:
         rows.append(_one(f"so*({2 * p})", algebra(Family.SO_STAR, p), "p=q"))
-    rows.append(_split_row("s(u(kp,kq)+u(lp,lq))", Family.SU, p, q, COMPACT_LINE))
+    rows.append(_split_row("s(u(kp,kq)+u(lp,lq))", Family.SU, p, q, compact_abelian=1))
     if p == q:
         rows.append(_one(f"gl({p},C)", direct_sum(algebra(Family.SL_C, p), SPLIT_LINE), "p=q"))
     if p % 2 == 0 and q % 2 == 0:
@@ -449,13 +459,14 @@ def _require_row_ambient(a):
         )
 
 
-@lru_cache(maxsize=None)
 def isotropy_entries(a):
     """All involution rows for the canonical noncompact simple algebra `a`.
 
     The returned tuple keeps the printed column order of the source tables
     and always ends with the synthetic Cartan row (`kind == "compact"`).
-    Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.
+    Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.  The rows are built
+    on every call and not kept, so a caller that reads them once, like a
+    sweep, lets them go when it is done with them.
     """
     _require_row_ambient(a)
     fam = a.family

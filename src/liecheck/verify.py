@@ -397,19 +397,20 @@ def _involution_results(a: SimpleAlgebra) -> list:
     d = dims(a)
     target = d.dim_s - d.rk_r
     out = []
-    for inst in inv.instantiations(a):
-        fixed = inst.space.dim_s
-        margin = target - fixed
-        witness = "%s -> %s (fixed dim %d vs target %d)" % (
-            inst.entry.template,
-            render(inst.isotropy),
-            fixed,
-            target,
-        )
-        if margin == 0 and _is_equality_witness(a, inst.isotropy):
-            out.append(CaseResult(a, ROUTE_EQUALITY, 0, witness, True))
-        else:
-            out.append(CaseResult(a, ROUTE_BERGER, margin, witness, margin > 0))
+    for entry in inv.isotropy_entries(a):
+        for h in entry.instances:
+            fixed = reductive_dims(h).dim_s
+            margin = target - fixed
+            witness = "%s -> %s (fixed dim %d vs target %d)" % (
+                entry.template,
+                render(h),
+                fixed,
+                target,
+            )
+            if margin == 0 and _is_equality_witness(a, h):
+                out.append(CaseResult(a, ROUTE_EQUALITY, 0, witness, True))
+            else:
+                out.append(CaseResult(a, ROUTE_BERGER, margin, witness, margin > 0))
     return out
 
 
@@ -471,8 +472,14 @@ def vcd(factors, rk_q: int, irreducible: bool = False) -> VcdResult:
     ``factors`` are the simple factors of the ambient algebra and
     ``rk_q`` the rational rank of the lattice.  The dimension equals
     ``dim S - rk_q`` and coincides with the geometric dimension; the
-    quotient is cocompact exactly when ``rk_q`` is zero.
+    quotient is cocompact exactly when ``rk_q`` is zero.  ``rk_q`` must be
+    an ``int`` and ``irreducible`` a ``bool``; anything else (``1.5``,
+    ``True`` as a rank, ``"no"`` as a flag) raises OutOfDomain.
     """
+    if type(rk_q) is not int:
+        raise OutOfDomain("rational rank must be an int, got %r" % (rk_q,))
+    if type(irreducible) is not bool:
+        raise OutOfDomain("irreducible must be a bool, got %r" % (irreducible,))
     factors = tuple(factors)
     if not factors:
         raise TooFewFactors("at least one simple factor is required")

@@ -20,8 +20,12 @@ su(n), so(n) and sp(n) up to it.  The `verify --json` digests were taken
 from the code before that command stopped handing its whole payload to
 `json.dump` and began streaming pre-encoded case blocks; they pin the
 bytes of the document, indentation and key order included, for each
-scope (the semisimple one has an empty `cases` array).  Refreeze only
-when an answer is meant to change.
+scope (the semisimple one has an empty `cases` array).  The involution
+rows digest was taken from the code before `isotropy_entries` stopped
+caching its rows and the split rows stopped going through `direct_sum`; it
+pins every row's fields and every instance, in the first-occurrence order
+that `max_fixed_dim` breaks ties by.  Refreeze only when an answer is meant
+to change.
 """
 
 import hashlib
@@ -30,6 +34,7 @@ import json
 import pytest
 
 from liecheck import cli
+from liecheck import involutions as inv
 from liecheck import verify as vf
 from liecheck import matrixoracle as mo
 from liecheck.algebras import (
@@ -52,6 +57,8 @@ SWEEP_16_CASES = 4531
 SWEEP_16_SHA256 = "d0ef4b265de253193a1dd35cb5e6e5985a0c2c053fc00793cfd38e67304587b8"
 EXPORT_16_SHA256 = "597fceb910e0d4827b74da09b6b4554288d082904392e2a8c4e3f554cb5289d2"
 INVOLUTIONS_SHA256 = "3ed076c8116c6ff249de79fc24315969e63e3611369e17fb7d96dfdd60a426be"
+INVOLUTION_ROWS_24_COUNTS = (593, 2091, 17956)  # algebras, rows, instances
+INVOLUTION_ROWS_24_SHA256 = "c2a122970cca1b4975a1cb9e5782119e2013bf46e18c95441d5c6686e40249da"
 SIGNATURES_8_COUNT = 25907
 SIGNATURES_8_SHA256 = "03cea3a26f802710006fef960807cc51255ad82dee66d428aa58aa9b6cf85dde"
 ORACLE_MAX_C2_SHA256 = "cbbd901ab4b0aece42980fc5a77365d9c262693b9d25ac8f04b9645854fe229c"
@@ -80,6 +87,24 @@ def test_sweep_16_case_lines():
         digest.update(line.encode())
     assert len(rep.cases) == SWEEP_16_CASES
     assert digest.hexdigest() == SWEEP_16_SHA256
+
+
+def test_involution_rows_up_to_24():
+    digest = hashlib.sha256()
+    algebras = rows = instances = 0
+    for a in iter_noncompact_simple(24):
+        algebras += 1
+        for e in inv.isotropy_entries(a):
+            rows += 1
+            line = "%s\t%s\t%s\t%s\t%r\t%r\n" % (
+                render(a), e.template, e.kind, e.source, e.constraints, e.notes
+            )
+            digest.update(line.encode())
+            for h in e.instances:
+                instances += 1
+                digest.update(("\t%s\t%r\n" % (render(h), tuple(reductive_dims(h)))).encode())
+    assert (algebras, rows, instances) == INVOLUTION_ROWS_24_COUNTS
+    assert digest.hexdigest() == INVOLUTION_ROWS_24_SHA256
 
 
 def test_catalog_order_at_the_size_limit():

@@ -5,6 +5,9 @@ independently (catalog dimension formulas plus the involution rows) before
 being asserted here.
 """
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -221,6 +224,18 @@ def test_vcd_input_errors():
         vf.vcd([A(Family.SU_CPT, 3)], 0)
 
 
+@pytest.mark.parametrize("rk_q", [1.5, 1.0, True, False, "1", None])
+def test_vcd_rejects_a_non_int_rank(rk_q):
+    with pytest.raises(al.OutOfDomain):
+        vf.vcd([A(Family.SL_R, 3)], rk_q)
+
+
+@pytest.mark.parametrize("irreducible", ["no", "", 0, 1, None])
+def test_vcd_rejects_a_non_bool_irreducible_flag(irreducible):
+    with pytest.raises(al.OutOfDomain):
+        vf.vcd([A(Family.SL_R, 3)], 1, irreducible=irreducible)
+
+
 _VCD_POINTS = [
     (a, rk_q)
     for a in al.iter_noncompact_simple(10)
@@ -283,6 +298,22 @@ def test_sweep_small_all():
         else:
             assert case.margin > 0
     assert rep.products and all(p.passed for p in rep.products)
+
+
+def test_sweep_keeps_no_rows_once_it_returns(monkeypatch):
+    refs = []
+    original = inv.isotropy_entries
+
+    def recording(a):
+        entries = original(a)
+        refs.extend(weakref.ref(e) for e in entries)
+        return entries
+
+    monkeypatch.setattr(inv, "isotropy_entries", recording)
+    rep = vf.sweep("all", 12)
+    gc.collect()
+    assert rep.passed and refs
+    assert [r() for r in refs if r() is not None] == []
 
 
 def test_sweep_equality_set_census():
