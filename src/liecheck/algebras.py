@@ -1,17 +1,10 @@
 """Catalog of simple and reductive real Lie algebras.
 
 Every algebra handled anywhere in the package goes through `algebra()`,
-which normalizes parameters and rewrites the low-rank coincidences
-(A1, B2=C2, A3=D3, so(4)-type splits) to a single representative, so two
-isomorphic inputs compare equal afterwards.  The chosen representatives:
-
-  * rank-1 coincidences        -> sl(2,R) / sl(2,C) / su(2)
-  * B2=C2 (real and compact)   -> the so(p,q) / so(n) side
-  * B2=C2 (complex)            -> sp(4,C)
-  * A3=D3 (real and compact)   -> so(p,q) / so*(6) / so(6)
-  * A3=D3 (complex)            -> sl(4,C)
-  * so(2,2), so(4,C), so*(4)   -> sums of rank-1 pieces
-  * so(2)-likes                -> abelian summands of a ReductiveAlgebra
+which normalizes parameters and rewrites the low-rank coincidences to a
+single representative, so two isomorphic inputs compare equal afterwards.
+`_COINCIDENCES` lists every coincidence with its representative; a (0, n)
+signature of su, so or sp is the compact family's n.
 
 so*(8) and so(2,6) are isomorphic through triality but are kept as two
 catalog points; each side's data is stored under its own name, matching
@@ -24,12 +17,15 @@ when it is first built, and carries them as slots that `dims`, `render`,
 `reductive_dims` and `reductive` read.
 
 Dimension formulas for the classical families are the textbook closed
-forms; real ranks are the standard split ranks.  The exceptional entries
-are constants.  Everything is exact integer arithmetic.
+forms; real ranks are the standard split ranks.  Each exceptional family
+is one row of `_EXCEPTIONAL`.  `_NAMES` is the name grammar of the
+classical families, read by both `render` and `parse_algebra`; sizes are
+ASCII decimal.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
@@ -121,21 +117,31 @@ REAL_EXCEPTIONAL = frozenset(
     }
 )
 
-_TWO_PARAM = frozenset({Family.SU, Family.SO, Family.SP})
-_ONE_PARAM = frozenset(
-    {
-        Family.SL_R,
-        Family.SL_H,
-        Family.SP_R,
-        Family.SO_STAR,
-        Family.SL_C,
-        Family.SO_C,
-        Family.SP_C,
-        Family.SU_CPT,
-        Family.SO_CPT,
-        Family.SP_CPT,
-    }
-)
+# Names of the classical families: (head, tag, scale).  The tag is the
+# field suffix of a one-parameter family named with one, else the number of
+# parameters; scale turns a parameter into the printed size, so sp(2n,R),
+# sp(2n,C) and so*(2n) print their matrix size.  `render` writes these
+# names and `parse_algebra` reads them back.
+_NAMES = {
+    Family.SL_R: ("sl", "R", 1),
+    Family.SL_H: ("sl", "H", 1),
+    Family.SU: ("su", 2, 1),
+    Family.SO: ("so", 2, 1),
+    Family.SP_R: ("sp", "R", 2),
+    Family.SP: ("sp", 2, 1),
+    Family.SO_STAR: ("so*", 1, 2),
+    Family.SL_C: ("sl", "C", 1),
+    Family.SO_C: ("so", "C", 1),
+    Family.SP_C: ("sp", "C", 2),
+    Family.SU_CPT: ("su", 1, 1),
+    Family.SO_CPT: ("so", 1, 1),
+    Family.SP_CPT: ("sp", 1, 1),
+}
+_NAMED = {(head, tag): family for family, (head, tag, _) in _NAMES.items()}
+
+# the (p, q) families, each with the compact family its (0, n) signature is
+_TWO_PARAM = {Family.SU: Family.SU_CPT, Family.SO: Family.SO_CPT, Family.SP: Family.SP_CPT}
+_ONE_PARAM = frozenset(_NAMES).difference(_TWO_PARAM)
 
 
 def _check_params(family, params):
@@ -293,10 +299,14 @@ def algebra(family: Family, *params: int) -> ReductiveAlgebra:
     """
     _check_params(family, params)
     if family in _TWO_PARAM:
-        return _CANON_TWO[family](*sorted(params))
-    if family in _ONE_PARAM:
-        return _CANON_ONE[family](*params)
-    return _raw(family)
+        p, q = sorted(params)
+        if p == 0:
+            return algebra(_TWO_PARAM[family], q)
+        params = (p, q)
+    coincidence = _COINCIDENCES.get((family, params))
+    if coincidence is not None:
+        return parse_algebra(coincidence)
+    return _raw(family, *params)
 
 
 def simple(family: Family, *params: int) -> SimpleAlgebra:
@@ -309,180 +319,87 @@ def simple(family: Family, *params: int) -> SimpleAlgebra:
     return red.simples[0]
 
 
-def _canon_su_cpt(n):
-    if n == 1:
-        return TRIVIAL_ALGEBRA
-    if n == 4:
-        return _raw(Family.SO_CPT, 6)
-    return _raw(Family.SU_CPT, n)
-
-
-def _canon_so_cpt(n):
-    if n == 1:
-        return TRIVIAL_ALGEBRA
-    if n == 2:
-        return COMPACT_LINE
-    if n == 3:
-        return _raw(Family.SU_CPT, 2)
-    if n == 4:
-        return direct_sum(_raw(Family.SU_CPT, 2), _raw(Family.SU_CPT, 2))
-    return _raw(Family.SO_CPT, n)
-
-
-def _canon_sp_cpt(n):
-    if n == 1:
-        return _raw(Family.SU_CPT, 2)
-    if n == 2:
-        return _raw(Family.SO_CPT, 5)
-    return _raw(Family.SP_CPT, n)
-
-
-def _canon_su(p, q):
-    if p == 0:
-        return _canon_su_cpt(q)
-    if (p, q) == (1, 1):
-        return _raw(Family.SL_R, 2)
-    if (p, q) == (1, 3):
-        return _raw(Family.SO_STAR, 3)
-    if (p, q) == (2, 2):
-        return _raw(Family.SO, 2, 4)
-    return _raw(Family.SU, p, q)
-
-
-def _canon_so(p, q):
-    if p == 0:
-        return _canon_so_cpt(q)
-    if (p, q) == (1, 1):
-        return SPLIT_LINE
-    if (p, q) == (1, 2):
-        return _raw(Family.SL_R, 2)
-    if (p, q) == (1, 3):
-        return _raw(Family.SL_C, 2)
-    if (p, q) == (2, 2):
-        return direct_sum(_raw(Family.SL_R, 2), _raw(Family.SL_R, 2))
-    return _raw(Family.SO, p, q)
-
-
-def _canon_sp(p, q):
-    if p == 0:
-        return _canon_sp_cpt(q)
-    if (p, q) == (1, 1):
-        return _raw(Family.SO, 1, 4)
-    return _raw(Family.SP, p, q)
-
-
-def _canon_sl_r(n):
-    if n == 1:
-        return TRIVIAL_ALGEBRA
-    if n == 4:
-        return _raw(Family.SO, 3, 3)
-    return _raw(Family.SL_R, n)
-
-
-def _canon_sl_h(n):
-    if n == 1:
-        return _raw(Family.SU_CPT, 2)
-    if n == 2:
-        return _raw(Family.SO, 1, 5)
-    return _raw(Family.SL_H, n)
-
-
-def _canon_sp_r(n):
-    if n == 1:
-        return _raw(Family.SL_R, 2)
-    if n == 2:
-        return _raw(Family.SO, 2, 3)
-    return _raw(Family.SP_R, n)
-
-
-def _canon_so_star(n):
-    if n == 1:
-        return COMPACT_LINE
-    if n == 2:
-        return direct_sum(_raw(Family.SL_R, 2), _raw(Family.SU_CPT, 2))
-    return _raw(Family.SO_STAR, n)
-
-
-def _canon_sl_c(n):
-    if n == 1:
-        return TRIVIAL_ALGEBRA
-    return _raw(Family.SL_C, n)
-
-
-def _canon_so_c(n):
-    if n == 1:
-        return TRIVIAL_ALGEBRA
-    if n == 2:
-        return ReductiveAlgebra(compact_abelian_dim=1, split_abelian_dim=1)
-    if n == 3:
-        return _raw(Family.SL_C, 2)
-    if n == 4:
-        return direct_sum(_raw(Family.SL_C, 2), _raw(Family.SL_C, 2))
-    if n == 5:
-        return _raw(Family.SP_C, 2)
-    if n == 6:
-        return _raw(Family.SL_C, 4)
-    return _raw(Family.SO_C, n)
-
-
-def _canon_sp_c(n):
-    if n == 1:
-        return _raw(Family.SL_C, 2)
-    return _raw(Family.SP_C, n)
-
-
-_CANON_TWO = {Family.SU: _canon_su, Family.SO: _canon_so, Family.SP: _canon_sp}
-_CANON_ONE = {
-    Family.SL_R: _canon_sl_r,
-    Family.SL_H: _canon_sl_h,
-    Family.SP_R: _canon_sp_r,
-    Family.SO_STAR: _canon_so_star,
-    Family.SL_C: _canon_sl_c,
-    Family.SO_C: _canon_so_c,
-    Family.SP_C: _canon_sp_c,
-    Family.SU_CPT: _canon_su_cpt,
-    Family.SO_CPT: _canon_so_cpt,
-    Family.SP_CPT: _canon_sp_cpt,
-}
-
-# exceptional constants: family -> (dim_g, rank of complexification)
-_EXC_BASE = {"g2": (14, 2), "f4": (52, 4), "e6": (78, 6), "e7": (133, 7), "e8": (248, 8)}
-
-# real exceptional forms: family -> (dim_k, rk_r)
-_EXC_REAL = {
-    Family.G2_2: (6, 2),
-    Family.F4_4: (24, 4),
-    Family.F4_M20: (36, 1),
-    Family.E6_6: (36, 6),
-    Family.E6_2: (38, 4),
-    Family.E6_M14: (46, 2),
-    Family.E6_M26: (52, 2),
-    Family.E7_7: (63, 7),
-    Family.E7_M5: (69, 4),
-    Family.E7_M25: (79, 3),
-    Family.E8_8: (120, 8),
-    Family.E8_M24: (136, 4),
-}
-
-# rank of the maximal compact subalgebra of each real exceptional form
-_EXC_RK_CPT = {
-    Family.G2_2: 2,
-    Family.F4_4: 4,
-    Family.F4_M20: 4,
-    Family.E6_6: 4,
-    Family.E6_2: 6,
-    Family.E6_M14: 6,
-    Family.E6_M26: 4,
-    Family.E7_7: 7,
-    Family.E7_M5: 7,
-    Family.E7_M25: 7,
-    Family.E8_8: 8,
-    Family.E8_M24: 8,
+# Low-rank coincidences: (family, params) -> the canonical value, by name.
+# Rank one goes to sl(2,R), sl(2,C) or su(2); B2=C2 to the so side, but
+# sp(4,C) when complex; A3=D3 to the so side, but sl(4,C) when complex; D2
+# to a sum of rank-one pieces, and so(2)-likes to abelian summands.  The
+# (p, q) keys are sorted, with p >= 1.
+_COINCIDENCES = {
+    (Family.SU_CPT, (1,)): "0",
+    (Family.SU_CPT, (4,)): "so(6)",
+    (Family.SO_CPT, (1,)): "0",
+    (Family.SO_CPT, (2,)): "u(1)",
+    (Family.SO_CPT, (3,)): "su(2)",
+    (Family.SO_CPT, (4,)): "su(2)+su(2)",
+    (Family.SP_CPT, (1,)): "su(2)",
+    (Family.SP_CPT, (2,)): "so(5)",
+    (Family.SU, (1, 1)): "sl(2,R)",
+    (Family.SU, (1, 3)): "so*(6)",
+    (Family.SU, (2, 2)): "so(2,4)",
+    (Family.SO, (1, 1)): "R",
+    (Family.SO, (1, 2)): "sl(2,R)",
+    (Family.SO, (1, 3)): "sl(2,C)",
+    (Family.SO, (2, 2)): "sl(2,R)+sl(2,R)",
+    (Family.SP, (1, 1)): "so(1,4)",
+    (Family.SL_R, (1,)): "0",
+    (Family.SL_R, (4,)): "so(3,3)",
+    (Family.SL_H, (1,)): "su(2)",
+    (Family.SL_H, (2,)): "so(1,5)",
+    (Family.SP_R, (1,)): "sl(2,R)",
+    (Family.SP_R, (2,)): "so(2,3)",
+    (Family.SO_STAR, (1,)): "u(1)",
+    (Family.SO_STAR, (2,)): "sl(2,R)+su(2)",
+    (Family.SL_C, (1,)): "0",
+    (Family.SO_C, (1,)): "0",
+    (Family.SO_C, (2,)): "u(1)+R",
+    (Family.SO_C, (3,)): "sl(2,C)",
+    (Family.SO_C, (4,)): "sl(2,C)+sl(2,C)",
+    (Family.SO_C, (5,)): "sp(4,C)",
+    (Family.SO_C, (6,)): "sl(4,C)",
+    (Family.SP_C, (1,)): "sl(2,C)",
 }
 
 
-def _exc_letters(family: Family) -> str:
-    return family.value[:2]
+class _Exceptional(NamedTuple):
+    """One exceptional family; its related algebras are given by name."""
+
+    name: str
+    dim_g: int
+    dim_k: int
+    rk_r: int
+    rk_cpt: int
+    max_compact: str | None  # None for the compact forms
+    complexification: str | None  # None for the complex algebras, which double
+    out: OutIso
+
+
+_EXCEPTIONAL = {
+    # name, dim g, dim K, rk_R, rk K, max compact, complexification, Out type
+    Family.G2_C: ("g2(C)", 28, 14, 2, 2, "g2(-14)", None, OutIso.Z2),
+    Family.G2_CPT: ("g2(-14)", 14, 14, 0, 2, None, "g2(C)", OutIso.TRIVIAL),
+    Family.G2_2: ("g2(2)", 14, 6, 2, 2, "su(2)+su(2)", "g2(C)", OutIso.TRIVIAL),
+    Family.F4_C: ("f4(C)", 104, 52, 4, 4, "f4(-52)", None, OutIso.Z2),
+    Family.F4_CPT: ("f4(-52)", 52, 52, 0, 4, None, "f4(C)", OutIso.TRIVIAL),
+    Family.F4_4: ("f4(4)", 52, 24, 4, 4, "sp(3)+su(2)", "f4(C)", OutIso.TRIVIAL),
+    Family.F4_M20: ("f4(-20)", 52, 36, 1, 4, "so(9)", "f4(C)", OutIso.TRIVIAL),
+    Family.E6_C: ("e6(C)", 156, 78, 6, 6, "e6(-78)", None, OutIso.Z2xZ2),
+    Family.E6_CPT: ("e6(-78)", 78, 78, 0, 6, None, "e6(C)", OutIso.TRIVIAL),
+    Family.E6_6: ("e6(6)", 78, 36, 6, 4, "sp(4)", "e6(C)", OutIso.Z2),
+    Family.E6_2: ("e6(2)", 78, 38, 4, 6, "su(6)+su(2)", "e6(C)", OutIso.Z2),
+    Family.E6_M14: ("e6(-14)", 78, 46, 2, 6, "so(10)+u(1)", "e6(C)", OutIso.Z2),
+    Family.E6_M26: ("e6(-26)", 78, 52, 2, 4, "f4(-52)", "e6(C)", OutIso.Z2),
+    Family.E7_C: ("e7(C)", 266, 133, 7, 7, "e7(-133)", None, OutIso.Z2),
+    Family.E7_CPT: ("e7(-133)", 133, 133, 0, 7, None, "e7(C)", OutIso.TRIVIAL),
+    Family.E7_7: ("e7(7)", 133, 63, 7, 7, "su(8)", "e7(C)", OutIso.Z2),
+    Family.E7_M5: ("e7(-5)", 133, 69, 4, 7, "so(12)+su(2)", "e7(C)", OutIso.TRIVIAL),
+    Family.E7_M25: ("e7(-25)", 133, 79, 3, 7, "e6(-78)+u(1)", "e7(C)", OutIso.Z2),
+    Family.E8_C: ("e8(C)", 496, 248, 8, 8, "e8(-248)", None, OutIso.Z2),
+    Family.E8_CPT: ("e8(-248)", 248, 248, 0, 8, None, "e8(C)", OutIso.TRIVIAL),
+    Family.E8_8: ("e8(8)", 248, 120, 8, 8, "so(16)", "e8(C)", OutIso.TRIVIAL),
+    Family.E8_M24: ("e8(-24)", 248, 136, 4, 8, "e7(-133)+su(2)", "e8(C)", OutIso.TRIVIAL),
+}
+_EXCEPTIONAL = {family: _Exceptional(*row) for family, row in _EXCEPTIONAL.items()}
+_EXCEPTIONAL_NAMED = {row.name: family for family, row in _EXCEPTIONAL.items()}
 
 
 def dims(a: SimpleAlgebra) -> SpaceDims:
@@ -521,29 +438,25 @@ def _space(fam, params):
         (n,) = params
         g, k = n * (2 * n - 1), n * n
         return SpaceDims(g, k, n * n - n, n // 2, n)
+    if fam in _EXCEPTIONAL:
+        row = _EXCEPTIONAL[fam]
+        return SpaceDims(row.dim_g, row.dim_k, row.dim_g - row.dim_k, row.rk_r, row.rk_cpt)
+    d, r = _dim_rank(fam, params)
     if fam in COMPLEX:
-        d, r = _dim_rank(fam, params)
         return SpaceDims(2 * d, d, d, r, r)
-    if fam in COMPACT:
-        d, r = _dim_rank(fam, params)
-        return SpaceDims(d, d, 0, 0, r)
-    dim_k, rk_r = _EXC_REAL[fam]
-    dim_g = _EXC_BASE[_exc_letters(fam)][0]
-    return SpaceDims(dim_g, dim_k, dim_g - dim_k, rk_r, _EXC_RK_CPT[fam])
+    return SpaceDims(d, d, 0, 0, r)
 
 
 def _dim_rank(fam, params):
-    """(dim, rank) of a complex simple algebra, or the same of a compact one."""
+    """(dim, rank) of a classical complex simple algebra, or of a compact one."""
     if fam in (Family.SL_C, Family.SU_CPT):
         (n,) = params
         return n * n - 1, n - 1
     if fam in (Family.SO_C, Family.SO_CPT):
         (n,) = params
         return n * (n - 1) // 2, n // 2
-    if fam in (Family.SP_C, Family.SP_CPT):
-        (n,) = params
-        return n * (2 * n + 1), n
-    return _EXC_BASE[_exc_letters(fam)]
+    (n,) = params
+    return n * (2 * n + 1), n
 
 
 def reductive_dims(h: ReductiveAlgebra) -> SpaceDims:
@@ -568,30 +481,14 @@ def is_complex(a: SimpleAlgebra) -> bool:
     return a.family in COMPLEX
 
 
-_MAX_COMPACT_EXC = {
-    Family.G2_2: lambda: direct_sum(algebra(Family.SU_CPT, 2), algebra(Family.SU_CPT, 2)),
-    Family.F4_4: lambda: direct_sum(algebra(Family.SP_CPT, 3), algebra(Family.SU_CPT, 2)),
-    Family.F4_M20: lambda: algebra(Family.SO_CPT, 9),
-    Family.E6_6: lambda: algebra(Family.SP_CPT, 4),
-    Family.E6_2: lambda: direct_sum(algebra(Family.SU_CPT, 6), algebra(Family.SU_CPT, 2)),
-    Family.E6_M14: lambda: direct_sum(algebra(Family.SO_CPT, 10), COMPACT_LINE),
-    Family.E6_M26: lambda: algebra(Family.F4_CPT),
-    Family.E7_7: lambda: algebra(Family.SU_CPT, 8),
-    Family.E7_M5: lambda: direct_sum(algebra(Family.SO_CPT, 12), algebra(Family.SU_CPT, 2)),
-    Family.E7_M25: lambda: direct_sum(algebra(Family.E6_CPT), COMPACT_LINE),
-    Family.E8_8: lambda: algebra(Family.SO_CPT, 16),
-    Family.E8_M24: lambda: direct_sum(algebra(Family.E7_CPT), algebra(Family.SU_CPT, 2)),
-}
-
+# one-parameter families whose maximal compact is a compact family of the
+# same parameter
 _COMPACT_FORM = {
-    Family.SL_C: lambda n: algebra(Family.SU_CPT, n),
-    Family.SO_C: lambda n: algebra(Family.SO_CPT, n),
-    Family.SP_C: lambda n: algebra(Family.SP_CPT, n),
-    Family.G2_C: lambda: algebra(Family.G2_CPT),
-    Family.F4_C: lambda: algebra(Family.F4_CPT),
-    Family.E6_C: lambda: algebra(Family.E6_CPT),
-    Family.E7_C: lambda: algebra(Family.E7_CPT),
-    Family.E8_C: lambda: algebra(Family.E8_CPT),
+    Family.SL_R: Family.SO_CPT,
+    Family.SL_H: Family.SP_CPT,
+    Family.SL_C: Family.SU_CPT,
+    Family.SO_C: Family.SO_CPT,
+    Family.SP_C: Family.SP_CPT,
 }
 
 
@@ -600,10 +497,10 @@ def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
     fam, params = a.family, a.params
     if fam in COMPACT:
         raise OutOfDomain(f"{render(a)} is already compact")
-    if fam is Family.SL_R:
-        return algebra(Family.SO_CPT, *params)
-    if fam is Family.SL_H:
-        return algebra(Family.SP_CPT, *params)
+    if fam in _EXCEPTIONAL:
+        return parse_algebra(_EXCEPTIONAL[fam].max_compact)
+    if fam in _COMPACT_FORM:
+        return algebra(_COMPACT_FORM[fam], *params)
     if fam is Family.SU:
         p, q = params
         return direct_sum(algebra(Family.SU_CPT, p), algebra(Family.SU_CPT, q), COMPACT_LINE)
@@ -613,12 +510,8 @@ def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
     if fam in (Family.SP_R, Family.SO_STAR):
         (n,) = params
         return direct_sum(algebra(Family.SU_CPT, n), COMPACT_LINE)
-    if fam is Family.SP:
-        p, q = params
-        return direct_sum(algebra(Family.SP_CPT, p), algebra(Family.SP_CPT, q))
-    if fam in COMPLEX:
-        return _COMPACT_FORM[fam](*params)
-    return _MAX_COMPACT_EXC[fam]()
+    p, q = params  # sp(p,q)
+    return direct_sum(algebra(Family.SP_CPT, p), algebra(Family.SP_CPT, q))
 
 
 def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
@@ -626,6 +519,8 @@ def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
     fam, params = a.family, a.params
     if fam in COMPLEX:
         return reductive((a, a))
+    if fam in _EXCEPTIONAL:
+        return parse_algebra(_EXCEPTIONAL[fam].complexification)
     if fam is Family.SL_R:
         return algebra(Family.SL_C, *params)
     if fam is Family.SL_H:
@@ -638,10 +533,7 @@ def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
         return algebra(Family.SP_C, *params)
     if fam is Family.SP:
         return algebra(Family.SP_C, sum(params))
-    if fam is Family.SO_STAR:
-        return algebra(Family.SO_C, 2 * params[0])
-    letters = _exc_letters(fam)
-    return algebra(Family[letters.upper() + "_C"])
+    return algebra(Family.SO_C, 2 * params[0])  # so*(2n)
 
 
 def out_group(a: SimpleAlgebra) -> OutGroup:
@@ -651,6 +543,8 @@ def out_group(a: SimpleAlgebra) -> OutGroup:
 
 def _out_iso(a: SimpleAlgebra) -> OutIso:
     fam, params = a.family, a.params
+    if fam in _EXCEPTIONAL:
+        return _EXCEPTIONAL[fam].out
     if fam is Family.SL_C:
         return OutIso.Z2 if params[0] == 2 else OutIso.Z2xZ2
     if fam is Family.SO_C:
@@ -658,9 +552,7 @@ def _out_iso(a: SimpleAlgebra) -> OutIso:
         if n == 8:
             return OutIso.S3xZ2
         return OutIso.Z2 if n % 2 else OutIso.Z2xZ2
-    if fam is Family.E6_C:
-        return OutIso.Z2xZ2
-    if fam in COMPLEX:
+    if fam is Family.SP_C:
         return OutIso.Z2
     if fam is Family.SL_R:
         (n,) = params
@@ -687,65 +579,17 @@ def _out_iso(a: SimpleAlgebra) -> OutIso:
     if fam is Family.SP:
         p, q = params
         return OutIso.Z2 if p == q else OutIso.TRIVIAL
-    if fam in (Family.E6_6, Family.E6_2, Family.E6_M14, Family.E6_M26, Family.E7_7, Family.E7_M25):
-        return OutIso.Z2
     return OutIso.TRIVIAL
 
 
-_EXC_RENDER = {
-    Family.G2_2: "g2(2)",
-    Family.F4_4: "f4(4)",
-    Family.F4_M20: "f4(-20)",
-    Family.E6_6: "e6(6)",
-    Family.E6_2: "e6(2)",
-    Family.E6_M14: "e6(-14)",
-    Family.E6_M26: "e6(-26)",
-    Family.E7_7: "e7(7)",
-    Family.E7_M5: "e7(-5)",
-    Family.E7_M25: "e7(-25)",
-    Family.E8_8: "e8(8)",
-    Family.E8_M24: "e8(-24)",
-    Family.G2_CPT: "g2(-14)",
-    Family.F4_CPT: "f4(-52)",
-    Family.E6_CPT: "e6(-78)",
-    Family.E7_CPT: "e7(-133)",
-    Family.E8_CPT: "e8(-248)",
-    Family.G2_C: "g2(C)",
-    Family.F4_C: "f4(C)",
-    Family.E6_C: "e6(C)",
-    Family.E7_C: "e7(C)",
-    Family.E8_C: "e8(C)",
-}
-
-
 def _name(fam, params):
-    if fam is Family.SL_R:
-        return f"sl({params[0]},R)"
-    if fam is Family.SL_H:
-        return f"sl({params[0]},H)"
-    if fam is Family.SU:
-        return f"su({params[0]},{params[1]})"
-    if fam is Family.SO:
-        return f"so({params[0]},{params[1]})"
-    if fam is Family.SP_R:
-        return f"sp({2 * params[0]},R)"
-    if fam is Family.SP:
-        return f"sp({params[0]},{params[1]})"
-    if fam is Family.SO_STAR:
-        return f"so*({2 * params[0]})"
-    if fam is Family.SL_C:
-        return f"sl({params[0]},C)"
-    if fam is Family.SO_C:
-        return f"so({params[0]},C)"
-    if fam is Family.SP_C:
-        return f"sp({2 * params[0]},C)"
-    if fam is Family.SU_CPT:
-        return f"su({params[0]})"
-    if fam is Family.SO_CPT:
-        return f"so({params[0]})"
-    if fam is Family.SP_CPT:
-        return f"sp({params[0]})"
-    return _EXC_RENDER[fam]
+    if fam in _EXCEPTIONAL:
+        return _EXCEPTIONAL[fam].name
+    head, tag, scale = _NAMES[fam]
+    args = [str(scale * x) for x in params]
+    if isinstance(tag, str):
+        args.append(tag)
+    return f"{head}({','.join(args)})"
 
 
 def render(x) -> str:
@@ -763,7 +607,9 @@ class ParseError(ValueError):
         self.position = position
 
 
-_EXC_PARSE = {v: k for k, v in _EXC_RENDER.items()}
+# a size: ASCII decimal digits, so that no other digit or underscore form
+# reaches int(); a minus sign parses, and algebra() refuses the size
+_SIZE = re.compile(r"-?[0-9]+")
 
 
 def _parse_token(tok: str, offset: int) -> ReductiveAlgebra:
@@ -774,58 +620,33 @@ def _parse_token(tok: str, offset: int) -> ReductiveAlgebra:
         return COMPACT_LINE
     if tok == "0":
         return TRIVIAL_ALGEBRA
-    if tok in _EXC_PARSE:
-        return algebra(_EXC_PARSE[tok])
+    if tok in _EXCEPTIONAL_NAMED:
+        return algebra(_EXCEPTIONAL_NAMED[tok])
     if not tok.endswith(")") or "(" not in tok:
         raise ParseError(f"cannot parse algebra token {tok!r}", offset)
     head, _, body = tok.partition("(")
     args = [s.strip() for s in body[:-1].split(",")]
     try:
         return _build_token(head.strip(), args)
-    except ParseError:
+    except OutOfDomain:
         raise
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, OutOfDomain):
-            raise
+    except (ValueError, KeyError):
         raise ParseError(f"cannot parse algebra token {tok!r}", offset) from None
 
 
 def _build_token(head: str, args: list[str]) -> ReductiveAlgebra:
-    def ints(k):
-        if len(args) != k or not all(s.lstrip("-").isdigit() for s in args):
-            raise ValueError(args)
-        return [int(s) for s in args]
-
-    if head == "sl":
-        if len(args) == 2 and args[1] in ("R", "C", "H"):
-            fam = {"R": Family.SL_R, "C": Family.SL_C, "H": Family.SL_H}[args[1]]
-            return _require_simple(algebra(fam, int(args[0])))
-    elif head == "su":
-        if len(args) == 1:
-            return _require_simple(algebra(Family.SU_CPT, *ints(1)))
-        return _require_simple(algebra(Family.SU, *ints(2)))
-    elif head == "so":
-        if len(args) == 1:
-            return _require_simple(algebra(Family.SO_CPT, *ints(1)))
-        if len(args) == 2 and args[1] == "C":
-            return _require_simple(algebra(Family.SO_C, int(args[0])))
-        return _require_simple(algebra(Family.SO, *ints(2)))
-    elif head == "sp":
-        if len(args) == 1:
-            return _require_simple(algebra(Family.SP_CPT, *ints(1)))
-        if len(args) == 2 and args[1] in ("R", "C"):
-            size = int(args[0])
-            if size % 2:
-                raise OutOfDomain(f"sp({size},{args[1]}): matrix size must be even")
-            fam = Family.SP_R if args[1] == "R" else Family.SP_C
-            return _require_simple(algebra(fam, size // 2))
-        return _require_simple(algebra(Family.SP, *ints(2)))
-    elif head == "so*":
-        (size,) = ints(1)
-        if size % 2:
-            raise OutOfDomain(f"so*({size}): size must be even")
-        return _require_simple(algebra(Family.SO_STAR, size // 2))
-    raise ValueError(head)
+    """The algebra `_NAMES` calls head(args); KeyError or ValueError if none."""
+    if len(args) == 2 and (head, args[1]) in _NAMED:
+        family, sizes = _NAMED[head, args[1]], args[:1]
+    else:
+        family, sizes = _NAMED[head, len(args)], args
+    if not all(_SIZE.fullmatch(s) for s in sizes):
+        raise ValueError(sizes)
+    scale = _NAMES[family][2]
+    params = [int(s) for s in sizes]
+    if any(n % scale for n in params):
+        raise OutOfDomain(f"{head}({','.join(args)}): matrix size must be even")
+    return _require_simple(algebra(family, *(n // scale for n in params)))
 
 
 def _require_simple(red: ReductiveAlgebra) -> ReductiveAlgebra:

@@ -110,7 +110,14 @@ class _Row(NamedTuple):
 
 
 def _entry(ambient, source, row):
-    # distinct splits can still coincide through low-rank isomorphisms
+    """The row spec as an IsotropyEntry, or None when no instance is left.
+
+    Instances are deduplicated by isomorphism type, not by class: distinct
+    involution classes with isomorphic fixed algebras keep one instance.
+    su(7,7)'s split row, for one, drops 12 instances such as (kp,kq) against
+    (kq,kp), and distinct splits can coincide through low-rank isomorphisms.
+    An instance equal to the ambient is dropped.
+    """
     kept = dict.fromkeys(row.instances)
     kept.pop(reductive((ambient,)), None)
     if not kept:

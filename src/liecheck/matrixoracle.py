@@ -68,20 +68,6 @@ class MatrixElement:
     operator_rows: tuple = field(compare=False, repr=False)
 
 
-_REAL_SIZE = {
-    Family.SL_R: lambda p: p[0],
-    Family.SO: lambda p: p[0] + p[1],
-    Family.SU: lambda p: 2 * (p[0] + p[1]),
-    Family.SP: lambda p: 4 * (p[0] + p[1]),
-    Family.SO_STAR: lambda p: 4 * p[0],
-    Family.SL_H: lambda p: 4 * p[0],
-    Family.SP_R: lambda p: 2 * p[0],
-    Family.SO_CPT: lambda p: p[0],
-    Family.SU_CPT: lambda p: 2 * p[0],
-    Family.SP_CPT: lambda p: 4 * p[0],
-}
-
-
 # largest realified size N accepted by `model`: an element's operator rows
 # take dim g * N^2 entries, so memory grows as N^4
 MATRIX_SIZE_LIMIT = 64
@@ -89,7 +75,7 @@ MATRIX_SIZE_LIMIT = 64
 
 def model(family: Family, *params: int) -> SimpleAlgebra:
     """Ambient algebra in its defining matrix presentation (not collapsed)."""
-    if family not in _REAL_SIZE:
+    if family not in _SHAPES:
         raise UnsupportedFamily(f"no matrix basis wired for {family.value}")
     if any(type(x) is not int for x in params):
         raise OutOfDomain(f"{family.value}{params}: parameters must be int")
@@ -102,19 +88,22 @@ def model(family: Family, *params: int) -> SimpleAlgebra:
     else:
         if len(params) != 1 or params[0] < 1:
             raise OutOfDomain(f"{family.value} needs one positive parameter")
-    size = _REAL_SIZE[family](params)
+    a = SimpleAlgebra(family, tuple(params))
+    size = _size(a)
     if size > MATRIX_SIZE_LIMIT:
         raise OutOfDomain(
             f"{family.value}{params} acts on R^{size}, past the matrix size limit "
             f"{MATRIX_SIZE_LIMIT}"
         )
-    return SimpleAlgebra(family, tuple(params))
+    return a
 
 
 def _size(a: SimpleAlgebra) -> int:
-    if a.family not in _REAL_SIZE:
+    """Realified matrix size: the F-matrix size times the real dimension of F."""
+    if a.family not in _SHAPES:
         raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
-    return _REAL_SIZE[a.family](a.params)
+    field, _, scale = _SHAPES[a.family]
+    return len(_UNITS[field]["1"]) * scale * sum(a.params)
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +279,29 @@ def _sp_r(_, n):
     return k, p
 
 
+# one row per model family: (field F, shape, scale), where the model is made
+# of F-matrices of size scale * sum(params)
 _SHAPES = {
-    Family.SL_R: ("R", _sl),
-    Family.SL_H: ("H", _sl),
-    Family.SO: ("R", _unitary),
-    Family.SO_CPT: ("R", _unitary),
-    Family.SU: ("C", _unitary),
-    Family.SU_CPT: ("C", _unitary),
-    Family.SP: ("H", _unitary),
-    Family.SP_CPT: ("H", _unitary),
-    Family.SO_STAR: ("H", _so_star),
-    Family.SP_R: ("R", _sp_r),
+    Family.SL_R: ("R", _sl, 1),
+    Family.SO: ("R", _unitary, 1),
+    Family.SU: ("C", _unitary, 1),
+    Family.SP: ("H", _unitary, 1),
+    Family.SO_STAR: ("H", _so_star, 1),
+    Family.SL_H: ("H", _sl, 1),
+    Family.SP_R: ("R", _sp_r, 2),
+    Family.SO_CPT: ("R", _unitary, 1),
+    Family.SU_CPT: ("C", _unitary, 1),
+    Family.SP_CPT: ("H", _unitary, 1),
 }
 
 
 @lru_cache(maxsize=None)
 def _bases(a: SimpleAlgebra):
-    if a.family not in _SHAPES:
-        raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
-    field, shape = _SHAPES[a.family]
-    # F-matrix size: the realified size over the real dimension of F
-    n = _size(a) // len(_UNITS[field]["1"])
+    size = _size(a)
+    field, shape, _ = _SHAPES[a.family]
+    n = size // len(_UNITS[field]["1"])  # F-matrix size
     k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
-    if rank(_dense_rows(k + p, _size(a))) != len(k) + len(p):
+    if rank(_dense_rows(k + p, size)) != len(k) + len(p):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
     return k, p
 

@@ -7,6 +7,7 @@ split line) are additionally pinned against the exact matrix kernel, which
 recomputes the same dimensions from scratch.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -443,28 +444,61 @@ def test_fixed_sets_are_proper_submanifolds():
             assert item.space.dim_s < top, (al.render(a), al.render(item.isotropy))
 
 
-def test_real_rows_complexify_into_the_complex_rows():
-    """Row-by-row consistency between a real form and its complexification.
+@pytest.fixture(scope="module")
+def rows_24():
+    """Every catalog ambient up to size 24, with its involution rows."""
+    return {a: inv.isotropy_entries(a) for a in al.iter_noncompact_simple(24)}
 
-    Every fixed-point subalgebra listed for a real ambient algebra must have
-    a complex counterpart of exactly twice the real dimension in the row set
-    of the complexified ambient algebra.
+
+def test_association_balances_every_row_set(rows_24):
+    """Berger's association sigma -> sigma theta, counted by dimensions.
+
+    For the Cartan involution theta and an involution sigma commuting with
+    it, with fixed set h, sigma theta fixes (k cap h) + (p cap q): the same
+    dim K as h and the complementary dim S.  So over the identity and every
+    instance of every row, as many have (dim K, dim S) = (k, s) as have
+    (k, S - s).  The synthetic Cartan row repeats the class of theta when
+    another row lists it too; that repeat is dropped before counting.
     """
-    for a in al.iter_noncompact_simple(8):
+    repeats = 0
+    for a, entries in rows_24.items():
+        d = al.dims(a)
+        listed = [h for e in entries if e.kind != "compact" for h in e.instances]
+        (cartan,) = [e for e in entries if e.kind == "compact"]
+        if cartan.instances[0] in listed:
+            repeats += 1
+        else:
+            listed.append(cartan.instances[0])
+        count = Counter((x.dim_k, x.dim_s) for x in map(al.reductive_dims, listed))
+        count[d.dim_k, d.dim_s] += 1  # the identity
+        for (dim_k, dim_s), n in count.items():
+            assert count[dim_k, d.dim_s - dim_s] == n, (al.render(a), dim_k, dim_s)
+    assert (len(rows_24), repeats) == (593, 426)
+
+
+def test_real_rows_complexify_into_the_complex_rows(rows_24):
+    """Each real fixed set complexifies into a linear row of g_C.
+
+    h is complexified factor by factor, each abelian dimension becoming a
+    complex line so(2,C); the result must be g_C itself or an instance of
+    a linear row of g_C, the complexification of the real ambient g.
+    """
+    line = red(Family.SO_C, 2)
+    checked = 0
+    for a, entries in rows_24.items():
         if al.is_complex(a):
             continue
-        c = al.complexify(a)
-        assert len(c.simples) == 1 and not c.compact_abelian_dim
-        targets = set()
-        for e in inv.isotropy_entries(c.simples[0]):
-            if e.kind != "linear":
-                continue
-            targets.update(al.reductive_dims(h).dim_g for h in e.instances)
-        for item in inv.instantiations(a):
-            assert 2 * item.space.dim_g in targets, (
-                al.render(a),
-                al.render(item.isotropy),
-            )
+        g_c = al.complexify(a)
+        (c,) = g_c.simples
+        complex_rows = rows_24[c] if c in rows_24 else inv.isotropy_entries(c)
+        targets = {g_c, *(h for e in complex_rows if e.kind == "linear" for h in e.instances)}
+        for e in entries:
+            for h in e.instances:
+                lines = [line] * (h.compact_abelian_dim + h.split_abelian_dim)
+                h_c = plus(*map(al.complexify, h.simples), *lines)
+                assert h_c in targets, (al.render(a), al.render(h), al.render(h_c))
+                checked += 1
+    assert checked == 16884
 
 
 def _eye(n):

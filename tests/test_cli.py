@@ -45,6 +45,22 @@ def test_info_parse_error(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "name", ["sl(1_0,R)", "so(1_0,C)", "sl(٣,R)", "su(1_0)", "su(٣)", "sp(1_0,R)", "so*(１０)"]
+)
+def test_info_sizes_are_ascii_decimal(capsys, name):
+    # int() alone would read these as 10 or 3
+    rc, out, err = run(capsys, "info", name)
+    assert rc == 2 and out == ""
+    assert err == "error: cannot parse algebra token %r (at position 0)\n" % name
+
+
+def test_info_negative_sizes_are_out_of_domain(capsys):
+    rc, out, err = run(capsys, "info", "sl(-3,R)")
+    assert rc == 2 and out == ""
+    assert err == "error: sl_r(-3): size must be >= 1\n"
+
+
 def test_info_so4c_not_simple(capsys):
     rc, _, err = run(capsys, "info", "so(4,C)")
     assert rc == 2 and "sl(2,C)+sl(2,C)" in err

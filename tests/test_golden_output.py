@@ -24,8 +24,12 @@ scope (the semisimple one has an empty `cases` array).  The involution
 rows digest was taken from the code before `isotropy_entries` stopped
 caching its rows and the split rows stopped going through `direct_sum`; it
 pins every row's fields and every instance, in the first-occurrence order
-that `max_fixed_dim` breaks ties by.  Refreeze only when an answer is meant
-to change.
+that `max_fixed_dim` breaks ties by.  The canonical-forms digest was taken
+from the code before the catalog stated its exceptional forms, low-rank
+coincidences and names in one table each; it pins `render(algebra(...))`
+for every family and in-domain parameter tuple up to `SIZE_LIMIT`, both
+signature orders and (0, n) included.  Refreeze only when an answer is
+meant to change.
 """
 
 import hashlib
@@ -48,6 +52,7 @@ from liecheck.algebras import (
     iter_noncompact_simple,
     max_compact,
     out_group,
+    parse_algebra,
     reductive_dims,
     render,
 )
@@ -68,6 +73,8 @@ CATALOG_64_COUNT = 3513
 CATALOG_64_SHA256 = "ae3f74f43dd9f91879c730f44b47a3da54db509538a81b70c11bbe36601a3f30"
 CATALOG_VALUES_64_COUNT = 3513 + 3 * 64
 CATALOG_VALUES_64_SHA256 = "785a445b7adb9044171a18fb56baa705cda21db19bfa0c9bf74a94826ce742fc"
+CANONICAL_FORMS_64_COUNT = 3 * (64 * 65 // 2 + 64) + 10 * 64 + 22
+CANONICAL_FORMS_64_SHA256 = "f9f142dd92609fd230110866a08b11ad905c75479f872f095c24c2401c53d8ff"
 VERIFY_JSON_SHA256 = {
     ("all", "12"): "bcb14958858ea4d71c7b0c80dc7f6e56550ec18b57041266c7b3f0050849827d",
     ("complex", "8"): "091582fcba778e5875fc89924bdacb657f01b6e882e14eba4edb5e362f115eb5",
@@ -136,18 +143,60 @@ def _catalog_value_line(a):
     )
 
 
-def test_catalog_values_at_the_size_limit():
+def _catalog_values():
+    """The catalog at `SIZE_LIMIT`, then every su(n), so(n) and sp(n) up to it."""
     compact = [
         SimpleAlgebra(family, (n,))
         for family in (Family.SU_CPT, Family.SO_CPT, Family.SP_CPT)
         for n in range(1, SIZE_LIMIT + 1)
     ]
-    values = [*iter_noncompact_simple(SIZE_LIMIT), *compact]
+    return [*iter_noncompact_simple(SIZE_LIMIT), *compact]
+
+
+def test_catalog_values_at_the_size_limit():
+    values = _catalog_values()
     assert len(values) == CATALOG_VALUES_64_COUNT
     digest = hashlib.sha256()
     for a in values:
         digest.update(_catalog_value_line(a).encode())
     assert digest.hexdigest() == CATALOG_VALUES_64_SHA256
+
+
+def _in_domain_params(family):
+    """Every parameter tuple `algebra` accepts for `family`, sizes up to `SIZE_LIMIT`."""
+    if family in (Family.SU, Family.SO, Family.SP):
+        return [(p, s - p) for s in range(1, SIZE_LIMIT + 1) for p in range(s + 1)]
+    try:
+        algebra(family)
+    except OutOfDomain:
+        return [(n,) for n in range(1, SIZE_LIMIT + 1)]
+    return [()]
+
+
+def test_canonical_forms_at_the_size_limit():
+    digest = hashlib.sha256()
+    count = 0
+    for family in Family:
+        for params in _in_domain_params(family):
+            x = algebra(family, *params)
+            text = render(x)
+            digest.update(("%s%r\t%s\n" % (family.value, params, text)).encode())
+            count += 1
+            assert parse_algebra(text) == x, (family, params)
+    assert count == CANONICAL_FORMS_64_COUNT
+    assert digest.hexdigest() == CANONICAL_FORMS_64_SHA256
+    # every catalog value, and every exceptional and compact name, parses
+    # back to the canonical form of what it names; so(4) alone names a sum,
+    # which a single token refuses
+    named = [SimpleAlgebra(family) for family in Family if _in_domain_params(family) == [()]]
+    for a in [*_catalog_values(), *named]:
+        want = algebra(a.family, *a.params)
+        if len(want.simples) > 1:
+            assert render(a) == "so(4)"
+            with pytest.raises(OutOfDomain, match="not a simple algebra"):
+                parse_algebra(render(a))
+        else:
+            assert parse_algebra(render(a)) == want, render(a)
 
 
 def test_export_16_payload():
@@ -213,7 +262,7 @@ def test_oracle_max_on_criterion_2_cases():
 
 def _matrix_models_up_to_7():
     """Every wired matrix model with p + q <= 7 or n <= 7 that `model` accepts."""
-    for family in mo._REAL_SIZE:
+    for family in mo._SHAPES:
         two = family in (Family.SO, Family.SU, Family.SP)
         for params in _sizes_up_to(SigFamily.SO_PQ if two else SigFamily.SO_N, 7):
             try:

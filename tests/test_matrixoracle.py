@@ -7,6 +7,7 @@ over exact rationals, so every comparison is literal integer equality.
 """
 
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -406,7 +407,7 @@ def test_integral_fractions_give_the_int_element():
 def test_broken_invariants_raise_named_errors(monkeypatch):
     # dependent basis matrices
     k, p = mo._sl("R", 3)
-    monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p)))
+    monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p), 1))
     with pytest.raises(mo.OracleInvariantError):
         mo._bases.__wrapped__(model(Family.SL_R, 3))
     # blocks that do not fill the coordinates
@@ -419,13 +420,27 @@ def test_broken_invariants_raise_named_errors(monkeypatch):
         matrix_fixed_dims(dataclasses.replace(e, operator_rows=(bump, bump, bump)))
 
 
+def _raise_tests():
+    """This module's tests that expect a raise: named errors, rejected
+    elements and the model domain."""
+    return sorted(
+        name
+        for name, fn in globals().items()
+        if name.startswith("test_") and "pytest.raises" in inspect.getsource(fn)
+    )
+
+
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this run already has -O")
 def test_matrix_tests_pass_under_optimize():
-    # the oracle's invariants are explicit raises, so they survive -O
+    # the oracle's invariants are explicit raises, so they survive -O; the
+    # tests that only check values need no second run
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    names = _raise_tests()
+    assert len(names) == 10
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__))],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+        + ["%s::%s" % (Path(__file__), name) for name in names],
         cwd=root,
         env=env,
         capture_output=True,
@@ -433,3 +448,4 @@ def test_matrix_tests_pass_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "13 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]
