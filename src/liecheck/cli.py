@@ -10,7 +10,9 @@ is written.
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import algebras as al
 from . import centralizers as cz
@@ -145,7 +147,7 @@ _CASE_BLOCK = (
     '      "passed": %s\n'
     "    }"
 )
-_CASES_PER_WRITE = 2000
+_SPOOL_CHUNK = 1 << 20
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -159,31 +161,64 @@ def _case_block(c) -> str:
     )
 
 
-def _write_verify_json(rep, route_counts, worst) -> None:
-    """Print the sweep as json.dump(payload, indent=2) would, a batch of cases per write.
+class _CaseTally:
+    """What `verify` reports about the cases, folded one algebra at a time.
+
+    ``route_counts`` keeps first-seen order, the key order of the JSON
+    document.  ``worst_at`` names the first four algebras, by rendered
+    name, whose smallest strict margin (rank-one and equality cases are
+    not strict) is ``worst``.
+    """
+
+    def __init__(self):
+        self.cases = self.flagged = self.failed = 0
+        self.route_counts = {}
+        self.worst = None
+        self.worst_at = []
+
+    def add(self, a, cases) -> None:
+        strict = None
+        for c in cases:
+            self.route_counts[c.route] = self.route_counts.get(c.route, 0) + 1
+            if c.route == vf.ROUTE_EQUALITY:
+                self.flagged += 1
+            elif c.route != vf.ROUTE_RANK1 and (strict is None or c.margin < strict):
+                strict = c.margin
+            if not c.passed:
+                self.failed += 1
+        self.cases += len(cases)
+        if strict is None:
+            return
+        if self.worst is None or strict < self.worst:
+            self.worst, self.worst_at = strict, [al.render(a)]
+        elif strict == self.worst and len(self.worst_at) < 4:
+            self.worst_at.append(al.render(a))
+
+
+def _write_verify_json(args, tally, passed, products, spool) -> None:
+    """Print the sweep as json.dump(payload, indent=2) would.
 
     The small head and the products go through json.dumps; a value nested
     one level deeper only gains two spaces after each newline, since
-    encoded JSON strings hold no raw newline.  The cases, which are nearly
-    all of the document, are pre-encoded blocks, so neither the whole text
-    nor a dict per case is ever held.
+    encoded JSON strings hold no raw newline.  The head comes before the
+    cases but needs all of their counts, so the cases, nearly all of the
+    document, wait in ``spool`` as pre-encoded blocks and are copied out
+    after it a chunk per write.
     """
     write = sys.stdout.write
     head = json.dumps(
         {
-            "scope": rep.scope,
-            "max_param": rep.max_param,
-            "passed": rep.passed,
-            "route_counts": route_counts,
-            "worst_strict_margin": worst,
+            "scope": args.scope,
+            "max_param": args.max_param,
+            "passed": passed,
+            "route_counts": tally.route_counts,
+            "worst_strict_margin": tally.worst,
         },
         indent=2,
     )
     write(head[: -len("\n}")] + ',\n  "cases": [')
-    cases = rep.cases
-    for start in range(0, len(cases), _CASES_PER_WRITE):
-        batch = cases[start : start + _CASES_PER_WRITE]
-        write((",\n" if start else "\n") + ",\n".join(map(_case_block, batch)))
+    spool.seek(0)
+    shutil.copyfileobj(spool, sys.stdout, _SPOOL_CHUNK)
     products = json.dumps(
         [
             {
@@ -198,40 +233,58 @@ def _write_verify_json(rep, route_counts, worst) -> None:
                 "swap_margin": p.swap_margin,
                 "passed": p.passed,
             }
-            for p in rep.products
+            for p in products
         ],
         indent=2,
     )
-    write(("\n  " if cases else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
+    write(("\n  " if tally.cases else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
 
 
 def _cmd_verify(args) -> int:
-    rep = vf.sweep(args.scope, args.max_param)
-    strict = [c for c in rep.cases if c.route not in (vf.ROUTE_EQUALITY, vf.ROUTE_RANK1)]
-    route_counts = {}
-    for c in rep.cases:
-        route_counts[c.route] = route_counts.get(c.route, 0) + 1
-    worst = min((c.margin for c in strict), default=None)
-    worst_at = sorted(
-        {al.render(c.algebra) for c in strict if c.margin == worst}
-    )[:4] if worst is not None else []
-    if args.json:
-        _write_verify_json(rep, route_counts, worst)
+    per_algebra = vf.iter_algebra_cases(args.scope, args.max_param)
+    if not args.json:
+        return _run_verify(args, per_algebra, None)
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="ascii", newline="")
+    except OSError as exc:
+        print(
+            "error: cannot create a spool file in %s (%s)" % (tempfile.gettempdir(), exc.strerror),
+            file=sys.stderr,
+        )
+        return 2
+    with spool:
+        return _run_verify(args, per_algebra, spool)
+
+
+def _run_verify(args, per_algebra, spool) -> int:
+    """Fold the cases into counts, and with a spool into JSON case blocks,
+    holding one algebra's cases at a time; then print the report."""
+    tally = _CaseTally()
+    for a, cases in per_algebra:
+        if spool is not None and cases:
+            spool.write((",\n" if tally.cases else "\n") + ",\n".join(map(_case_block, cases)))
+        tally.add(a, cases)
+        # let this algebra's cases go before the next one is verified
+        del cases
+    products = vf.product_checks(args.scope, args.max_param)
+    passed = not tally.failed and all(p.passed for p in products)
+    if spool is not None:
+        _write_verify_json(args, tally, passed, products, spool)
     else:
-        print("verify scope=%s max-param=%d" % (rep.scope, rep.max_param))
+        print("verify scope=%s max-param=%d" % (args.scope, args.max_param))
         print(
             "cases: %d total, %d equality-flagged, %d failed"
-            % (len(rep.cases), len(rep.flagged), len(rep.failures))
+            % (tally.cases, tally.flagged, tally.failed)
         )
-        for route in sorted(route_counts):
-            print("  %-18s %d" % (route, route_counts[route]))
-        if worst is not None:
-            print("worst strict margin: %d at %s" % (worst, ", ".join(worst_at)))
-        if rep.products:
-            bad = sum(1 for p in rep.products if not p.passed)
-            print("products: %d checked, %d failed" % (len(rep.products), bad))
-        print("result: %s" % ("PASS" if rep.passed else "FAIL"))
-    return 0 if rep.passed else 1
+        for route in sorted(tally.route_counts):
+            print("  %-18s %d" % (route, tally.route_counts[route]))
+        if tally.worst is not None:
+            print("worst strict margin: %d at %s" % (tally.worst, ", ".join(tally.worst_at)))
+        if products:
+            bad = sum(1 for p in products if not p.passed)
+            print("products: %d checked, %d failed" % (len(products), bad))
+        print("result: %s" % ("PASS" if passed else "FAIL"))
+    return 0 if passed else 1
 
 
 def _cmd_vcd(args) -> int:

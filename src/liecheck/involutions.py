@@ -12,12 +12,12 @@ kind, notes) by three helpers: `_one` for a single instance, `_sum_row` for
 the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq) signature
 splits of so/su/sp(p,q).  Each classical family has one row builder over its
 parameters; `_CLASSICAL_ROWS` pairs it with the family's source label, and
-`_EXCEPTIONAL_ROWS` lists the exceptional rows.  `isotropy_entries` alone
-turns specs into `IsotropyEntry` values, dropping instances equal to the
-ambient and repeats that low-rank isomorphisms create.  Rows are built on
-each call and not kept: nothing in this module holds an algebra's rows
-after its caller lets them go.  Algebras whose size parameter exceeds
-`SIZE_LIMIT` get no rows.
+`_EXCEPTIONAL_ROWS` pairs each exceptional family's rows with theirs.
+`isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
+instances equal to the ambient and repeats that low-rank isomorphisms
+create.  Rows are built on each call and not kept: nothing in this module
+holds an algebra's rows after its caller lets them go.  Algebras whose size
+parameter exceeds `SIZE_LIMIT` get no rows.
 
 The two forms whose outer automorphism group has order-3 elements carry a
 separate list of order-3 fixed-point classes.
@@ -333,30 +333,31 @@ def _real_forms(*forms):
     return tuple(_one(render(algebra(f)), algebra(f), kind=REAL_FORM) for f in forms)
 
 
-# Rows of the exceptional families: the fixed rows of the real forms, and the
-# linear rows of the complex algebras followed by their real forms.
+# family -> (source label, rows) for the exceptional families: the fixed rows
+# of the real forms, and the linear rows of the complex algebras followed by
+# their real forms.
 _EXCEPTIONAL_ROWS = {
-    Family.G2_2: (
+    Family.G2_2: ("g2-family", (
         _one("sl(2,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 2), algebra(Family.SL_R, 2))),
-    ),
-    Family.F4_4: (
+    )),
+    Family.F4_4: ("f4-family", (
         _one("sp(6,R)+sp(2,R)", direct_sum(algebra(Family.SP_R, 3), algebra(Family.SP_R, 1))),
         _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
         _one("so(4,5)", algebra(Family.SO, 4, 5)),
-    ),
-    Family.F4_M20: (
+    )),
+    Family.F4_M20: ("f4-family", (
         _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
         _one("so(1,8)", algebra(Family.SO, 1, 8)),
-    ),
-    Family.E6_6: (
+    )),
+    Family.E6_6: ("e6-family", (
         _one("sp(2,2)", algebra(Family.SP, 2, 2)),
         _one("sp(8,R)", algebra(Family.SP_R, 4)),
         _one("sl(6,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 6), algebra(Family.SL_R, 2))),
         _one("sl(3,H)+su(2)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SU_CPT, 2))),
         _one("so(5,5)+so(1,1)", direct_sum(algebra(Family.SO, 5, 5), SPLIT_LINE)),
         _one("f4(4)", algebra(Family.F4_4)),
-    ),
-    Family.E6_2: (
+    )),
+    Family.E6_2: ("e6-family", (
         _one("sp(1,3)", algebra(Family.SP, 1, 3)),
         _one("sp(8,R)", algebra(Family.SP_R, 4)),
         _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
@@ -364,22 +365,22 @@ _EXCEPTIONAL_ROWS = {
         _one("so(4,6)+so(2)", direct_sum(algebra(Family.SO, 4, 6), COMPACT_LINE)),
         _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
         _one("f4(4)", algebra(Family.F4_4)),
-    ),
-    Family.E6_M14: (
+    )),
+    Family.E6_M14: ("e6-family", (
         _one("sp(2,2)", algebra(Family.SP, 2, 2)),
         _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
         _one("su(1,5)+sl(2,R)", direct_sum(algebra(Family.SU, 1, 5), algebra(Family.SL_R, 2))),
         _one("so(2,8)+so(2)", direct_sum(algebra(Family.SO, 2, 8), COMPACT_LINE)),
         _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
         _one("f4(-20)", algebra(Family.F4_M20)),
-    ),
-    Family.E6_M26: (
+    )),
+    Family.E6_M26: ("e6-family", (
         _one("sp(1,3)", algebra(Family.SP, 1, 3)),
         _one("sl(3,H)+sp(1)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SP_CPT, 1))),
         _one("so(1,9)+so(1,1)", direct_sum(algebra(Family.SO, 1, 9), SPLIT_LINE)),
         _one("f4(-20)", algebra(Family.F4_M20)),
-    ),
-    Family.E7_7: (
+    )),
+    Family.E7_7: ("e7-family", (
         _one("su(4,4)", algebra(Family.SU, 4, 4)),
         _one("sl(8,R)", algebra(Family.SL_R, 8)),
         _one("sl(4,H)", algebra(Family.SL_H, 4)),
@@ -387,8 +388,8 @@ _EXCEPTIONAL_ROWS = {
         _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
         _one("e6(6)+so(1,1)", direct_sum(algebra(Family.E6_6), SPLIT_LINE)),
         _one("e6(2)+so(2)", direct_sum(algebra(Family.E6_2), COMPACT_LINE)),
-    ),
-    Family.E7_M5: (
+    )),
+    Family.E7_M5: ("e7-family", (
         _one("su(4,4)", algebra(Family.SU, 4, 4)),
         _one("su(2,6)", algebra(Family.SU, 2, 6)),
         _one("so(4,8)+su(2)", direct_sum(algebra(Family.SO, 4, 8), algebra(Family.SU_CPT, 2))),
@@ -399,54 +400,54 @@ _EXCEPTIONAL_ROWS = {
             notes=_PRODUCT_SIGN_NOTE,
         ),
         _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
-    ),
-    Family.E7_M25: (
+    )),
+    Family.E7_M25: ("e7-family", (
         _one("sl(4,H)", algebra(Family.SL_H, 4)),
         _one("su(2,6)", algebra(Family.SU, 2, 6)),
         _one("so(2,10)+sl(2,R)", direct_sum(algebra(Family.SO, 2, 10), algebra(Family.SL_R, 2))),
         _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
         _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
         _one("e6(-26)+so(1,1)", direct_sum(algebra(Family.E6_M26), SPLIT_LINE)),
-    ),
-    Family.E8_8: (
+    )),
+    Family.E8_8: ("e8-family", (
         _one("e7(7)+sl(2,R)", direct_sum(algebra(Family.E7_7), algebra(Family.SL_R, 2))),
         _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
         _one("so(8,8)", algebra(Family.SO, 8, 8)),
         _one("so*(16)", algebra(Family.SO_STAR, 8)),
-    ),
-    Family.E8_M24: (
+    )),
+    Family.E8_M24: ("e8-family", (
         _one("e7(-25)+sl(2,R)", direct_sum(algebra(Family.E7_M25), algebra(Family.SL_R, 2))),
         _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
         _one("so(4,12)", algebra(Family.SO, 4, 12)),
         _one("so*(16)", algebra(Family.SO_STAR, 8)),
-    ),
-    Family.G2_C: (
+    )),
+    Family.G2_C: ("g2-family", (
         _one("sl(2,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 2), algebra(Family.SL_C, 2))),
         *_real_forms(Family.G2_2),
-    ),
-    Family.F4_C: (
+    )),
+    Family.F4_C: ("f4-family", (
         _one("sp(6,C)+sp(2,C)", direct_sum(algebra(Family.SP_C, 3), algebra(Family.SP_C, 1))),
         _one("so(9,C)", algebra(Family.SO_C, 9)),
         *_real_forms(Family.F4_4, Family.F4_M20),
-    ),
-    Family.E6_C: (
+    )),
+    Family.E6_C: ("e6-family", (
         _one("sp(8,C)", algebra(Family.SP_C, 4)),
         _one("sl(6,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 6), algebra(Family.SL_C, 2))),
         _one("so(10,C)+so(2,C)", direct_sum(algebra(Family.SO_C, 10), algebra(Family.SO_C, 2))),
         _one("f4(C)", algebra(Family.F4_C)),
         *_real_forms(Family.E6_6, Family.E6_2, Family.E6_M14, Family.E6_M26),
-    ),
-    Family.E7_C: (
+    )),
+    Family.E7_C: ("e7-family", (
         _one("sl(8,C)", algebra(Family.SL_C, 8)),
         _one("so(12,C)+sl(2,C)", direct_sum(algebra(Family.SO_C, 12), algebra(Family.SL_C, 2))),
         _one("e6(C)+so(2,C)", direct_sum(algebra(Family.E6_C), algebra(Family.SO_C, 2))),
         *_real_forms(Family.E7_7, Family.E7_M5, Family.E7_M25),
-    ),
-    Family.E8_C: (
+    )),
+    Family.E8_C: ("e8-family", (
         _one("e7(C)+sl(2,C)", direct_sum(algebra(Family.E7_C), algebra(Family.SL_C, 2))),
         _one("so(16,C)", algebra(Family.SO_C, 16)),
         *_real_forms(Family.E8_8, Family.E8_M24),
-    ),
+    )),
 }
 
 
@@ -481,7 +482,7 @@ def isotropy_entries(a):
         source, rows_of = _CLASSICAL_ROWS[fam]
         rows = rows_of(*a.params)
     else:
-        source, rows = f"{fam.value[:2]}-family", _EXCEPTIONAL_ROWS[fam]
+        source, rows = _EXCEPTIONAL_ROWS[fam]
     entries = [_entry(a, source, row) for row in rows]
     entries.append(_entry(a, "cartan", _one("compact", max_compact(a), kind=CARTAN)))
     return tuple(e for e in entries if e is not None)

@@ -35,8 +35,7 @@ Routes
 """
 
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import involutions as inv
 from . import matrixoracle as mo
@@ -584,39 +583,61 @@ def _product_demos(max_param: int):
     return demos
 
 
-def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
-    """Run every applicable route over the catalog up to ``max_param``.
+def _sorted_cases(a: SimpleAlgebra) -> list:
+    cases = verify_case(a)
+    cases.sort(key=lambda c: (c.route, -c.margin, c.witness))
+    return cases
 
-    ``max_param`` runs from 2 to ``SIZE_LIMIT``; other values raise
-    OutOfDomain.
 
-    ``cases`` lists the algebras by rendered name and, within one algebra,
-    its cases by route, then by decreasing margin, then by witness.
+def iter_algebra_cases(scope: str = "all", max_param: int = 32) -> Iterator[tuple]:
+    """Yield ``(algebra, cases)`` for every catalog algebra in ``scope``.
+
+    The algebras come by rendered name and, within one algebra, its cases
+    by route, then by decreasing margin, then by witness; rendered names
+    are distinct, so this is the global order by (name, route, -margin,
+    witness).  Each algebra is verified only when it is reached, so a
+    caller that lets each list go holds one algebra's cases at a time.
+
+    A scope outside ``complex``, ``real``, ``semisimple`` and ``all``
+    raises ValueError, and ``max_param`` outside 2 to ``SIZE_LIMIT``
+    raises OutOfDomain, both at the call rather than at the first item.
     """
     if scope not in _SCOPES:
         raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
     require_max_param(max_param)
-    by_algebra = []
+    algebras = []
     if scope != "semisimple":
-        for a in iter_noncompact_simple(max_param):
-            if scope == "complex" and not is_complex(a):
-                continue
-            if scope == "real" and is_complex(a):
-                continue
-            results = verify_case(a)
-            results.sort(key=lambda c: (c.route, -c.margin, c.witness))
-            by_algebra.append((render(a), results))
-    # rendered names are distinct, so this is the global order by
-    # (name, route, -margin, witness) at one render per algebra
-    by_algebra.sort(key=itemgetter(0))
-    cases = tuple(c for _, results in by_algebra for c in results)
-    products = []
-    if scope in ("semisimple", "all"):
-        products = [check_semisimple(pair) for pair in _product_demos(max_param)]
+        algebras = [
+            a
+            for a in iter_noncompact_simple(max_param)
+            if scope == "all" or is_complex(a) == (scope == "complex")
+        ]
+    algebras.sort(key=render)
+    return ((a, _sorted_cases(a)) for a in algebras)
+
+
+def product_checks(scope: str, max_param: int) -> tuple:
+    """The product demos a sweep of ``scope`` checks: none unless the scope
+    is ``semisimple`` or ``all``."""
+    if scope not in ("semisimple", "all"):
+        return ()
+    return tuple(check_semisimple(pair) for pair in _product_demos(max_param))
+
+
+def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
+    """Run every applicable route over the catalog up to ``max_param``.
+
+    This materializes ``iter_algebra_cases``: ``cases`` holds every case of
+    every algebra, in its order.  ``max_param`` runs from 2 to
+    ``SIZE_LIMIT``; other values raise OutOfDomain.
+    """
+    per_algebra = iter_algebra_cases(scope, max_param)
+    cases = tuple(c for _, results in per_algebra for c in results)
+    products = product_checks(scope, max_param)
     flagged = tuple(c for c in cases if c.route == ROUTE_EQUALITY)
     failures = tuple(c for c in cases if not c.passed)
     passed = not failures and all(p.passed for p in products)
-    return SweepReport(scope, max_param, cases, tuple(products), flagged, failures, passed)
+    return SweepReport(scope, max_param, cases, products, flagged, failures, passed)
 
 
 def maximal_rank_rows() -> list:
@@ -688,7 +709,9 @@ __all__ = [
     "check_semisimple",
     "check_triality",
     "f44_equality_case",
+    "iter_algebra_cases",
     "maximal_rank_rows",
+    "product_checks",
     "rank1_shortcut",
     "restricted_rows",
     "sweep",

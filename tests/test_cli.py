@@ -1,11 +1,14 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+import weakref
 from importlib import resources
 from pathlib import Path
 
@@ -317,6 +320,43 @@ def test_verify_json_into_a_closed_pipe_exits_141(unbuffered):
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert head.startswith(b'{\n  "scope": "all"')
     assert err == b""
+
+
+class _CaseList(list):
+    """A list of cases that a weakref can follow."""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_verify_holds_one_algebra_at_a_time(monkeypatch, json_flag):
+    # when an algebra is verified, no earlier algebra's cases are alive
+    lists = []
+    alive_at_call = []
+    original = vf.verify_case
+
+    def tracked(a):
+        if any(ref() is not None for ref in lists):
+            gc.collect()  # a list kept only by a reference cycle is not held
+        alive_at_call.append(sum(1 for ref in lists if ref() is not None))
+        cases = _CaseList(original(a))
+        lists.append(weakref.ref(cases))
+        return cases
+
+    monkeypatch.setattr(vf, "verify_case", tracked)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert cli.main(["verify", "--max-param", "12", *json_flag]) == 0
+    assert len(alive_at_call) > 100
+    assert alive_at_call == [0] * len(alive_at_call)
+
+
+def test_verify_json_without_a_spool_exits_2(tmp_path, capsys, monkeypatch):
+    # the cases wait in a temporary file behind the head; with nowhere to
+    # put it, nothing is printed, and the text report needs no such file
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    rc, out, err = run(capsys, "verify", "--json", "--max-param", "8")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: cannot create a spool file in ") and "missing" in err
+    rc, out, _ = run(capsys, "verify", "--max-param", "8")
+    assert rc == 0 and out.endswith("result: PASS\n")
 
 
 @pytest.mark.parametrize("size", ["-3", "0", "1"])

@@ -20,16 +20,19 @@ su(n), so(n) and sp(n) up to it.  The `verify --json` digests were taken
 from the code before that command stopped handing its whole payload to
 `json.dump` and began streaming pre-encoded case blocks; they pin the
 bytes of the document, indentation and key order included, for each
-scope (the semisimple one has an empty `cases` array).  The involution
-rows digest was taken from the code before `isotropy_entries` stopped
-caching its rows and the split rows stopped going through `direct_sum`; it
-pins every row's fields and every instance, in the first-occurrence order
-that `max_fixed_dim` breaks ties by.  The canonical-forms digest was taken
-from the code before the catalog stated its exceptional forms, low-rank
-coincidences and names in one table each; it pins `render(algebra(...))`
-for every family and in-domain parameter tuple up to `SIZE_LIMIT`, both
-signature orders and (0, n) included.  Refreeze only when an answer is
-meant to change.
+scope (the semisimple one has an empty `cases` array).  The text
+`verify` digests were taken from the code before `verify` stopped holding
+every case of the sweep and began folding its counts one algebra at a
+time; they pin the printed report for the same scopes and sizes.  The
+involution rows digest was taken from the code before `isotropy_entries`
+stopped caching its rows and the split rows stopped going through
+`direct_sum`; it pins every row's fields and every instance, in the
+first-occurrence order that `max_fixed_dim` breaks ties by.  The
+canonical-forms digest was taken from the code before the catalog stated
+its exceptional forms, low-rank coincidences and names in one table each;
+it pins `render(algebra(...))` for every family and in-domain parameter
+tuple up to `SIZE_LIMIT`, both signature orders and (0, n) included.
+Refreeze only when an answer is meant to change.
 """
 
 import hashlib
@@ -80,6 +83,13 @@ VERIFY_JSON_SHA256 = {
     ("complex", "8"): "091582fcba778e5875fc89924bdacb657f01b6e882e14eba4edb5e362f115eb5",
     ("real", "6"): "23e775ef7189711f0dd310d7ada317e6d75c6ff5bbe166f589c72ff0be21aa9b",
     ("semisimple", "5"): "2a7e357801250f6e06ddf22c51886b8da2119e1117dc7feb1d02e676fe3ebf0d",
+}
+
+VERIFY_TEXT_SHA256 = {
+    ("all", "12"): "4dc261d1b9ff5b88646c24dcfc811ac6471a03679680ed07e4e2e7beba327835",
+    ("complex", "8"): "8239e801f14902b9903b09671efe9fecb3b1bf3ac0b4c5ee0e6fe230ae833964",
+    ("real", "6"): "a8ceab7679712fbc15d14472b4735f1a5fdec80762db6a2f156d8e87b59cfb2e",
+    ("semisimple", "5"): "0868f4781ea55e3cf5c8b3b5a816bc1ffca63cf8b61f1c417af9526b336d543e",
 }
 
 
@@ -216,6 +226,13 @@ def test_verify_json_stdout(capsys, scope, max_param):
     assert cli.main(["verify", "--json", "--scope", scope, "--max-param", max_param]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_JSON_SHA256[scope, max_param]
+
+
+@pytest.mark.parametrize("scope,max_param", sorted(VERIFY_TEXT_SHA256))
+def test_verify_text_stdout(capsys, scope, max_param):
+    assert cli.main(["verify", "--scope", scope, "--max-param", max_param]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_TEXT_SHA256[scope, max_param]
 
 
 def _sizes_up_to(family, total):

@@ -4,6 +4,10 @@ Expected values come from two independent places: hand-counted block
 decompositions of centralizers (frozen integers below) and the closed-form
 signature recipes.  The matrix route computes kernels of X -> AXA^-1 - X
 over exact rationals, so every comparison is literal integer equality.
+
+The tests here that expect a raise are rerun under ``python -O``.  This
+module imports no hypothesis, so that run starts without it; the random
+rotation check is in test_matrix_conjugation.py.
 """
 
 import dataclasses
@@ -15,8 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from liecheck import matrixoracle as mo
 from liecheck.algebras import Family, OutOfDomain
@@ -327,25 +329,6 @@ def test_conjugation_invariance_hand_picked():
     assert matrix_fixed_dims(moved) == FixedDims(16, 6, 10)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    t=st.fractions(min_value=-3, max_value=3, max_denominator=8),
-    u=st.fractions(min_value=-3, max_value=3, max_denominator=8),
-)
-def test_conjugation_invariance_rational_rotations(t, u):
-    # (1-t^2, 2t)/(1+t^2) runs over rational points of the circle
-    base = from_signature(sig(SigFamily.SO_PQ, (2, 3), (1, 0, 1), (2, 1, 1)))
-    rows = [list(r) for r in base.entries]
-    for pos, w in ((2, t), (3, u)):
-        c = (1 - w * w) / (1 + w * w)
-        s = 2 * w / (1 + w * w)
-        p = rotation(5, pos, pos + 1, c, s)
-        pinv = rotation(5, pos, pos + 1, c, -s)
-        rows = mul(mul(p, rows), pinv)
-    moved = element(model(Family.SO, 2, 3), rows)
-    assert matrix_fixed_dims(moved) == FixedDims(4, 2, 2)
-
-
 def test_g22_rotation_case_report():
     r = g22_case()
     assert r.ambient.family is Family.SO and r.ambient.params == (3, 4)
@@ -433,9 +416,12 @@ def _raise_tests():
 @pytest.mark.skipif(sys.flags.optimize > 0, reason="this run already has -O")
 def test_matrix_tests_pass_under_optimize():
     # the oracle's invariants are explicit raises, so they survive -O; the
-    # tests that only check values need no second run
+    # tests that only check values need no second run.  The run loads no
+    # plugin packages: the hypothesis plugin imports all of hypothesis at
+    # the end of a session, most of the run's time under -O.
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     names = _raise_tests()
     assert len(names) == 10
     proc = subprocess.run(

@@ -372,6 +372,34 @@ def test_sweep_case_order(scope):
     assert isinstance(rep.cases, tuple) and isinstance(rep.flagged, tuple)
 
 
+@pytest.mark.parametrize(
+    "scope, size, error", [("everything", 8, ValueError), ("all", 1, al.OutOfDomain)]
+)
+def test_iter_algebra_cases_checks_its_arguments_at_the_call(scope, size, error):
+    # a generator function would only raise at the first next()
+    with pytest.raises(error):
+        vf.iter_algebra_cases(scope, size)
+
+
+def test_iter_algebra_cases_verifies_an_algebra_when_it_is_reached(monkeypatch):
+    reached = []
+    original = vf.verify_case
+
+    def recording(a):
+        reached.append(a)
+        return original(a)
+
+    monkeypatch.setattr(vf, "verify_case", recording)
+    per_algebra = vf.iter_algebra_cases("real", 8)
+    assert reached == []
+    first, cases = next(per_algebra)
+    assert reached == [first] and cases
+    rest = list(per_algebra)
+    assert [a for a, _ in rest] == reached[1:]
+    streamed = [c for _, group in [(first, cases), *rest] for c in group]
+    assert streamed == list(vf.sweep("real", 8).cases)
+
+
 def test_sweep_cases_grow_with_max_param():
     for m in (2, 3, 8, 12):
         small, large = vf.sweep("all", m).cases, vf.sweep("all", m + 1).cases
