@@ -1,17 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Entries are plain Python ints (arbitrary precision) or fractions.Fraction;
-there is no floating point and hence no tolerance anywhere.  Rank is
-computed by fraction-free Bareiss elimination after splitting the matrix
-into connected components of its nonzero pattern -- the operators arising
-from block-diagonal group elements decompose into many small blocks, and
-eliminating them separately keeps the integer growth down.
+there is no floating point and hence no tolerance anywhere.
 
-Only nonzero entries are ever looked at past a zero count: a row whose
-nonzero entries are all ints hands them on as they are, and only a row
-holding some other rational (a Fraction, or an int-like such as a bool) is
-scaled by the lcm of its denominators into ints.  Elimination runs on
-fresh blocks, so the caller's rows are never mutated.
+A sparse row is a pair (columns, values): strictly increasing columns and
+a nonzero value for each, so an all-zero row has no columns.
+`sparse_ranks` ranks several sets of such rows at once.  It splits the
+columns of their union once into classes joined through shared rows, and
+ranks each set class by class: the operators arising from block-diagonal
+group elements decompose into many small blocks, and eliminating them
+separately keeps the integer growth down.  A class holding a single row of
+a set counts 1.  A larger one goes to fraction-free Bareiss elimination,
+unless it holds the same rows as when it was last eliminated: then it
+takes that rank again.  Elimination runs on fresh blocks, so the caller's
+rows are never mutated: a row whose values are all ints is packed as it
+is, and a row holding any other rational (a Fraction, or an int-like such
+as a bool) is scaled by the lcm of its denominators into ints.
+
+`rank` takes dense rows and hands their nonzeros to the same code.
 """
 
 from fractions import Fraction
@@ -56,29 +62,31 @@ def bareiss_rank(m):
     return row
 
 
-def _sparse_rows(rows, nc):
-    """(columns, values) of the nonzero entries of every nonzero row.
-
-    Values of a row that are all ints are taken as they are; a row holding
-    any other rational is scaled by the lcm of its denominators into ints.
-    """
-    cols = list(range(nc))
-    out = []
-    for row in rows:
-        if row.count(0) == nc:
-            continue
-        sup = list(compress(cols, row))
-        vals = [row[c] for c in sup]
-        if not set(map(type, vals)) <= _INT_ONLY:
+def _block_rank(rows):
+    """Rank of sparse rows packed densely over the columns they use."""
+    block_cols = {c for cols, _ in rows for c in cols}
+    remap = dict(zip(block_cols, range(len(block_cols))))
+    width = len(block_cols)
+    block = []
+    for cols, vals in rows:
+        if not _INT_ONLY.issuperset(map(type, vals)):
             fracs = [Fraction(x) for x in vals]
             scale = lcm(*(x.denominator for x in fracs))
             vals = [int(x * scale) for x in fracs]
-        out.append((sup, vals))
-    return out
+        packed = [0] * width
+        for c, x in zip(cols, vals):
+            packed[remap[c]] = x
+        block.append(packed)
+    return bareiss_rank(block)
 
 
-def _components(rows):
-    """Split sparse rows into dense blocks connected through nonzero entries."""
+def sparse_ranks(row_sets):
+    """Exact rank of each set of sparse rows, over one column partition.
+
+    The partition is taken from the union of the sets, so it may be coarser
+    than one set alone needs; rows of different classes never share a
+    column, so each set's rank is the sum of its ranks per class.
+    """
     parent = {}
 
     def find(a):
@@ -87,36 +95,49 @@ def _components(rows):
             a = parent[a]
         return a
 
-    for sup, _ in rows:
-        for c in sup:
-            parent.setdefault(c, c)
-        root = find(sup[0])
-        for c in sup[1:]:
-            rc = find(c)
-            if rc != root:
-                parent[rc] = root
+    # a row shared between sets is joined once; an all-zero row joins nothing
+    rows = {id(row): row for row_set in row_sets for row in row_set if row[0]}
+    get = parent.get
+    for cols, _ in rows.values():
+        root = find(parent.setdefault(cols[0], cols[0]))
+        for c in cols[1:]:
+            rc = get(c)
+            if rc is None:
+                parent[c] = root
+            elif rc != root:
+                rc = find(rc)
+                if rc != root:
+                    parent[rc] = root
+    cls = {i: find(row[0][0]) for i, row in rows.items()}
 
-    by_root = {}
-    for row in rows:
-        by_root.setdefault(find(row[0][0]), []).append(row)
-
-    blocks = []
-    for members in by_root.values():
-        block_cols = sorted({c for sup, _ in members for c in sup})
-        remap = {c: j for j, c in enumerate(block_cols)}
-        block = []
-        for sup, vals in members:
-            packed = [0] * len(block_cols)
-            for c, x in zip(sup, vals):
-                packed[remap[c]] = x
-            block.append(packed)
-        blocks.append(block)
-    return blocks
+    out = []
+    last = {}  # class -> (its rows, their rank) as last eliminated
+    for row_set in row_sets:
+        by_class = {}
+        for row in row_set:
+            key = cls.get(id(row))
+            if key is not None:
+                by_class.setdefault(key, []).append(row)
+        total = 0
+        for key, members in by_class.items():
+            if len(members) == 1:
+                total += 1
+                continue
+            prior = last.get(key)
+            if prior is None or prior[0] != members:
+                prior = last[key] = (members, _block_rank(members))
+            total += prior[1]
+        out.append(total)
+    return out
 
 
 def rank(rows):
-    """Exact rank of a matrix given as a list of equal-length rows."""
+    """Exact rank of a matrix given as a list of equal-length dense rows."""
     if not rows:
         return 0
-    blocks = _components(_sparse_rows(rows, len(rows[0])))
-    return sum(bareiss_rank(block) for block in blocks)
+    cols = range(len(rows[0]))
+    sparse = []
+    for row in rows:
+        sup = list(compress(cols, row))
+        sparse.append((sup, [row[c] for c in sup]))
+    return sparse_ranks([sparse])[0]

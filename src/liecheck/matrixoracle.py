@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
-from liecheck._exact import rank
+from liecheck._exact import sparse_ranks
 from liecheck.algebras import Family, OutOfDomain, SimpleAlgebra
 from liecheck.centralizers import OracleInvariantError, SigFamily, Signature, signature_dim
 
@@ -57,9 +57,11 @@ class MatrixElement:
     """A validated finite-order element in the defining representation.
 
     Integral entries are ints, the others Fractions.  ``operator_rows`` holds
-    A M A^-1 - M, flattened, for every basis matrix M of the ambient (the k
-    basis first, then p): the rows of X -> A X A^-1 - X that validation
-    checked and that `matrix_fixed_dims` eliminates.
+    A M A^-1 - M for every basis matrix M of the ambient (the k basis first,
+    then p): the rows of X -> A X A^-1 - X that validation checked and that
+    `matrix_fixed_dims` eliminates.  Each is a sparse row in the sense of
+    `liecheck._exact`: the flattened cells i * N + j it reaches, strictly
+    increasing, and their nonzero values.
     """
 
     ambient: SimpleAlgebra
@@ -68,8 +70,10 @@ class MatrixElement:
     operator_rows: tuple = field(compare=False, repr=False)
 
 
-# largest realified size N accepted by `model`: an element's operator rows
-# take dim g * N^2 entries, so memory grows as N^4
+# largest realified size N accepted by `model`.  An element's operator rows
+# keep only their nonzeros: a few per basis matrix for the signed
+# permutations and diagonals built here, but up to N^2 each for a dense
+# element, whose rows can still take dim g * N^2 entries
 MATRIX_SIZE_LIMIT = 64
 
 
@@ -138,46 +142,41 @@ def _mul(a, b):
 
 
 def _is_identity(m):
-    return all(
-        x == (1 if i == j else 0)
-        for i, row in enumerate(m)
-        for j, x in enumerate(row)
+    return m == _eye(len(m))
+
+
+def _sparse_rows(basis, n):
+    """Sparse basis matrices as sparse rows over the n * n flattened cells."""
+    return tuple(
+        (tuple(i * n + j for i, j, _ in m), tuple(x for _, _, x in m)) for m in basis
     )
 
 
-def _dense_rows(basis, n):
-    """Sparse basis matrices as flattened dense rows of length n * n."""
-    rows = []
-    for m in basis:
-        row = [0] * (n * n)
-        for i, j, x in m:
-            row[i * n + j] = x
-        rows.append(row)
-    return rows
-
-
 def _operator_rows(a, inv, basis):
-    """A M A^-1 - M, flattened, for each sparse basis matrix M.
+    """A M A^-1 - M as a sparse row, for each sparse basis matrix M.
 
     A E_ij A^-1 is column i of A times row j of A^-1, so only the nonzeros
-    of M, of those columns and of those rows are ever touched.
+    of M, of those columns and of those rows are ever touched, and only the
+    cells they reach are accumulated.
     """
     n = len(a)
-    cols = [[(r, a[r][i]) for r in range(n) if a[r][i]] for i in range(n)]
+    cols = [[(r * n, a[r][i]) for r in range(n) if a[r][i]] for i in range(n)]
     inv_rows = [[(c, y) for c, y in enumerate(row) if y] for row in inv]
     out = []
     for m in basis:
-        row = [0] * (n * n)
+        acc = {}
         for i, j, x in m:
-            row[i * n + j] -= x
+            cell = i * n + j
+            acc[cell] = acc.get(cell, 0) - x
             targets = inv_rows[j]
-            for r, ar in cols[i]:
-                base = r * n
+            for base, ar in cols[i]:
                 coeff = ar * x
                 for c, y in targets:
-                    row[base + c] += coeff * y
-        out.append(row)
-    return out
+                    cell = base + c
+                    acc[cell] = acc.get(cell, 0) + coeff * y
+        keep = sorted(cell for cell, v in acc.items() if v)
+        out.append((keep, list(map(acc.__getitem__, keep))))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +300,16 @@ def _bases(a: SimpleAlgebra):
     field, shape, _ = _SHAPES[a.family]
     n = size // len(_UNITS[field]["1"])  # F-matrix size
     k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
-    if rank(_dense_rows(k + p, size)) != len(k) + len(p):
+    if sparse_ranks([_sparse_rows(k + p, size)]) != [len(k) + len(p)]:
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
     return k, p
+
+
+@lru_cache(maxsize=None)
+def _basis_rows(a: SimpleAlgebra):
+    """The sparse rows of `_bases`, the k basis first, then p."""
+    k, p = _bases(a)
+    return _sparse_rows(k + p, _size(a))
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +325,16 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
     for r in rows:
         out = []
         for x in r:
-            if isinstance(x, float):
+            if type(x) is int:
+                out.append(x)
+            elif type(x) is Fraction:
+                out.append(x.numerator if x.denominator == 1 else x)
+            elif isinstance(x, float):
                 raise InvalidElement("floating point entries are not exact")
-            x = Fraction(x)
-            out.append(x.numerator if x.denominator == 1 else x)
+            else:
+                raise InvalidElement(
+                    f"entries must be int or Fraction, not {type(x).__name__}"
+                )
         a.append(out)
 
     a2 = _mul(a, a)
@@ -337,18 +349,19 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
 
     bk, bp = _bases(ambient)
     nk = len(bk)
-    basis = _dense_rows(bk + bp, n)
+    basis = _basis_rows(ambient)
     moved = _operator_rows(a, inv, bk + bp)
     # span(B, A B A^-1) = span(B, A B A^-1 - B): the basis is carried into
     # its own span exactly when appending the operator rows keeps the rank
-    if rank(basis + moved) != len(basis):
+    full, compact = sparse_ranks([basis + moved, basis[:nk] + moved[:nk]])
+    if full != len(basis):
         raise InvalidElement("conjugation does not preserve the ambient algebra")
-    if rank(basis[:nk] + moved[:nk]) != nk:
+    if compact != nk:
         raise InvalidElement(
             "conjugation must preserve the maximal compact subalgebra; "
             "bring the element to the standard orthogonal position first"
         )
-    return MatrixElement(ambient, tuple(tuple(r) for r in a), order, tuple(moved))
+    return MatrixElement(ambient, tuple(tuple(r) for r in a), order, moved)
 
 
 def identity_element(ambient: SimpleAlgebra) -> MatrixElement:
@@ -482,11 +495,11 @@ def from_signature(sig: Signature) -> MatrixElement:
 def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
     """(dim C_g(A), dim C_k(A), dim S^A) by exact kernel computation."""
     nk = len(_bases(e.ambient)[0])
-    rows_k = list(e.operator_rows[:nk])
-    rows_p = list(e.operator_rows[nk:])
-    fixed_k = nk - rank(rows_k)
-    fixed_p = len(rows_p) - rank(rows_p)
-    fixed_g = len(e.operator_rows) - rank(rows_k + rows_p)
+    rows = e.operator_rows
+    rank_k, rank_p, rank_g = sparse_ranks([rows[:nk], rows[nk:], rows])
+    fixed_k = nk - rank_k
+    fixed_p = len(rows) - nk - rank_p
+    fixed_g = len(rows) - rank_g
     # a validated element respects the k/p split, so the counts must add up
     if fixed_g != fixed_k + fixed_p:
         raise OracleInvariantError(

@@ -192,6 +192,43 @@ def test_oracle_matrix_q_split(capsys):
     assert "dim S^A = 16" in out
 
 
+# runs the CLI and reports the peak RSS of its own address space, in kB, on
+# stderr.  ru_maxrss would not do: across exec it keeps the peak of the
+# process that spawned it, here the whole pytest run.
+_CLI_WITH_PEAK_RSS = """
+import sys
+from liecheck.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as f:
+    print(f.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_oracle_matrix_at_the_size_limit_stays_small():
+    # so(64) acts on R^64 with 2016 basis matrices: dense operator rows took
+    # 2016 x 64^2 cells and peaked at 145 MB; sparse rows keep the nonzeros
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_WITH_PEAK_RSS]
+        + ["oracle", "--family", "so", "--n", "64", "--matrix", "--element", "q_split"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1:] == [
+        "dim centralizer in g = 1953",
+        "dim centralizer in k = 1953",
+        "dim S^A = 0",
+    ]
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 48, peak_mb
+
+
 def test_oracle_matrix_bad_element(capsys):
     rc, _, err = run(
         capsys,

@@ -123,3 +123,48 @@ def test_rank_of_transpose(rows):
 def test_rank_bounds(rows):
     r = _exact.rank(rows)
     assert 0 <= r <= min(len(rows), len(rows[0]))
+
+
+def _sparse(rows):
+    """Dense rows as (columns, values) of their nonzero entries."""
+    return [([c for c, x in enumerate(row) if x], [x for x in row if x]) for row in rows]
+
+
+def test_sparse_ranks_hand_picked():
+    assert _exact.sparse_ranks([]) == []
+    assert _exact.sparse_ranks([[], [((), ())]]) == [0, 0]
+    m = [
+        [0, 3, 0, 0, 0, 1],
+        [0, 6, 0, 0, 0, 2],
+        [5, 0, 0, 2, 0, 0],
+        [0, 0, 0, 0, 0, 0],
+        [1, 0, 0, 0, 0, 1],
+    ]
+    rows = _sparse(m)
+    # the last row joins both blocks into one class; the first two sets
+    # lie inside that class, the third is one row of it
+    sets = [rows[:4], rows[:2], rows[2:3], rows]
+    assert _exact.sparse_ranks(sets) == [2, 1, 1, 3]
+    assert [reference_rank(m[:4]), reference_rank(m[:2]), reference_rank(m[2:3])] == [2, 1, 1]
+    assert reference_rank(m) == 3
+
+
+@given(st.one_of(small_matrices, mixed_matrices))
+@settings(max_examples=100)
+def test_sparse_ranks_match_reference(rows):
+    # several sets over the partition of their union, which is coarser than
+    # any one of them needs; an empty set and an all-zero row ride along
+    sparse = _sparse(rows) + [((), ())]
+    half = len(rows) // 2
+    picks = [
+        range(len(sparse)),
+        range(0, len(rows), 2),
+        range(1, len(rows), 2),
+        range(half),
+        range(half, len(sparse)),
+        range(0),
+    ]
+    got = _exact.sparse_ranks([[sparse[i] for i in pick] for pick in picks])
+    dense = rows + [[0] * len(rows[0])]
+    assert got == [reference_rank([dense[i] for i in pick]) for pick in picks]
+    assert got[0] == _exact.rank(rows)

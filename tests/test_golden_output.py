@@ -37,6 +37,7 @@ Refreeze only when an answer is meant to change.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -305,3 +306,48 @@ def test_matrix_basis_sizes_match_the_catalog():
         k, p = mo._bases(m)
         d = reductive_dims(algebra(m.family, *m.params))
         assert (len(k), len(p)) == (d.dim_k, d.dim_s), m
+
+
+def _is_sparse_row(row, cells):
+    cols, vals = row
+    return (
+        len(cols) == len(vals)
+        and all(a < b for a, b in zip(cols, cols[1:]))
+        and all(0 <= c < cells for c in cols)
+        and all(vals)
+    )
+
+
+def test_operator_rows_are_sparse_up_to_7():
+    # every stored row: strictly increasing columns, no zero value.  The
+    # elements flip the first F-coordinate, turn it a quarter over C and H,
+    # and over R conjugate the flip by a Pythagorean rotation, so that some
+    # cells cancel to zero and some values are fractions.
+    fractions = nonempty = 0
+    for m in _matrix_models_up_to_7():
+        field = mo._SHAPES[m.family][0]
+        size = mo._size(m)
+        n = size // len(mo._UNITS[field]["1"])
+        flip = [(1, 0)] * n
+        flip[0] = (-1, 0)
+        if m.family is Family.SP_R:
+            flip[n // 2] = (-1, 0)  # the symplectic partner of coordinate 0
+        elements = [mo.identity_element(m), mo.element(m, mo._diagonal(field, flip))]
+        if field != "R":
+            elements.append(mo.element(m, mo._diagonal(field, [(0, 1)] + [(1, 0)] * (n - 1))))
+        elif m.family is not Family.SP_R and (m.family is not Family.SO or m.params[0] >= 2):
+            # a rotation of the first two coordinates, both of one sign
+            rot = mo._eye(size)
+            rot[0][0] = rot[1][1] = Fraction(3, 5)
+            rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
+            rot_inv = [list(r) for r in zip(*rot)]
+            flipped = mo._diagonal(field, flip)
+            elements.append(mo.element(m, mo._mul(mo._mul(rot, flipped), rot_inv)))
+        assert all(_is_sparse_row(row, size * size) for row in mo._basis_rows(m)), m
+        for e in elements:
+            assert len(e.operator_rows) == len(mo._basis_rows(m))
+            for row in e.operator_rows:
+                assert _is_sparse_row(row, size * size), (m, e.entries, row)
+                nonempty += bool(row[0])
+                fractions += any(type(x) is Fraction for x in row[1])
+    assert nonempty > 2000 and fractions > 200, (nonempty, fractions)

@@ -15,6 +15,7 @@ import inspect
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -273,6 +274,20 @@ def test_model_takes_int_parameters_only(params):
         model(Family.SO, *params)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [0.5, -1.0, "1", "-1", "1/2", True, False, Decimal(-1), 1j, Decimal("NaN"), Decimal("Infinity")],
+)
+def test_element_takes_int_and_fraction_entries_only(entry):
+    # strings once parsed as rationals (a "-1" diagonal passed as an
+    # involution), bools were read as 0 and 1, and 1j, NaN and Infinity
+    # escaped as bare TypeError, ValueError and OverflowError
+    rows = [[-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+    rows[1][1] = entry
+    with pytest.raises(InvalidElement):
+        element(model(Family.SL_R, 3), rows)
+
+
 def test_model_refuses_sizes_past_the_limit():
     assert mo.MATRIX_SIZE_LIMIT == 64
     # at the limit: accepted (only the model is built, no basis)
@@ -398,7 +413,7 @@ def test_broken_invariants_raise_named_errors(monkeypatch):
         mo._so_rows((3,), ((1, 1, 0), (-1, 1, 0)), False)
     # operator rows whose k and p parts overlap cannot split the fixed space
     e = identity_element(model(Family.SO, 1, 2))
-    bump = [1] + [0] * 8
+    bump = ((0,), (1,))  # the sparse row of a 1 in the first cell
     with pytest.raises(mo.OracleInvariantError):
         matrix_fixed_dims(dataclasses.replace(e, operator_rows=(bump, bump, bump)))
 
@@ -423,7 +438,7 @@ def test_matrix_tests_pass_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     names = _raise_tests()
-    assert len(names) == 10
+    assert len(names) == 11
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
         + ["%s::%s" % (Path(__file__), name) for name in names],
@@ -434,4 +449,4 @@ def test_matrix_tests_pass_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "13 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]
+    assert "24 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]
