@@ -536,6 +536,16 @@ def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
     return algebra(Family.SO_C, 2 * params[0])  # so*(2n)
 
 
+def real_forms(a: SimpleAlgebra) -> tuple[str, ...]:
+    """Names of the noncompact exceptional forms whose complexification is
+    `a`, in `_EXCEPTIONAL` row order; empty unless `a` is complex exceptional."""
+    return tuple(
+        row.name
+        for fam, row in _EXCEPTIONAL.items()
+        if fam not in COMPACT and row.complexification == a.name
+    )
+
+
 def out_group(a: SimpleAlgebra) -> OutGroup:
     iso = _out_iso(a)
     return OutGroup(iso, _OUT_EXPONENT[iso], iso in (OutIso.TRIVIAL, OutIso.Z2, OutIso.Z2xZ2))
@@ -683,7 +693,10 @@ SIZE_LIMIT = 64
 
 
 def require_max_param(max_param: int) -> None:
-    """Refuse a sweep or export size outside 2..SIZE_LIMIT with OutOfDomain."""
+    """Refuse a sweep or export size that is not an int in 2..SIZE_LIMIT
+    with OutOfDomain (``bool``, ``float`` and ``str`` are not ints here)."""
+    if type(max_param) is not int:
+        raise OutOfDomain("max-param must be an int, got %r" % (max_param,))
     if max_param < 2:
         # no classical family starts below 2; a sweep would check only the
         # exceptional rows and still report PASS

@@ -40,7 +40,7 @@ class InvalidSignature(ValueError):
 
 
 class OracleInvariantError(RuntimeError):
-    """An internal consistency check of the oracle failed (a bug, not bad input)."""
+    """An internal consistency check failed (a bug, not bad input)."""
 
 
 # Largest number of candidate block tuples `oracle_max` will test.  A

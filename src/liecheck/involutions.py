@@ -11,8 +11,11 @@ Rows are written as plain specs (`_Row`: template, instances, constraints,
 kind, notes) by three helpers: `_one` for a single instance, `_sum_row` for
 the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq) signature
 splits of so/su/sp(p,q).  Each classical family has one row builder over its
-parameters; `_CLASSICAL_ROWS` pairs it with the family's source label, and
-`_EXCEPTIONAL_ROWS` pairs each exceptional family's rows with theirs.
+parameters, which `_CLASSICAL_ROWS` pairs with the family's source label.
+An exceptional row is a catalog name, written once in `_EXCEPTIONAL_ROWS`:
+the name is the row template, and `parse_algebra` of it the one instance.
+The real-form rows of a complex exceptional algebra are read from the
+catalog's complexification column (`real_forms`).
 `isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
 instances equal to the ambient and repeats that low-rank isomorphisms
 create.  Rows are built on each call and not kept: nothing in this module
@@ -44,6 +47,8 @@ from .algebras import (
     direct_sum,
     is_canonical,
     max_compact,
+    parse_algebra,
+    real_forms,
     reductive,
     reductive_dims,
     render,
@@ -327,128 +332,57 @@ _PRODUCT_SIGN_NOTE = (
     "printed with a product sign in the source row; stored as a direct sum",
 )
 
-
-def _real_forms(*forms):
-    """The real-form rows of a complex exceptional algebra."""
-    return tuple(_one(render(algebra(f)), algebra(f), kind=REAL_FORM) for f in forms)
-
-
-# family -> (source label, rows) for the exceptional families: the fixed rows
-# of the real forms, and the linear rows of the complex algebras followed by
-# their real forms.
+# family -> (source label, row names) for the exceptional families; a
+# complex algebra's real-form rows follow its named rows
 _EXCEPTIONAL_ROWS = {
-    Family.G2_2: ("g2-family", (
-        _one("sl(2,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 2), algebra(Family.SL_R, 2))),
-    )),
-    Family.F4_4: ("f4-family", (
-        _one("sp(6,R)+sp(2,R)", direct_sum(algebra(Family.SP_R, 3), algebra(Family.SP_R, 1))),
-        _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
-        _one("so(4,5)", algebra(Family.SO, 4, 5)),
-    )),
-    Family.F4_M20: ("f4-family", (
-        _one("sp(1,2)+sp(1)", direct_sum(algebra(Family.SP, 1, 2), algebra(Family.SP_CPT, 1))),
-        _one("so(1,8)", algebra(Family.SO, 1, 8)),
-    )),
+    Family.G2_2: ("g2-family", ("sl(2,R)+sl(2,R)",)),
+    Family.F4_4: ("f4-family", ("sp(6,R)+sp(2,R)", "sp(1,2)+sp(1)", "so(4,5)")),
+    Family.F4_M20: ("f4-family", ("sp(1,2)+sp(1)", "so(1,8)")),
     Family.E6_6: ("e6-family", (
-        _one("sp(2,2)", algebra(Family.SP, 2, 2)),
-        _one("sp(8,R)", algebra(Family.SP_R, 4)),
-        _one("sl(6,R)+sl(2,R)", direct_sum(algebra(Family.SL_R, 6), algebra(Family.SL_R, 2))),
-        _one("sl(3,H)+su(2)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SU_CPT, 2))),
-        _one("so(5,5)+so(1,1)", direct_sum(algebra(Family.SO, 5, 5), SPLIT_LINE)),
-        _one("f4(4)", algebra(Family.F4_4)),
+        "sp(2,2)", "sp(8,R)", "sl(6,R)+sl(2,R)", "sl(3,H)+su(2)", "so(5,5)+so(1,1)", "f4(4)",
     )),
     Family.E6_2: ("e6-family", (
-        _one("sp(1,3)", algebra(Family.SP, 1, 3)),
-        _one("sp(8,R)", algebra(Family.SP_R, 4)),
-        _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
-        _one("su(3,3)+sl(2,R)", direct_sum(algebra(Family.SU, 3, 3), algebra(Family.SL_R, 2))),
-        _one("so(4,6)+so(2)", direct_sum(algebra(Family.SO, 4, 6), COMPACT_LINE)),
-        _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
-        _one("f4(4)", algebra(Family.F4_4)),
+        "sp(1,3)", "sp(8,R)", "su(2,4)+su(2)", "su(3,3)+sl(2,R)", "so(4,6)+so(2)",
+        "so*(10)+so(2)", "f4(4)",
     )),
     Family.E6_M14: ("e6-family", (
-        _one("sp(2,2)", algebra(Family.SP, 2, 2)),
-        _one("su(2,4)+su(2)", direct_sum(algebra(Family.SU, 2, 4), algebra(Family.SU_CPT, 2))),
-        _one("su(1,5)+sl(2,R)", direct_sum(algebra(Family.SU, 1, 5), algebra(Family.SL_R, 2))),
-        _one("so(2,8)+so(2)", direct_sum(algebra(Family.SO, 2, 8), COMPACT_LINE)),
-        _one("so*(10)+so(2)", direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE)),
-        _one("f4(-20)", algebra(Family.F4_M20)),
+        "sp(2,2)", "su(2,4)+su(2)", "su(1,5)+sl(2,R)", "so(2,8)+so(2)", "so*(10)+so(2)",
+        "f4(-20)",
     )),
-    Family.E6_M26: ("e6-family", (
-        _one("sp(1,3)", algebra(Family.SP, 1, 3)),
-        _one("sl(3,H)+sp(1)", direct_sum(algebra(Family.SL_H, 3), algebra(Family.SP_CPT, 1))),
-        _one("so(1,9)+so(1,1)", direct_sum(algebra(Family.SO, 1, 9), SPLIT_LINE)),
-        _one("f4(-20)", algebra(Family.F4_M20)),
-    )),
+    Family.E6_M26: ("e6-family", ("sp(1,3)", "sl(3,H)+sp(1)", "so(1,9)+so(1,1)", "f4(-20)")),
     Family.E7_7: ("e7-family", (
-        _one("su(4,4)", algebra(Family.SU, 4, 4)),
-        _one("sl(8,R)", algebra(Family.SL_R, 8)),
-        _one("sl(4,H)", algebra(Family.SL_H, 4)),
-        _one("so(6,6)+sl(2,R)", direct_sum(algebra(Family.SO, 6, 6), algebra(Family.SL_R, 2))),
-        _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
-        _one("e6(6)+so(1,1)", direct_sum(algebra(Family.E6_6), SPLIT_LINE)),
-        _one("e6(2)+so(2)", direct_sum(algebra(Family.E6_2), COMPACT_LINE)),
+        "su(4,4)", "sl(8,R)", "sl(4,H)", "so(6,6)+sl(2,R)", "so*(12)+sp(1)", "e6(6)+so(1,1)",
+        "e6(2)+so(2)",
     )),
     Family.E7_M5: ("e7-family", (
-        _one("su(4,4)", algebra(Family.SU, 4, 4)),
-        _one("su(2,6)", algebra(Family.SU, 2, 6)),
-        _one("so(4,8)+su(2)", direct_sum(algebra(Family.SO, 4, 8), algebra(Family.SU_CPT, 2))),
-        _one("so*(12)+sl(2,R)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SL_R, 2))),
-        _one(
-            "e6(2)+so(2)",
-            direct_sum(algebra(Family.E6_2), COMPACT_LINE),
-            notes=_PRODUCT_SIGN_NOTE,
-        ),
-        _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
+        "su(4,4)", "su(2,6)", "so(4,8)+su(2)", "so*(12)+sl(2,R)", "e6(2)+so(2)", "e6(-14)+so(2)",
     )),
     Family.E7_M25: ("e7-family", (
-        _one("sl(4,H)", algebra(Family.SL_H, 4)),
-        _one("su(2,6)", algebra(Family.SU, 2, 6)),
-        _one("so(2,10)+sl(2,R)", direct_sum(algebra(Family.SO, 2, 10), algebra(Family.SL_R, 2))),
-        _one("so*(12)+sp(1)", direct_sum(algebra(Family.SO_STAR, 6), algebra(Family.SP_CPT, 1))),
-        _one("e6(-14)+so(2)", direct_sum(algebra(Family.E6_M14), COMPACT_LINE)),
-        _one("e6(-26)+so(1,1)", direct_sum(algebra(Family.E6_M26), SPLIT_LINE)),
+        "sl(4,H)", "su(2,6)", "so(2,10)+sl(2,R)", "so*(12)+sp(1)", "e6(-14)+so(2)",
+        "e6(-26)+so(1,1)",
     )),
-    Family.E8_8: ("e8-family", (
-        _one("e7(7)+sl(2,R)", direct_sum(algebra(Family.E7_7), algebra(Family.SL_R, 2))),
-        _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
-        _one("so(8,8)", algebra(Family.SO, 8, 8)),
-        _one("so*(16)", algebra(Family.SO_STAR, 8)),
-    )),
-    Family.E8_M24: ("e8-family", (
-        _one("e7(-25)+sl(2,R)", direct_sum(algebra(Family.E7_M25), algebra(Family.SL_R, 2))),
-        _one("e7(-5)+su(2)", direct_sum(algebra(Family.E7_M5), algebra(Family.SU_CPT, 2))),
-        _one("so(4,12)", algebra(Family.SO, 4, 12)),
-        _one("so*(16)", algebra(Family.SO_STAR, 8)),
-    )),
-    Family.G2_C: ("g2-family", (
-        _one("sl(2,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 2), algebra(Family.SL_C, 2))),
-        *_real_forms(Family.G2_2),
-    )),
-    Family.F4_C: ("f4-family", (
-        _one("sp(6,C)+sp(2,C)", direct_sum(algebra(Family.SP_C, 3), algebra(Family.SP_C, 1))),
-        _one("so(9,C)", algebra(Family.SO_C, 9)),
-        *_real_forms(Family.F4_4, Family.F4_M20),
-    )),
-    Family.E6_C: ("e6-family", (
-        _one("sp(8,C)", algebra(Family.SP_C, 4)),
-        _one("sl(6,C)+sl(2,C)", direct_sum(algebra(Family.SL_C, 6), algebra(Family.SL_C, 2))),
-        _one("so(10,C)+so(2,C)", direct_sum(algebra(Family.SO_C, 10), algebra(Family.SO_C, 2))),
-        _one("f4(C)", algebra(Family.F4_C)),
-        *_real_forms(Family.E6_6, Family.E6_2, Family.E6_M14, Family.E6_M26),
-    )),
-    Family.E7_C: ("e7-family", (
-        _one("sl(8,C)", algebra(Family.SL_C, 8)),
-        _one("so(12,C)+sl(2,C)", direct_sum(algebra(Family.SO_C, 12), algebra(Family.SL_C, 2))),
-        _one("e6(C)+so(2,C)", direct_sum(algebra(Family.E6_C), algebra(Family.SO_C, 2))),
-        *_real_forms(Family.E7_7, Family.E7_M5, Family.E7_M25),
-    )),
-    Family.E8_C: ("e8-family", (
-        _one("e7(C)+sl(2,C)", direct_sum(algebra(Family.E7_C), algebra(Family.SL_C, 2))),
-        _one("so(16,C)", algebra(Family.SO_C, 16)),
-        *_real_forms(Family.E8_8, Family.E8_M24),
-    )),
+    Family.E8_8: ("e8-family", ("e7(7)+sl(2,R)", "e7(-5)+su(2)", "so(8,8)", "so*(16)")),
+    Family.E8_M24: ("e8-family", ("e7(-25)+sl(2,R)", "e7(-5)+su(2)", "so(4,12)", "so*(16)")),
+    Family.G2_C: ("g2-family", ("sl(2,C)+sl(2,C)",)),
+    Family.F4_C: ("f4-family", ("sp(6,C)+sp(2,C)", "so(9,C)")),
+    Family.E6_C: ("e6-family", ("sp(8,C)", "sl(6,C)+sl(2,C)", "so(10,C)+so(2,C)", "f4(C)")),
+    Family.E7_C: ("e7-family", ("sl(8,C)", "so(12,C)+sl(2,C)", "e6(C)+so(2,C)")),
+    Family.E8_C: ("e8-family", ("e7(C)+sl(2,C)", "so(16,C)")),
 }
+
+# (family, row) -> the notes of that exceptional row
+_EXCEPTIONAL_NOTES = {(Family.E7_M5, "e6(2)+so(2)"): _PRODUCT_SIGN_NOTE}
+
+
+def _exceptional_rows(a):
+    """The source label and rows of the exceptional algebra `a`."""
+    source, names = _EXCEPTIONAL_ROWS[a.family]
+    rows = [
+        _one(name, parse_algebra(name), notes=_EXCEPTIONAL_NOTES.get((a.family, name), ()))
+        for name in names
+    ]
+    rows.extend(_one(name, parse_algebra(name), kind=REAL_FORM) for name in real_forms(a))
+    return source, rows
 
 
 def _require_row_ambient(a):
@@ -482,7 +416,7 @@ def isotropy_entries(a):
         source, rows_of = _CLASSICAL_ROWS[fam]
         rows = rows_of(*a.params)
     else:
-        source, rows = _EXCEPTIONAL_ROWS[fam]
+        source, rows = _exceptional_rows(a)
     entries = [_entry(a, source, row) for row in rows]
     entries.append(_entry(a, "cartan", _one("compact", max_compact(a), kind=CARTAN)))
     return tuple(e for e in entries if e is not None)

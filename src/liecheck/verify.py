@@ -40,7 +40,6 @@ from typing import Iterator, NamedTuple, Optional
 from . import involutions as inv
 from . import matrixoracle as mo
 from .algebras import (
-    COMPACT_LINE,
     COMPLEX_EXCEPTIONAL,
     SPLIT_LINE,
     Family,
@@ -55,12 +54,13 @@ from .algebras import (
     is_complex,
     iter_noncompact_simple,
     max_compact,
+    parse_algebra,
     reductive_dims,
     render,
     require_max_param,
     simple,
 )
-from .centralizers import SigFamily, bound
+from .centralizers import OracleInvariantError, SigFamily, bound
 
 
 class MissingTableRow(LookupError):
@@ -207,7 +207,7 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
     d = dims(a)
     dim_h, rk_h = _subgroup_dims(parts, torus)
     if rk_h != d.rk_cpt:
-        raise AssertionError("%s row is not maximal rank" % label)
+        raise OracleInvariantError("%s row is not maximal rank" % label)
     rk = d.rk_r
     part_bounds = [bound(sf, ps) for sf, ps in parts]
     bound_total = torus + sum(part_bounds) + rk
@@ -223,68 +223,26 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
 
 class _RestrictedRow(NamedTuple):
     family: Family
-    g_bar: ReductiveAlgebra
     g_label: str
     k_label: str
     bound_spec: object  # (SigFamily, params) | "recursive" | None
 
 
+# The distinguished noncompact subgroup of each real exceptional algebra of
+# rank >= 2: its catalog name (its value is `parse_algebra` of the name),
+# its maximal compact as the source prints it, and its centralizer bound.
 _RESTRICTED_ROWS_DATA = (
-    _RestrictedRow(
-        Family.E6_6, algebra(Family.SP, 2, 2), "sp(2,2)", "sp(2)+sp(2)", (SigFamily.SP_PQ, (2, 2))
-    ),
-    _RestrictedRow(
-        Family.E6_2,
-        direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE),
-        "so*(10)+so(2)",
-        "u(5)+so(2)",
-        (SigFamily.SOSTAR_2N, (5,)),
-    ),
-    _RestrictedRow(
-        Family.E6_M14,
-        direct_sum(algebra(Family.SO_STAR, 5), COMPACT_LINE),
-        "so*(10)+so(2)",
-        "u(5)+so(2)",
-        (SigFamily.SOSTAR_2N, (5,)),
-    ),
-    _RestrictedRow(
-        Family.E6_M26, algebra(Family.SP, 1, 3), "sp(1,3)", "sp(1)+sp(3)", (SigFamily.SP_PQ, (1, 3))
-    ),
-    _RestrictedRow(
-        Family.E7_7,
-        direct_sum(algebra(Family.E6_2), COMPACT_LINE),
-        "e6(2)+so(2)",
-        "su(6)+su(2)+so(2)",
-        "recursive",
-    ),
-    _RestrictedRow(
-        Family.E7_M5,
-        algebra(Family.SU, 4, 4),
-        "su(4,4)",
-        "s(u(4)+u(4))",
-        (SigFamily.SU_PQ, (4, 4)),
-    ),
-    _RestrictedRow(
-        Family.E7_M25,
-        algebra(Family.SU, 2, 6),
-        "su(2,6)",
-        "s(u(2)+u(6))",
-        (SigFamily.SU_PQ, (2, 6)),
-    ),
-    _RestrictedRow(
-        Family.E8_8, algebra(Family.SO_STAR, 8), "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))
-    ),
-    _RestrictedRow(
-        Family.E8_M24, algebra(Family.SO_STAR, 8), "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))
-    ),
-    _RestrictedRow(
-        Family.G2_2,
-        direct_sum(algebra(Family.SL_R, 2), algebra(Family.SL_R, 2)),
-        "sl(2,R)+sl(2,R)",
-        "so(2)+so(2)",
-        None,
-    ),
-    _RestrictedRow(Family.F4_4, algebra(Family.SO, 4, 5), "so(4,5)", "s(o(4)+o(5))", None),
+    _RestrictedRow(Family.E6_6, "sp(2,2)", "sp(2)+sp(2)", (SigFamily.SP_PQ, (2, 2))),
+    _RestrictedRow(Family.E6_2, "so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
+    _RestrictedRow(Family.E6_M14, "so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
+    _RestrictedRow(Family.E6_M26, "sp(1,3)", "sp(1)+sp(3)", (SigFamily.SP_PQ, (1, 3))),
+    _RestrictedRow(Family.E7_7, "e6(2)+so(2)", "su(6)+su(2)+so(2)", "recursive"),
+    _RestrictedRow(Family.E7_M5, "su(4,4)", "s(u(4)+u(4))", (SigFamily.SU_PQ, (4, 4))),
+    _RestrictedRow(Family.E7_M25, "su(2,6)", "s(u(2)+u(6))", (SigFamily.SU_PQ, (2, 6))),
+    _RestrictedRow(Family.E8_8, "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
+    _RestrictedRow(Family.E8_M24, "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
+    _RestrictedRow(Family.G2_2, "sl(2,R)+sl(2,R)", "so(2)+so(2)", None),
+    _RestrictedRow(Family.F4_4, "so(4,5)", "s(o(4)+o(5))", None),
 )
 
 _RESTRICTED_INDEX = {row.family: row for row in _RESTRICTED_ROWS_DATA}
@@ -346,15 +304,15 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
     if a.family is Family.F4_4:
         return f44_equality_case()
     d = dims(a)
-    gd = reductive_dims(row.g_bar)
+    gd = reductive_dims(parse_algebra(row.g_label))
     if gd.rk_cpt != d.rk_cpt:
-        raise AssertionError("%s row is not maximal rank" % row.g_label)
+        raise OracleInvariantError("%s row is not maximal rank" % row.g_label)
     rk = d.rk_r
     ds_bar = gd.dim_s
     if row.bound_spec == "recursive":
         # the subgroup is itself exceptional: reuse its own restricted row
         inner = _RESTRICTED_INDEX[Family.E6_2]
-        inner_ds = reductive_dims(inner.g_bar).dim_s
+        inner_ds = reductive_dims(parse_algebra(inner.g_label)).dim_s
         inner_bound = bound(*inner.bound_spec)
         fix_bound = ds_bar - (inner_ds - inner_bound)
         bound_text = "%d - (%d - %d) = %d" % (ds_bar, inner_ds, inner_bound, fix_bound)
@@ -599,8 +557,9 @@ def iter_algebra_cases(scope: str = "all", max_param: int = 32) -> Iterator[tupl
     caller that lets each list go holds one algebra's cases at a time.
 
     A scope outside ``complex``, ``real``, ``semisimple`` and ``all``
-    raises ValueError, and ``max_param`` outside 2 to ``SIZE_LIMIT``
-    raises OutOfDomain, both at the call rather than at the first item.
+    raises ValueError, and a ``max_param`` that is not an int from 2 to
+    ``SIZE_LIMIT`` raises OutOfDomain, both at the call rather than at the
+    first item.
     """
     if scope not in _SCOPES:
         raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
@@ -628,7 +587,7 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """Run every applicable route over the catalog up to ``max_param``.
 
     This materializes ``iter_algebra_cases``: ``cases`` holds every case of
-    every algebra, in its order.  ``max_param`` runs from 2 to
+    every algebra, in its order.  ``max_param`` is an int from 2 to
     ``SIZE_LIMIT``; other values raise OutOfDomain.
     """
     per_algebra = iter_algebra_cases(scope, max_param)
@@ -667,7 +626,7 @@ def restricted_rows() -> list:
     for row in _RESTRICTED_ROWS_DATA:
         a = simple(row.family)
         d = dims(a)
-        gd = reductive_dims(row.g_bar)
+        gd = reductive_dims(parse_algebra(row.g_label))
         rows.append(
             {
                 "algebra": render(a),

@@ -24,6 +24,7 @@ from liecheck.algebras import (
     max_compact,
     out_group,
     parse_algebra,
+    real_forms,
     reductive_dims,
     render,
     simple,
@@ -331,6 +332,17 @@ def test_complexify():
     for src, expected in cases.items():
         (a,) = parse_algebra(src).simples
         assert render(complexify(a)) == expected, src
+
+
+def test_real_forms_read_the_complexification_column():
+    assert real_forms(simple(Family.E6_C)) == ("e6(6)", "e6(2)", "e6(-14)", "e6(-26)")
+    assert real_forms(simple(Family.G2_C)) == ("g2(2)",)
+    # real forms and classical algebras have none
+    assert real_forms(simple(Family.E6_6)) == real_forms(simple(Family.SL_C, 3)) == ()
+    for a in iter_noncompact_simple(2):
+        for name in real_forms(a):
+            (form,) = parse_algebra(name).simples
+            assert complexify(form) == algebra(a.family), name
 
 
 def test_complexify_doubles_dimension():

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liecheck import algebras as al
+from liecheck import cli
 from liecheck import involutions as inv
 from liecheck import verify as vf
 from liecheck.algebras import Family
+from liecheck.centralizers import OracleInvariantError, SigFamily
 
 
 def A(fam, *params):
@@ -96,6 +98,20 @@ def test_restricted_form_margins():
     f4 = vf.check_restricted_form(A(Family.F4_4))
     assert f4.route == "berger_involution"
     assert "so(4,5)" in f4.witness
+
+
+def test_a_table_row_below_maximal_rank_is_an_invariant_error(monkeypatch):
+    # so(3) has rank 1 in g2(-14), of rank 2; sp(1,2) has compact rank 3 in
+    # e6(6), whose compact rank is 4
+    monkeypatch.setitem(
+        vf._MAXIMAL_RANK_PAIRS, Family.G2_C, ("so(3)", ((SigFamily.SO_N, (3,)),), 0)
+    )
+    with pytest.raises(OracleInvariantError, match="so\\(3\\) row is not maximal rank"):
+        vf.check_maximal_rank_pair(A(Family.G2_C))
+    row = vf._RESTRICTED_INDEX[Family.E6_6]
+    monkeypatch.setitem(vf._RESTRICTED_INDEX, Family.E6_6, row._replace(g_label="sp(1,2)"))
+    with pytest.raises(OracleInvariantError, match="sp\\(1,2\\) row is not maximal rank"):
+        vf.check_restricted_form(A(Family.E6_6))
 
 
 def test_restricted_form_missing_rows():
@@ -379,6 +395,22 @@ def test_iter_algebra_cases_checks_its_arguments_at_the_call(scope, size, error)
     # a generator function would only raise at the first next()
     with pytest.raises(error):
         vf.iter_algebra_cases(scope, size)
+
+
+@pytest.mark.parametrize("size", [32.0, 8.5, "8", None, True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: vf.sweep("all", m),
+        # at the call, not at the first item
+        lambda m: vf.iter_algebra_cases("all", m),
+        cli.export_payload,
+    ],
+    ids=["sweep", "iter_algebra_cases", "export_payload"],
+)
+def test_a_non_int_max_param_is_out_of_domain(call, size):
+    with pytest.raises(al.OutOfDomain, match="max-param must be an int"):
+        call(size)
 
 
 def test_iter_algebra_cases_verifies_an_algebra_when_it_is_reached(monkeypatch):
