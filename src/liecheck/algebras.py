@@ -14,7 +14,10 @@ Simple algebras are interned: `SimpleAlgebra(family, params)` returns the
 one object for that key, so equality and hashing are identity.  Each value
 computes its `SpaceDims`, its rendered name and its factor sort key once,
 when it is first built, and carries them as slots that `dims`, `render`,
-`reductive_dims` and `reductive` read.
+`reductive_dims` and `reductive` read.  A `ReductiveAlgebra` is an
+immutable named tuple `(simples, compact_abelian_dim, split_abelian_dim)`
+that compares and hashes as that tuple; `reductive` puts its simple factors
+in sort-key order, so two sums of the same factors are equal.
 
 Dimension formulas for the classical families are the textbook closed
 forms; real ranks are the standard split ranks.  Each exceptional family
@@ -211,12 +214,13 @@ class SimpleAlgebra:
         return f"{type(self).__qualname__}(family={self.family!r}, params={self.params!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class ReductiveAlgebra:
+class ReductiveAlgebra(NamedTuple):
     """Multiset of simple factors plus abelian summands.
 
-    A gl(k,C)-style complex abelian summand is stored as one compact plus
-    one split dimension.
+    An immutable named tuple ``(simples, compact_abelian_dim,
+    split_abelian_dim)`` that compares and hashes as that tuple.  A
+    gl(k,C)-style complex abelian summand is stored as one compact plus one
+    split dimension.
     """
 
     simples: tuple[SimpleAlgebra, ...] = ()
@@ -263,7 +267,12 @@ _SORT_KEY = attrgetter("sort_key")
 
 def reductive(simples=(), compact_abelian=0, split_abelian=0):
     simples = tuple(simples)
-    if len(simples) > 1:
+    if len(simples) == 2:
+        # the split rows' sums: one comparison orders them as sorted() would
+        x, y = simples
+        if y.sort_key < x.sort_key:
+            simples = (y, x)
+    elif len(simples) > 2:
         simples = tuple(sorted(simples, key=_SORT_KEY))
     return ReductiveAlgebra(simples, compact_abelian, split_abelian)
 
@@ -605,10 +614,13 @@ def _name(fam, params):
 def render(x) -> str:
     if isinstance(x, SimpleAlgebra):
         return x.name
-    parts = [a.name for a in x.simples]
-    parts.extend(["u(1)"] * x.compact_abelian_dim)
-    parts.extend(["R"] * x.split_abelian_dim)
-    return "+".join(parts) if parts else "0"
+    simples, c, s = x
+    parts = [a.name for a in simples]
+    if c:
+        parts += ["u(1)"] * c
+    if s:
+        parts += ["R"] * s
+    return "+".join(parts) or "0"
 
 
 class ParseError(ValueError):

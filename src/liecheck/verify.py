@@ -41,6 +41,7 @@ from . import involutions as inv
 from . import matrixoracle as mo
 from .algebras import (
     COMPLEX_EXCEPTIONAL,
+    REAL_EXCEPTIONAL,
     SPLIT_LINE,
     Family,
     OutOfDomain,
@@ -304,14 +305,21 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
     if a.family is Family.F4_4:
         return f44_equality_case()
     d = dims(a)
-    gd = reductive_dims(parse_algebra(row.g_label))
+    g_bar = parse_algebra(row.g_label)
+    gd = reductive_dims(g_bar)
     if gd.rk_cpt != d.rk_cpt:
         raise OracleInvariantError("%s row is not maximal rank" % row.g_label)
     rk = d.rk_r
     ds_bar = gd.dim_s
     if row.bound_spec == "recursive":
-        # the subgroup is itself exceptional: reuse its own restricted row
-        inner = _RESTRICTED_INDEX[Family.E6_2]
+        # the subgroup has one real exceptional factor: reuse its own
+        # restricted row, which must carry a centralizer bound
+        factors = [f for f in g_bar.simples if f.family in REAL_EXCEPTIONAL]
+        inner = _RESTRICTED_INDEX.get(factors[0].family) if len(factors) == 1 else None
+        if inner is None or not isinstance(inner.bound_spec, tuple):
+            raise OracleInvariantError(
+                "%s has no exceptional factor with a restricted row" % row.g_label
+            )
         inner_ds = reductive_dims(parse_algebra(inner.g_label)).dim_s
         inner_bound = bound(*inner.bound_spec)
         fix_bound = ds_bar - (inner_ds - inner_bound)
@@ -356,7 +364,10 @@ def _involution_results(a: SimpleAlgebra) -> list:
     out = []
     for entry in inv.isotropy_entries(a):
         for h in entry.instances:
-            fixed = reductive_dims(h).dim_s
+            # dim S of h alone; reductive_dims would build all five dims
+            fixed = h.split_abelian_dim
+            for f in h.simples:
+                fixed += f.space.dim_s
             margin = target - fixed
             witness = "%s -> %s (fixed dim %d vs target %d)" % (
                 entry.template,

@@ -8,14 +8,17 @@ forms; the catalog must reproduce them bit-exactly.
 import copy
 import pickle
 from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecheck.algebras import (
+    COMPACT,
     Family,
     OutOfDomain,
+    ReductiveAlgebra,
     SimpleAlgebra,
     algebra,
     complexify,
@@ -25,6 +28,7 @@ from liecheck.algebras import (
     out_group,
     parse_algebra,
     real_forms,
+    reductive,
     reductive_dims,
     render,
     simple,
@@ -183,8 +187,11 @@ def test_interned_values_survive_copy_and_pickle():
     assert copy.deepcopy([a, a]) == [a, a]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(a, protocol)) is a
-    red = algebra(Family.SO_STAR, 2)
-    assert pickle.loads(pickle.dumps(red)) == red
+    for red in (algebra(Family.SO_STAR, 2), max_compact(simple(Family.SU, 2, 3))):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(red, protocol))
+            assert back == red and hash(back) == hash(red)
+            assert type(back) is ReductiveAlgebra
 
 
 def test_simple_algebras_are_immutable():
@@ -195,6 +202,11 @@ def test_simple_algebras_are_immutable():
     with pytest.raises(FrozenInstanceError):
         del a.params
     assert render(a) == "sl(5,R)" and a.params == (5,)
+    red = max_compact(simple(Family.SU, 2, 3))
+    for attr in ("simples", "compact_abelian_dim", "split_abelian_dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(red, attr, 0)
+    assert render(red) == "su(2)+su(3)+u(1)"
 
 
 def test_simple_algebra_repr_is_unchanged():
@@ -202,6 +214,29 @@ def test_simple_algebra_repr_is_unchanged():
         "SimpleAlgebra(family=<Family.SO: 'so'>, params=(2, 3))"
     )
     assert repr(simple(Family.E8_8)) == "SimpleAlgebra(family=<Family.E8_8: 'e8_8'>, params=())"
+    assert repr(max_compact(simple(Family.SU, 2, 3))) == (
+        "ReductiveAlgebra(simples=(SimpleAlgebra(family=<Family.SU_CPT: 'su_cpt'>, params=(2,)), "
+        "SimpleAlgebra(family=<Family.SU_CPT: 'su_cpt'>, params=(3,))), "
+        "compact_abelian_dim=1, split_abelian_dim=0)"
+    )
+    assert repr(algebra(Family.SO_C, 2)) == (
+        "ReductiveAlgebra(simples=(), compact_abelian_dim=1, split_abelian_dim=1)"
+    )
+
+
+def test_reductive_orders_two_factors_as_sorted_does():
+    classical = (Family.SU_CPT, Family.SO_CPT, Family.SP_CPT)
+    compact = [SimpleAlgebra(fam, (n,)) for fam in classical for n in range(1, 9)]
+    compact += [SimpleAlgebra(fam) for fam in COMPACT.difference(classical)]
+    factors = list(iter_noncompact_simple(8)) + compact
+    key = attrgetter("sort_key")
+    for x in factors:
+        for y in factors:
+            red = reductive((x, y))
+            assert red.simples == tuple(sorted((x, y), key=key))
+            assert red == reductive((y, x)) and hash(red) == hash(reductive((y, x)))
+    three = factors[-1], factors[0], factors[len(factors) // 2]
+    assert reductive(three).simples == tuple(sorted(three, key=key))
 
 
 def test_simple_algebra_takes_a_family_and_an_int_tuple_only():

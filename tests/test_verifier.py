@@ -114,6 +114,33 @@ def test_a_table_row_below_maximal_rank_is_an_invariant_error(monkeypatch):
         vf.check_restricted_form(A(Family.E6_6))
 
 
+def test_recursive_restricted_row_follows_the_subgroups_exceptional_factor(monkeypatch):
+    # e7(7)'s subgroup names its exceptional factor; the inner bound must
+    # come from that factor's row, not from a family typed a second time
+    e7 = vf._RESTRICTED_INDEX[Family.E7_7]
+    e6 = vf._RESTRICTED_INDEX[Family.E6_M14]
+    monkeypatch.setitem(vf._RESTRICTED_INDEX, Family.E7_7, e7._replace(g_label="e6(-14)+so(2)"))
+    monkeypatch.setitem(
+        vf._RESTRICTED_INDEX, Family.E6_M14, e6._replace(bound_spec=(SigFamily.SOSTAR_2N, (4,)))
+    )
+    inner_bound = vf.bound(SigFamily.SOSTAR_2N, (4,))
+    assert inner_bound != vf.bound(SigFamily.SOSTAR_2N, (5,))
+    witness = vf.check_restricted_form(A(Family.E7_7)).witness
+    assert "32 - (20 - %d)" % inner_bound in witness
+    assert "(20 - 12)" not in witness
+
+
+@pytest.mark.parametrize("g_label", ["so(6,6)+sl(2,R)", "f4(-20)+su(4)", "g2(2)+so(10)"])
+def test_recursive_restricted_row_without_an_inner_bound_is_an_invariant_error(
+    monkeypatch, g_label
+):
+    # each label has compact rank 7, so only the inner-row lookup can refuse it
+    e7 = vf._RESTRICTED_INDEX[Family.E7_7]
+    monkeypatch.setitem(vf._RESTRICTED_INDEX, Family.E7_7, e7._replace(g_label=g_label))
+    with pytest.raises(OracleInvariantError, match="no exceptional factor with a restricted row"):
+        vf.check_restricted_form(A(Family.E7_7))
+
+
 def test_restricted_form_missing_rows():
     # the rank-one form is deliberately absent: the rank-1 shortcut owns it
     with pytest.raises(vf.MissingTableRow):
