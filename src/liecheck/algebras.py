@@ -36,7 +36,12 @@ from operator import attrgetter
 from typing import NamedTuple
 
 
-class OutOfDomain(ValueError):
+class InputError(ValueError):
+    """An input liecheck refuses; the base of every error the CLI reports
+    with exit status 2."""
+
+
+class OutOfDomain(InputError):
     """Parameters outside a family's domain, or a simple algebra required."""
 
 
@@ -623,7 +628,7 @@ def render(x) -> str:
     return "+".join(parts) or "0"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position

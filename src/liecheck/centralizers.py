@@ -15,8 +15,8 @@ Conventions:
     and multiplicities must be exactly ``int`` (not ``bool``).
   * A class with a single tag is treated as central and rejected.  This
     deliberately removes the one-rotation-class elements (complex or
-    quaternionic scalar-like); for so*(2n) with n in {2, 4} such a class
-    actually exceeds the closed-form bound, see the bound() docstring.
+    quaternionic scalar-like); for so*(2n) with n in {2, 3, 4} such a
+    class actually exceeds the closed-form bound, see the bound() docstring.
   * For so(p,q), su(p,q), sp(p,q): mult_plus/mult_minus are the
     multiplicities inside the positive/negative part of the form.  For
     so*(2n), an angle block's two fields are the multiplicities of the
@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from liecheck.algebras import OutOfDomain
+from liecheck.algebras import InputError, OutOfDomain
 
 
-class InvalidSignature(ValueError):
+class InvalidSignature(InputError):
     """Malformed multiplicity data, or a central (single-tag) class."""
 
 
@@ -108,9 +108,10 @@ def bound(family: SigFamily, params) -> int:
 
     The so*(2n) bound is only attained/valid under the single-tag
     exclusion above: the excluded one-rotation-class elements reach
-    2*floor(n/2)*ceil(n/2), which exceeds the formula for n in {2, 4}
-    (those parameters never occur in the exceptional-group reductions
-    this bound feeds, which use n = 5 and n = 8).
+    2*floor(n/2)*ceil(n/2), which exceeds the formula for n in {2, 3, 4},
+    meets it at n = 5 (12 = 12) and stays below it for n >= 6.  The
+    exceptional-group reductions this bound feeds use n = 5 and n = 8,
+    where it holds for those elements too.
 
     Parameters must be exactly ``int`` (``bool`` and ``float`` are
     rejected), as many as the family takes.
@@ -298,22 +299,18 @@ def _sum_pairs(total, tags, cap=None):
 
 def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
     """All valid (non-central) signatures; order_le_4 keeps at most one
-    angle class, so every enumerated element satisfies A^4 = 1."""
+    angle class, so every enumerated element satisfies A^4 = 1.
+
+    Every candidate is a valid signature by construction except for the
+    block count, so the single-block (central) ones are the only ones
+    dropped.
+    """
     params = tuple(params)
-    for blocks in _raw_blocks(family, params, order_le_4):
-        sig = Signature(family, params, blocks)
-        try:
-            _validate(sig)
-        except InvalidSignature:
-            continue
-        yield sig
-
-
-def _raw_blocks(family, params, order_le_4):
-    """Every candidate block tuple, in enumeration order, central ones too."""
     for prefix, _, table in _candidates(family, params, order_le_4):
         for angles, _ in table:
-            yield prefix + angles
+            blocks = prefix + angles
+            if len(blocks) > 1:
+                yield Signature(family, params, blocks)
 
 
 def _candidates(family, params, order_le_4):
@@ -399,8 +396,8 @@ def _pair_partitions(p, q):
 
 
 def _candidate_count(family, params):
-    """Exact number of block tuples `enumerate_signatures` builds and tests
-    for nonnegative (family, params), capped at ENUMERATION_BUDGET + 1.
+    """Exact number of candidate block tuples `_candidates` yields for
+    nonnegative (family, params), capped at ENUMERATION_BUDGET + 1.
 
     Each count is at least the product, over the size parameters n, of the
     partition numbers p(n // weight): the candidates that split each size

@@ -1,8 +1,9 @@
 """Command-line front end: queries, verification sweeps, atlas export.
 
 Exit codes: 0 on success, 1 when a verification sweep reports a failure,
-2 on input errors (unparseable algebra, out-of-domain parameters, rank or
-isotypy violations, bad flags), 141 (128 + SIGPIPE, as a shell reports a
+2 on input errors (an `algebras.InputError`, such as an unparseable
+algebra, out-of-domain parameters, rank or isotypy violations; or bad
+flags), 141 (128 + SIGPIPE, as a shell reports a
 process killed by that signal) when stdout is closed before the output
 is written.
 """
@@ -69,10 +70,7 @@ def _require_one_simple(red, label):
 
 def _cmd_involutions(args) -> int:
     a = _require_one_simple(al.parse_algebra(args.algebra), "involutions")
-    try:
-        results = vf.check_involutions(a)
-    except vf.NeedsTrialityRoute:
-        results = vf.check_triality(a)
+    results = vf.check_involutions(a)
     d = al.dims(a)
     print(
         "%s: dim S = %d, rk_R = %d, target dim S - rk = %d"
@@ -385,18 +383,7 @@ def main(argv=None) -> int:
     try:
         rc = _DISPATCH[args.verb](args)
         sys.stdout.flush()
-    except (
-        al.ParseError,
-        al.OutOfDomain,
-        cz.InvalidSignature,
-        mo.InvalidElement,
-        mo.UnsupportedFamily,
-        inv.UnsupportedAlgebra,
-        vf.IsotypyViolated,
-        vf.MissingTableRow,
-        vf.RankBoundViolated,
-        vf.TooFewFactors,
-    ) as exc:
+    except al.InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except BrokenPipeError:

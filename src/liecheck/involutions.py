@@ -40,6 +40,7 @@ from .algebras import (
     SIZE_LIMIT,
     SPLIT_LINE,
     Family,
+    InputError,
     ReductiveAlgebra,
     SimpleAlgebra,
     SpaceDims,
@@ -71,7 +72,7 @@ REAL_FORM = "real_form"
 CARTAN = "compact"
 
 
-class UnsupportedAlgebra(ValueError):
+class UnsupportedAlgebra(InputError):
     """The ambient algebra has no row set here (compact, noncanonical or too large)."""
 
 

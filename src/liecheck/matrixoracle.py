@@ -34,15 +34,15 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from liecheck._exact import sparse_ranks
-from liecheck.algebras import Family, OutOfDomain, SimpleAlgebra
+from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra
 from liecheck.centralizers import OracleInvariantError, SigFamily, Signature, signature_dim
 
 
-class UnsupportedFamily(ValueError):
+class UnsupportedFamily(InputError):
     """No explicit matrix basis is wired for the requested ambient."""
 
 
-class InvalidElement(ValueError):
+class InvalidElement(InputError):
     """Entries, finite order, or invariance requirements are violated."""
 
 

@@ -17,7 +17,7 @@ Routes
     involution fixed set meets ``dim S - 1`` exactly).
 ``berger_involution``
     One instantiated row of the involution classification, compared
-    against the target dimension.
+    against the target dimension; a margin of 0 fails.
 ``equality_case``
     An involution row that meets the target exactly and is one of the
     known equality witnesses; reported as a pass with a flag.
@@ -30,8 +30,12 @@ Routes
     a distinguished noncompact subgroup whose unitary-type description
     carries an explicit centralizer bound.
 ``triality``
-    The two algebras with triality outer classes; order-3 fixed sets are
-    checked in addition to the involution rows.
+    The two algebras with triality outer classes, so(8,C) and so(4,4):
+    `check_involutions` checks the fixed set of each order-3 class in
+    addition to their involution rows.
+
+Every route but ``rank1`` and ``equality_case`` passes exactly when its
+margin is positive; `CaseResult.passed` is the one statement of that rule.
 """
 
 from dataclasses import dataclass
@@ -44,6 +48,7 @@ from .algebras import (
     REAL_EXCEPTIONAL,
     SPLIT_LINE,
     Family,
+    InputError,
     OutOfDomain,
     ReductiveAlgebra,
     SimpleAlgebra,
@@ -64,23 +69,19 @@ from .algebras import (
 from .centralizers import OracleInvariantError, SigFamily, bound
 
 
-class MissingTableRow(LookupError):
+class MissingTableRow(InputError, LookupError):
     """No classification row is on file for the requested algebra."""
 
 
-class NeedsTrialityRoute(Exception):
-    """The algebra has order-3 outer classes; use ``check_triality``."""
-
-
-class RankBoundViolated(ValueError):
+class RankBoundViolated(InputError):
     """The requested rational rank exceeds what a lattice can have."""
 
 
-class IsotypyViolated(ValueError):
+class IsotypyViolated(InputError):
     """Irreducible lattices need all factors of the same complex type."""
 
 
-class TooFewFactors(ValueError):
+class TooFewFactors(InputError):
     """The requested check needs more factors than were supplied."""
 
 
@@ -91,21 +92,28 @@ ROUTE_MAXIMAL_RANK = "maximal_rank_pair"
 ROUTE_RESTRICTED = "restricted_form"
 ROUTE_TRIALITY = "triality"
 
+# routes that pass whatever the margin: rank one on general grounds, and
+# the documented equality witnesses at margin zero
+_PASS_ANY_MARGIN = frozenset((ROUTE_RANK1, ROUTE_EQUALITY))
+
 
 @dataclass(frozen=True, slots=True)
 class CaseResult:
     """Outcome of one route applied to one algebra.
 
-    ``margin`` is target minus fixed-set dimension; ``passed`` is
-    ``margin > 0`` except on the ``rank1`` route (always true) and the
-    ``equality_case`` route (true at margin zero, by design).
+    ``margin`` is target minus fixed-set dimension.  ``passed`` is derived,
+    never stored: ``margin > 0``, or the route is ``rank1`` (always true)
+    or ``equality_case`` (true at margin zero, by design).
     """
 
     algebra: SimpleAlgebra
     route: str
     margin: int
     witness: str
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.margin > 0 or self.route in _PASS_ANY_MARGIN
 
 
 @dataclass(frozen=True)
@@ -158,6 +166,14 @@ def _require_simple(a):
         raise TypeError("expected a simple algebra, got %r" % (a,))
 
 
+def _require_noncompact(factors) -> None:
+    """Refuse a compact factor: it contributes no symmetric space."""
+    for a in factors:
+        _require_simple(a)
+        if is_compact(a):
+            raise OutOfDomain("compact factor %s contributes no symmetric space" % render(a))
+
+
 def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
     """Settle a real rank one algebra, or return None if the rank is not 1."""
     _require_simple(a)
@@ -170,7 +186,7 @@ def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
         best,
         d.dim_s - 1,
     )
-    return CaseResult(a, ROUTE_RANK1, d.dim_s - 1 - best, witness, True)
+    return CaseResult(a, ROUTE_RANK1, d.dim_s - 1 - best, witness)
 
 
 def _subgroup_dims(parts, torus: int) -> tuple:
@@ -219,7 +235,7 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
         "centralizer bound %s = %d < %d = dim H"
         % (label, dim_h, rk, dim_h + rk, d.dim_k, " + ".join(bound_terms), bound_total, dim_h)
     )
-    return CaseResult(a, ROUTE_MAXIMAL_RANK, margin, witness, margin > 0)
+    return CaseResult(a, ROUTE_MAXIMAL_RANK, margin, witness)
 
 
 class _RestrictedRow(NamedTuple):
@@ -269,7 +285,7 @@ def f44_equality_case() -> CaseResult:
         "(compact class included), all below the target %d"
         % (", ".join(str(v) for v in fixed_dims), target)
     )
-    return CaseResult(a, ROUTE_BERGER, margin, witness, margin > 0)
+    return CaseResult(a, ROUTE_BERGER, margin, witness)
 
 
 def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
@@ -301,7 +317,7 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
                 rep.strict_target,
             )
         )
-        return CaseResult(a, ROUTE_RESTRICTED, margin, witness, rep.strict)
+        return CaseResult(a, ROUTE_RESTRICTED, margin, witness)
     if a.family is Family.F4_4:
         return f44_equality_case()
     d = dims(a)
@@ -343,7 +359,7 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
             ds_bar - rk,
         )
     )
-    return CaseResult(a, ROUTE_RESTRICTED, margin, witness, margin > 0)
+    return CaseResult(a, ROUTE_RESTRICTED, margin, witness)
 
 
 def _is_equality_witness(a: SimpleAlgebra, h: ReductiveAlgebra) -> bool:
@@ -358,7 +374,16 @@ def _is_equality_witness(a: SimpleAlgebra, h: ReductiveAlgebra) -> bool:
     return False
 
 
-def _involution_results(a: SimpleAlgebra) -> list:
+def check_involutions(a: SimpleAlgebra) -> list:
+    """Margins for every instantiated involution row of ``a``.
+
+    Outer classes of order four (even orthogonal split signature) square
+    into the involution set, so their fixed sets are contained in fixed
+    sets already listed here; no separate route is needed.  The two
+    algebras with order-3 outer classes, so(8,C) and so(4,4), also get one
+    ``triality`` case per order-3 class, after their involution rows.
+    """
+    _require_simple(a)
     d = dims(a)
     target = d.dim_s - d.rk_r
     out = []
@@ -376,46 +401,21 @@ def _involution_results(a: SimpleAlgebra) -> list:
                 target,
             )
             if margin == 0 and _is_equality_witness(a, h):
-                out.append(CaseResult(a, ROUTE_EQUALITY, 0, witness, True))
+                out.append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
             else:
-                out.append(CaseResult(a, ROUTE_BERGER, margin, witness, margin > 0))
-    return out
-
-
-def check_involutions(a: SimpleAlgebra) -> list:
-    """Margins for every instantiated involution row of ``a``.
-
-    Outer classes of order four (even orthogonal split signature) square
-    into the involution set, so their fixed sets are contained in fixed
-    sets already listed here; no separate route is needed.  The two
-    algebras with order-3 outer classes are rejected towards
-    ``check_triality``.
-    """
-    _require_simple(a)
+                out.append(CaseResult(a, ROUTE_BERGER, margin, witness))
     if a == simple(Family.SO_C, 8) or a == simple(Family.SO, 4, 4):
-        raise NeedsTrialityRoute(render(a))
-    return _involution_results(a)
-
-
-def check_triality(a: SimpleAlgebra) -> list:
-    """Involution margins plus the order-3 outer classes."""
-    _require_simple(a)
-    classes = inv.triality_classes(a)
-    results = _involution_results(a)
-    d = dims(a)
-    target = d.dim_s - d.rk_r
-    for cls in classes:
-        fixed = reductive_dims(cls.fixed_algebra).dim_s
-        margin = target - fixed
-        witness = "order-%d class fixing %s (%s, fixed dim %d vs target %d)" % (
-            cls.order,
-            render(cls.fixed_algebra),
-            cls.kind,
-            fixed,
-            target,
-        )
-        results.append(CaseResult(a, ROUTE_TRIALITY, margin, witness, margin > 0))
-    return results
+        for cls in inv.triality_classes(a):
+            fixed = reductive_dims(cls.fixed_algebra).dim_s
+            witness = "order-%d class fixing %s (%s, fixed dim %d vs target %d)" % (
+                cls.order,
+                render(cls.fixed_algebra),
+                cls.kind,
+                fixed,
+                target,
+            )
+            out.append(CaseResult(a, ROUTE_TRIALITY, target - fixed, witness))
+    return out
 
 
 def verify_case(a: SimpleAlgebra) -> list:
@@ -423,10 +423,7 @@ def verify_case(a: SimpleAlgebra) -> list:
     shortcut = rank1_shortcut(a)
     if shortcut is not None:
         return [shortcut]
-    try:
-        results = check_involutions(a)
-    except NeedsTrialityRoute:
-        results = check_triality(a)
+    results = check_involutions(a)
     if a.family in COMPLEX_EXCEPTIONAL:
         results.append(check_maximal_rank_pair(a))
     if a.family in _RESTRICTED_INDEX:
@@ -451,10 +448,7 @@ def vcd(factors, rk_q: int, irreducible: bool = False) -> VcdResult:
     factors = tuple(factors)
     if not factors:
         raise TooFewFactors("at least one simple factor is required")
-    for a in factors:
-        _require_simple(a)
-        if is_compact(a):
-            raise OutOfDomain("compact factor %s contributes no symmetric space" % render(a))
+    _require_noncompact(factors)
     ranks = [dims(a).rk_r for a in factors]
     if irreducible and len(factors) >= 2:
         first = complexify(factors[0])
@@ -490,12 +484,8 @@ def check_semisimple(factors) -> SemisimpleReport:
     factors = tuple(factors)
     if len(factors) < 2:
         raise TooFewFactors("a product check needs at least two simple factors")
-    per = []
-    for a in factors:
-        _require_simple(a)
-        if is_compact(a):
-            raise OutOfDomain("compact factor %s contributes no symmetric space" % render(a))
-        per.append(dims(a))
+    _require_noncompact(factors)
+    per = [dims(a) for a in factors]
     dim_s = sum(d.dim_s for d in per)
     rk_total = sum(d.rk_r for d in per)
     rk_min = min(d.rk_r for d in per)
@@ -666,7 +656,6 @@ __all__ = [
     "CaseResult",
     "IsotypyViolated",
     "MissingTableRow",
-    "NeedsTrialityRoute",
     "RankBoundViolated",
     "SemisimpleReport",
     "SweepReport",
@@ -677,7 +666,6 @@ __all__ = [
     "check_maximal_rank_pair",
     "check_restricted_form",
     "check_semisimple",
-    "check_triality",
     "f44_equality_case",
     "iter_algebra_cases",
     "maximal_rank_rows",

@@ -22,7 +22,8 @@ from liecheck.centralizers import (
     oracle_max,
     signature_dim,
     _candidate_count,
-    _raw_blocks,
+    _candidates,
+    _validate,
 )
 
 
@@ -185,16 +186,54 @@ def test_order_le_4_enumeration_restricts_tags():
         assert len(angle_tags) <= 1
 
 
+def _built(family, params, order_le_4=False):
+    """Every candidate block tuple, in enumeration order, central ones too."""
+    for prefix, _, table in _candidates(family, params, order_le_4):
+        for angles, _ in table:
+            yield prefix + angles
+
+
 def test_candidate_count_matches_enumeration():
     for fam in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N):
         for n in range(0, 10):
-            built = sum(1 for _ in _raw_blocks(fam, (n,), False))
+            built = sum(1 for _ in _built(fam, (n,)))
             assert _candidate_count(fam, (n,)) == built, (fam, n)
     for fam in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ):
         for p in range(0, 6):
             for q in range(0, 7):
-                built = sum(1 for _ in _raw_blocks(fam, (p, q), False))
+                built = sum(1 for _ in _built(fam, (p, q)))
                 assert _candidate_count(fam, (p, q)) == built, (fam, p, q)
+
+
+def _validated(family, params, order_le_4):
+    """The candidates that pass the full `_validate`, in enumeration order."""
+    for blocks in _built(family, params, order_le_4):
+        sig = Signature(family, params, blocks)
+        try:
+            _validate(sig)
+        except InvalidSignature:
+            continue
+        yield sig
+
+
+def test_enumeration_drops_exactly_what_validate_rejects():
+    # the criterion-2 sizes at order <= 4 (in full they hold 55k candidates,
+    # about 1 s of `_validate`) and the criterion-3 sizes with both flags
+    c2 = [(SigFamily.SO_N, (n,)) for n in range(3, 13)]
+    c2 += [(SigFamily.SU_N, (n,)) for n in range(2, 13)]
+    c2 += [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 11)]
+    for p in range(1, 10):
+        for q in range(p, 11 - p):
+            if p + q >= 3:
+                c2 += [(SigFamily.SU_PQ, (p, q)), (SigFamily.SP_PQ, (p, q))]
+    c3 = [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 7)]
+    for p in range(1, 8):
+        for q in range(p, 9 - p):
+            c3 += [(SigFamily.SO_PQ, (p, q)), (SigFamily.SU_PQ, (p, q))]
+    cases = [(f, ps, True) for f, ps in c2] + [(f, ps, o) for f, ps in c3 for o in (False, True)]
+    for family, params, order_le_4 in cases:
+        got = list(enumerate_signatures(family, params, order_le_4))
+        assert got == list(_validated(family, params, order_le_4)), (family, params, order_le_4)
 
 
 def test_oracle_refuses_enumerations_over_budget():

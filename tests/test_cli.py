@@ -1,9 +1,11 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import gc
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +17,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import liecheck
 from liecheck import algebras as al
 from liecheck import centralizers as cz
 from liecheck import cli
@@ -41,6 +44,25 @@ def test_info_reductive_sum(capsys):
     assert rc == 0
     assert "dim S = 15" in out
     assert "split abelian part: dim 1" in out
+
+
+# exception classes that report a bug, not bad input: cli.main lets them
+# through as a traceback rather than an exit 2
+_INTERNAL_ERRORS = {"liecheck.centralizers.OracleInvariantError"}
+
+
+def test_every_library_error_is_an_input_error_or_internal():
+    found = set()
+    for info in pkgutil.iter_modules(liecheck.__path__, "liecheck."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                name = "%s.%s" % (obj.__module__, obj.__qualname__)
+                found.add(name)
+                assert issubclass(obj, al.InputError) or name in _INTERNAL_ERRORS, name
+    assert _INTERNAL_ERRORS <= found
+    assert "liecheck.verify.MissingTableRow" in found and issubclass(vf.MissingTableRow, LookupError)
+    assert not issubclass(cz.OracleInvariantError, al.InputError)
 
 
 def test_info_parse_error(capsys):
@@ -306,12 +328,12 @@ def test_verify_json_is_the_dumped_payload(capsys, scope):
 
 def test_case_blocks_match_case_payload():
     rep = vf.sweep("all", 8)
+    # a negative margin fails, so a "passed": false block is encoded too
     hand_made = vf.CaseResult(
         al.algebra(al.Family.SL_R, 3),
         "berger_involution",
-        7,
+        -7,
         'so(3) \u2192 "u(1)"\\ caf\u00e9\t\U0001d524 (fixed dim 0)',
-        False,
     )
     for c in (*rep.cases, hand_made):
         block = cli._case_block(c)

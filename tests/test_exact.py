@@ -76,11 +76,15 @@ def test_block_diagonal_splitting():
     assert _exact.rank(m) == reference_rank(m)
 
 
-small_matrices = st.lists(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=6),
-    min_size=1,
-    max_size=6,
-).filter(lambda rows: len({len(r) for r in rows}) == 1)
+def _matrices(entries):
+    """1 to 6 rows of one length from 1 to 6; the column count is drawn
+    first, so no ragged draw is made and thrown away."""
+    return st.integers(1, 6).flatmap(
+        lambda nc: st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=1, max_size=6)
+    )
+
+
+small_matrices = _matrices(st.integers(-9, 9))
 
 
 @given(small_matrices)
@@ -93,12 +97,12 @@ def test_rank_matches_reference(rows):
 mixed_entries = st.one_of(
     st.integers(-9, 9),
     st.integers(-9, 9).map(Fraction),
-    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    # every fraction in [-9, 9] with denominator <= 12; cheaper to draw
+    # than st.fractions
+    st.builds(Fraction, st.integers(-108, 108), st.integers(1, 12)).filter(lambda f: -9 <= f <= 9),
 )
 
-mixed_matrices = st.integers(1, 6).flatmap(
-    lambda nc: st.lists(st.lists(mixed_entries, min_size=nc, max_size=nc), min_size=1, max_size=6)
-)
+mixed_matrices = _matrices(mixed_entries)
 
 
 @given(mixed_matrices)

@@ -27,6 +27,7 @@ from liecheck.centralizers import (
     InvalidSignature,
     SigFamily,
     Signature,
+    bound,
     enumerate_signatures,
     signature_compact_dim,
     signature_dim,
@@ -210,6 +211,24 @@ def test_matrix_route_agrees_with_every_small_class():
             assert got.dim_centralizer_g == got.dim_centralizer_k + got.dim_s_fixed
             checked += 1
     assert checked > 50
+
+
+def test_single_rotation_class_against_the_so_star_bound():
+    # the one-angle-class elements of so*(2n) (i on a coordinates, -i on
+    # the other n - a), which the signature oracle rejects as central: their
+    # largest fixed set exceeds the closed-form bound for n in {2, 3, 4},
+    # meets it at n = 5, the size e6(2) and e6(-14) use, and stays below
+    table = {}
+    for n in range(2, 11):
+        ambient = model(Family.SO_STAR, n)
+        table[n] = max(
+            matrix_fixed_dims(element(ambient, mo._diagonal("H", [(0, 1)] * a + [(0, -1)] * (n - a)))).dim_s_fixed
+            for a in range(n + 1)
+        )
+    assert table == {2: 2, 3: 4, 4: 8, 5: 12, 6: 18, 7: 24, 8: 32, 9: 40, 10: 50}
+    bounds = {n: bound(SigFamily.SOSTAR_2N, (n,)) for n in table}
+    assert [n for n in table if table[n] > bounds[n]] == [2, 3, 4]
+    assert [n for n in table if table[n] == bounds[n]] == [5]
 
 
 def test_element_orders_and_integer_entries():

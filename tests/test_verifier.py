@@ -5,6 +5,7 @@ independently (catalog dimension formulas plus the involution rows) before
 being asserted here.
 """
 
+import dataclasses
 import gc
 import weakref
 
@@ -37,6 +38,27 @@ def test_rank1_shortcut():
     assert vf.rank1_shortcut(A(Family.SU, 1, 4)).margin == 1
     assert vf.rank1_shortcut(A(Family.SL_R, 2)).margin == 0
     assert vf.rank1_shortcut(A(Family.SL_R, 3)) is None
+
+
+ROUTES = sorted(v for k, v in vars(vf).items() if k.startswith("ROUTE_"))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_pass_rule_on_each_route(route):
+    # a positive margin passes on every route; zero or below passes only on
+    # the rank-one route and the documented equality witnesses
+    a = A(Family.SL_R, 3)
+    any_margin = route in ("rank1", "equality_case")
+    for margin, want in ((1, True), (0, any_margin), (-3, any_margin)):
+        assert vf.CaseResult(a, route, margin, "w").passed is want, (route, margin)
+    # the verdict is derived, never stored, so no route can set it by hand
+    with pytest.raises(TypeError):
+        vf.CaseResult(a, route, -3, "w", True)
+
+
+def test_case_result_fields():
+    assert [f.name for f in dataclasses.fields(vf.CaseResult)] == ["algebra", "route", "margin", "witness"]
+    assert len(ROUTES) == 6
 
 
 COMPACT_PAIR_MARGINS = {
@@ -197,16 +219,21 @@ def test_involutions_equality_so33_has_two_witnesses():
 
 
 def test_triality_route_is_mandatory_for_d4_triality_forms():
-    with pytest.raises(vf.NeedsTrialityRoute):
-        vf.check_involutions(A(Family.SO_C, 8))
-    with pytest.raises(vf.NeedsTrialityRoute):
-        vf.check_involutions(A(Family.SO, 4, 4))
-    with pytest.raises(inv.UnsupportedAlgebra):
-        vf.check_triality(A(Family.SL_C, 5))
+    # the involution route of the two triality forms carries one case per
+    # order-3 class, after the involution rows; no other algebra has one
+    for a in (A(Family.SO_C, 8), A(Family.SO, 4, 4)):
+        results = vf.check_involutions(a)
+        routes = [r.route for r in results]
+        tri = routes.index("triality")
+        assert tri > 0 and set(routes[tri:]) == {"triality"}
+        assert routes.count("triality") == len(inv.triality_classes(a))
+        assert [r.route for r in vf.verify_case(a)].count("triality") == routes.count("triality")
+    for a in (A(Family.SO_C, 10), A(Family.SO, 4, 5), A(Family.SO, 3, 5), A(Family.SL_C, 5)):
+        assert "triality" not in {r.route for r in vf.check_involutions(a)}
 
 
 def test_triality_margins_so8c():
-    results = vf.check_triality(A(Family.SO_C, 8))
+    results = vf.check_involutions(A(Family.SO_C, 8))
     tri = [r for r in results if r.route == "triality"]
     assert {r.margin for r in tri} == {10, 16, 24}
     assert all(r.passed for r in results)
@@ -215,7 +242,7 @@ def test_triality_margins_so8c():
 
 
 def test_triality_margins_so44():
-    results = vf.check_triality(A(Family.SO, 4, 4))
+    results = vf.check_involutions(A(Family.SO, 4, 4))
     tri = [r for r in results if r.route == "triality"]
     assert min(r.margin for r in tri) == 4
     assert all(r.passed for r in results)
