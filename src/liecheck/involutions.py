@@ -22,8 +22,9 @@ create.  Rows are built on each call and not kept: nothing in this module
 holds an algebra's rows after its caller lets them go.  Algebras whose size
 parameter exceeds `SIZE_LIMIT` get no rows.
 
-The two forms whose outer automorphism group has order-3 elements carry a
-separate list of order-3 fixed-point classes.
+The two forms whose outer automorphism group has order-3 elements,
+`TRIALITY_FORMS`, carry a separate list of order-3 fixed-point classes
+(`triality_classes`).
 
 The module only reports subalgebras and their dimensions; it does not
 construct the automorphisms themselves, and it does not re-derive the
@@ -53,11 +54,13 @@ from .algebras import (
     reductive,
     reductive_dims,
     render,
+    simple,
 )
 
 __all__ = [
     "IsotropyEntry",
     "Instantiation",
+    "TRIALITY_FORMS",
     "TrialityClass",
     "UnsupportedAlgebra",
     "entry_payload",
@@ -138,21 +141,6 @@ _SPLIT_NOTE = (
 )
 
 
-def _splits(p, q):
-    """One (kp, kq) per unordered split of (p, q) into two nonzero parts.
-
-    A split and its complement (p - kp, q - kq) give the same direct sum, and
-    the lexicographically smaller of the two comes first in the (kp, kq) loop
-    order, so keeping only that one leaves `_entry` with exactly the values,
-    in exactly the first-occurrence order, that the loop over every ordered
-    split gives after deduplication.
-    """
-    for kp in range(p + 1):
-        for kq in range(q + 1):
-            if (0, 0) != (kp, kq) <= (p - kp, q - kq):
-                yield kp, kq
-
-
 def _one(template, instance, *constraints, kind=LINEAR, notes=()):
     """A row with a single instance."""
     return _Row(template, [instance], constraints, kind, notes)
@@ -168,21 +156,33 @@ def _sum_row(template, n, build, letters="kl", kind=LINEAR):
 def _split_row(template, family, p, q, compact_abelian=0):
     """family(kp,kq) + family(lp,lq) + compact_abelian * u(1), per split of (p, q).
 
-    The row holds each unordered split once, in first-occurrence order (see
-    `_splits`).  Each instance is the `direct_sum` of the two canonical
-    parts, joined here without `direct_sum`'s loop over its arguments: the
-    split rows hold most of the instances a sweep builds.
+    The row holds one (kp, kq) per unordered split of (p, q) into two nonzero
+    parts, (0, 0) != (kp, kq) <= (lp, lq) with (lp, lq) = (p - kp, q - kq).
+    A split and its complement give the same direct sum, and the
+    lexicographically smaller of the two comes first in the (kp, kq) loop
+    order, so keeping only that one leaves `_entry` with exactly the values,
+    in exactly the first-occurrence order, that the loop over every ordered
+    split gives after deduplication.  The loop ranges state that set in
+    closed form: kp <= lp is kp <= p // 2, kq <= lq binds only when kp == lp,
+    and kq starts at 1 when kp == 0.
+
+    Each instance is the `direct_sum` of the two canonical parts, joined here
+    without `direct_sum`'s loop over its arguments: the split rows hold most
+    of the instances a sweep builds.
     """
     instances = []
-    for kp, kq in _splits(p, q):
-        x, y = algebra(family, kp, kq), algebra(family, p - kp, q - kq)
-        instances.append(
-            reductive(
-                x.simples + y.simples,
-                x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
-                x.split_abelian_dim + y.split_abelian_dim,
+    append = instances.append
+    for kp in range(p // 2 + 1):
+        lp = p - kp
+        for kq in range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1):
+            x, y = algebra(family, kp, kq), algebra(family, lp, q - kq)
+            append(
+                reductive(
+                    x.simples + y.simples,
+                    x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
+                    x.split_abelian_dim + y.split_abelian_dim,
+                )
             )
-        )
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
     return _Row(template, instances, constraints, notes=_SPLIT_NOTE)
 
@@ -472,14 +472,22 @@ def _so44_rotation_classes():
     return tuple(dict.fromkeys(fixed))
 
 
+# The two forms whose outer automorphism group has order-3 elements.
+TRIALITY_FORMS = frozenset((simple(Family.SO_C, 8), simple(Family.SO, 4, 4)))
+
+
 def triality_classes(a):
-    """Order-3 automorphism classes, for the two forms that have them.
+    """Order-3 automorphism classes, for the two forms in `TRIALITY_FORMS`.
 
     Everything except so(8,C) and so(4,4) raises UnsupportedAlgebra: either
     the outer automorphism group has no order-3 elements, or (for compact or
     noncanonical input) the algebra carries no rows here at all.
     """
-    if isinstance(a, SimpleAlgebra) and a.family is Family.SO_C and a.params == (8,):
+    if a not in TRIALITY_FORMS:
+        raise UnsupportedAlgebra(
+            f"{render(a)} admits no order-3 outer classes; only so(8,C) and so(4,4) do"
+        )
+    if a.family is Family.SO_C:
         classes = [
             (algebra(Family.G2_C), "outer"),
             (algebra(Family.SL_C, 3), "outer"),
@@ -487,7 +495,7 @@ def triality_classes(a):
             # the list carries a dim_s = 0 bucket like the real-form list
             (algebra(Family.G2_CPT), "compact"),
         ]
-    elif isinstance(a, SimpleAlgebra) and a.family is Family.SO and a.params == (4, 4):
+    else:
         classes = [
             (algebra(Family.G2_2), "outer"),
             (algebra(Family.SL_R, 3), "outer"),
@@ -496,8 +504,4 @@ def triality_classes(a):
         for h in _so44_rotation_classes():
             kind = "compact" if reductive_dims(h).dim_s == 0 else "inner"
             classes.append((h, kind))
-    else:
-        raise UnsupportedAlgebra(
-            f"{render(a)} admits no order-3 outer classes; only so(8,C) and so(4,4) do"
-        )
     return tuple(TrialityClass(a, h, 3, kind) for h, kind in classes)

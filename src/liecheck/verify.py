@@ -38,7 +38,8 @@ Every route but ``rank1`` and ``equality_case`` passes exactly when its
 margin is positive; `CaseResult.passed` is the one statement of that rule.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import involutions as inv
@@ -97,13 +98,19 @@ ROUTE_TRIALITY = "triality"
 _PASS_ANY_MARGIN = frozenset((ROUTE_RANK1, ROUTE_EQUALITY))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CaseResult:
     """Outcome of one route applied to one algebra.
 
     ``margin`` is target minus fixed-set dimension.  ``passed`` is derived,
     never stored: ``margin > 0``, or the route is ``rank1`` (always true)
     or ``equality_case`` (true at margin zero, by design).
+
+    ``__init__`` is written by hand: a sweep builds one record per case
+    (209,019 at max-param 48), and the generated ``__init__`` of a frozen
+    dataclass sets each field through ``object.__setattr__``.  This one
+    stores through the slot descriptors directly; assignment and deletion
+    after construction still raise FrozenInstanceError.
     """
 
     algebra: SimpleAlgebra
@@ -111,9 +118,20 @@ class CaseResult:
     margin: int
     witness: str
 
+    def __init__(self, algebra: SimpleAlgebra, route: str, margin: int, witness: str):
+        _set_algebra(self, algebra)
+        _set_route(self, route)
+        _set_margin(self, margin)
+        _set_witness(self, witness)
+
     @property
     def passed(self) -> bool:
         return self.margin > 0 or self.route in _PASS_ANY_MARGIN
+
+
+_set_algebra, _set_route, _set_margin, _set_witness = (
+    CaseResult.__dict__[f.name].__set__ for f in fields(CaseResult)
+)
 
 
 @dataclass(frozen=True)
@@ -387,7 +405,9 @@ def check_involutions(a: SimpleAlgebra) -> list:
     d = dims(a)
     target = d.dim_s - d.rk_r
     out = []
+    append = out.append
     for entry in inv.isotropy_entries(a):
+        template = entry.template
         for h in entry.instances:
             # dim S of h alone; reductive_dims would build all five dims
             fixed = h.split_abelian_dim
@@ -395,16 +415,16 @@ def check_involutions(a: SimpleAlgebra) -> list:
                 fixed += f.space.dim_s
             margin = target - fixed
             witness = "%s -> %s (fixed dim %d vs target %d)" % (
-                entry.template,
+                template,
                 render(h),
                 fixed,
                 target,
             )
             if margin == 0 and _is_equality_witness(a, h):
-                out.append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
+                append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
             else:
-                out.append(CaseResult(a, ROUTE_BERGER, margin, witness))
-    if a == simple(Family.SO_C, 8) or a == simple(Family.SO, 4, 4):
+                append(CaseResult(a, ROUTE_BERGER, margin, witness))
+    if a in inv.TRIALITY_FORMS:
         for cls in inv.triality_classes(a):
             fixed = reductive_dims(cls.fixed_algebra).dim_s
             witness = "order-%d class fixing %s (%s, fixed dim %d vs target %d)" % (
@@ -542,9 +562,20 @@ def _product_demos(max_param: int):
     return demos
 
 
+_ROUTE, _MARGIN, _WITNESS = attrgetter("route"), attrgetter("margin"), attrgetter("witness")
+
+
 def _sorted_cases(a: SimpleAlgebra) -> list:
+    """``verify_case(a)`` ordered by route, then decreasing margin, then witness.
+
+    Three stable sorts, least significant key first, give the order of the
+    key ``(route, -margin, witness)`` without a Python call and a tuple per
+    case; ``reverse=True`` keeps the sort stable.
+    """
     cases = verify_case(a)
-    cases.sort(key=lambda c: (c.route, -c.margin, c.witness))
+    cases.sort(key=_WITNESS)
+    cases.sort(key=_MARGIN, reverse=True)
+    cases.sort(key=_ROUTE)
     return cases
 
 

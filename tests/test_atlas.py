@@ -641,6 +641,21 @@ def _reference_split_instances(a):
     return template, tuple(dict.fromkeys(h for h in built if h != ambient))
 
 
+def test_split_row_is_every_unordered_split():
+    # _split_row's closed-form ranges against the condition they state
+    for fam, (template, extra) in _SPLIT_ROWS.items():
+        for p in range(1, 13):
+            for q in range(1, 13):
+                want = [
+                    plus(red(fam, kp, kq), red(fam, p - kp, q - kq), *extra)
+                    for kp in range(p + 1)
+                    for kq in range(q + 1)
+                    if (0, 0) != (kp, kq) <= (p - kp, q - kq)
+                ]
+                row = inv._split_row(template, fam, p, q, len(extra))
+                assert row.instances == want, (fam, p, q)
+
+
 def test_split_rows_match_every_ordered_split():
     checked = 0
     for a in al.iter_noncompact_simple(20):

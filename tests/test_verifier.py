@@ -7,6 +7,7 @@ being asserted here.
 
 import dataclasses
 import gc
+import pickle
 import weakref
 
 import pytest
@@ -59,6 +60,65 @@ def test_pass_rule_on_each_route(route):
 def test_case_result_fields():
     assert [f.name for f in dataclasses.fields(vf.CaseResult)] == ["algebra", "route", "margin", "witness"]
     assert len(ROUTES) == 6
+
+
+def test_case_result_is_frozen_and_pickles():
+    a = A(Family.SL_R, 3)
+    c = vf.CaseResult(a, "berger_involution", 2, "w")
+    for f in dataclasses.fields(c):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, f.name, getattr(c, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(c, f.name)
+    assert (c.algebra, c.route, c.margin, c.witness) == (a, "berger_involution", 2, "w")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(c, protocol))
+        assert back == c and hash(back) == hash(c), protocol
+    assert repr(c) == f"CaseResult(algebra={a!r}, route='berger_involution', margin=2, witness='w')"
+
+
+def _case_order(c):
+    return (c.route, -c.margin, c.witness)
+
+
+def test_sorted_cases_match_the_tuple_key(monkeypatch):
+    # _sorted_cases sorts in three stable passes; the order must be the
+    # one of the key (route, -margin, witness)
+    algebras = [*al.iter_noncompact_simple(12), A(Family.SO_C, 8), A(Family.SO, 4, 4)]
+    for a in algebras:
+        cases = vf.verify_case(a)
+        monkeypatch.setattr(vf, "verify_case", lambda _: list(cases))
+        assert vf._sorted_cases(a) == sorted(cases, key=_case_order), al.render(a)
+        monkeypatch.undo()
+    assert len(algebras) > 150
+
+
+def test_sorted_cases_break_ties_by_witness(monkeypatch):
+    a = A(Family.SL_R, 3)
+    rows = [
+        ("rank1", 2, "b"),
+        ("berger_involution", 2, "b"),
+        ("berger_involution", 2, "a"),
+        ("berger_involution", 5, "c"),
+        ("berger_involution", -1, "a"),
+        ("berger_involution", 2, "a"),
+        ("equality_case", 0, "z"),
+        ("berger_involution", 5, "a"),
+    ]
+    made = [vf.CaseResult(a, *row) for row in rows]
+    monkeypatch.setattr(vf, "verify_case", lambda _: list(made))
+    got = vf._sorted_cases(a)
+    assert [(c.route, c.margin, c.witness) for c in got] == [
+        ("berger_involution", 5, "a"),
+        ("berger_involution", 5, "c"),
+        ("berger_involution", 2, "a"),
+        ("berger_involution", 2, "a"),
+        ("berger_involution", 2, "b"),
+        ("berger_involution", -1, "a"),
+        ("equality_case", 0, "z"),
+        ("rank1", 2, "b"),
+    ]
+    assert got == sorted(made, key=_case_order)
 
 
 COMPACT_PAIR_MARGINS = {
