@@ -43,11 +43,13 @@ class OracleInvariantError(RuntimeError):
     """An internal consistency check failed (a bug, not bad input)."""
 
 
-# Largest number of candidate block tuples `oracle_max` will test.  A
-# candidate costs 2-3 us for the families with +-1 blocks and up to about
-# 20 us for su(n) and su(p,q), whose one angle table holds every candidate
-# (su(45): 89,134 candidates in 1.8 s on a 2-core Xeon, Python 3.11), so
-# the budget is at most about 2 s of work; the criterion-2 sizes
+# Largest number of candidate block tuples `_candidates` will build, for
+# `oracle_max` and `enumerate_signatures` alike.  In `oracle_max` a
+# candidate costs about 1 us for the families with +-1 blocks and up to
+# about 10 us for su(n) and su(p,q), whose one angle table holds every
+# candidate and whose tuples are the longest (su(45): 89,134 candidates in
+# 0.86 s, su(10,10): 59,521 in 0.38 s, on a 2-core x86-64 host, Python
+# 3.11), so the budget is about 1 s of work; the criterion-2 sizes
 # (n <= 12, p+q <= 10) need at most 32,926.
 ENUMERATION_BUDGET = 100_000
 
@@ -256,45 +258,43 @@ def signature_compact_dim(sig: Signature) -> int:
     raise OutOfDomain(f"{fam.value} is compact; use signature_dim")
 
 
-def _pair_multisets(p, q, tags, cap=None):
-    """Nonincreasing multisets of pairs (a,b) != (0,0), each at most cap,
-    with componentwise sums (p, q), as blocks (tag, a, b) tagged in order
-    from tags, so at most len(tags) blocks; with q = 0, the partitions of p."""
-    if (p, q) == (0, 0):
-        yield ()
+def _fill_pairs(p, q, cap_a, cap_b, dim, stack, tags, term, out):
+    """Append (blocks, dim) to out for every nonincreasing multiset of pairs
+    (a,b) != (0,0), each at most (cap_a, cap_b), with componentwise sum
+    (p, q): blocks is stack followed by the pairs as blocks (tag, a, b),
+    tagged in order from tags[len(stack):], and dim adds term(a, b) once
+    per pair.  With q = 0 the multisets are the partitions of p."""
+    if not p and not q:
+        out.append((tuple(stack), dim))
         return
-    if not tags:
+    depth = len(stack)
+    if depth == len(tags):
         return
-    if cap is None:
-        cap = (p, q)
-    for a in range(min(p, cap[0]), -1, -1):
-        top = q if a < cap[0] else min(q, cap[1])
-        for b in range(top, -1, -1):
-            if (a, b) == (0, 0):
-                continue
-            block = ((tags[0], a, b),)
-            for rest in _pair_multisets(p - a, q - b, tags[1:], (a, b)):
-                yield block + rest
+    tag = tags[depth]
+    for a in range(min(p, cap_a), -1, -1):
+        top = q if a < cap_a else min(q, cap_b)
+        for b in range(top, -1 if a else 0, -1):
+            stack.append((tag, a, b))
+            _fill_pairs(p - a, q - b, a, b, dim + term(a, b), stack, tags, term, out)
+            stack.pop()
 
 
-def _sum_pairs(total, tags, cap=None):
-    """Nonincreasing multisets of pairs (a,b) != (0,0) with sum of all
-    a+b equal to total (the so* angle-block shape), tagged as above."""
-    if total == 0:
-        yield ()
+def _fill_total(total, cap_a, cap_b, dim, stack, tags, term, out):
+    """As `_fill_pairs`, for the pairs whose a+b sum to total (the so*
+    angle-block shape)."""
+    if not total:
+        out.append((tuple(stack), dim))
         return
-    if not tags:
+    depth = len(stack)
+    if depth == len(tags):
         return
-    if cap is None:
-        cap = (total, total)
-    for a in range(min(total, cap[0]), -1, -1):
-        top = total - a if a < cap[0] else min(total - a, cap[1])
-        for b in range(top, -1, -1):
-            if (a, b) == (0, 0):
-                continue
-            block = ((tags[0], a, b),)
-            for rest in _sum_pairs(total - a - b, tags[1:], (a, b)):
-                yield block + rest
+    tag = tags[depth]
+    for a in range(min(total, cap_a), -1, -1):
+        top = total - a if a < cap_a else min(total - a, cap_b)
+        for b in range(top, -1 if a else 0, -1):
+            stack.append((tag, a, b))
+            _fill_total(total - a - b, a, b, dim + term(a, b), stack, tags, term, out)
+            stack.pop()
 
 
 def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
@@ -303,7 +303,10 @@ def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
 
     Every candidate is a valid signature by construction except for the
     block count, so the single-block (central) ones are the only ones
-    dropped.
+    dropped.  Raises OutOfDomain on the first `next()` when there are more
+    than ENUMERATION_BUDGET candidates; with order_le_4 the budget still
+    counts the full candidate set, so it may refuse a size whose order-4
+    classes alone would fit.
     """
     params = tuple(params)
     for prefix, _, table in _candidates(family, params, order_le_4):
@@ -322,8 +325,18 @@ def _candidates(family, params, order_le_4):
     Tables are built once per remainder and live only as long as the
     generator.  su(n) and su(p,q) tag every block alike, so they are one
     run with an empty prefix; a one-parameter family runs as (n, 0).
+
+    Raises OutOfDomain on the first `next()`, before building any table,
+    when there are more than ENUMERATION_BUDGET candidates.  The count is
+    of the full candidate set even when order_le_4 keeps fewer of them,
+    so the check is conservative there.  params must be a tuple.
     """
     _check_params(family, params, OutOfDomain)
+    if _candidate_count(family, params) > ENUMERATION_BUDGET:
+        raise OutOfDomain(
+            f"{family.value}{params}: more than the enumeration budget of "
+            f"{ENUMERATION_BUDGET} candidate signatures"
+        )
     p, q = params if len(params) == 2 else (*params, 0)
     centre = _CENTRE.get(family, 0)
     if family in (SigFamily.SU_N, SigFamily.SU_PQ):
@@ -350,17 +363,24 @@ def _candidates(family, params, order_le_4):
 
 def _angle_table(family, p, q, order_le_4):
     """(blocks, dim) of every tagged angle multiset filling (p, q), in
-    enumeration order; order_le_4 keeps at most one angle class (four
-    eigenvalue classes for su, whose tags are all alike)."""
+    enumeration order (descending block tuples); order_le_4 keeps at most
+    one angle class (four eigenvalue classes for su, whose tags are all
+    alike).
+
+    One depth-first walk builds the list: it adds the family's angle term
+    once per block to a running dimension and makes one tuple per entry,
+    so no entry's dimension is summed again."""
     su = family in (SigFamily.SU_N, SigFamily.SU_PQ)
     tags = ((1, -1) if su else ()) + tuple(range(2, p + q + 2))
     if order_le_4:
         tags = tags[: 4 if su else 1]
+    term = _TERMS[family][1]  # su's +-1 blocks share the angle term
+    out = []
     if family is SigFamily.SOSTAR_2N:
-        multisets = _sum_pairs(p, tags)
+        _fill_total(p, p, p, 0, [], tags, term, out)
     else:
-        multisets = _pair_multisets(p, q, tags)
-    return [(blocks, _blocks_dim(family, blocks)) for blocks in multisets]
+        _fill_pairs(p, q, p, q, 0, [], tags, term, out)
+    return out
 
 
 def _multiset_counts(n, kinds):
@@ -381,7 +401,7 @@ def _multiset_counts(n, kinds):
 
 def _pair_partitions(p, q):
     """c[i][j] for i <= p, j <= q: multisets of pairs (a,b) != (0,0) with
-    componentwise sum (i, j), the shapes `_pair_multisets` builds."""
+    componentwise sum (i, j), the shapes `_fill_pairs` builds."""
     c = [[0] * (q + 1) for _ in range(p + 1)]
     c[0][0] = 1
     for a in range(p + 1):
@@ -397,7 +417,7 @@ def _pair_partitions(p, q):
 
 def _candidate_count(family, params):
     """Exact number of candidate block tuples `_candidates` yields for
-    nonnegative (family, params), capped at ENUMERATION_BUDGET + 1.
+    (family, params), capped at ENUMERATION_BUDGET + 1.
 
     Each count is at least the product, over the size parameters n, of the
     partition numbers p(n // weight): the candidates that split each size
@@ -405,6 +425,8 @@ def _candidate_count(family, params):
     the answer, and the exact counts below only ever run on small sizes.
     """
     over = ENUMERATION_BUDGET + 1
+    if min(params) < 0:
+        return 0  # nothing fills a negative size
     if family is SigFamily.SOSTAR_2N:
         # angle blocks of total multiplicity k come in k + 1 shapes (a, k - a)
         (n,) = params
@@ -444,17 +466,12 @@ def oracle_max(family: SigFamily, params):
     witness is independent of enumeration order.  A candidate costs one
     addition and one comparison: its block tuple is built only when its
     dimension reaches the best so far, and only the winner becomes a
-    `Signature`, re-checked through `signature_dim`.  Raises OutOfDomain,
-    before enumerating, when more than ENUMERATION_BUDGET candidate
-    signatures would be built.
+    `Signature`, re-checked through `signature_dim`.  Raises OutOfDomain
+    outside `bound`'s domain, and (from `_candidates`, before enumerating)
+    when more than ENUMERATION_BUDGET candidate signatures would be built.
     """
     bound(family, params)  # domain gate only
     params = tuple(params)
-    if _candidate_count(family, params) > ENUMERATION_BUDGET:
-        raise OutOfDomain(
-            f"{family.value}{params}: more than the enumeration budget of "
-            f"{ENUMERATION_BUDGET} candidate signatures"
-        )
     best_dim, best = -1, ()  # every dimension is >= 0 and every tuple > ()
     for prefix, prefix_dim, table in _candidates(family, params, False):
         for angles, angle_dim in table:

@@ -5,7 +5,9 @@ from small centralizer computations (e.g. the centralizer of diag(-I6, 1)
 in SO(7) is SO(6), of dimension 15).
 """
 
+import gc
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,6 +23,8 @@ from liecheck.centralizers import (
     enumerate_signatures,
     oracle_max,
     signature_dim,
+    _angle_table,
+    _blocks_dim,
     _candidate_count,
     _candidates,
     _validate,
@@ -236,15 +240,18 @@ def test_enumeration_drops_exactly_what_validate_rejects():
         assert got == list(_validated(family, params, order_le_4)), (family, params, order_le_4)
 
 
+_OVER_BUDGET = [
+    (SigFamily.SU_N, (70,)),
+    (SigFamily.SO_N, (10**9,)),
+    (SigFamily.SOSTAR_2N, (14,)),
+    (SigFamily.SU_PQ, (30, 40)),
+    (SigFamily.SP_PQ, (1, 10**6)),
+]
+
+
 def test_oracle_refuses_enumerations_over_budget():
     start = time.monotonic()
-    for fam, params in [
-        (SigFamily.SU_N, (70,)),
-        (SigFamily.SO_N, (10**9,)),
-        (SigFamily.SOSTAR_2N, (14,)),
-        (SigFamily.SU_PQ, (30, 40)),
-        (SigFamily.SP_PQ, (1, 10**6)),
-    ]:
+    for fam, params in _OVER_BUDGET:
         assert _candidate_count(fam, params) == ENUMERATION_BUDGET + 1, (fam, params)
         with pytest.raises(OutOfDomain, match=str(ENUMERATION_BUDGET)):
             oracle_max(fam, params)
@@ -252,6 +259,80 @@ def test_oracle_refuses_enumerations_over_budget():
     # the largest sizes the acceptance suite enumerates stay under the budget
     assert _candidate_count(SigFamily.SOSTAR_2N, (10,)) <= ENUMERATION_BUDGET
     assert _candidate_count(SigFamily.SP_PQ, (5, 5)) <= ENUMERATION_BUDGET
+
+
+def test_enumeration_refuses_sizes_over_budget():
+    # su(50) once built its whole 204,226-entry table (5 s, 144 MB) before
+    # yielding its first signature
+    start = time.monotonic()
+    for fam, params in _OVER_BUDGET:
+        for order_le_4 in (False, True):
+            signatures = enumerate_signatures(fam, params, order_le_4)
+            with pytest.raises(OutOfDomain, match=str(ENUMERATION_BUDGET)):
+                next(signatures)
+    assert time.monotonic() - start < 1.0
+
+
+def test_negative_sizes_enumerate_nothing():
+    for fam in SigFamily:
+        two = fam in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+        for params in [(-1, 2), (2, -1), (-3, -3)] if two else [(-1,), (-5,)]:
+            assert list(enumerate_signatures(fam, params)) == [], (fam, params)
+
+
+def _reference_table(family, p, q, order_le_4):
+    """The tagged angle multisets filling (p, q) (so*: of total p), from
+    combinations of the nonzero pairs, in descending block-tuple order."""
+    su = family in (SigFamily.SU_N, SigFamily.SU_PQ)
+    tags = ((1, -1) if su else ()) + tuple(range(2, p + q + 2))
+    if order_le_4:
+        tags = tags[: 4 if su else 1]
+    so_star = family is SigFamily.SOSTAR_2N
+    pairs = [(a, b) for a in range(p + 1) for b in range(p + 1 - a if so_star else q + 1)]
+    pairs = sorted((pair for pair in pairs if pair != (0, 0)), reverse=True)
+    table = []
+    for k in range(min(len(tags), p + q) + 1):
+        for combo in combinations_with_replacement(pairs, k):
+            sums = [sum(a for a, _ in combo), sum(b for _, b in combo)]
+            if (sum(sums) == p) if so_star else (sums == [p, q]):
+                table.append(tuple((t, a, b) for t, (a, b) in zip(tags, combo)))
+    return sorted(table, reverse=True)
+
+
+def test_angle_tables_match_reference():
+    one = (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N)
+    sizes = [(family, n, 0) for family in one for n in range(6)]
+    two = (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+    sizes += [(family, p, q) for family in two for p in range(6) for q in range(6 - p)]
+    for family, p, q in sizes:
+        for order_le_4 in (False, True):
+            table = _angle_table(family, p, q, order_le_4)
+            want = _reference_table(family, p, q, order_le_4)
+            assert [blocks for blocks, _ in table] == want, (family, p, q, order_le_4)
+            for blocks, dim in table:
+                assert dim == _blocks_dim(family, blocks), (family, blocks)
+
+
+def test_enumeration_leaves_no_reference_cycles():
+    # a table kept alive by a cycle lives until the cyclic collector runs,
+    # which shows in peak RSS; every table must be freed by refcount alone
+    cases = [
+        (SigFamily.SO_N, (7,)),
+        (SigFamily.SU_N, (6,)),
+        (SigFamily.SU_PQ, (2, 3)),
+        (SigFamily.SP_PQ, (2, 3)),
+        (SigFamily.SOSTAR_2N, (6,)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for family, params in cases:
+            oracle_max(family, params)
+            for _ in enumerate_signatures(family, params):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _reference_max(family, params):
