@@ -12,12 +12,22 @@ group elements decompose into many small blocks, and eliminating them
 separately keeps the integer growth down.  A class holding a single row of
 a set counts 1.  A larger one goes to fraction-free Bareiss elimination,
 unless it holds the same rows as when it was last eliminated: then it
-takes that rank again.  Elimination runs on fresh blocks, so the caller's
-rows are never mutated: a row whose values are all ints is packed as it
-is, and a row holding any other rational (a Fraction, or an int-like such
-as a bool) is scaled by the lcm of its denominators into ints.
+takes that rank again (a class of the matrix oracle's operator rows that
+holds only k rows has the same rows in the k set and in the whole).
+Elimination runs on fresh blocks, so the caller's rows are never mutated:
+a row whose values are all ints is packed as it is, and a row holding any
+other rational (a Fraction, or an int-like such as a bool) is scaled by
+the lcm of its denominators into ints.
 
-`rank` takes dense rows and hands their nonzeros to the same code.
+`reduced_form` eliminates a set of sparse rows once into reduced echelon
+form: each pivot is 1 and every other pivot column is cleared, so its
+number of pivots is the rank.  `in_span` then tests whether other sparse
+rows lie in that span, each in one pass with no coefficient growth; this
+is how the matrix oracle validates an element against a basis it reduced
+once.  Both scale rows into ints as `sparse_ranks` does, and neither
+mutates the caller's rows.
+
+`rank` takes dense rows and hands their nonzeros to `sparse_ranks`.
 """
 
 from fractions import Fraction
@@ -62,6 +72,14 @@ def bareiss_rank(m):
     return row
 
 
+def _scaled_to_ints(vals):
+    """The values of a row that are not all ints, scaled by the lcm of their
+    denominators into ints."""
+    fracs = [Fraction(x) for x in vals]
+    scale = lcm(*(x.denominator for x in fracs))
+    return [int(x * scale) for x in fracs]
+
+
 def _block_rank(rows):
     """Rank of sparse rows packed densely over the columns they use."""
     block_cols = {c for cols, _ in rows for c in cols}
@@ -70,9 +88,7 @@ def _block_rank(rows):
     block = []
     for cols, vals in rows:
         if not _INT_ONLY.issuperset(map(type, vals)):
-            fracs = [Fraction(x) for x in vals]
-            scale = lcm(*(x.denominator for x in fracs))
-            vals = [int(x * scale) for x in fracs]
+            vals = _scaled_to_ints(vals)
         packed = [0] * width
         for c, x in zip(cols, vals):
             packed[remap[c]] = x
@@ -129,6 +145,76 @@ def sparse_ranks(row_sets):
             total += prior[1]
         out.append(total)
     return out
+
+
+def _residual(reduced, cols, vals):
+    """A row less its combination of the reduced rows, as {column: value}
+    over the columns that are not pivots; the values may include zeros.
+
+    Every reduced row is 1 at its own pivot and 0 at the others, so the
+    coefficient of each is the row's own value at that pivot: one pass, with
+    no coefficient growth.
+    """
+    acc = {}
+    get = acc.get
+    for c, x in zip(cols, vals):
+        pivot_row = reduced.get(c)
+        if pivot_row is None:
+            acc[c] = get(c, 0) + x
+        else:
+            for pc, pv in pivot_row.items():
+                acc[pc] = get(pc, 0) - x * pv
+    return acc
+
+
+def reduced_form(rows):
+    """Reduced echelon form of sparse rows, as {pivot column: {column: value}}.
+
+    A reduced row is 1 at its pivot, which it does not store, and 0 at every
+    other pivot.  Each row is reduced against the form so far; what is left,
+    if anything, is scaled to 1 at its first column, which becomes a new
+    pivot and is cleared from the earlier rows.  The number of pivots is the
+    rank of the rows.
+    """
+    form = {}
+    users = {}  # column -> pivots whose rows are, or once were, nonzero there
+    for cols, vals in rows:
+        if not _INT_ONLY.issuperset(map(type, vals)):
+            vals = _scaled_to_ints(vals)
+        rest = {c: x for c, x in _residual(form, cols, vals).items() if x}
+        if not rest:
+            continue
+        pivot = min(rest)
+        lead = rest.pop(pivot)
+        # an integral quotient is kept as an int
+        row = {c: x // lead if not x % lead else Fraction(x, lead) for c, x in rest.items()}
+        for other in users.pop(pivot, ()):
+            orow = form[other]
+            f = orow.pop(pivot, 0)
+            if not f:  # the row lost this column after it was listed
+                continue
+            for c, x in row.items():
+                y = orow.get(c, 0) - f * x
+                if not y:
+                    del orow[c]
+                    continue
+                if c not in orow:
+                    users.setdefault(c, []).append(other)
+                orow[c] = y
+        form[pivot] = row
+        for c in row:
+            users.setdefault(c, []).append(pivot)
+    return form
+
+
+def in_span(reduced, rows):
+    """Whether every sparse row lies in the span of a `reduced_form`."""
+    for cols, vals in rows:
+        if not _INT_ONLY.issuperset(map(type, vals)):
+            vals = _scaled_to_ints(vals)
+        if any(_residual(reduced, cols, vals).values()):
+            return False
+    return True
 
 
 def rank(rows):

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
-from liecheck._exact import sparse_ranks
+from liecheck._exact import in_span, reduced_form, sparse_ranks
 from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra
 from liecheck.centralizers import OracleInvariantError, SigFamily, Signature, signature_dim
 
@@ -58,7 +58,8 @@ class MatrixElement:
 
     Integral entries are ints, the others Fractions.  ``operator_rows`` holds
     A M A^-1 - M for every basis matrix M of the ambient (the k basis first,
-    then p): the rows of X -> A X A^-1 - X that validation checked and that
+    then p): the rows of X -> A X A^-1 - X that validation found inside the
+    span of the basis (the k rows inside the span of the k basis), and that
     `matrix_fixed_dims` eliminates.  Each is a sparse row in the sense of
     `liecheck._exact`: the flattened cells i * N + j it reaches, strictly
     increasing, and their nonzero values.
@@ -294,22 +295,29 @@ _SHAPES = {
 }
 
 
+class _Basis(NamedTuple):
+    """An ambient's basis matrices and the reduced forms of the spans of
+    their sparse rows: of k + p, and of k alone."""
+
+    k: tuple
+    p: tuple
+    span: dict
+    k_span: dict
+
+
 @lru_cache(maxsize=None)
-def _bases(a: SimpleAlgebra):
+def _bases(a: SimpleAlgebra) -> _Basis:
     size = _size(a)
     field, shape, _ = _SHAPES[a.family]
     n = size // len(_UNITS[field]["1"])  # F-matrix size
     k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
-    if sparse_ranks([_sparse_rows(k + p, size)]) != [len(k) + len(p)]:
+    rows = _sparse_rows(k + p, size)
+    span = reduced_form(rows)
+    # one pivot per row exactly when the rows are independent
+    if len(span) != len(rows):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
-    return k, p
-
-
-@lru_cache(maxsize=None)
-def _basis_rows(a: SimpleAlgebra):
-    """The sparse rows of `_bases`, the k basis first, then p."""
-    k, p = _bases(a)
-    return _sparse_rows(k + p, _size(a))
+    # a compact ambient has no p basis: its k span is the whole span
+    return _Basis(k, p, span, reduced_form(rows[: len(k)]) if p else span)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +325,14 @@ def _basis_rows(a: SimpleAlgebra):
 
 
 def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
-    """Validate entries, finite order, and both invariance requirements."""
+    """Validate entries, finite order, and both invariance requirements.
+
+    Conjugation preserves the ambient exactly when every operator row
+    A M A^-1 - M lies in the span of the basis, and the maximal compact
+    when every k row lies in the span of the k basis.  Both spans are
+    reduced once per ambient (`_bases`), so each row is tested in one pass
+    against them and no basis is eliminated again.
+    """
     n = _size(ambient)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise InvalidElement(f"expected a {n} x {n} matrix for {ambient}")
@@ -347,16 +362,12 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
     else:
         raise InvalidElement("element order must divide 4")
 
-    bk, bp = _bases(ambient)
-    nk = len(bk)
-    basis = _basis_rows(ambient)
-    moved = _operator_rows(a, inv, bk + bp)
-    # span(B, A B A^-1) = span(B, A B A^-1 - B): the basis is carried into
-    # its own span exactly when appending the operator rows keeps the rank
-    full, compact = sparse_ranks([basis + moved, basis[:nk] + moved[:nk]])
-    if full != len(basis):
+    basis = _bases(ambient)
+    moved = _operator_rows(a, inv, basis.k + basis.p)
+    # A M A^-1 lies in a span that holds M exactly when A M A^-1 - M does
+    if not in_span(basis.span, moved):
         raise InvalidElement("conjugation does not preserve the ambient algebra")
-    if compact != nk:
+    if not in_span(basis.k_span, moved[: len(basis.k)]):
         raise InvalidElement(
             "conjugation must preserve the maximal compact subalgebra; "
             "bring the element to the standard orthogonal position first"
@@ -494,7 +505,7 @@ def from_signature(sig: Signature) -> MatrixElement:
 
 def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
     """(dim C_g(A), dim C_k(A), dim S^A) by exact kernel computation."""
-    nk = len(_bases(e.ambient)[0])
+    nk = len(_bases(e.ambient).k)
     rows = e.operator_rows
     rank_k, rank_p, rank_g = sparse_ranks([rows[:nk], rows[nk:], rows])
     fixed_k = nk - rank_k
@@ -534,12 +545,17 @@ class G2RotationReport:
     compact_centralizer_dim: int
     chain_upper_bound: int
     strict_target: int
-    strict: bool
     half_turn: FixedDims
     half_signature: Signature
     half_turn_chain: int
     half_turn_needs_involution_route: bool
     zero_turn_rejected: bool
+
+    @property
+    def strict(self) -> bool:
+        """Whether the chain bound is strictly below the target: derived
+        from the margin that `check_restricted_form` reports, never stored."""
+        return self.chain_upper_bound < self.strict_target
 
 
 def g22_case() -> G2RotationReport:
@@ -578,7 +594,6 @@ def g22_case() -> G2RotationReport:
         compact_centralizer_dim=compact_centralizer_dim,
         chain_upper_bound=chain,
         strict_target=target,
-        strict=chain < target,
         half_turn=half_dims,
         half_signature=Signature(
             SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (-1, 2, 2))

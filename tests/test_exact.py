@@ -172,3 +172,70 @@ def test_sparse_ranks_match_reference(rows):
     dense = rows + [[0] * len(rows[0])]
     assert got == [reference_rank([dense[i] for i in pick]) for pick in picks]
     assert got[0] == _exact.rank(rows)
+
+
+def _independent(rows):
+    """The rows that raise the rank of those kept before them."""
+    kept = []
+    for row in rows:
+        if _exact.sparse_ranks([kept + [row]])[0] > len(kept):
+            kept.append(row)
+    return kept
+
+
+def test_span_membership_hand_picked():
+    # two basis rows over disjoint column classes; the reduced form is
+    # integral here
+    basis = [([0, 1], [2, 4]), ([3, 4], [1, -1])]
+    form = _exact.reduced_form(basis)
+    assert form == {0: {1: 2}, 3: {4: -1}}
+    # 2 b0 + 3 b1 crosses both classes and lies in the span; one sign off
+    # does not
+    assert _exact.in_span(form, [([0, 1, 3, 4], [4, 8, 3, -3])])
+    assert not _exact.in_span(form, [([0, 1, 3, 4], [4, 8, 3, 3])])
+    # a cell that no basis row uses
+    assert not _exact.in_span(form, [([0, 1, 2], [2, 4, 1])])
+    assert not _exact.in_span(form, [([2], [1])])
+    # Fraction rows: b0 / 4 lies in the span, b0 / 4 + b1 / 3 too, and a
+    # Fraction off the span does not
+    f = Fraction
+    assert _exact.in_span(form, [([0, 1], [f(1, 2), 1])])
+    assert _exact.in_span(form, [([0, 1, 3, 4], [f(1, 2), 1, f(1, 3), f(-1, 3)])])
+    assert not _exact.in_span(form, [([0, 1], [f(1, 2), f(1, 3)])])
+    # the empty set lies in every span, a zero row too; one row off the span
+    # refuses the whole set
+    assert _exact.in_span(form, [])
+    assert _exact.in_span({}, [])
+    assert _exact.in_span({}, [((), ())])
+    assert not _exact.in_span({}, [([0], [1])])
+    assert not _exact.in_span(form, [([0, 1], [1, 2]), ([2], [1])])
+    # a basis whose reduced form needs a Fraction: b0 - b1 lies in the span
+    basis = [([0, 1], [2, 1]), ([1, 2], [1, 1])]
+    form = _exact.reduced_form(basis)
+    assert form == {0: {2: f(-1, 2)}, 1: {2: 1}}
+    assert _exact.in_span(form, [([0, 2], [2, -1])])
+    assert not _exact.in_span(form, [([0, 2], [2, 1])])
+    # dependent rows leave no pivot
+    assert len(_exact.reduced_form([([0, 1], [1, 1]), ([0, 1], [2, 2]), ((), ())])) == 1
+
+
+@given(st.one_of(small_matrices, mixed_matrices), st.integers(0, 6))
+@settings(max_examples=100)
+def test_span_membership_matches_the_rank_criterion(rows, split):
+    # the first `split` rows, made independent, span; the others are tested
+    # one by one and as a set, with a zero row and the empty set along
+    sparse = _sparse(rows)
+    zero = ((), ())
+    before = [(list(c), list(v)) for c, v in sparse]
+    basis = _independent(sparse[:split] + [zero])
+    form = _exact.reduced_form(basis)
+    assert len(form) == len(basis) == _exact.sparse_ranks([basis])[0]
+    assert len(_exact.reduced_form(sparse)) == reference_rank(rows)
+    # reduced: no row stores a pivot, and each pivot is its row's first cell
+    assert all(c not in form and c > pivot for pivot, row in form.items() for c in row)
+    tested = [[row] for row in sparse[split:]] + [sparse[split:], [zero], []]
+    for picked in tested:
+        want = _exact.sparse_ranks([basis + picked])[0] == _exact.sparse_ranks([basis])[0]
+        assert _exact.in_span(form, picked) == want
+    assert _exact.in_span(form, basis)
+    assert [(list(c), list(v)) for c, v in sparse] == before

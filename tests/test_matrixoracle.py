@@ -15,13 +15,16 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
 from liecheck import matrixoracle as mo
+from liecheck._exact import sparse_ranks
 from liecheck.algebras import Family, OutOfDomain
 from liecheck.centralizers import (
     InvalidSignature,
@@ -250,6 +253,14 @@ def test_rejects_infinite_and_unsupported_orders():
         element(a, [[0, -1], [1, -1]])  # order 3 does not divide 4
 
 
+# a reflection of so(1,2) conjugated by a boost
+BOOSTED_REFLECTION = [
+    [Fraction(41, 9), Fraction(-40, 9), 0],
+    [Fraction(40, 9), Fraction(-41, 9), 0],
+    [0, 0, 1],
+]
+
+
 def test_rejects_form_breaking_and_non_orthogonal_elements():
     a = model(Family.SO, 1, 2)
     # swaps a positive and a negative coordinate: not an isometry of the form
@@ -257,14 +268,98 @@ def test_rejects_form_breaking_and_non_orthogonal_elements():
         element(a, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     # boost-conjugated reflection: preserves the form but moves the maximal
     # compact, so the k/p split is not respected
-    f = Fraction
-    boosted = [
-        [f(41, 9), f(-40, 9), 0],
-        [f(40, 9), f(-41, 9), 0],
-        [0, 0, 1],
-    ]
     with pytest.raises(InvalidElement, match="compact"):
-        element(a, boosted)
+        element(a, BOOSTED_REFLECTION)
+
+
+# the classes of acceptance criterion 3: so(p,q) and su(p,q) with
+# p + q <= 8, and so*(2n) with n <= 6
+CRITERION_3 = [
+    (family, (p, q))
+    for p in range(1, 8)
+    for q in range(p, 9 - p)
+    for family in (SigFamily.SO_PQ, SigFamily.SU_PQ)
+] + [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 7)]
+
+
+def _rank_verdict(ambient, rows):
+    """The verdict of the rank criterion that `element` applied before it
+    tested span membership: appending the operator rows to the basis, and
+    the k rows to the k basis, must keep each rank."""
+    a = [list(r) for r in rows]
+    a2 = mo._mul(a, a)
+    a3 = mo._mul(a2, a)
+    if not mo._is_identity(mo._mul(a3, a)):
+        return "order"
+    k, p = mo._bases(ambient)[:2]
+    rows = mo._sparse_rows(k + p, len(a))
+    moved = mo._operator_rows(a, a3, k + p)  # A^-1 = A^3
+    full, compact = sparse_ranks([rows + moved, rows[: len(k)] + moved[: len(k)]])
+    if full != len(rows):
+        return "algebra"
+    if compact != len(k):
+        return "compact"
+    return "accepted"
+
+
+def _verdict(ambient, rows):
+    """`element`'s verdict, named by the word its error message turns on."""
+    try:
+        element(ambient, rows)
+    except InvalidElement as exc:
+        for word in ("compact", "algebra", "order"):  # "subalgebra" is compact
+            if word in str(exc):
+                return word
+        raise
+    return "accepted"
+
+
+def _signed_permutations(n):
+    for perm in permutations(range(n)):
+        for signs in product((1, -1), repeat=n):
+            rows = [[0] * n for _ in range(n)]
+            for i, (j, s) in enumerate(zip(perm, signs)):
+                rows[i][j] = s
+            yield rows
+
+
+def test_span_membership_gives_the_rank_verdict():
+    # every criterion-3 element, every signed permutation on so(1,2) and
+    # so(2,2), the boosted reflection and a shear: one verdict from both
+    # criteria
+    groups = [
+        [
+            (model(mo.SIG_AMBIENT[family], *params), mo._realized(s))
+            for family, params in CRITERION_3
+            for s in enumerate_signatures(family, params, order_le_4=True)
+        ],
+        [(model(Family.SO, 1, 2), rows) for rows in _signed_permutations(3)],
+        [(model(Family.SO, 2, 2), rows) for rows in _signed_permutations(4)],
+        [(model(Family.SO, 1, 2), BOOSTED_REFLECTION)],
+        # a shear reflection moves every row of compact so(3), which has
+        # only k rows, out of the algebra
+        [(model(Family.SO_CPT, 3), [[1, 1, 0], [0, -1, 0], [0, 0, 1]])],
+    ]
+    tallies = []
+    for cases in groups:
+        tally = Counter()
+        for ambient, rows in cases:
+            want = _rank_verdict(ambient, rows)
+            assert _verdict(ambient, rows) == want, (ambient, rows)
+            tally[want] += 1
+        tallies.append(dict(tally))
+    assert tallies == [
+        {"accepted": 1130},
+        # the 3-cycles have order 3 or 6; a transposition of the positive
+        # coordinate with a negative one breaks the form
+        {"accepted": 16, "algebra": 16, "order": 16},
+        # the 3-cycles, and the signed 4-cycles of order 8, fail the order
+        # test; a swap of the two blocks maps the form to its negative,
+        # which so(2,2) and its k both tolerate
+        {"accepted": 112, "algebra": 96, "order": 176},
+        {"compact": 1},
+        {"algebra": 1},
+    ]
 
 
 def test_rejects_wrong_shape():
