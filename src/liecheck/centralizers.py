@@ -21,8 +21,11 @@ Conventions:
     multiplicities inside the positive/negative part of the form.  For
     so*(2n), an angle block's two fields are the multiplicities of the
     two conjugate eigenvalues; +-1 blocks use mult_plus alone.
-  * For so(p,q) and so(n), a rotation block of multiplicity m occupies
-    2m coordinates (m in each signature part for so(p,q)).
+  * Blocks fill the coordinates by one rule, in `_validate`: a +-1 block
+    fills its multiplicities, an angle block its multiplicities times the
+    family's `_ANGLE_WIDTH` (2 for so(n) and so(p,q), whose angle blocks
+    are rotation planes, 1 otherwise).  Two-parameter families fill
+    (p, q) part by part; one-parameter families fill n with both parts.
 
 Compact families report dim C_K(A); indefinite families report dim S^A,
 the fixed-set dimension in the symmetric space.
@@ -81,6 +84,21 @@ _TERMS = {
     SigFamily.SOSTAR_2N: (lambda a, _: a * (a - 1), lambda a, b: 2 * a * b),
 }
 _CENTRE = {SigFamily.SU_N: -1}
+
+# coordinates an angle block fills per unit of multiplicity: 2 in the real
+# models, whose angle blocks are rotation planes, and 1 over C and H
+_ANGLE_WIDTH = {**dict.fromkeys(SigFamily, 1), SigFamily.SO_N: 2, SigFamily.SO_PQ: 2}
+
+# dim C_K(A) of each indefinite family, as (compact family, centre): K's
+# centralizer is that family's, part by part, plus the centre constant.
+# K is s(u(p)+u(q)) for su(p,q), one dimension short of u(p)+u(q), and
+# u(n) for so*(2n), whose two parts are the conjugate multiplicities
+_COMPACT_PART = {
+    SigFamily.SO_PQ: (SigFamily.SO_N, 0),
+    SigFamily.SU_PQ: (SigFamily.SU_N, -1),
+    SigFamily.SP_PQ: (SigFamily.SP_N_COMPACT, 0),
+    SigFamily.SOSTAR_2N: (SigFamily.SU_N, 0),
+}
 
 
 @dataclass(frozen=True)
@@ -187,29 +205,14 @@ def _validate(sig: Signature) -> None:
         if sig.family is SigFamily.SOSTAR_2N and t in (1, -1) and mm != 0:
             raise InvalidSignature("so* real-eigenvalue blocks carry one multiplicity")
 
-    if sig.family is SigFamily.SO_N:
-        (n,) = sig.params
-        total = sum(mp if t in (1, -1) else 2 * mp for t, mp, _ in blocks)
-        if total != n:
-            raise InvalidSignature(f"multiplicities fill {total} of {n} coordinates")
-    elif sig.family in (SigFamily.SU_N, SigFamily.SP_N_COMPACT):
-        (n,) = sig.params
-        if sum(mp for _, mp, _ in blocks) != n:
-            raise InvalidSignature(f"multiplicities do not sum to {n}")
-    elif sig.family is SigFamily.SO_PQ:
-        p, q = sig.params
-        tp = sum(mp if t in (1, -1) else 2 * mp for t, mp, _ in blocks)
-        tq = sum(mm if t in (1, -1) else 2 * mm for t, _, mm in blocks)
-        if (tp, tq) != (p, q):
-            raise InvalidSignature(f"multiplicities fill {(tp, tq)} of {(p, q)}")
-    elif sig.family in (SigFamily.SU_PQ, SigFamily.SP_PQ):
-        p, q = sig.params
-        if (sum(mp for _, mp, _ in blocks), sum(mm for _, _, mm in blocks)) != (p, q):
-            raise InvalidSignature(f"multiplicities do not sum to {(p, q)}")
-    else:  # SOSTAR_2N
-        (n,) = sig.params
-        if sum(mp + mm for _, mp, mm in blocks) != n:
-            raise InvalidSignature(f"multiplicities do not sum to {n}")
+    # the one fill rule of the module docstring; so*(2n)'s angle blocks
+    # split n between the two conjugate multiplicities
+    width = _ANGLE_WIDTH[sig.family]
+    fill_p = sum(mp if t in (1, -1) else width * mp for t, mp, _ in blocks)
+    fill_q = sum(mm if t in (1, -1) else width * mm for t, _, mm in blocks)
+    fill = (fill_p, fill_q) if len(sig.params) == 2 else (fill_p + fill_q,)
+    if fill != tuple(sig.params):
+        raise InvalidSignature(f"multiplicities fill {fill} of {tuple(sig.params)} coordinates")
 
 
 def signature_dim(sig: Signature) -> int:
@@ -230,32 +233,14 @@ def _blocks_dim(family, blocks):
 
 
 def signature_compact_dim(sig: Signature) -> int:
-    """dim C_K(A) for the indefinite families (cross-check channel)."""
+    """dim C_K(A) for the indefinite families (cross-check channel): the
+    `_TERMS` of K's compact family, applied to each part's multiplicity."""
     _validate(sig)
-    fam = sig.family
-    if fam is SigFamily.SO_PQ:
-        total = 0
-        for t, mp, mm in sig.blocks:
-            if t in (1, -1):
-                total += mp * (mp - 1) // 2 + mm * (mm - 1) // 2
-            else:
-                total += mp * mp + mm * mm
-        return total
-    if fam is SigFamily.SU_PQ:
-        return sum(mp * mp + mm * mm for _, mp, mm in sig.blocks) - 1
-    if fam is SigFamily.SP_PQ:
-        total = 0
-        for t, mp, mm in sig.blocks:
-            if t in (1, -1):
-                total += mp * (2 * mp + 1) + mm * (2 * mm + 1)
-            else:
-                total += mp * mp + mm * mm
-        return total
-    if fam is SigFamily.SOSTAR_2N:
-        return sum(
-            mp * mp if t in (1, -1) else mp * mp + mm * mm for t, mp, mm in sig.blocks
-        )
-    raise OutOfDomain(f"{fam.value} is compact; use signature_dim")
+    if sig.family not in _COMPACT_PART:
+        raise OutOfDomain(f"{sig.family.value} is compact; use signature_dim")
+    compact, centre = _COMPACT_PART[sig.family]
+    parts = ((t, m, 0) for t, mp, mm in sig.blocks for m in (mp, mm))
+    return _blocks_dim(compact, parts) + centre
 
 
 def _fill_pairs(p, q, cap_a, cap_b, dim, stack, tags, term, out):
@@ -342,7 +327,7 @@ def _candidates(family, params, order_le_4):
     if family in (SigFamily.SU_N, SigFamily.SU_PQ):
         yield (), centre, _angle_table(family, p, q, order_le_4)
         return
-    weight = 2 if family in (SigFamily.SO_N, SigFamily.SO_PQ) else 1
+    weight = _ANGLE_WIDTH[family]
     tables = {}
     for ap in range(p + 1):
         for aq in range(q + 1):
@@ -434,7 +419,7 @@ def _candidate_count(family, params):
         if angles[-1] > ENUMERATION_BUDGET:
             return over
         return min(sum((n - r + 1) * angles[r] for r in range(n + 1)), over)
-    weight = 2 if family in (SigFamily.SO_N, SigFamily.SO_PQ) else 1
+    weight = _ANGLE_WIDTH[family]
     parts = [_multiset_counts(x // weight, lambda k: 1) for x in params]
     floor = 1
     for c in parts:

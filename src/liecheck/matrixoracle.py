@@ -8,10 +8,11 @@ That yields (dim C_g(A), dim C_k(A), dim S^A) with no tolerances anywhere.
 Conventions.
 
 * Complex and quaternionic matrices are realified by one unit table,
-  `_UNITS`, which states the convention.  It takes the conjugate transpose
-  to the real transpose, so the Cartan involution is X -> -X^t in every
-  model below, and it is a ring homomorphism, so conjugation can be carried
-  out at the real level.
+  `_UNITS`, which states the convention: basis matrices and the block
+  elements of `from_signature` alike are lists of F-matrix terms put
+  through it.  It takes the conjugate transpose to the real transpose, so
+  the Cartan involution is X -> -X^t in every model below, and it is a
+  ring homomorphism, so conjugation can be carried out at the real level.
 * Elements must have order dividing 4.  Keeping to fourth roots of unity is
   what keeps every entry rational; other rotation angles would drag in
   cyclotomic arithmetic.
@@ -35,7 +36,13 @@ from typing import NamedTuple
 
 from liecheck._exact import in_span, reduced_form, sparse_ranks
 from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra
-from liecheck.centralizers import OracleInvariantError, SigFamily, Signature, signature_dim
+from liecheck.centralizers import (
+    InvalidSignature,
+    OracleInvariantError,
+    SigFamily,
+    Signature,
+    signature_dim,
+)
 
 
 class UnsupportedFamily(InputError):
@@ -410,90 +417,51 @@ SIG_AMBIENT = {
     SigFamily.SOSTAR_2N: Family.SO_STAR,
 }
 
-# eigenvalue tags realizable at order dividing 4; angle tags mean a
-# quarter-turn rotation (the only non-real angle available)
-_SU_EIGEN = {1: (1, 0), -1: (-1, 0), 2: (0, 1), 3: (0, -1)}
 
+def _realized(sig: Signature):
+    """The block element of a signature, as real rows.
 
-def _single_angle(blocks):
-    angles = [t for t, _, _ in blocks if t not in (1, -1)]
-    if len(angles) > 1:
+    One list of F-matrix terms (i, j, unit, c) is built a part at a time,
+    mult_plus then mult_minus, and realified through `_UNITS` by `_expand`.
+    A +-1 block puts its tag on the diagonal.  An angle block is a quarter
+    turn, the only angle of order dividing 4: a rotation plane over R, the
+    unit i over C and H, where su's tag 3 and so*(2n)'s mult_minus take -i.
+    """
+    fam, params, blocks = sig.family, sig.params, sig.blocks
+    field = _SHAPES[SIG_AMBIENT[fam]][0]
+    if field == "C":  # su tags each eigenvalue: 1, -1, i as 2 and -i as 3
+        if any(t not in (1, -1, 2, 3) for t, _, _ in blocks):
+            raise InvalidElement("eigenvalue tags beyond the fourth roots of unity need order > 4")
+    elif sum(t not in (1, -1) for t, _, _ in blocks) > 1:
         raise InvalidElement("distinct rotation classes need order > 4")
-    return angles
-
-
-def _so_rows(params, blocks, split):
-    cells = []
-    parts = ((0, params[0]), (1, params[1])) if split else ((0, params[0]),)
-    _single_angle(blocks)
-    for which, total in parts:
-        filled = 0
-        for t, mp, mm in blocks:
-            mult = (mp, mm)[which] if split else mp
-            cells.extend([t if t in (1, -1) else "rot"] * mult)
-            filled += mult if t in (1, -1) else 2 * mult
-        if filled != total:
-            raise OracleInvariantError(f"blocks {blocks} fill {filled} of {total} coordinates")
-    n = sum(2 if c == "rot" else 1 for c in cells)
-    m = _zeros(n)
-    pos = 0
-    for c in cells:
-        if c == "rot":
-            m[pos][pos + 1] = -1
-            m[pos + 1][pos] = 1
-            pos += 2
-        else:
-            m[pos][pos] = c
-            pos += 1
-    return m
-
-
-def _unitary_diag(params, blocks, split):
-    diag = []
-    parts = (0, 1) if split else (0,)
-    for which in parts:
-        for t, mp, mm in blocks:
-            if t not in _SU_EIGEN:
-                raise InvalidElement("eigenvalue tags beyond the fourth roots of unity need order > 4")
-            diag.extend([_SU_EIGEN[t]] * ((mp, mm)[which] if split else mp))
-    return diag
-
-
-def _diagonal(field, diag):
-    """The diagonal F-matrix with entries re + im i, as real rows."""
-    n = len(diag)
-    m = _zeros(len(_UNITS[field]["1"]) * n)
-    terms = [t for d, (re, im) in enumerate(diag) for t in ((d, d, "1", re), (d, d, "i", im))]
-    for i, j, x in _expand(field, n, terms):
+    terms, fill, d = [], [], 0
+    for part in (0, 1):
+        start = d
+        for t, *mults in blocks:
+            for _ in range(mults[part]):
+                if t in (1, -1):
+                    terms.append((d, d, "1", t))
+                    d += 1
+                elif field == "R":
+                    terms += [(d, d + 1, "1", -1), (d + 1, d, "1", 1)]
+                    d += 2
+                else:
+                    minus = (t == 3 and field == "C") or (part and fam is SigFamily.SOSTAR_2N)
+                    terms.append((d, d, "i", -1 if minus else 1))
+                    d += 1
+        fill.append(d - start)
+    fill = tuple(fill) if len(params) == 2 else (d,)
+    if fill != tuple(params):
+        raise OracleInvariantError(f"blocks {blocks} fill {fill} of {tuple(params)} coordinates")
+    m = _zeros(len(_UNITS[field]["1"]) * d)
+    for i, j, x in _expand(field, d, terms):
         m[i][j] = x
     return m
 
 
-def _realized(sig: Signature):
-    fam, params, blocks = sig.family, sig.params, sig.blocks
-    if fam in (SigFamily.SO_N, SigFamily.SO_PQ):
-        return _so_rows(params, blocks, fam is SigFamily.SO_PQ)
-    if fam in (SigFamily.SU_N, SigFamily.SU_PQ):
-        return _diagonal("C", _unitary_diag(params, blocks, fam is SigFamily.SU_PQ))
-    if fam in (SigFamily.SP_N_COMPACT, SigFamily.SP_PQ):
-        _single_angle(blocks)
-        quat = [b if b[0] in (1, -1) else (2, b[1], b[2]) for b in blocks]
-        return _diagonal("H", _unitary_diag(params, quat, fam is SigFamily.SP_PQ))
-    # so*(2n): +-1 blocks carry one multiplicity, an angle block (t, a, b)
-    # puts i on a coordinates and -i on b
-    _single_angle(blocks)
-    diag = []
-    for t, mp, mm in blocks:
-        if t in (1, -1):
-            diag.extend([(t, 0)] * mp)
-        else:
-            diag.extend([(0, 1)] * mp)
-            diag.extend([(0, -1)] * mm)
-    return _diagonal("H", diag)
-
-
 def from_signature(sig: Signature) -> MatrixElement:
-    """Realize a centralizer class as an order-dividing-4 matrix element."""
+    """Realize a centralizer class as an order-dividing-4 matrix element:
+    its block F-matrix (`_realized`), realified through `_UNITS`."""
     signature_dim(sig)  # validates the block data, rejects central classes
     ambient = model(SIG_AMBIENT[sig.family], *sig.params)
     return element(ambient, _realized(sig))
@@ -548,7 +516,6 @@ class G2RotationReport:
     half_turn: FixedDims
     half_signature: Signature
     half_turn_chain: int
-    half_turn_needs_involution_route: bool
     zero_turn_rejected: bool
 
     @property
@@ -556,6 +523,12 @@ class G2RotationReport:
         """Whether the chain bound is strictly below the target: derived
         from the margin that `check_restricted_form` reports, never stored."""
         return self.chain_upper_bound < self.strict_target
+
+    @property
+    def half_turn_needs_involution_route(self) -> bool:
+        """Whether the half-turn chain misses the target, so that class is
+        left to the involution route."""
+        return self.half_turn_chain >= self.strict_target
 
 
 def g22_case() -> G2RotationReport:
@@ -566,7 +539,8 @@ def g22_case() -> G2RotationReport:
     checked against the target 6 = dim S - rk_R.  The half turn is an
     involution whose centralizer is strictly larger; there the chain is not
     strict and the case belongs to the involution route.  The zero angle
-    degenerates to the identity and is rejected as central.
+    degenerates to the identity, whose single-tag class `from_signature`
+    must reject as central.
     """
     ambient = model(Family.SO, 3, 4)
     m = _eye(7)
@@ -584,6 +558,12 @@ def g22_case() -> G2RotationReport:
     chain = quarter_dims.dim_centralizer_g - compact_centralizer_dim
     half_chain = half_dims.dim_centralizer_g - compact_centralizer_dim
     target = 6
+    try:
+        from_signature(Signature(SigFamily.SO_PQ, (3, 4), ((1, 3, 4),)))
+    except InvalidSignature:
+        zero_turn_rejected = True
+    else:
+        zero_turn_rejected = False
     return G2RotationReport(
         ambient=ambient,
         quarter_turn=quarter_dims,
@@ -599,6 +579,5 @@ def g22_case() -> G2RotationReport:
             SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (-1, 2, 2))
         ),
         half_turn_chain=half_chain,
-        half_turn_needs_involution_route=half_chain >= target,
-        zero_turn_rejected=True,
+        zero_turn_rejected=zero_turn_rejected,
     )

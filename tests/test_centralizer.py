@@ -7,6 +7,7 @@ in SO(7) is SO(6), of dimension 15).
 
 import gc
 import time
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -22,6 +23,7 @@ from liecheck.centralizers import (
     bound,
     enumerate_signatures,
     oracle_max,
+    signature_compact_dim,
     signature_dim,
     _angle_table,
     _blocks_dim,
@@ -74,6 +76,10 @@ def test_signature_dims():
     assert signature_dim(sig(SigFamily.SOSTAR_2N, (4,), (1, 3, 0), (-1, 1, 0))) == 6
     # so* angle block carries the two conjugate eigenvalue multiplicities
     assert signature_dim(sig(SigFamily.SOSTAR_2N, (4,), (2, 1, 2), (1, 1, 0))) == 4
+    # params may be any int sequence: the fill compares against tuple(params)
+    listed = sig(SigFamily.SU_PQ, [2, 3], (1, 2, 2), (-1, 0, 1))
+    assert (signature_dim(listed), signature_compact_dim(listed)) == (8, 8)
+    assert signature_dim(sig(SigFamily.SO_N, [7], (1, 1, 0), (2, 3, 0))) == 9
 
 
 def test_central_classes_rejected():
@@ -352,6 +358,105 @@ def test_oracle_max_matches_brute_force_reference():
         want_value, want_blocks = _reference_max(family, params)
         assert (value, witness.blocks) == (want_value, want_blocks), (family, params)
         assert witness == Signature(family, params, want_blocks)
+
+
+def _reference_refuses(s):
+    """Whether `_validate` refused s before its one fill rule: the block
+    checks, then the five per-family fill branches.  Tags, types and block
+    count are valid in every signature the tests below build."""
+    blocks = s.blocks
+    for t, mp, mm in blocks:
+        if mp < 0 or mm < 0 or (mp, mm) == (0, 0):
+            return True
+        if s.family in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT) and mm != 0:
+            return True
+        if s.family is SigFamily.SOSTAR_2N and t in (1, -1) and mm != 0:
+            return True
+    if s.family is SigFamily.SO_N:
+        (n,) = s.params
+        return sum(mp if t in (1, -1) else 2 * mp for t, mp, _ in blocks) != n
+    if s.family in (SigFamily.SU_N, SigFamily.SP_N_COMPACT):
+        (n,) = s.params
+        return sum(mp for _, mp, _ in blocks) != n
+    if s.family is SigFamily.SO_PQ:
+        p, q = s.params
+        tp = sum(mp if t in (1, -1) else 2 * mp for t, mp, _ in blocks)
+        tq = sum(mm if t in (1, -1) else 2 * mm for t, _, mm in blocks)
+        return (tp, tq) != (p, q)
+    if s.family in (SigFamily.SU_PQ, SigFamily.SP_PQ):
+        p, q = s.params
+        return (sum(mp for _, mp, _ in blocks), sum(mm for _, _, mm in blocks)) != (p, q)
+    (n,) = s.params
+    return sum(mp + mm for _, mp, mm in blocks) != n
+
+
+def _reference_compact_dim(s):
+    """`signature_compact_dim` before `_COMPACT_PART`: one hand-written
+    polynomial per indefinite family, for a signature `_validate` accepts."""
+    fam, blocks = s.family, s.blocks
+    if fam is SigFamily.SO_PQ:
+        return sum(
+            mp * (mp - 1) // 2 + mm * (mm - 1) // 2 if t in (1, -1) else mp * mp + mm * mm
+            for t, mp, mm in blocks
+        )
+    if fam is SigFamily.SU_PQ:
+        return sum(mp * mp + mm * mm for _, mp, mm in blocks) - 1
+    if fam is SigFamily.SP_PQ:
+        return sum(
+            mp * (2 * mp + 1) + mm * (2 * mm + 1) if t in (1, -1) else mp * mp + mm * mm
+            for t, mp, mm in blocks
+        )
+    if fam is SigFamily.SOSTAR_2N:
+        return sum(mp * mp if t in (1, -1) else mp * mp + mm * mm for t, mp, mm in blocks)
+    return OutOfDomain
+
+
+def _outcome(fn, s):
+    try:
+        return fn(s)
+    except (InvalidSignature, OutOfDomain) as exc:
+        return type(exc)
+
+
+def _perturbed(s):
+    """s, and s with one multiplicity its block carries moved by one, each
+    way (definite blocks and so*'s +-1 blocks carry mult_plus alone)."""
+    yield s
+    for i, (t, mp, mm) in enumerate(s.blocks):
+        moved = [(t, mp + 1, mm), (t, mp - 1, mm)]
+        if len(s.params) == 2 or s.family is SigFamily.SOSTAR_2N and t not in (1, -1):
+            moved += [(t, mp, mm + 1), (t, mp, mm - 1)]
+        for block in moved:
+            yield Signature(s.family, s.params, s.blocks[:i] + (block,) + s.blocks[i + 1 :])
+
+
+def test_fill_and_compact_rules_match_the_per_family_reference():
+    # every signature enumerated at n <= 7 and p + q <= 6, each with its
+    # one-multiplicity perturbations, gets the same value or the same
+    # refusal class.  Classes with several angle blocks are enumerated only
+    # where angle blocks are two wide (so(n), so(p,q)); elsewhere one angle
+    # class fills as much as several of the same total, and the full sets
+    # of so*(14) and sp(p,q) would take the test past 1 s
+    one = (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N)
+    sizes = [(family, (n,)) for family in one for n in range(1, 8)]
+    two = (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+    sizes += [(family, (p, q)) for family in two for p in range(1, 6) for q in range(1, 7 - p)]
+    several_angles = (SigFamily.SO_N, SigFamily.SO_PQ)
+    cases = {
+        s
+        for family, params in sizes
+        for base in enumerate_signatures(family, params, family not in several_angles)
+        for s in _perturbed(base)
+    }
+    tally = Counter()
+    for s in cases:
+        if _reference_refuses(s):
+            want = (InvalidSignature, InvalidSignature)
+        else:
+            want = (centralizers._dim(s), _reference_compact_dim(s))
+        assert (_outcome(signature_dim, s), _outcome(signature_compact_dim, s)) == want, s
+        tally[want[1] if isinstance(want[1], type) else int] += 1
+    assert dict(tally) == {int: 1477, OutOfDomain: 196, InvalidSignature: 10817}
 
 
 def test_oracle_max_rechecks_its_witness(monkeypatch):

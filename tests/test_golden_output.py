@@ -318,6 +318,16 @@ def _is_sparse_row(row, cells):
     )
 
 
+def _diagonal(field, diag):
+    """The diagonal F-matrix with entries re + im i, as real rows."""
+    n = len(diag)
+    m = mo._zeros(len(mo._UNITS[field]["1"]) * n)
+    terms = [t for d, (re, im) in enumerate(diag) for t in ((d, d, "1", re), (d, d, "i", im))]
+    for i, j, x in mo._expand(field, n, terms):
+        m[i][j] = x
+    return m
+
+
 def test_operator_rows_are_sparse_up_to_7():
     # every stored row: strictly increasing columns, no zero value.  The
     # elements flip the first F-coordinate, turn it a quarter over C and H,
@@ -332,16 +342,16 @@ def test_operator_rows_are_sparse_up_to_7():
         flip[0] = (-1, 0)
         if m.family is Family.SP_R:
             flip[n // 2] = (-1, 0)  # the symplectic partner of coordinate 0
-        elements = [mo.identity_element(m), mo.element(m, mo._diagonal(field, flip))]
+        elements = [mo.identity_element(m), mo.element(m, _diagonal(field, flip))]
         if field != "R":
-            elements.append(mo.element(m, mo._diagonal(field, [(0, 1)] + [(1, 0)] * (n - 1))))
+            elements.append(mo.element(m, _diagonal(field, [(0, 1)] + [(1, 0)] * (n - 1))))
         elif m.family is not Family.SP_R and (m.family is not Family.SO or m.params[0] >= 2):
             # a rotation of the first two coordinates, both of one sign
             rot = mo._eye(size)
             rot[0][0] = rot[1][1] = Fraction(3, 5)
             rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
             rot_inv = [list(r) for r in zip(*rot)]
-            flipped = mo._diagonal(field, flip)
+            flipped = _diagonal(field, flip)
             elements.append(mo.element(m, mo._mul(mo._mul(rot, flipped), rot_inv)))
         k, p = mo._bases(m)[:2]
         assert all(_is_sparse_row(row, size * size) for row in mo._sparse_rows(k + p, size)), m

@@ -11,6 +11,7 @@ rotation check is in test_matrix_conjugation.py.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import os
 import subprocess
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from liecheck import centralizers
 from liecheck import matrixoracle as mo
 from liecheck._exact import sparse_ranks
 from liecheck.algebras import Family, OutOfDomain
@@ -107,12 +109,18 @@ def test_identity_centralizer_is_everything():
         assert matrix_fixed_dims(e) == FixedDims(*expected), (family, params)
 
 
-def realified_unit(field, u, c=1):
-    d = len(mo._UNITS[field]["1"])
-    m = [[0] * d for _ in range(d)]
-    for i, j, x in mo._expand(field, 1, [(0, 0, u, c)]):
+def realified(field, n, terms):
+    """The n x n F-matrix sum of c E_ij u over terms (i, j, u, c), as real
+    rows."""
+    size = len(mo._UNITS[field]["1"]) * n
+    m = [[0] * size for _ in range(size)]
+    for i, j, x in mo._expand(field, n, terms):
         m[i][j] = x
     return m
+
+
+def realified_unit(field, u, c=1):
+    return realified(field, 1, [(0, 0, u, c)])
 
 
 def test_unit_table_realifies_the_division_rings():
@@ -216,6 +224,11 @@ def test_matrix_route_agrees_with_every_small_class():
     assert checked > 50
 
 
+def quarter_turns(n, a):
+    """Terms of the diagonal F-matrix with i on a coordinates, -i on the rest."""
+    return [(d, d, "i", 1 if d < a else -1) for d in range(n)]
+
+
 def test_single_rotation_class_against_the_so_star_bound():
     # the one-angle-class elements of so*(2n) (i on a coordinates, -i on
     # the other n - a), which the signature oracle rejects as central: their
@@ -225,7 +238,7 @@ def test_single_rotation_class_against_the_so_star_bound():
     for n in range(2, 11):
         ambient = model(Family.SO_STAR, n)
         table[n] = max(
-            matrix_fixed_dims(element(ambient, mo._diagonal("H", [(0, 1)] * a + [(0, -1)] * (n - a)))).dim_s_fixed
+            matrix_fixed_dims(element(ambient, realified("H", n, quarter_turns(n, a)))).dim_s_fixed
             for a in range(n + 1)
         )
     assert table == {2: 2, 3: 4, 4: 8, 5: 12, 6: 18, 7: 24, 8: 32, 9: 40, 10: 50}
@@ -438,6 +451,59 @@ def test_from_signature_rejects_what_signature_dim_rejects():
         from_signature(sig(SigFamily.SU_PQ, (1, 2), (1, 1, 1), (-2, 0, 1)))
 
 
+# every signature of the seven families at n <= 8 and p + q <= 6, both
+# orders of the two parameters, with and without order_le_4
+REALIZED_SIZES = [
+    (family, (n,))
+    for family in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N)
+    for n in range(1, 9)
+] + [
+    (family, (p, q))
+    for family in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+    for p in range(1, 6)
+    for q in range(1, 7 - p)
+]
+
+# taken from the code before the four per-family element builders gave way
+# to one list of F-matrix terms realified through the unit table
+REALIZED_SHA256 = "2f4862d1f329fbdd17db12e8e4d8bbc486e98031aa23619bf0159cd6de42c741"
+
+
+def test_realized_elements_are_pinned():
+    # the entries of each block element, or the message that refuses it:
+    # 9,045 signatures, 5,345 of them refused (two angle classes, or su
+    # tags past the fourth roots of unity)
+    digest = hashlib.sha256()
+    count = refused = 0
+    for family, params in REALIZED_SIZES:
+        for order_le_4 in (False, True):
+            for s in enumerate_signatures(family, params, order_le_4):
+                try:
+                    out = mo._realized(s)
+                except InvalidElement as exc:
+                    out = str(exc)
+                    refused += 1
+                count += 1
+                digest.update(repr((s, out)).encode())
+    assert (count, refused) == (9045, 5345)
+    assert digest.hexdigest() == REALIZED_SHA256
+
+
+def test_every_signature_family_is_in_every_geometry_table():
+    # a new family cannot miss a table: each has a dimension polynomial, an
+    # angle width and a matrix model, each indefinite family the compact
+    # family of its K, and angle blocks are two coordinates wide exactly
+    # where the model's field is R (a quarter turn is a rotation plane)
+    for family in SigFamily:
+        assert family in centralizers._TERMS and family in mo.SIG_AMBIENT, family
+        field = mo._SHAPES[mo.SIG_AMBIENT[family]][0]
+        assert centralizers._ANGLE_WIDTH[family] == (2 if field == "R" else 1), family
+        if family in centralizers._DEFINITE:
+            assert family not in centralizers._COMPACT_PART
+        else:
+            assert centralizers._COMPACT_PART[family][0] in centralizers._DEFINITE, family
+
+
 def test_conjugation_invariance_hand_picked():
     a = model(Family.SO, 2, 3)
     base = from_signature(sig(SigFamily.SO_PQ, (2, 3), (1, 0, 1), (2, 1, 1)))
@@ -522,9 +588,11 @@ def test_broken_invariants_raise_named_errors(monkeypatch):
     monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p), 1))
     with pytest.raises(mo.OracleInvariantError):
         mo._bases.__wrapped__(model(Family.SL_R, 3))
-    # blocks that do not fill the coordinates
-    with pytest.raises(mo.OracleInvariantError):
-        mo._so_rows((3,), ((1, 1, 0), (-1, 1, 0)), False)
+    # blocks that do not fill the coordinates, in one part or in n
+    with pytest.raises(mo.OracleInvariantError, match=r"fill \(2,\) of \(3,\)"):
+        mo._realized(sig(SigFamily.SO_N, (3,), (1, 1, 0), (-1, 1, 0)))
+    with pytest.raises(mo.OracleInvariantError, match=r"fill \(1, 1\) of \(1, 2\)"):
+        mo._realized(sig(SigFamily.SU_PQ, (1, 2), (1, 1, 0), (-1, 0, 1)))
     # operator rows whose k and p parts overlap cannot split the fixed space
     e = identity_element(model(Family.SO, 1, 2))
     bump = ((0,), (1,))  # the sparse row of a 1 in the first cell
