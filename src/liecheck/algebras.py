@@ -23,7 +23,10 @@ Dimension formulas for the classical families are the textbook closed
 forms; real ranks are the standard split ranks.  Each exceptional family
 is one row of `_EXCEPTIONAL`.  `_NAMES` is the name grammar of the
 classical families, read by both `render` and `parse_algebra`; sizes are
-ASCII decimal.  Everything is exact integer arithmetic.
+ASCII decimal, at most 10**SIZE_CAP_DIGITS.  The family classes
+(`COMPACT`, `COMPLEX`, `REAL_EXCEPTIONAL`) and the catalog order are read
+off `_NAMES`, `_TWO_PARAM` and `_EXCEPTIONAL`.  Everything is exact
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -91,40 +94,6 @@ class Family(Enum):
     __hash__ = object.__hash__
 
 
-COMPLEX_CLASSICAL = frozenset({Family.SL_C, Family.SO_C, Family.SP_C})
-COMPLEX_EXCEPTIONAL = frozenset(
-    {Family.G2_C, Family.F4_C, Family.E6_C, Family.E7_C, Family.E8_C}
-)
-COMPLEX = COMPLEX_CLASSICAL | COMPLEX_EXCEPTIONAL
-COMPACT = frozenset(
-    {
-        Family.SU_CPT,
-        Family.SO_CPT,
-        Family.SP_CPT,
-        Family.G2_CPT,
-        Family.F4_CPT,
-        Family.E6_CPT,
-        Family.E7_CPT,
-        Family.E8_CPT,
-    }
-)
-REAL_EXCEPTIONAL = frozenset(
-    {
-        Family.G2_2,
-        Family.F4_4,
-        Family.F4_M20,
-        Family.E6_6,
-        Family.E6_2,
-        Family.E6_M14,
-        Family.E6_M26,
-        Family.E7_7,
-        Family.E7_M5,
-        Family.E7_M25,
-        Family.E8_8,
-        Family.E8_M24,
-    }
-)
-
 # Names of the classical families: (head, tag, scale).  The tag is the
 # field suffix of a one-parameter family named with one, else the number of
 # parameters; scale turns a parameter into the printed size, so sp(2n,R),
@@ -151,6 +120,14 @@ _NAMED = {(head, tag): family for family, (head, tag, _) in _NAMES.items()}
 _TWO_PARAM = {Family.SU: Family.SU_CPT, Family.SO: Family.SO_CPT, Family.SP: Family.SP_CPT}
 _ONE_PARAM = frozenset(_NAMES).difference(_TWO_PARAM)
 
+# Every size (n, or p + q) is at most 10**SIZE_CAP_DIGITS, so each
+# dimension and rank has at most about twice as many digits: below the
+# 4,300 that Python 3.11 converts from int to str by default.  sl(n,H) and
+# so*(2n) complexify to size 2n, so `complexify` refuses them past half
+# the cap.
+SIZE_CAP_DIGITS = 2000
+_SIZE_CAP = 10**SIZE_CAP_DIGITS
+
 
 def _check_params(family, params):
     """Raise OutOfDomain unless `params` is a tuple in `family`'s domain."""
@@ -160,6 +137,10 @@ def _check_params(family, params):
         raise OutOfDomain(f"{family.value}: parameters must be a tuple, got {params!r}")
     if any(type(x) is not int for x in params):
         raise OutOfDomain(f"{family.value}{params}: parameters must be int")
+    if sum(map(abs, params)) > _SIZE_CAP:
+        # before any message formats a size, which may have more digits
+        # than str() converts
+        raise OutOfDomain(f"{family.value}: sizes must total at most 10**{SIZE_CAP_DIGITS}")
     if family in _TWO_PARAM:
         if len(params) != 2:
             raise OutOfDomain(f"{family.value} takes (p, q), got {params}")
@@ -414,6 +395,17 @@ _EXCEPTIONAL = {
 }
 _EXCEPTIONAL = {family: _Exceptional(*row) for family, row in _EXCEPTIONAL.items()}
 _EXCEPTIONAL_NAMED = {row.name: family for family, row in _EXCEPTIONAL.items()}
+
+# The family classes, read off the tables above: the complex algebras are
+# the "C"-tagged names and the exceptional rows with no complexification,
+# the compact ones the (0, n) families and the rows with no max compact.
+COMPLEX_CLASSICAL = frozenset(f for f, (_, tag, _) in _NAMES.items() if tag == "C")
+COMPLEX_EXCEPTIONAL = frozenset(f for f, row in _EXCEPTIONAL.items() if row.complexification is None)
+COMPLEX = COMPLEX_CLASSICAL | COMPLEX_EXCEPTIONAL
+COMPACT = frozenset(_TWO_PARAM.values()).union(
+    f for f, row in _EXCEPTIONAL.items() if row.max_compact is None
+)
+REAL_EXCEPTIONAL = frozenset(_EXCEPTIONAL).difference(COMPACT, COMPLEX_EXCEPTIONAL)
 
 
 def dims(a: SimpleAlgebra) -> SpaceDims:
@@ -722,19 +714,10 @@ def require_max_param(max_param: int) -> None:
         raise OutOfDomain("max-param must be at most %d, got %d" % (SIZE_LIMIT, max_param))
 
 
-# catalog order: the classical noncompact families, then the exceptional
-# forms by name
+# catalog order: the classical noncompact families in `_NAMES` order, then
+# the exceptional forms by name
 _NONCOMPACT_ORDER = (
-    Family.SL_R,
-    Family.SL_H,
-    Family.SU,
-    Family.SO,
-    Family.SP_R,
-    Family.SP,
-    Family.SO_STAR,
-    Family.SL_C,
-    Family.SO_C,
-    Family.SP_C,
+    *(f for f in _NAMES if f not in COMPACT),
     *sorted(COMPLEX_EXCEPTIONAL | REAL_EXCEPTIONAL, key=lambda f: f.value),
 )
 

@@ -103,69 +103,59 @@ _COMPACT_PART = {
 
 @dataclass(frozen=True)
 class Signature:
-    """Conjugacy-class data: blocks of (tag, mult_plus, mult_minus)."""
+    """Conjugacy-class data: blocks of (tag, mult_plus, mult_minus).
+
+    ``params`` is kept as a tuple, so a class given with list parameters
+    hashes, and equals the same class given with a tuple.
+    """
 
     family: SigFamily
     params: tuple[int, ...]
     blocks: tuple[tuple[int, int, int], ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "params", tuple(self.params))
 
-# the families `bound` has a closed form for; the others have only the
-# exhaustive `oracle_max` and the matrix oracle
-BOUNDED_FAMILIES = frozenset(
-    {SigFamily.SO_N, SigFamily.SU_N, SigFamily.SU_PQ, SigFamily.SP_PQ, SigFamily.SOSTAR_2N}
-)
+
+# `bound`'s closed forms, family -> (name, least n, formula); a least n of
+# None stands for the (p, q) domain 1 <= p <= q, p+q >= 3.  The compact
+# families bound dim C_K(A), the others dim S^A.  The families left out have
+# only the exhaustive `oracle_max` and the matrix oracle.
+_BOUNDS = {
+    SigFamily.SO_N: ("so(n)", 3, lambda n: (n - 1) * (n - 2) // 2),
+    SigFamily.SU_N: ("su(n)", 2, lambda n: (n - 1) ** 2),
+    SigFamily.SU_PQ: ("su(p,q)", None, lambda p, q: 2 * p * (q - 1)),
+    SigFamily.SP_PQ: ("sp(p,q)", None, lambda p, q: 4 * p * (q - 1)),
+    SigFamily.SOSTAR_2N: ("so*(2n)", 2, lambda n: n * n - n - 2 * (n - 1)),
+}
+BOUNDED_FAMILIES = frozenset(_BOUNDS)
 
 
 def bound(family: SigFamily, params) -> int:
-    """Closed-form upper bound for the non-central centralizer dimension.
+    """Closed-form upper bound for the non-central centralizer dimension,
+    from `_BOUNDS`.
 
-    so(n):    (n-1)(n-2)/2 on dim C_SO(n)(A), n >= 3
-    su(n):    (n-1)^2 on dim C_SU(n)(A), n >= 2
-    su(p,q):  2p(q-1) on dim S^A, p <= q, p+q >= 3
-    sp(p,q):  4p(q-1) on dim S^A, p <= q, p+q >= 3
-    so*(2n):  n^2 - n - 2(n-1) on dim S^A, n >= 2
-
-    The so*(2n) bound is only attained/valid under the single-tag
-    exclusion above: the excluded one-rotation-class elements reach
-    2*floor(n/2)*ceil(n/2), which exceeds the formula for n in {2, 3, 4},
-    meets it at n = 5 (12 = 12) and stays below it for n >= 6.  The
-    exceptional-group reductions this bound feeds use n = 5 and n = 8,
+    The so*(2n) bound n^2 - n - 2(n-1) is only attained/valid under the
+    single-tag exclusion above: the excluded one-rotation-class elements
+    reach 2*floor(n/2)*ceil(n/2), which exceeds the formula for n in
+    {2, 3, 4}, meets it at n = 5 (12 = 12) and stays below it for n >= 6.
+    The exceptional-group reductions this bound feeds use n = 5 and n = 8,
     where it holds for those elements too.
 
     Parameters must be exactly ``int`` (``bool`` and ``float`` are
     rejected), as many as the family takes.
     """
     _check_params(family, params, OutOfDomain)
-    if family is SigFamily.SO_N:
-        (n,) = params
-        if n < 3:
-            raise OutOfDomain(f"so(n) bound needs n >= 3, got {n}")
-        return (n - 1) * (n - 2) // 2
-    if family is SigFamily.SU_N:
-        (n,) = params
-        if n < 2:
-            raise OutOfDomain(f"su(n) bound needs n >= 2, got {n}")
-        return (n - 1) ** 2
-    if family is SigFamily.SU_PQ:
-        p, q = _pq_domain(params, "su(p,q)")
-        return 2 * p * (q - 1)
-    if family is SigFamily.SP_PQ:
-        p, q = _pq_domain(params, "sp(p,q)")
-        return 4 * p * (q - 1)
-    if family is SigFamily.SOSTAR_2N:
-        (n,) = params
-        if n < 2:
-            raise OutOfDomain(f"so*(2n) bound needs n >= 2, got {n}")
-        return n * n - n - 2 * (n - 1)
-    raise OutOfDomain(f"no closed-form bound for {family.value}")
-
-
-def _pq_domain(params, label):
-    p, q = params
-    if not (1 <= p <= q) or p + q < 3:
-        raise OutOfDomain(f"{label} bound needs 1 <= p <= q, p+q >= 3, got ({p},{q})")
-    return p, q
+    if family not in _BOUNDS:
+        raise OutOfDomain(f"no closed-form bound for {family.value}")
+    name, least, formula = _BOUNDS[family]
+    if least is None:
+        p, q = params
+        if not (1 <= p <= q) or p + q < 3:
+            raise OutOfDomain(f"{name} bound needs 1 <= p <= q, p+q >= 3, got ({p},{q})")
+    elif params[0] < least:
+        raise OutOfDomain(f"{name} bound needs n >= {least}, got {params[0]}")
+    return formula(*params)
 
 
 def _check_params(family, params, error, blocks=()):
@@ -211,8 +201,8 @@ def _validate(sig: Signature) -> None:
     fill_p = sum(mp if t in (1, -1) else width * mp for t, mp, _ in blocks)
     fill_q = sum(mm if t in (1, -1) else width * mm for t, _, mm in blocks)
     fill = (fill_p, fill_q) if len(sig.params) == 2 else (fill_p + fill_q,)
-    if fill != tuple(sig.params):
-        raise InvalidSignature(f"multiplicities fill {fill} of {tuple(sig.params)} coordinates")
+    if fill != sig.params:
+        raise InvalidSignature(f"multiplicities fill {fill} of {sig.params} coordinates")
 
 
 def signature_dim(sig: Signature) -> int:

@@ -35,7 +35,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from liecheck._exact import in_span, reduced_form, sparse_ranks
-from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra
+from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims
 from liecheck.centralizers import (
     InvalidSignature,
     OracleInvariantError,
@@ -451,8 +451,8 @@ def _realized(sig: Signature):
                     d += 1
         fill.append(d - start)
     fill = tuple(fill) if len(params) == 2 else (d,)
-    if fill != tuple(params):
-        raise OracleInvariantError(f"blocks {blocks} fill {fill} of {tuple(params)} coordinates")
+    if fill != params:
+        raise OracleInvariantError(f"blocks {blocks} fill {fill} of {params} coordinates")
     m = _zeros(len(_UNITS[field]["1"]) * d)
     for i, j, x in _expand(field, d, terms):
         m[i][j] = x
@@ -536,28 +536,21 @@ def g22_case() -> G2RotationReport:
 
     The chain is dim S^A <= dim C_g(A) - dim C_K(A), with dim C_K(A) = 2
     (an SO(2) x SO(2) inside the SO(4) isotropy of the exceptional form),
-    checked against the target 6 = dim S - rk_R.  The half turn is an
-    involution whose centralizer is strictly larger; there the chain is not
-    strict and the case belongs to the involution route.  The zero angle
-    degenerates to the identity, whose single-tag class `from_signature`
-    must reject as central.
+    checked against the target dim S - rk_R = 6 of g2(2).  Both turns are
+    built by `from_signature` from the signatures the report records.  The
+    half turn is an involution whose centralizer is strictly larger; there
+    the chain is not strict and the case belongs to the involution route.
+    The zero angle degenerates to the identity, whose single-tag class
+    `from_signature` must reject as central.
     """
-    ambient = model(Family.SO, 3, 4)
-    m = _eye(7)
-    for pos in (1, 5):  # rotation planes: one positive pair, one negative
-        m[pos][pos] = 0
-        m[pos + 1][pos + 1] = 0
-        m[pos][pos + 1] = -1
-        m[pos + 1][pos] = 1
-    quarter = element(ambient, m)
+    quarter_signature = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (2, 1, 1)))
+    half_signature = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (-1, 2, 2)))
+    quarter = from_signature(quarter_signature)
     quarter_dims = matrix_fixed_dims(quarter)
-    half = element(ambient, _mul(m, m))
-    half_dims = matrix_fixed_dims(half)
+    half_dims = matrix_fixed_dims(from_signature(half_signature))
+    g = dims(SimpleAlgebra(Family.G2_2))
 
     compact_centralizer_dim = 2
-    chain = quarter_dims.dim_centralizer_g - compact_centralizer_dim
-    half_chain = half_dims.dim_centralizer_g - compact_centralizer_dim
-    target = 6
     try:
         from_signature(Signature(SigFamily.SO_PQ, (3, 4), ((1, 3, 4),)))
     except InvalidSignature:
@@ -565,19 +558,15 @@ def g22_case() -> G2RotationReport:
     else:
         zero_turn_rejected = False
     return G2RotationReport(
-        ambient=ambient,
+        ambient=quarter.ambient,
         quarter_turn=quarter_dims,
-        quarter_signature=Signature(
-            SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (2, 1, 1))
-        ),
+        quarter_signature=quarter_signature,
         counted_centralizer_dim=6,
         compact_centralizer_dim=compact_centralizer_dim,
-        chain_upper_bound=chain,
-        strict_target=target,
+        chain_upper_bound=quarter_dims.dim_centralizer_g - compact_centralizer_dim,
+        strict_target=g.dim_s - g.rk_r,
         half_turn=half_dims,
-        half_signature=Signature(
-            SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (-1, 2, 2))
-        ),
-        half_turn_chain=half_chain,
+        half_signature=half_signature,
+        half_turn_chain=half_dims.dim_centralizer_g - compact_centralizer_dim,
         zero_turn_rejected=zero_turn_rejected,
     )

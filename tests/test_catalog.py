@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecheck import algebras
 from liecheck.algebras import (
     COMPACT,
     Family,
@@ -161,6 +162,24 @@ def test_algebra_takes_int_parameters_only():
         simple(Family.SL_H, 3.0)
     assert render(algebra(Family.SO, 2, 3)) == "so(2,3)"
     assert render(algebra(Family.SU, 1, 4)) == "su(1,4)"
+
+
+def test_sizes_past_the_cap_are_out_of_domain():
+    # every dimension of an algebra within the cap prints as a decimal;
+    # past it, the refusal names the cap and formats no size
+    cap = 10**algebras.SIZE_CAP_DIGITS
+    assert dims(simple(Family.SL_R, cap)).dim_g == cap * cap - 1
+    assert render(algebra(Family.SU, 1, cap - 1)) == "su(1,%d)" % (cap - 1)
+    for refused in (
+        lambda: algebra(Family.SL_R, cap + 1),
+        lambda: algebra(Family.SL_R, 10**5000),
+        lambda: algebra(Family.SO, -(10**5000), 3),
+        lambda: simple(Family.SO_STAR, cap + 1),
+        lambda: SimpleAlgebra(Family.SU, (1, cap)),
+        lambda: parse_algebra("sl(%d,R)" % (cap + 1)),
+    ):
+        with pytest.raises(OutOfDomain, match=r"sizes must total at most 10\*\*2000$"):
+            refused()
 
 
 def test_algebra_returns_one_shared_value():
@@ -393,6 +412,32 @@ def test_iter_covers_expected_families():
     assert "e8(8)" in names and "g2(C)" in names
     assert "so(4,4)" in names
     assert all("(0," not in n for n in names)
+
+
+def test_family_classes_partition_family_and_come_from_the_tables():
+    F = Family
+    # the hand-written lists these sets replace
+    assert algebras.COMPLEX_CLASSICAL == {F.SL_C, F.SO_C, F.SP_C}
+    assert algebras.COMPLEX_EXCEPTIONAL == {F.G2_C, F.F4_C, F.E6_C, F.E7_C, F.E8_C}
+    assert algebras.COMPLEX == algebras.COMPLEX_CLASSICAL | algebras.COMPLEX_EXCEPTIONAL
+    assert COMPACT == {
+        F.SU_CPT, F.SO_CPT, F.SP_CPT, F.G2_CPT, F.F4_CPT, F.E6_CPT, F.E7_CPT, F.E8_CPT,
+    }
+    assert algebras.REAL_EXCEPTIONAL == {
+        F.G2_2, F.F4_4, F.F4_M20, F.E6_6, F.E6_2, F.E6_M14, F.E6_M26,
+        F.E7_7, F.E7_M5, F.E7_M25, F.E8_8, F.E8_M24,
+    }
+    classical_noncompact = {F.SL_R, F.SL_H, F.SU, F.SO, F.SP_R, F.SP, F.SO_STAR}
+    parts = (classical_noncompact, algebras.COMPLEX, COMPACT, algebras.REAL_EXCEPTIONAL)
+    assert sum(map(len, parts)) == len(F)
+    assert set().union(*parts) == set(F)
+    # catalog order: the noncompact families, each once, exceptional by value
+    assert algebras._NONCOMPACT_ORDER == (
+        F.SL_R, F.SL_H, F.SU, F.SO, F.SP_R, F.SP, F.SO_STAR, F.SL_C, F.SO_C, F.SP_C,
+        F.E6_2, F.E6_6, F.E6_C, F.E6_M14, F.E6_M26, F.E7_7, F.E7_C, F.E7_M25,
+        F.E7_M5, F.E8_8, F.E8_C, F.E8_M24, F.F4_4, F.F4_C, F.F4_M20, F.G2_2, F.G2_C,
+    )
+    assert set(algebras._NONCOMPACT_ORDER) == set(F) - COMPACT
 
 
 def test_iter_is_duplicate_free():

@@ -82,6 +82,14 @@ def test_signature_dims():
     assert signature_dim(sig(SigFamily.SO_N, [7], (1, 1, 0), (2, 3, 0))) == 9
 
 
+def test_list_params_are_the_tuple_value():
+    listed = sig(SigFamily.SU_PQ, [2, 3], (1, 2, 2), (-1, 0, 1))
+    tupled = sig(SigFamily.SU_PQ, (2, 3), (1, 2, 2), (-1, 0, 1))
+    assert listed.params == (2, 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert {listed, tupled} == {tupled}
+
+
 def test_central_classes_rejected():
     with pytest.raises(InvalidSignature):
         signature_dim(sig(SigFamily.SU_N, (5,), (1, 5, 0)))

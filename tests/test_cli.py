@@ -86,6 +86,30 @@ def test_info_negative_sizes_are_out_of_domain(capsys):
     assert err == "error: sl_r(-3): size must be >= 1\n"
 
 
+_PAST_THE_CAP = "sl(1%s,R)" % ("0" * 2199)
+
+
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        (["info", _PAST_THE_CAP], "sl_r"),
+        (["vcd", "--rkq", "1", _PAST_THE_CAP], "sl_r"),
+        (["info", "su(1,%d)" % 10**2000], "su"),
+    ],
+)
+def test_sizes_past_the_cap_exit_2(capsys, argv, family):
+    # dim g of sl(10^2199,R) has more digits than int-to-str converts
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: %s: sizes must total at most 10**2000\n" % family
+
+
+def test_info_at_the_cap(capsys):
+    rc, out, _ = run(capsys, "info", "sl(%d,R)" % 10**al.SIZE_CAP_DIGITS)
+    assert rc == 0
+    assert out.splitlines()[1].startswith("dim g = %d, " % (10 ** (2 * al.SIZE_CAP_DIGITS) - 1))
+
+
 def test_info_so4c_not_simple(capsys):
     rc, _, err = run(capsys, "info", "so(4,C)")
     assert rc == 2 and "sl(2,C)+sl(2,C)" in err

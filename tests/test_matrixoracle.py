@@ -557,6 +557,28 @@ def test_g22_quarter_matches_direct_signature_construction():
     assert matrix_fixed_dims(from_signature(s)) == g22_case().quarter_turn
 
 
+def test_g22_turns_are_the_written_out_element():
+    # blockdiag(1, R, I_2, R), R the quarter turn in the planes at
+    # coordinates 1-2 and 5-6, and its square blockdiag(1, -I_2, I_2, -I_2)
+    quarter = (
+        (1, 0, 0, 0, 0, 0, 0),
+        (0, 0, -1, 0, 0, 0, 0),
+        (0, 1, 0, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, -1),
+        (0, 0, 0, 0, 0, 1, 0),
+    )
+    half = tuple(
+        tuple(x if i == j else 0 for j in range(7)) for i, x in enumerate((1, -1, -1, 1, 1, -1, -1))
+    )
+    r = g22_case()
+    q, h = from_signature(r.quarter_signature), from_signature(r.half_signature)
+    assert (q.entries, q.order) == (quarter, 4)
+    assert (h.entries, h.order) == (half, 2)
+    assert {type(x) for row in q.entries + h.entries for x in row} == {int}
+
+
 def test_integral_fractions_give_the_int_element():
     # q_split of so(3,4) is a signed permutation: integral entries only
     a = model(Family.SO, 3, 4)
