@@ -5,8 +5,10 @@ maximal compact) to a block element whose conjugacy class is described by
 eigenvalue multiplicities only.  For each supported family the centralizer
 is again a product of classical groups, so its dimension is a polynomial
 in the multiplicities; `signature_dim` evaluates that polynomial and
-`oracle_max` maximizes it exhaustively, which is what the closed-form
-bounds in `bound` are validated against.
+`oracle_max` maximizes it exactly, which is what the closed-form bounds in
+`bound` are validated against.  `oracle_max` finds the maximum by a
+memoised walk over the best angle multisets, and the tests check it
+against the brute-force maximum over `enumerate_signatures`.
 
 Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
@@ -46,14 +48,16 @@ class OracleInvariantError(RuntimeError):
     """An internal consistency check failed (a bug, not bad input)."""
 
 
-# Largest number of candidate block tuples `_candidates` will build, for
-# `oracle_max` and `enumerate_signatures` alike.  In `oracle_max` a
-# candidate costs about 1 us for the families with +-1 blocks and up to
-# about 10 us for su(n) and su(p,q), whose one angle table holds every
-# candidate and whose tuples are the longest (su(45): 89,134 candidates in
-# 0.86 s, su(10,10): 59,521 in 0.38 s, on a 2-core x86-64 host, Python
-# 3.11), so the budget is about 1 s of work; the criterion-2 sizes
-# (n <= 12, p+q <= 10) need at most 32,926.
+# Largest number of candidate block tuples `enumerate_signatures` will
+# build.  A candidate costs it about 2 us for the families with +-1 blocks
+# and up to about 11 us for su(n) and su(p,q), whose one angle table holds
+# every candidate and whose tuples are the longest (su(45): 89,134
+# candidates in 0.95 s, su(10,11): 94,664 in 0.82 s, so(52): 94,514 in
+# 0.19 s, on a 2-core x86-64 host, Python 3.11), so the budget is about
+# 1 s of work; the criterion-2 sizes (n <= 12, p+q <= 10) need at most
+# 32,926.  `oracle_max` builds no candidate, but refuses the same sizes so
+# that its refusals stay those of `enumerate_signatures`; its slowest
+# in-budget calls, su(9,12) and su(10,11), take about 0.01 s.
 ENUMERATION_BUDGET = 100_000
 
 
@@ -69,6 +73,9 @@ class SigFamily(Enum):
 
 _DEFINITE = (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT)
 _TWO_PARAM = (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+# su(n) and su(p,q) tag every block alike: their +-1 blocks are enumerated
+# with the angle blocks, from one table with an empty prefix
+_SU = (SigFamily.SU_N, SigFamily.SU_PQ)
 
 # The dimension polynomial of `signature_dim`, one term per block: (term of
 # a +-1 block, term of an angle block), each in (mult_plus, mult_minus).
@@ -233,14 +240,13 @@ def signature_compact_dim(sig: Signature) -> int:
     return _blocks_dim(compact, parts) + centre
 
 
-def _fill_pairs(p, q, cap_a, cap_b, dim, stack, tags, term, out):
-    """Append (blocks, dim) to out for every nonincreasing multiset of pairs
-    (a,b) != (0,0), each at most (cap_a, cap_b), with componentwise sum
-    (p, q): blocks is stack followed by the pairs as blocks (tag, a, b),
-    tagged in order from tags[len(stack):], and dim adds term(a, b) once
-    per pair.  With q = 0 the multisets are the partitions of p."""
+def _fill_pairs(p, q, cap_a, cap_b, stack, tags, out):
+    """Append to out, for every nonincreasing multiset of pairs (a,b) !=
+    (0,0), each at most (cap_a, cap_b), with componentwise sum (p, q): stack
+    followed by the pairs as blocks (tag, a, b), tagged in order from
+    tags[len(stack):].  With q = 0 the multisets are the partitions of p."""
     if not p and not q:
-        out.append((tuple(stack), dim))
+        out.append(tuple(stack))
         return
     depth = len(stack)
     if depth == len(tags):
@@ -250,15 +256,15 @@ def _fill_pairs(p, q, cap_a, cap_b, dim, stack, tags, term, out):
         top = q if a < cap_a else min(q, cap_b)
         for b in range(top, -1 if a else 0, -1):
             stack.append((tag, a, b))
-            _fill_pairs(p - a, q - b, a, b, dim + term(a, b), stack, tags, term, out)
+            _fill_pairs(p - a, q - b, a, b, stack, tags, out)
             stack.pop()
 
 
-def _fill_total(total, cap_a, cap_b, dim, stack, tags, term, out):
+def _fill_total(total, cap_a, cap_b, stack, tags, out):
     """As `_fill_pairs`, for the pairs whose a+b sum to total (the so*
     angle-block shape)."""
     if not total:
-        out.append((tuple(stack), dim))
+        out.append(tuple(stack))
         return
     depth = len(stack)
     if depth == len(tags):
@@ -268,7 +274,7 @@ def _fill_total(total, cap_a, cap_b, dim, stack, tags, term, out):
         top = total - a if a < cap_a else min(total - a, cap_b)
         for b in range(top, -1 if a else 0, -1):
             stack.append((tag, a, b))
-            _fill_total(total - a - b, a, b, dim + term(a, b), stack, tags, term, out)
+            _fill_total(total - a - b, a, b, stack, tags, out)
             stack.pop()
 
 
@@ -284,41 +290,34 @@ def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
     classes alone would fit.
     """
     params = tuple(params)
-    for prefix, _, table in _candidates(family, params, order_le_4):
-        for angles, _ in table:
+    for prefix, table in _candidates(family, params, order_le_4):
+        for angles in table:
             blocks = prefix + angles
             if len(blocks) > 1:
                 yield Signature(family, params, blocks)
 
 
-def _candidates(family, params, order_le_4):
-    """The candidates as runs (prefix, prefix_dim, table): every tuple
-    `prefix + angles` for (angles, angle_dim) in `table`, in order.
-
-    The prefix holds the +-1 blocks and the table the angle multisets that
-    fill what they leave; a candidate's dimension is prefix_dim + angle_dim.
-    Tables are built once per remainder and live only as long as the
-    generator.  su(n) and su(p,q) tag every block alike, so they are one
-    run with an empty prefix; a one-parameter family runs as (n, 0).
-
-    Raises OutOfDomain on the first `next()`, before building any table,
-    when there are more than ENUMERATION_BUDGET candidates.  The count is
-    of the full candidate set even when order_le_4 keeps fewer of them,
-    so the check is conservative there.  params must be a tuple.
-    """
+def _check_budget(family, params):
+    """Raise OutOfDomain when params are not ints or there are more than
+    ENUMERATION_BUDGET candidate signatures.  params must be a tuple."""
     _check_params(family, params, OutOfDomain)
     if _candidate_count(family, params) > ENUMERATION_BUDGET:
         raise OutOfDomain(
             f"{family.value}{params}: more than the enumeration budget of "
             f"{ENUMERATION_BUDGET} candidate signatures"
         )
+
+
+def _prefixes(family, params):
+    """(prefix, (rp, rq)) for each run of candidates: the prefix holds the
+    +-1 blocks, and the angle blocks fill what they leave, rp and rq in
+    units of the family's `_ANGLE_WIDTH`.  su(n) and su(p,q) are one run
+    with an empty prefix; a one-parameter family runs as (n, 0)."""
     p, q = params if len(params) == 2 else (*params, 0)
-    centre = _CENTRE.get(family, 0)
-    if family in (SigFamily.SU_N, SigFamily.SU_PQ):
-        yield (), centre, _angle_table(family, p, q, order_le_4)
+    if family in _SU:
+        yield (), (p, q)
         return
     weight = _ANGLE_WIDTH[family]
-    tables = {}
     for ap in range(p + 1):
         for aq in range(q + 1):
             for bp in range(p - ap + 1):
@@ -329,32 +328,47 @@ def _candidates(family, params, order_le_4):
                     prefix = ((1, ap, aq),) if ap or aq else ()
                     if bp or bq:
                         prefix += ((-1, bp, bq),)
-                    key = (rp // weight, rq // weight)
-                    table = tables.get(key)
-                    if table is None:
-                        table = tables[key] = _angle_table(family, *key, order_le_4)
-                    yield prefix, _blocks_dim(family, prefix) + centre, table
+                    yield prefix, (rp // weight, rq // weight)
+
+
+def _angle_tags(family, p, q):
+    """The tags of the angle blocks filling (p, q), in block order: su's
+    +-1 blocks are among them."""
+    return ((1, -1) if family in _SU else ()) + tuple(range(2, p + q + 2))
+
+
+def _candidates(family, params, order_le_4):
+    """The candidates as runs (prefix, table): every tuple `prefix + angles`
+    for angles in `table`, in order, over the runs of `_prefixes`.
+
+    Tables are built once per remainder and live only as long as the
+    generator.  Raises OutOfDomain on the first `next()`, before building
+    any table, when there are more than ENUMERATION_BUDGET candidates.  The
+    count is of the full candidate set even when order_le_4 keeps fewer of
+    them, so the check is conservative there.  params must be a tuple.
+    """
+    _check_budget(family, params)
+    tables = {}
+    for prefix, key in _prefixes(family, params):
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _angle_table(family, *key, order_le_4)
+        yield prefix, table
 
 
 def _angle_table(family, p, q, order_le_4):
-    """(blocks, dim) of every tagged angle multiset filling (p, q), in
+    """Every tagged angle multiset filling (p, q), as a block tuple, in
     enumeration order (descending block tuples); order_le_4 keeps at most
     one angle class (four eigenvalue classes for su, whose tags are all
-    alike).
-
-    One depth-first walk builds the list: it adds the family's angle term
-    once per block to a running dimension and makes one tuple per entry,
-    so no entry's dimension is summed again."""
-    su = family in (SigFamily.SU_N, SigFamily.SU_PQ)
-    tags = ((1, -1) if su else ()) + tuple(range(2, p + q + 2))
+    alike).  One depth-first walk builds the list."""
+    tags = _angle_tags(family, p, q)
     if order_le_4:
-        tags = tags[: 4 if su else 1]
-    term = _TERMS[family][1]  # su's +-1 blocks share the angle term
+        tags = tags[: 4 if family in _SU else 1]
     out = []
     if family is SigFamily.SOSTAR_2N:
-        _fill_total(p, p, p, 0, [], tags, term, out)
+        _fill_total(p, p, p, [], tags, out)
     else:
-        _fill_pairs(p, q, p, q, 0, [], tags, term, out)
+        _fill_pairs(p, q, p, q, [], tags, out)
     return out
 
 
@@ -433,28 +447,77 @@ def _candidate_count(family, params):
     return min(total, over)
 
 
+def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):
+    """The best (dim, pairs) among the multisets `_fill_pairs` walks:
+    nonincreasing tuples of pairs (a, b) != (0, 0), each at most
+    (cap_a, cap_b), that fill (p, q), at least need of them; dim adds
+    term(a, b) once per pair, and ties go to the largest tuple.  With
+    total, the pairs' a+b sum to p and q is 0 (the `_fill_total` shape).
+    None when no multiset qualifies.
+
+    First pairs run in descending order and differ, so the first to reach
+    the best dimension is the largest tuple among those that do.  memo
+    holds each state's answer."""
+    if cap_a > p:  # a <= p < cap_a: only the shape bounds the first pair
+        cap_a, cap_b = p, max(p, q)
+    if need == 1 and (p or q):  # a nonempty fill has a pair
+        need = 0
+    key = (p, q, cap_a, cap_b, need)
+    if key in memo:
+        return memo[key]
+    best = None if p or q or need else (0, ())
+    for a in range(cap_a, -1, -1):
+        room = p - a if total else q
+        top = room if a < cap_a else min(room, cap_b)
+        for b in range(top, -1 if a else 0, -1):
+            rest_p, rest_q = (p - a - b, 0) if total else (p - a, q - b)
+            rest = _best_pairs(rest_p, rest_q, a, b, need - 1 if need else 0, term, total, memo)
+            if rest is not None:
+                d = term(a, b) + rest[0]
+                if best is None or d > best[0]:
+                    best = d, ((a, b),) + rest[1]
+    memo[key] = best
+    return best
+
+
 def oracle_max(family: SigFamily, params):
-    """Exhaustive maximum of signature_dim and the attaining signature.
+    """Exact maximum of signature_dim and the attaining signature.
 
     Only defined for the families with a closed-form bound.  Ties are
-    broken toward the lexicographically largest block tuple so the
-    witness is independent of enumeration order.  A candidate costs one
-    addition and one comparison: its block tuple is built only when its
-    dimension reaches the best so far, and only the winner becomes a
-    `Signature`, re-checked through `signature_dim`.  Raises OutOfDomain
-    outside `bound`'s domain, and (from `_candidates`, before enumerating)
-    when more than ENUMERATION_BUDGET candidate signatures would be built.
+    broken toward the lexicographically largest block tuple, so the
+    witness is independent of enumeration order.  For each +-1 prefix of
+    `_prefixes`, `_best_pairs` finds the best angle multiset by a walk
+    memoised on (remainder, cap, blocks still needed), one memo per call;
+    the prefix's blocks and the needed count keep the class non-central.
+    Tags depend only on position, so the winning pairs are tagged at the
+    end: the order on pair tuples is the order on block tuples.  The
+    tests check the result against a brute-force maximum over
+    `enumerate_signatures`.  The winner becomes a `Signature`, re-checked
+    through `signature_dim`.  Raises OutOfDomain outside `bound`'s domain,
+    and when more than ENUMERATION_BUDGET candidate signatures exist: the
+    walk builds none of them, but keeps `enumerate_signatures`' gate so
+    that the two refuse the same sizes.
     """
     bound(family, params)  # domain gate only
     params = tuple(params)
+    _check_budget(family, params)
+    real, term = _TERMS[family]  # su's +-1 blocks share the angle term
+    total = family is SigFamily.SOSTAR_2N
+    centre = _CENTRE.get(family, 0)
+    memo = {}
     best_dim, best = -1, ()  # every dimension is >= 0 and every tuple > ()
-    for prefix, prefix_dim, table in _candidates(family, params, False):
-        for angles, angle_dim in table:
-            d = prefix_dim + angle_dim
-            if d >= best_dim:
-                blocks = prefix + angles
-                if len(blocks) > 1 and (d > best_dim or blocks > best):
-                    best_dim, best = d, blocks
+    for prefix, (rp, rq) in _prefixes(family, params):
+        found = _best_pairs(rp, rq, rp, rq, max(2 - len(prefix), 0), term, total, memo)
+        if found is None:
+            continue
+        d = centre + found[0]
+        for _, a, b in prefix:
+            d += real(a, b)
+        if d >= best_dim:
+            tags = _angle_tags(family, rp, rq)
+            blocks = prefix + tuple((t, a, b) for t, (a, b) in zip(tags, found[1]))
+            if d > best_dim or blocks > best:
+                best_dim, best = d, blocks
     if not best:
         raise OutOfDomain(f"no non-central classes for {family.value}{params}")
     witness = Signature(family, params, best)

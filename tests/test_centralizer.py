@@ -7,6 +7,7 @@ in SO(7) is SO(6), of dimension 15).
 
 import gc
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 
@@ -26,7 +27,6 @@ from liecheck.centralizers import (
     signature_compact_dim,
     signature_dim,
     _angle_table,
-    _blocks_dim,
     _candidate_count,
     _candidates,
     _validate,
@@ -163,6 +163,17 @@ def test_oracle_max_witnesses():
     assert value == 4
 
 
+# at the edge of ENUMERATION_BUDGET: so(52), su(45) and so*(26) are the
+# largest in budget, su(10,11) and sp(5,10) the largest q at their p
+_LARGEST_IN_BUDGET = [
+    (SigFamily.SO_N, (52,)),
+    (SigFamily.SU_N, (45,)),
+    (SigFamily.SOSTAR_2N, (13,)),
+    (SigFamily.SU_PQ, (10, 11)),
+    (SigFamily.SP_PQ, (5, 10)),
+]
+
+
 def test_oracle_attains_bounds_on_small_ranges():
     for n in range(3, 10):
         assert oracle_max(SigFamily.SO_N, (n,))[0] == bound(SigFamily.SO_N, (n,)), n
@@ -176,6 +187,24 @@ def test_oracle_attains_bounds_on_small_ranges():
                 params = (p, q)
                 assert oracle_max(SigFamily.SU_PQ, params)[0] == bound(SigFamily.SU_PQ, params)
                 assert oracle_max(SigFamily.SP_PQ, params)[0] == bound(SigFamily.SP_PQ, params)
+    for family, params in _LARGEST_IN_BUDGET:
+        assert oracle_max(family, params)[0] == bound(family, params), (family, params)
+
+
+def test_oracle_max_is_fast_and_small_at_the_largest_sizes():
+    # building the angle tables, su(45) took about 1 s at a 51 MB
+    # tracemalloc peak, and the five sizes together about 3 s
+    start = time.monotonic()
+    for family, params in _LARGEST_IN_BUDGET:
+        oracle_max(family, params)
+    assert time.monotonic() - start < 1.0
+    tracemalloc.start()
+    try:
+        oracle_max(SigFamily.SU_N, (45,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_enumeration_is_valid_and_noncentral():
@@ -206,8 +235,8 @@ def test_order_le_4_enumeration_restricts_tags():
 
 def _built(family, params, order_le_4=False):
     """Every candidate block tuple, in enumeration order, central ones too."""
-    for prefix, _, table in _candidates(family, params, order_le_4):
-        for angles, _ in table:
+    for prefix, table in _candidates(family, params, order_le_4):
+        for angles in table:
             yield prefix + angles
 
 
@@ -322,9 +351,7 @@ def test_angle_tables_match_reference():
         for order_le_4 in (False, True):
             table = _angle_table(family, p, q, order_le_4)
             want = _reference_table(family, p, q, order_le_4)
-            assert [blocks for blocks, _ in table] == want, (family, p, q, order_le_4)
-            for blocks, dim in table:
-                assert dim == _blocks_dim(family, blocks), (family, blocks)
+            assert table == want, (family, p, q, order_le_4)
 
 
 def test_enumeration_leaves_no_reference_cycles():

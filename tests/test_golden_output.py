@@ -32,6 +32,10 @@ canonical-forms digest was taken from the code before the catalog stated
 its exceptional forms, low-rank coincidences and names in one table each;
 it pins `render(algebra(...))` for every family and in-domain parameter
 tuple up to `SIZE_LIMIT`, both signature orders and (0, n) included.
+The largest-size oracle answers were taken from the code before
+`oracle_max` stopped building angle tables and scanning every candidate
+(about 3 s of work there); they pin the value and witness at five sizes
+on the edge of `ENUMERATION_BUDGET`, one per bounded family.
 Refreeze only when an answer is meant to change.
 """
 
@@ -71,6 +75,13 @@ INVOLUTION_ROWS_24_SHA256 = "c2a122970cca1b4975a1cb9e5782119e2013bf46e18c95441d5
 SIGNATURES_8_COUNT = 25907
 SIGNATURES_8_SHA256 = "03cea3a26f802710006fef960807cc51255ad82dee66d428aa58aa9b6cf85dde"
 ORACLE_MAX_C2_SHA256 = "cbbd901ab4b0aece42980fc5a77365d9c262693b9d25ac8f04b9645854fe229c"
+ORACLE_MAX_LARGEST = {
+    (SigFamily.SO_N, (52,)): (1275, ((1, 51, 0), (-1, 1, 0))),
+    (SigFamily.SU_N, (45,)): (1936, ((1, 44, 0), (-1, 1, 0))),
+    (SigFamily.SOSTAR_2N, (13,)): (132, ((1, 12, 0), (2, 1, 0))),
+    (SigFamily.SU_PQ, (10, 11)): (200, ((1, 10, 10), (-1, 0, 1))),
+    (SigFamily.SP_PQ, (5, 10)): (180, ((1, 5, 9), (2, 0, 1))),
+}
 MATRIX_MODELS_7_COUNT = 109
 MATRIX_BASES_7_SHA256 = "fd75237ff396c7068816b4049f73104574b47932ed2e842ce28677a7626423b7"
 CATALOG_64_COUNT = 3513
@@ -276,6 +287,12 @@ def test_oracle_max_on_criterion_2_cases():
         value, witness = oracle_max(family, params)
         digest.update(("%s%r\t%d\t%r\n" % (family.value, params, value, witness.blocks)).encode())
     assert digest.hexdigest() == ORACLE_MAX_C2_SHA256
+
+
+def test_oracle_max_at_the_largest_in_budget_sizes():
+    for (family, params), (value, blocks) in ORACLE_MAX_LARGEST.items():
+        got, witness = oracle_max(family, params)
+        assert (got, witness.blocks) == (value, blocks), (family, params)
 
 
 def _matrix_models_up_to_7():
