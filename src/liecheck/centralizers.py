@@ -6,15 +6,17 @@ eigenvalue multiplicities only.  For each supported family the centralizer
 is again a product of classical groups, so its dimension is a polynomial
 in the multiplicities; `signature_dim` evaluates that polynomial and
 `oracle_max` maximizes it exactly, which is what the closed-form bounds in
-`bound` are validated against.  `oracle_max` finds the maximum by a
-memoised walk over the best angle multisets, and the tests check it
-against the brute-force maximum over `enumerate_signatures`.
+`bound` are validated against.  `enumerate_signatures` streams every
+class and `oracle_max` walks only the best angle multisets, both by one
+step rule (`_steps`); the tests check `oracle_max` against the
+brute-force maximum over `enumerate_signatures`.
 
 Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
     distinct rotation-angle classes (the angle value never enters the
     dimension count).  Every other tag is rejected, and parameters, tags
-    and multiplicities must be exactly ``int`` (not ``bool``).
+    and multiplicities must be exactly ``int`` (not ``bool``), each at
+    most 10**SIZE_CAP_DIGITS in size, the catalog's cap.
   * A class with a single tag is treated as central and rejected.  This
     deliberately removes the one-rotation-class elements (complex or
     quaternionic scalar-like); for so*(2n) with n in {2, 3, 4} such a
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from liecheck.algebras import InputError, OutOfDomain
+from liecheck.algebras import _SIZE_CAP, SIZE_CAP_DIGITS, InputError, OutOfDomain
 
 
 class InvalidSignature(InputError):
@@ -49,15 +51,15 @@ class OracleInvariantError(RuntimeError):
 
 
 # Largest number of candidate block tuples `enumerate_signatures` will
-# build.  A candidate costs it about 2 us for the families with +-1 blocks
-# and up to about 11 us for su(n) and su(p,q), whose one angle table holds
-# every candidate and whose tuples are the longest (su(45): 89,134
-# candidates in 0.95 s, su(10,11): 94,664 in 0.82 s, so(52): 94,514 in
-# 0.19 s, on a 2-core x86-64 host, Python 3.11), so the budget is about
-# 1 s of work; the criterion-2 sizes (n <= 12, p+q <= 10) need at most
-# 32,926.  `oracle_max` builds no candidate, but refuses the same sizes so
-# that its refusals stay those of `enumerate_signatures`; its slowest
-# in-budget calls, su(9,12) and su(10,11), take about 0.01 s.
+# walk, at about 3 to 6 us a candidate (so(52): 94,514 in 0.29-0.57 s,
+# su(45): 89,134 in 0.36-0.51 s, so*(26): 61,402 in 0.12-0.23 s,
+# su(10,11): 94,664 in 0.39-0.76 s, sp(5,10): 92,823 in 0.31-0.58 s, at
+# tracemalloc peaks of 0.1 to 1.6 MB; five runs each on a 2-core x86-64
+# host, Python 3.11), so the budget is under 1 s of work; the criterion-2
+# sizes (n <= 12, p+q <= 10) need at most 32,926.  `oracle_max` builds no
+# candidate, but refuses the same sizes so that its refusals stay those of
+# `enumerate_signatures`; its slowest in-budget calls, su(9,12) and
+# su(10,11), take about 0.01 s.
 ENUMERATION_BUDGET = 100_000
 
 
@@ -112,8 +114,9 @@ _COMPACT_PART = {
 class Signature:
     """Conjugacy-class data: blocks of (tag, mult_plus, mult_minus).
 
-    ``params`` is kept as a tuple, so a class given with list parameters
-    hashes, and equals the same class given with a tuple.
+    Lists given as ``params``, ``blocks`` or a block are kept as tuples, so
+    a class given with lists hashes, and equals the same class given with
+    tuples.  Any other shape is kept as given, for `signature_dim` to refuse.
     """
 
     family: SigFamily
@@ -121,7 +124,12 @@ class Signature:
     blocks: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
+        if type(self.params) is list:
+            object.__setattr__(self, "params", tuple(self.params))
+        blocks = self.blocks
+        if type(blocks) is list or type(blocks) is tuple and list in map(type, blocks):
+            blocks = tuple(tuple(b) if type(b) is list else b for b in blocks)
+            object.__setattr__(self, "blocks", blocks)
 
 
 # `bound`'s closed forms, family -> (name, least n, formula); a least n of
@@ -150,9 +158,10 @@ def bound(family: SigFamily, params) -> int:
     where it holds for those elements too.
 
     Parameters must be exactly ``int`` (``bool`` and ``float`` are
-    rejected), as many as the family takes.
+    rejected), as many as the family takes, each at most
+    10**SIZE_CAP_DIGITS in size.
     """
-    _check_params(family, params, OutOfDomain)
+    params = _check_params(family, params, OutOfDomain)
     if family not in _BOUNDS:
         raise OutOfDomain(f"no closed-form bound for {family.value}")
     name, least, formula = _BOUNDS[family]
@@ -166,20 +175,31 @@ def bound(family: SigFamily, params) -> int:
 
 
 def _check_params(family, params, error, blocks=()):
-    """Raise error unless params (and each block's entries) are exactly int,
-    as many params as the family takes and three entries per block."""
+    """params as a tuple.  Raises error unless family is a SigFamily, params
+    a tuple or list of as many ints as the family takes and blocks a tuple
+    of tuples of three ints, each int at most 10**SIZE_CAP_DIGITS in size
+    (checked before any message formats one); ``bool`` is not int."""
+    if type(family) is not SigFamily:
+        raise error(f"family must be a SigFamily, got {type(family).__name__}")
     arity = 2 if family in _TWO_PARAM else 1
-    if (
-        len(params) != arity
-        or set(map(len, blocks)) - {3}
-        or set(map(type, chain(params, *blocks))) != {int}
-    ):
-        if blocks:
-            raise error(
-                f"{family.value} takes {arity} int parameter(s) and blocks of three ints"
-                f" (tag, mult_plus, mult_minus), got {tuple(params)} {tuple(blocks)}"
-            )
-        raise error(f"{family.value} takes {arity} int parameter(s), got {tuple(params)}")
+    shaped = type(params) in (tuple, list) and type(blocks) is tuple
+    if not shaped or {*map(type, blocks)} - {tuple}:
+        detail = "as tuples"
+    else:
+        params = tuple(params)
+        ints = set(map(type, chain(params, *blocks))) == {int}
+        entries = chain(params, *blocks)
+        sizes = map(abs, entries) if ints else (abs(x) for x in entries if type(x) is int)
+        if max(sizes, default=0) > _SIZE_CAP:
+            detail = f"each at most 10**{SIZE_CAP_DIGITS}"
+        elif ints and len(params) == arity and not set(map(len, blocks)) - {3}:
+            return params
+        else:
+            detail = f"got {params} {blocks}" if blocks else f"got {params}"
+    want = f"{family.value} takes {arity} int parameter(s)"
+    if blocks:
+        want += " and blocks of three ints (tag, mult_plus, mult_minus)"
+    raise error(f"{want}, {detail}")
 
 
 def _validate(sig: Signature) -> None:
@@ -240,42 +260,17 @@ def signature_compact_dim(sig: Signature) -> int:
     return _blocks_dim(compact, parts) + centre
 
 
-def _fill_pairs(p, q, cap_a, cap_b, stack, tags, out):
-    """Append to out, for every nonincreasing multiset of pairs (a,b) !=
-    (0,0), each at most (cap_a, cap_b), with componentwise sum (p, q): stack
-    followed by the pairs as blocks (tag, a, b), tagged in order from
-    tags[len(stack):].  With q = 0 the multisets are the partitions of p."""
-    if not p and not q:
-        out.append(tuple(stack))
-        return
-    depth = len(stack)
-    if depth == len(tags):
-        return
-    tag = tags[depth]
+def _steps(p, q, cap_a, cap_b, total):
+    """The one step rule of the angle walks: (a, b, rest_p, rest_q) for each
+    pair (a, b) != (0, 0) at most the previous pair (cap_a, cap_b), in
+    descending order, and the remainder it leaves of (p, q); with total,
+    a+b counts against p (the so* shape, q = 0).  Stepping to (0, 0) walks
+    each nonincreasing pair multiset filling (p, q) once."""
     for a in range(min(p, cap_a), -1, -1):
-        top = q if a < cap_a else min(q, cap_b)
+        room = p - a if total else q
+        top = room if a < cap_a else min(room, cap_b)
         for b in range(top, -1 if a else 0, -1):
-            stack.append((tag, a, b))
-            _fill_pairs(p - a, q - b, a, b, stack, tags, out)
-            stack.pop()
-
-
-def _fill_total(total, cap_a, cap_b, stack, tags, out):
-    """As `_fill_pairs`, for the pairs whose a+b sum to total (the so*
-    angle-block shape)."""
-    if not total:
-        out.append(tuple(stack))
-        return
-    depth = len(stack)
-    if depth == len(tags):
-        return
-    tag = tags[depth]
-    for a in range(min(total, cap_a), -1, -1):
-        top = total - a if a < cap_a else min(total - a, cap_b)
-        for b in range(top, -1 if a else 0, -1):
-            stack.append((tag, a, b))
-            _fill_total(total - a - b, a, b, stack, tags, out)
-            stack.pop()
+            yield (a, b, p - a - b, 0) if total else (a, b, p - a, q - b)
 
 
 def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
@@ -284,28 +279,31 @@ def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
 
     Every candidate is a valid signature by construction except for the
     block count, so the single-block (central) ones are the only ones
-    dropped.  Raises OutOfDomain on the first `next()` when there are more
-    than ENUMERATION_BUDGET candidates; with order_le_4 the budget still
-    counts the full candidate set, so it may refuse a size whose order-4
-    classes alone would fit.
+    dropped.  Candidates stream, each +-1 prefix of `_prefixes` followed by
+    the multisets of its `_angle_blocks` walk.  Raises OutOfDomain on the
+    first `next()` when there are more than ENUMERATION_BUDGET candidates;
+    with order_le_4 the budget still counts the full candidate set, so it
+    may refuse a size whose order-4 classes alone would fit.
     """
-    params = tuple(params)
-    for prefix, table in _candidates(family, params, order_le_4):
-        for angles in table:
+    params = _check_budget(family, params)
+    memo = _StepLists()
+    for prefix, (p, q) in _prefixes(family, params):
+        for angles in _angle_blocks(family, p, q, order_le_4, memo):
             blocks = prefix + angles
             if len(blocks) > 1:
                 yield Signature(family, params, blocks)
 
 
 def _check_budget(family, params):
-    """Raise OutOfDomain when params are not ints or there are more than
-    ENUMERATION_BUDGET candidate signatures.  params must be a tuple."""
-    _check_params(family, params, OutOfDomain)
+    """params as a tuple; OutOfDomain when `_check_params` refuses them or
+    there are more than ENUMERATION_BUDGET candidate signatures."""
+    params = _check_params(family, params, OutOfDomain)
     if _candidate_count(family, params) > ENUMERATION_BUDGET:
         raise OutOfDomain(
             f"{family.value}{params}: more than the enumeration budget of "
             f"{ENUMERATION_BUDGET} candidate signatures"
         )
+    return params
 
 
 def _prefixes(family, params):
@@ -337,39 +335,42 @@ def _angle_tags(family, p, q):
     return ((1, -1) if family in _SU else ()) + tuple(range(2, p + q + 2))
 
 
-def _candidates(family, params, order_le_4):
-    """The candidates as runs (prefix, table): every tuple `prefix + angles`
-    for angles in `table`, in order, over the runs of `_prefixes`.
+class _StepLists(dict):
+    """`_steps` lists keyed by their arguments, each built on first use."""
 
-    Tables are built once per remainder and live only as long as the
-    generator.  Raises OutOfDomain on the first `next()`, before building
-    any table, when there are more than ENUMERATION_BUDGET candidates.  The
-    count is of the full candidate set even when order_le_4 keeps fewer of
-    them, so the check is conservative there.  params must be a tuple.
-    """
-    _check_budget(family, params)
-    tables = {}
-    for prefix, key in _prefixes(family, params):
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _angle_table(family, *key, order_le_4)
-        yield prefix, table
+    def __missing__(self, key):
+        steps = self[key] = list(_steps(*key))
+        return steps
 
 
-def _angle_table(family, p, q, order_le_4):
+def _angle_blocks(family, p, q, order_le_4, memo):
     """Every tagged angle multiset filling (p, q), as a block tuple, in
-    enumeration order (descending block tuples); order_le_4 keeps at most
-    one angle class (four eigenvalue classes for su, whose tags are all
-    alike).  One depth-first walk builds the list."""
+    descending order; order_le_4 keeps at most one angle class (four
+    eigenvalue classes for su, whose tags are all alike).  One depth-first
+    walk over the `_StepLists` memo, holding only the open blocks."""
+    if not p and not q:
+        yield ()
+        return
     tags = _angle_tags(family, p, q)
     if order_le_4:
         tags = tags[: 4 if family in _SU else 1]
-    out = []
-    if family is SigFamily.SOSTAR_2N:
-        _fill_total(p, p, p, [], tags, out)
-    else:
-        _fill_pairs(p, q, p, q, [], tags, out)
-    return out
+    total = family is SigFamily.SOSTAR_2N
+    opened = []  # the blocks above the top iterator, in order
+    stack = [iter(memo[p, q, p, q, total])]
+    while stack:
+        tag = tags[len(opened)]
+        deeper = len(stack) < len(tags)
+        for a, b, rest_p, rest_q in stack[-1]:
+            if not rest_p and not rest_q:
+                yield (*opened, (tag, a, b))
+            elif deeper:
+                opened.append((tag, a, b))
+                stack.append(iter(memo[rest_p, rest_q, a, b, total]))
+                break
+        else:
+            stack.pop()
+            if opened:
+                opened.pop()
 
 
 def _multiset_counts(n, kinds):
@@ -390,7 +391,7 @@ def _multiset_counts(n, kinds):
 
 def _pair_partitions(p, q):
     """c[i][j] for i <= p, j <= q: multisets of pairs (a,b) != (0,0) with
-    componentwise sum (i, j), the shapes `_fill_pairs` builds."""
+    componentwise sum (i, j), the shapes `_steps` walks."""
     c = [[0] * (q + 1) for _ in range(p + 1)]
     c[0][0] = 1
     for a in range(p + 1):
@@ -405,7 +406,8 @@ def _pair_partitions(p, q):
 
 
 def _candidate_count(family, params):
-    """Exact number of candidate block tuples `_candidates` yields for
+    """Exact number of candidate block tuples (each `_prefixes` prefix
+    followed by each multiset of its `_angle_blocks` walk) for
     (family, params), capped at ENUMERATION_BUDGET + 1.
 
     Each count is at least the product, over the size parameters n, of the
@@ -448,12 +450,10 @@ def _candidate_count(family, params):
 
 
 def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):
-    """The best (dim, pairs) among the multisets `_fill_pairs` walks:
-    nonincreasing tuples of pairs (a, b) != (0, 0), each at most
-    (cap_a, cap_b), that fill (p, q), at least need of them; dim adds
-    term(a, b) once per pair, and ties go to the largest tuple.  With
-    total, the pairs' a+b sum to p and q is 0 (the `_fill_total` shape).
-    None when no multiset qualifies.
+    """The best (dim, pairs) among the multisets that `_steps` walks from
+    (p, q) under the cap (cap_a, cap_b), with at least need pairs; dim
+    adds term(a, b) once per pair, and ties go to the largest tuple.  None
+    when no multiset qualifies.
 
     First pairs run in descending order and differ, so the first to reach
     the best dimension is the largest tuple among those that do.  memo
@@ -466,16 +466,12 @@ def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):
     if key in memo:
         return memo[key]
     best = None if p or q or need else (0, ())
-    for a in range(cap_a, -1, -1):
-        room = p - a if total else q
-        top = room if a < cap_a else min(room, cap_b)
-        for b in range(top, -1 if a else 0, -1):
-            rest_p, rest_q = (p - a - b, 0) if total else (p - a, q - b)
-            rest = _best_pairs(rest_p, rest_q, a, b, need - 1 if need else 0, term, total, memo)
-            if rest is not None:
-                d = term(a, b) + rest[0]
-                if best is None or d > best[0]:
-                    best = d, ((a, b),) + rest[1]
+    for a, b, rest_p, rest_q in _steps(p, q, cap_a, cap_b, total):
+        rest = _best_pairs(rest_p, rest_q, a, b, need - 1 if need else 0, term, total, memo)
+        if rest is not None:
+            d = term(a, b) + rest[0]
+            if best is None or d > best[0]:
+                best = d, ((a, b),) + rest[1]
     memo[key] = best
     return best
 
@@ -491,16 +487,14 @@ def oracle_max(family: SigFamily, params):
     the prefix's blocks and the needed count keep the class non-central.
     Tags depend only on position, so the winning pairs are tagged at the
     end: the order on pair tuples is the order on block tuples.  The
-    tests check the result against a brute-force maximum over
-    `enumerate_signatures`.  The winner becomes a `Signature`, re-checked
-    through `signature_dim`.  Raises OutOfDomain outside `bound`'s domain,
+    winner becomes a `Signature`, re-checked through `signature_dim`.
+    Raises OutOfDomain outside `bound`'s domain,
     and when more than ENUMERATION_BUDGET candidate signatures exist: the
     walk builds none of them, but keeps `enumerate_signatures`' gate so
     that the two refuse the same sizes.
     """
     bound(family, params)  # domain gate only
-    params = tuple(params)
-    _check_budget(family, params)
+    params = _check_budget(family, params)
     real, term = _TERMS[family]  # su's +-1 blocks share the angle term
     total = family is SigFamily.SOSTAR_2N
     centre = _CENTRE.get(family, 0)

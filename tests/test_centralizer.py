@@ -9,7 +9,7 @@ import gc
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -26,9 +26,10 @@ from liecheck.centralizers import (
     oracle_max,
     signature_compact_dim,
     signature_dim,
-    _angle_table,
+    _angle_blocks,
     _candidate_count,
-    _candidates,
+    _prefixes,
+    _StepLists,
     _validate,
 )
 
@@ -88,6 +89,16 @@ def test_list_params_are_the_tuple_value():
     assert listed.params == (2, 3)
     assert listed == tupled and hash(listed) == hash(tupled)
     assert {listed, tupled} == {tupled}
+    # list blocks, and lists inside a block tuple, are stored as tuples
+    for blocks in ([[1, 2, 2], [-1, 0, 1]], [(1, 2, 2), (-1, 0, 1)], ([1, 2, 2], (-1, 0, 1))):
+        listed = Signature(SigFamily.SU_PQ, [2, 3], blocks)
+        assert listed.blocks == tupled.blocks
+        assert listed == tupled and hash(listed) == hash(tupled)
+    # the entry points that take params answer a list as its tuple
+    assert list(enumerate_signatures(SigFamily.SU_PQ, [1, 2])) == list(
+        enumerate_signatures(SigFamily.SU_PQ, (1, 2))
+    )
+    assert oracle_max(SigFamily.SO_N, [5]) == oracle_max(SigFamily.SO_N, (5,))
 
 
 def test_central_classes_rejected():
@@ -207,6 +218,22 @@ def test_oracle_max_is_fast_and_small_at_the_largest_sizes():
     assert peak < 5_000_000
 
 
+def test_enumeration_streams():
+    # building su(45)'s whole 89,134-entry table before the first yield
+    # once took a 48 MB tracemalloc peak
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        signatures = enumerate_signatures(SigFamily.SU_N, (45,))
+        assert sum(1 for _ in islice(signatures, 1000)) == 1000
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert elapsed < 0.2
+
+
 def test_enumeration_is_valid_and_noncentral():
     for fam, params in [
         (SigFamily.SO_N, (6,)),
@@ -234,9 +261,11 @@ def test_order_le_4_enumeration_restricts_tags():
 
 
 def _built(family, params, order_le_4=False):
-    """Every candidate block tuple, in enumeration order, central ones too."""
-    for prefix, table in _candidates(family, params, order_le_4):
-        for angles in table:
+    """Every candidate block tuple, in enumeration order, central ones too:
+    each +-1 prefix followed by each angle multiset of its walk."""
+    memo = _StepLists()
+    for prefix, (p, q) in _prefixes(family, tuple(params)):
+        for angles in _angle_blocks(family, p, q, order_le_4, memo):
             yield prefix + angles
 
 
@@ -349,7 +378,7 @@ def test_angle_tables_match_reference():
     sizes += [(family, p, q) for family in two for p in range(6) for q in range(6 - p)]
     for family, p, q in sizes:
         for order_le_4 in (False, True):
-            table = _angle_table(family, p, q, order_le_4)
+            table = list(_angle_blocks(family, p, q, order_le_4, _StepLists()))
             want = _reference_table(family, p, q, order_le_4)
             assert table == want, (family, p, q, order_le_4)
 
