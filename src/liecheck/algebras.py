@@ -27,6 +27,10 @@ ASCII decimal, at most 10**SIZE_CAP_DIGITS.  The family classes
 (`COMPACT`, `COMPLEX`, `REAL_EXCEPTIONAL`) and the catalog order are read
 off `_NAMES`, `_TWO_PARAM` and `_EXCEPTIONAL`.  Everything is exact
 integer arithmetic.
+
+The package refuses arguments by two guards stated here, both raising
+OutOfDomain before any message formats the input: `require_simple` for a
+simple algebra, `require_ints` for exact ints within the size cap.
 """
 
 from __future__ import annotations
@@ -129,18 +133,26 @@ SIZE_CAP_DIGITS = 2000
 _SIZE_CAP = 10**SIZE_CAP_DIGITS
 
 
+def require_ints(values, what: str) -> None:
+    """OutOfDomain unless `values`, an iterable read once, are exact ints
+    (``bool`` is not) whose sizes total at most 10**SIZE_CAP_DIGITS, checked
+    before any message formats one; `what` names them, as "sl_r: sizes"."""
+    total = 0
+    for x in values:
+        if type(x) is not int:
+            raise OutOfDomain(f"{what} must be an int, got {type(x).__name__}")
+        total += abs(x)
+    if total > _SIZE_CAP:
+        raise OutOfDomain(f"{what} must total at most 10**{SIZE_CAP_DIGITS}")
+
+
 def _check_params(family, params):
     """Raise OutOfDomain unless `params` is a tuple in `family`'s domain."""
     if type(family) is not Family:
-        raise OutOfDomain(f"{family!r} is not a Family")
+        raise OutOfDomain(f"expected a Family, got {type(family).__name__}")
     if type(params) is not tuple:
-        raise OutOfDomain(f"{family.value}: parameters must be a tuple, got {params!r}")
-    if any(type(x) is not int for x in params):
-        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
-    if sum(map(abs, params)) > _SIZE_CAP:
-        # before any message formats a size, which may have more digits
-        # than str() converts
-        raise OutOfDomain(f"{family.value}: sizes must total at most 10**{SIZE_CAP_DIGITS}")
+        raise OutOfDomain(f"{family.value}: parameters must be a tuple, not {type(params).__name__}")
+    require_ints(params, f"{family.value}: sizes")
     if family in _TWO_PARAM:
         if len(params) != 2:
             raise OutOfDomain(f"{family.value} takes (p, q), got {params}")
@@ -278,40 +290,57 @@ COMPACT_LINE = ReductiveAlgebra(compact_abelian_dim=1)
 SPLIT_LINE = ReductiveAlgebra(split_abelian_dim=1)
 
 
-def _raw(family, *params):
-    return ReductiveAlgebra((SimpleAlgebra(family, params),))
-
-
-@lru_cache(maxsize=None, typed=True)
 def algebra(family: Family, *params: int) -> ReductiveAlgebra:
     """Canonical ReductiveAlgebra for the named family and parameters.
 
     Parameters must be ``int`` (``bool`` and ``float`` are rejected).  The
     result is a shared immutable value: equal arguments return the same
-    object.  ``typed=True`` keeps ``algebra(F, 2.0)`` from hitting the
-    cache entry of ``algebra(F, 2)``; errors are never cached, so invalid
-    input raises on every call.
+    object.  Its cache, `_canonical`, hashes the arguments before checking
+    them, so an unhashable one is refused here; any other TypeError comes
+    back from the second call.
     """
+    try:
+        return _canonical(family, *params)
+    except TypeError:
+        _check_params(family, params)
+    return _canonical(family, *params)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _canonical(family, *params):
+    """`algebra`'s cache; ``typed=True`` keeps 2.0 off the entry of 2, and
+    errors are never cached, so invalid input raises on every call."""
     _check_params(family, params)
     if family in _TWO_PARAM:
         p, q = sorted(params)
         if p == 0:
-            return algebra(_TWO_PARAM[family], q)
+            return _canonical(_TWO_PARAM[family], q)
         params = (p, q)
     coincidence = _COINCIDENCES.get((family, params))
     if coincidence is not None:
         return parse_algebra(coincidence)
-    return _raw(family, *params)
+    return ReductiveAlgebra((SimpleAlgebra(family, params),))
 
 
 def simple(family: Family, *params: int) -> SimpleAlgebra:
     """Like algebra(), but the result must be one simple factor."""
-    red = algebra(family, *params)
-    if len(red.simples) != 1 or red.compact_abelian_dim or red.split_abelian_dim:
-        raise OutOfDomain(
-            f"{family.value}{tuple(params)} is not simple (canonically {render(red)})"
-        )
-    return red.simples[0]
+    return require_simple(algebra(family, *params))
+
+
+def as_simple(x) -> SimpleAlgebra | None:
+    """`x` if a SimpleAlgebra, the one summand of a ReductiveAlgebra, else None."""
+    if type(x) is ReductiveAlgebra and len(x.simples) == 1 and x[1:] == (0, 0):
+        x = x.simples[0]
+    return x if type(x) is SimpleAlgebra else None
+
+
+def require_simple(x) -> SimpleAlgebra:
+    """`as_simple(x)`, or OutOfDomain naming x's sum or type, never its ints."""
+    a = as_simple(x)
+    if a is None:
+        got = render(x) if type(x) is ReductiveAlgebra else type(x).__name__
+        raise OutOfDomain(f"a single simple algebra is required, got {got}")
+    return a
 
 
 # Low-rank coincidences: (family, params) -> the canonical value, by name.
@@ -409,7 +438,7 @@ REAL_EXCEPTIONAL = frozenset(_EXCEPTIONAL).difference(COMPACT, COMPLEX_EXCEPTION
 
 
 def dims(a: SimpleAlgebra) -> SpaceDims:
-    return a.space
+    return require_simple(a).space
 
 
 def _space(fam, params):
@@ -480,11 +509,11 @@ def reductive_dims(h: ReductiveAlgebra) -> SpaceDims:
 
 
 def is_compact(a: SimpleAlgebra) -> bool:
-    return a.family in COMPACT
+    return require_simple(a).family in COMPACT
 
 
 def is_complex(a: SimpleAlgebra) -> bool:
-    return a.family in COMPLEX
+    return require_simple(a).family in COMPLEX
 
 
 # one-parameter families whose maximal compact is a compact family of the
@@ -500,6 +529,7 @@ _COMPACT_FORM = {
 
 def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
     """Maximal compact subalgebra, up to isogeny, as a ReductiveAlgebra."""
+    a = require_simple(a)
     fam, params = a.family, a.params
     if fam in COMPACT:
         raise OutOfDomain(f"{render(a)} is already compact")
@@ -522,6 +552,7 @@ def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
 
 def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
     """Complexification, canonicalized; a complex algebra doubles."""
+    a = require_simple(a)
     fam, params = a.family, a.params
     if fam in COMPLEX:
         return reductive((a, a))
@@ -553,7 +584,7 @@ def real_forms(a: SimpleAlgebra) -> tuple[str, ...]:
 
 
 def out_group(a: SimpleAlgebra) -> OutGroup:
-    iso = _out_iso(a)
+    iso = _out_iso(require_simple(a))
     return OutGroup(iso, _OUT_EXPONENT[iso], iso in (OutIso.TRIVIAL, OutIso.Z2, OutIso.Z2xZ2))
 
 
@@ -665,10 +696,7 @@ def _build_token(head: str, args: list[str]) -> ReductiveAlgebra:
     params = [int(s) for s in sizes]
     if any(n % scale for n in params):
         raise OutOfDomain(f"{head}({','.join(args)}): matrix size must be even")
-    return _require_simple(algebra(family, *(n // scale for n in params)))
-
-
-def _require_simple(red: ReductiveAlgebra) -> ReductiveAlgebra:
+    red = algebra(family, *(n // scale for n in params))
     if len(red.simples) > 1:
         raise OutOfDomain(f"not a simple algebra (canonically {render(red)})")
     return red
@@ -676,6 +704,8 @@ def _require_simple(red: ReductiveAlgebra) -> ReductiveAlgebra:
 
 def parse_algebra(text: str) -> ReductiveAlgebra:
     """Parse a '+'-separated sum of algebra tokens (inverse of render)."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a str, got {type(text).__name__}", 0)
     parts = []
     offset = 0
     for chunk in text.split("+"):
@@ -702,10 +732,8 @@ SIZE_LIMIT = 64
 
 
 def require_max_param(max_param: int) -> None:
-    """Refuse a sweep or export size that is not an int in 2..SIZE_LIMIT
-    with OutOfDomain (``bool``, ``float`` and ``str`` are not ints here)."""
-    if type(max_param) is not int:
-        raise OutOfDomain("max-param must be an int, got %r" % (max_param,))
+    """OutOfDomain unless a sweep or export size is an int in 2..SIZE_LIMIT."""
+    require_ints((max_param,), "max-param")
     if max_param < 2:
         # no classical family starts below 2; a sweep would check only the
         # exceptional rows and still report PASS
@@ -731,6 +759,7 @@ def iter_noncompact_simple(max_param: int):
     family runs from size 1 and keeps the parameters that `is_canonical`
     accepts, so the low-rank coincidences are stated only in `algebra()`.
     """
+    require_max_param(max_param)
     for fam in _NONCOMPACT_ORDER:
         if fam in _TWO_PARAM:
             sizes = ((p, q) for p in range(1, max_param + 1) for q in range(p, max_param - p + 1))

@@ -15,8 +15,8 @@ Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
     distinct rotation-angle classes (the angle value never enters the
     dimension count).  Every other tag is rejected, and parameters, tags
-    and multiplicities must be exactly ``int`` (not ``bool``), each at
-    most 10**SIZE_CAP_DIGITS in size, the catalog's cap.
+    and multiplicities must be exactly ``int`` (not ``bool``), at most
+    10**SIZE_CAP_DIGITS in size all together, the catalog's cap.
   * A class with a single tag is treated as central and rejected.  This
     deliberately removes the one-rotation-class elements (complex or
     quaternionic scalar-like); for so*(2n) with n in {2, 3, 4} such a
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from liecheck.algebras import _SIZE_CAP, SIZE_CAP_DIGITS, InputError, OutOfDomain
+from liecheck.algebras import InputError, OutOfDomain, require_ints
 
 
 class InvalidSignature(InputError):
@@ -156,12 +156,8 @@ def bound(family: SigFamily, params) -> int:
     {2, 3, 4}, meets it at n = 5 (12 = 12) and stays below it for n >= 6.
     The exceptional-group reductions this bound feeds use n = 5 and n = 8,
     where it holds for those elements too.
-
-    Parameters must be exactly ``int`` (``bool`` and ``float`` are
-    rejected), as many as the family takes, each at most
-    10**SIZE_CAP_DIGITS in size.
     """
-    params = _check_params(family, params, OutOfDomain)
+    params = _check_params(family, params)
     if family not in _BOUNDS:
         raise OutOfDomain(f"no closed-form bound for {family.value}")
     name, least, formula = _BOUNDS[family]
@@ -174,39 +170,30 @@ def bound(family: SigFamily, params) -> int:
     return formula(*params)
 
 
-def _check_params(family, params, error, blocks=()):
-    """params as a tuple.  Raises error unless family is a SigFamily, params
-    a tuple or list of as many ints as the family takes and blocks a tuple
-    of tuples of three ints, each int at most 10**SIZE_CAP_DIGITS in size
-    (checked before any message formats one); ``bool`` is not int."""
+def _check_params(family, params, blocks=()):
+    """params as a tuple; OutOfDomain unless family is a SigFamily, params a
+    tuple or list of as many ints as the family takes and blocks a tuple of
+    tuples of three ints (`require_ints` checks the ints)."""
     if type(family) is not SigFamily:
-        raise error(f"family must be a SigFamily, got {type(family).__name__}")
+        raise OutOfDomain(f"family must be a SigFamily, got {type(family).__name__}")
     arity = 2 if family in _TWO_PARAM else 1
-    shaped = type(params) in (tuple, list) and type(blocks) is tuple
-    if not shaped or {*map(type, blocks)} - {tuple}:
-        detail = "as tuples"
-    else:
+    if type(params) in (tuple, list) and type(blocks) is tuple and {*map(type, blocks)} <= {tuple}:
         params = tuple(params)
-        ints = set(map(type, chain(params, *blocks))) == {int}
-        entries = chain(params, *blocks)
-        sizes = map(abs, entries) if ints else (abs(x) for x in entries if type(x) is int)
-        if max(sizes, default=0) > _SIZE_CAP:
-            detail = f"each at most 10**{SIZE_CAP_DIGITS}"
-        elif ints and len(params) == arity and not set(map(len, blocks)) - {3}:
+        require_ints(chain(params, *blocks), "parameters and blocks")
+        if len(params) == arity and {*map(len, blocks)} <= {3}:
             return params
-        else:
-            detail = f"got {params} {blocks}" if blocks else f"got {params}"
-    want = f"{family.value} takes {arity} int parameter(s)"
-    if blocks:
-        want += " and blocks of three ints (tag, mult_plus, mult_minus)"
-    raise error(f"{want}, {detail}")
+    shape = " and a tuple of blocks of three ints (tag, mult_plus, mult_minus)" if blocks else ""
+    raise OutOfDomain(f"{family.value} takes a tuple of {arity} int parameter(s){shape}")
 
 
 def _validate(sig: Signature) -> None:
+    if type(sig) is not Signature or not sig.blocks:
+        raise InvalidSignature("expected a Signature with blocks")
     blocks = sig.blocks
-    if not blocks:
-        raise InvalidSignature("no blocks")
-    _check_params(sig.family, sig.params, InvalidSignature, blocks)
+    try:
+        _check_params(sig.family, sig.params, blocks)
+    except OutOfDomain as exc:
+        raise InvalidSignature(str(exc)) from None
     tags = [t for t, _, _ in blocks]
     if len(set(tags)) != len(tags):
         raise InvalidSignature(f"repeated eigenvalue tag in {blocks}")
@@ -297,7 +284,7 @@ def enumerate_signatures(family: SigFamily, params, order_le_4: bool = False):
 def _check_budget(family, params):
     """params as a tuple; OutOfDomain when `_check_params` refuses them or
     there are more than ENUMERATION_BUDGET candidate signatures."""
-    params = _check_params(family, params, OutOfDomain)
+    params = _check_params(family, params)
     if _candidate_count(family, params) > ENUMERATION_BUDGET:
         raise OutOfDomain(
             f"{family.value}{params}: more than the enumeration budget of "

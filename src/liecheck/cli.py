@@ -34,42 +34,34 @@ def _cmd_info(args) -> int:
     # every line is built before any is printed, so an input rejected
     # halfway (a compact algebra has no max compact) leaves stdout empty
     red = al.parse_algebra(args.algebra)
-    if len(red.simples) == 1 and not red.compact_abelian_dim and not red.split_abelian_dim:
-        a = red.simples[0]
-        d = al.dims(a)
+    a = al.as_simple(red)
+    if a is None:
+        kind = "reductive, %d simple factors" % len(red.simples)
+    else:
         kind = "complex simple" if al.is_complex(a) else "real simple"
+    d = al.reductive_dims(red)
+    lines = [
+        "algebra: %s (%s)" % (al.render(red), kind),
+        "dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s),
+        "rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt),
+    ]
+    if a is not None:
         out = al.out_group(a)
-        lines = [
-            "algebra: %s (%s)" % (al.render(a), kind),
-            "dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s),
-            "rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt),
+        lines += [
             "out = %s (exponent %d)" % (_out_name(out.iso_type), out.exponent),
             "max compact: %s" % al.render(al.max_compact(a)),
             "complexification: %s" % al.render(al.complexify(a)),
         ]
-    else:
-        d = al.reductive_dims(red)
-        lines = [
-            "algebra: %s (reductive, %d simple factors)" % (al.render(red), len(red.simples)),
-            "dim g = %d, dim K = %d, dim S = %d" % (d.dim_g, d.dim_k, d.dim_s),
-            "rk_R = %d, rk K = %d" % (d.rk_r, d.rk_cpt),
-        ]
-        if red.compact_abelian_dim:
-            lines.append("compact abelian part: dim %d" % red.compact_abelian_dim)
-        if red.split_abelian_dim:
-            lines.append("split abelian part: dim %d" % red.split_abelian_dim)
+    if red.compact_abelian_dim:
+        lines.append("compact abelian part: dim %d" % red.compact_abelian_dim)
+    if red.split_abelian_dim:
+        lines.append("split abelian part: dim %d" % red.split_abelian_dim)
     print("\n".join(lines))
     return 0
 
 
-def _require_one_simple(red, label):
-    if len(red.simples) != 1 or red.compact_abelian_dim or red.split_abelian_dim:
-        raise al.OutOfDomain("%s needs a single simple algebra, got %s" % (label, al.render(red)))
-    return red.simples[0]
-
-
 def _cmd_involutions(args) -> int:
-    a = _require_one_simple(al.parse_algebra(args.algebra), "involutions")
+    a = al.require_simple(al.parse_algebra(args.algebra))
     results = vf.check_involutions(a)
     d = al.dims(a)
     print(

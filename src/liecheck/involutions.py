@@ -36,6 +36,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .algebras import (
+    _canonical,
     COMPACT,
     COMPACT_LINE,
     SIZE_LIMIT,
@@ -54,6 +55,7 @@ from .algebras import (
     reductive,
     reductive_dims,
     render,
+    require_simple,
     simple,
 )
 
@@ -168,14 +170,15 @@ def _split_row(template, family, p, q, compact_abelian=0):
 
     Each instance is the `direct_sum` of the two canonical parts, joined here
     without `direct_sum`'s loop over its arguments: the split rows hold most
-    of the instances a sweep builds.
+    of the instances a sweep builds, so the parts come from `algebra`'s cache
+    `_canonical` directly, without `algebra`'s Python call per part.
     """
     instances = []
     append = instances.append
     for kp in range(p // 2 + 1):
         lp = p - kp
         for kq in range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1):
-            x, y = algebra(family, kp, kq), algebra(family, lp, q - kq)
+            x, y = _canonical(family, kp, kq), _canonical(family, lp, q - kq)
             append(
                 reductive(
                     x.simples + y.simples,
@@ -386,9 +389,16 @@ def _exceptional_rows(a):
     return source, rows
 
 
-def _require_row_ambient(a):
-    if not isinstance(a, SimpleAlgebra):
-        raise TypeError(f"expected a SimpleAlgebra, got {type(a).__name__}")
+def isotropy_entries(a):
+    """All involution rows for the canonical noncompact simple algebra `a`.
+
+    The returned tuple keeps the printed column order of the source tables
+    and always ends with the synthetic Cartan row (`kind == "compact"`).
+    Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.  The rows are built
+    on every call and not kept, so a caller that reads them once, like a
+    sweep, lets them go when it is done with them.
+    """
+    a = require_simple(a)
     if a.family in COMPACT:
         raise UnsupportedAlgebra(f"{render(a)} is compact; it has no involution rows here")
     if not is_canonical(a):
@@ -400,18 +410,6 @@ def _require_row_ambient(a):
         raise UnsupportedAlgebra(
             f"{render(a)} has size {sum(a.params)}, past the size limit {SIZE_LIMIT}"
         )
-
-
-def isotropy_entries(a):
-    """All involution rows for the canonical noncompact simple algebra `a`.
-
-    The returned tuple keeps the printed column order of the source tables
-    and always ends with the synthetic Cartan row (`kind == "compact"`).
-    Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.  The rows are built
-    on every call and not kept, so a caller that reads them once, like a
-    sweep, lets them go when it is done with them.
-    """
-    _require_row_ambient(a)
     fam = a.family
     if fam in _CLASSICAL_ROWS:
         source, rows_of = _CLASSICAL_ROWS[fam]
@@ -483,6 +481,7 @@ def triality_classes(a):
     the outer automorphism group has no order-3 elements, or (for compact or
     noncanonical input) the algebra carries no rows here at all.
     """
+    a = require_simple(a)
     if a not in TRIALITY_FORMS:
         raise UnsupportedAlgebra(
             f"{render(a)} admits no order-3 outer classes; only so(8,C) and so(4,4) do"

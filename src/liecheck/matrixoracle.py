@@ -35,7 +35,7 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import NamedTuple
 
 from liecheck._exact import in_span, reduced_form, sparse_ranks
-from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims
+from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims, require_simple
 from liecheck.centralizers import (
     InvalidSignature,
     OracleInvariantError,
@@ -87,35 +87,28 @@ MATRIX_SIZE_LIMIT = 64
 
 def model(family: Family, *params: int) -> SimpleAlgebra:
     """Ambient algebra in its defining matrix presentation (not collapsed)."""
-    if family not in _SHAPES:
-        raise UnsupportedFamily(f"no matrix basis wired for {family.value}")
-    if any(type(x) is not int for x in params):
-        raise OutOfDomain(f"{family.value}{params}: parameters must be int")
-    if family in (Family.SO, Family.SU, Family.SP):
-        if len(params) != 2 or min(params) < 1:
-            raise OutOfDomain(f"{family.value} needs two positive parameters")
-    elif family in (Family.SL_R, Family.SO_CPT, Family.SU_CPT):
-        if len(params) != 1 or params[0] < 2:
-            raise OutOfDomain(f"{family.value} needs one parameter >= 2")
-    else:
-        if len(params) != 1 or params[0] < 1:
-            raise OutOfDomain(f"{family.value} needs one positive parameter")
-    a = SimpleAlgebra(family, tuple(params))
-    size = _size(a)
-    if size > MATRIX_SIZE_LIMIT:
-        raise OutOfDomain(
-            f"{family.value}{params} acts on R^{size}, past the matrix size limit "
-            f"{MATRIX_SIZE_LIMIT}"
-        )
+    a = SimpleAlgebra(family, params)
+    _size(a)
     return a
 
 
 def _size(a: SimpleAlgebra) -> int:
-    """Realified matrix size: the F-matrix size times the real dimension of F."""
-    if a.family not in _SHAPES:
+    """Realified size of a model ambient, F-matrix size times dim_R F; else
+    UnsupportedFamily, or OutOfDomain below least or past MATRIX_SIZE_LIMIT."""
+    a = require_simple(a)
+    shape = _SHAPES.get(a.family)
+    if shape is None:
         raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
-    field, _, scale = _SHAPES[a.family]
-    return len(_UNITS[field]["1"]) * scale * sum(a.params)
+    field, _, scale, least = shape
+    if min(a.params) < least:
+        raise OutOfDomain(f"{a.family.value}{a.params}: the model needs sizes >= {least}")
+    size = len(_UNITS[field]["1"]) * scale * sum(a.params)
+    if size > MATRIX_SIZE_LIMIT:
+        raise OutOfDomain(
+            f"{a.family.value}{a.params} acts on R^{size}, past the matrix size limit "
+            f"{MATRIX_SIZE_LIMIT}"
+        )
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +279,19 @@ def _sp_r(_, n):
     return k, p
 
 
-# one row per model family: (field F, shape, scale), where the model is made
-# of F-matrices of size scale * sum(params)
+# one row per model family: (field F, shape, scale, least), where the model
+# is made of F-matrices of size scale * sum(params), each param >= least
 _SHAPES = {
-    Family.SL_R: ("R", _sl, 1),
-    Family.SO: ("R", _unitary, 1),
-    Family.SU: ("C", _unitary, 1),
-    Family.SP: ("H", _unitary, 1),
-    Family.SO_STAR: ("H", _so_star, 1),
-    Family.SL_H: ("H", _sl, 1),
-    Family.SP_R: ("R", _sp_r, 2),
-    Family.SO_CPT: ("R", _unitary, 1),
-    Family.SU_CPT: ("C", _unitary, 1),
-    Family.SP_CPT: ("H", _unitary, 1),
+    Family.SL_R: ("R", _sl, 1, 2),
+    Family.SO: ("R", _unitary, 1, 1),
+    Family.SU: ("C", _unitary, 1, 1),
+    Family.SP: ("H", _unitary, 1, 1),
+    Family.SO_STAR: ("H", _so_star, 1, 1),
+    Family.SL_H: ("H", _sl, 1, 1),
+    Family.SP_R: ("R", _sp_r, 2, 1),
+    Family.SO_CPT: ("R", _unitary, 1, 2),
+    Family.SU_CPT: ("C", _unitary, 1, 2),
+    Family.SP_CPT: ("H", _unitary, 1, 1),
 }
 
 
@@ -315,7 +308,7 @@ class _Basis(NamedTuple):
 @lru_cache(maxsize=None)
 def _bases(a: SimpleAlgebra) -> _Basis:
     size = _size(a)
-    field, shape, _ = _SHAPES[a.family]
+    field, shape, _, _ = _SHAPES[a.family]
     n = size // len(_UNITS[field]["1"])  # F-matrix size
     k, p = (tuple(_expand(field, n, m) for m in part) for part in shape(field, *a.params))
     rows = _sparse_rows(k + p, size)
@@ -340,9 +333,11 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
     reduced once per ambient (`_bases`), so each row is tested in one pass
     against them and no basis is eliminated again.
     """
+    ambient = require_simple(ambient)
     n = _size(ambient)
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise InvalidElement(f"expected a {n} x {n} matrix for {ambient}")
+    shaped = type(rows) in (list, tuple) and len(rows) == n
+    if not shaped or any(type(r) not in (list, tuple) or len(r) != n for r in rows):
+        raise InvalidElement(f"expected a {n} x {n} matrix of lists or tuples for {ambient}")
     a = []
     for r in rows:
         out = []
@@ -351,8 +346,6 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
                 out.append(x)
             elif type(x) is Fraction:
                 out.append(x.numerator if x.denominator == 1 else x)
-            elif isinstance(x, float):
-                raise InvalidElement("floating point entries are not exact")
             else:
                 raise InvalidElement(
                     f"entries must be int or Fraction, not {type(x).__name__}"
@@ -388,7 +381,7 @@ def identity_element(ambient: SimpleAlgebra) -> MatrixElement:
 
 def q_split_element(ambient: SimpleAlgebra) -> MatrixElement:
     """diag(-I_{N-1}, 1), the equality-case witness of the split families."""
-    if ambient.family not in (Family.SL_R, Family.SO, Family.SO_CPT):
+    if require_simple(ambient).family not in (Family.SL_R, Family.SO, Family.SO_CPT):
         raise InvalidElement(
             "q_split is wired for the sl(n,R), so(p,q) and so(n) models"
         )
@@ -400,8 +393,8 @@ def q_split_element(ambient: SimpleAlgebra) -> MatrixElement:
 
 def named_element(ambient: SimpleAlgebra, name: str) -> MatrixElement:
     builders = {"identity": identity_element, "q_split": q_split_element}
-    if name not in builders:
-        raise InvalidElement(f"unknown element name {name!r}; use one of {sorted(builders)}")
+    if type(name) is not str or name not in builders:
+        raise InvalidElement(f"unknown element name; use one of {sorted(builders)}")
     return builders[name](ambient)
 
 

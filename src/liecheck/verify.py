@@ -38,6 +38,7 @@ Every route but ``rank1`` and ``equality_case`` passes exactly when its
 margin is positive; `CaseResult.passed` is the one statement of that rule.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
@@ -64,7 +65,9 @@ from .algebras import (
     parse_algebra,
     reductive_dims,
     render,
+    require_ints,
     require_max_param,
+    require_simple,
     simple,
 )
 from .centralizers import OracleInvariantError, SigFamily, bound
@@ -179,22 +182,20 @@ class SweepReport:
     passed: bool
 
 
-def _require_simple(a):
-    if not isinstance(a, SimpleAlgebra):
-        raise TypeError("expected a simple algebra, got %r" % (a,))
-
-
-def _require_noncompact(factors) -> None:
-    """Refuse a compact factor: it contributes no symmetric space."""
+def _noncompact_factors(factors) -> tuple:
+    """`factors` as a tuple of noncompact simple algebras, else OutOfDomain."""
+    if not isinstance(factors, Iterable):
+        raise OutOfDomain("expected simple factors, got %s" % type(factors).__name__)
+    factors = tuple(map(require_simple, factors))
     for a in factors:
-        _require_simple(a)
         if is_compact(a):
             raise OutOfDomain("compact factor %s contributes no symmetric space" % render(a))
+    return factors
 
 
 def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
     """Settle a real rank one algebra, or return None if the rank is not 1."""
-    _require_simple(a)
+    a = require_simple(a)
     d = dims(a)
     if d.rk_r != 1:
         return None
@@ -234,7 +235,7 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
     bound inside H.  Both inequalities must hold with room to spare by at
     least rk.
     """
-    _require_simple(a)
+    a = require_simple(a)
     pair = _MAXIMAL_RANK_PAIRS.get(a.family)
     if pair is None:
         raise MissingTableRow(render(a))
@@ -314,7 +315,7 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
     dimension bound, which must clear the target with room rk twice over
     (once at the ambient level, once inside the subgroup).
     """
-    _require_simple(a)
+    a = require_simple(a)
     row = _RESTRICTED_INDEX.get(a.family)
     if row is None:
         raise MissingTableRow(render(a))
@@ -401,7 +402,7 @@ def check_involutions(a: SimpleAlgebra) -> list:
     algebras with order-3 outer classes, so(8,C) and so(4,4), also get one
     ``triality`` case per order-3 class, after their involution rows.
     """
-    _require_simple(a)
+    a = require_simple(a)
     d = dims(a)
     target = d.dim_s - d.rk_r
     out = []
@@ -440,6 +441,7 @@ def check_involutions(a: SimpleAlgebra) -> list:
 
 def verify_case(a: SimpleAlgebra) -> list:
     """All applicable routes for one algebra, rank-1 shortcut first."""
+    a = require_simple(a)
     shortcut = rank1_shortcut(a)
     if shortcut is not None:
         return [shortcut]
@@ -461,14 +463,12 @@ def vcd(factors, rk_q: int, irreducible: bool = False) -> VcdResult:
     an ``int`` and ``irreducible`` a ``bool``; anything else (``1.5``,
     ``True`` as a rank, ``"no"`` as a flag) raises OutOfDomain.
     """
-    if type(rk_q) is not int:
-        raise OutOfDomain("rational rank must be an int, got %r" % (rk_q,))
+    require_ints((rk_q,), "rational rank")
     if type(irreducible) is not bool:
-        raise OutOfDomain("irreducible must be a bool, got %r" % (irreducible,))
-    factors = tuple(factors)
+        raise OutOfDomain("irreducible must be a bool, got %s" % type(irreducible).__name__)
+    factors = _noncompact_factors(factors)
     if not factors:
         raise TooFewFactors("at least one simple factor is required")
-    _require_noncompact(factors)
     ranks = [dims(a).rk_r for a in factors]
     if irreducible and len(factors) >= 2:
         first = complexify(factors[0])
@@ -501,10 +501,9 @@ def check_semisimple(factors) -> SemisimpleReport:
     necessary.  Swap involutions between isomorphic factors fix a
     diagonal and are checked separately.
     """
-    factors = tuple(factors)
+    factors = _noncompact_factors(factors)
     if len(factors) < 2:
         raise TooFewFactors("a product check needs at least two simple factors")
-    _require_noncompact(factors)
     per = [dims(a) for a in factors]
     dim_s = sum(d.dim_s for d in per)
     rk_total = sum(d.rk_r for d in per)
@@ -588,13 +587,12 @@ def iter_algebra_cases(scope: str = "all", max_param: int = 32) -> Iterator[tupl
     witness).  Each algebra is verified only when it is reached, so a
     caller that lets each list go holds one algebra's cases at a time.
 
-    A scope outside ``complex``, ``real``, ``semisimple`` and ``all``
-    raises ValueError, and a ``max_param`` that is not an int from 2 to
-    ``SIZE_LIMIT`` raises OutOfDomain, both at the call rather than at the
-    first item.
+    A scope outside ``complex``, ``real``, ``semisimple`` and ``all``, and
+    a ``max_param`` that is not an int from 2 to ``SIZE_LIMIT``, raise
+    OutOfDomain at the call rather than at the first item.
     """
     if scope not in _SCOPES:
-        raise ValueError("scope must be one of %s" % ", ".join(_SCOPES))
+        raise OutOfDomain("scope must be one of %s" % ", ".join(_SCOPES))
     require_max_param(max_param)
     algebras = []
     if scope != "semisimple":
@@ -610,6 +608,7 @@ def iter_algebra_cases(scope: str = "all", max_param: int = 32) -> Iterator[tupl
 def product_checks(scope: str, max_param: int) -> tuple:
     """The product demos a sweep of ``scope`` checks: none unless the scope
     is ``semisimple`` or ``all``."""
+    require_max_param(max_param)
     if scope not in ("semisimple", "all"):
         return ()
     return tuple(check_semisimple(pair) for pair in _product_demos(max_param))

@@ -1,18 +1,40 @@
-"""The input contract of the centralizer entry points: every input gets an
-answer or an `InputError`, never another exception.
+"""The input contract: every input gets an answer or an `InputError`,
+never another exception, and every refusal's message formats.
 
-One table of hostile inputs runs through `bound`, `enumerate_signatures`,
-`oracle_max`, `signature_dim`, `signature_compact_dim` and
-`from_signature`.  The sizes straddle `algebras.SIZE_CAP_DIGITS`: a
+Three tables of hostile inputs.  The first runs through the centralizer
+entry points, `bound`, `enumerate_signatures`, `oracle_max`,
+`signature_dim`, `signature_compact_dim` and `from_signature`; the second
+through the catalog, verification and matrix entry points; the third
+through `cli.main`; beside them, the probes that once escaped as another
+exception.  The sizes straddle `algebras.SIZE_CAP_DIGITS`: a
 2,200-digit size is past the cap, and a 5,001-digit one is past the 4,300
-digits Python converts from int to str, so a refusal that formats it
-would itself crash.
+digits Python converts from int to str, so a refusal that formats it would
+itself crash.  Last, a static check that every `raise` in the package
+raises an `InputError` or an `OracleInvariantError`.
 """
+
+import ast
+import importlib
+from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
-from liecheck.algebras import InputError
+import liecheck
+from liecheck import cli
+from liecheck.algebras import (
+    Family,
+    InputError,
+    SimpleAlgebra,
+    algebra,
+    dims,
+    iter_noncompact_simple,
+    parse_algebra,
+    require_max_param,
+    simple,
+)
 from liecheck.centralizers import (
+    OracleInvariantError,
     SigFamily,
     Signature,
     bound,
@@ -21,7 +43,16 @@ from liecheck.centralizers import (
     signature_compact_dim,
     signature_dim,
 )
-from liecheck.matrixoracle import from_signature
+from liecheck.involutions import isotropy_entries, triality_classes
+from liecheck.matrixoracle import element, from_signature, model, named_element
+from liecheck.verify import (
+    check_involutions,
+    check_semisimple,
+    iter_algebra_cases,
+    rank1_shortcut,
+    vcd,
+    verify_case,
+)
 
 WIDE = 10**2200
 HUGE = 10**5000
@@ -81,3 +112,194 @@ def test_every_input_is_answered_or_refused(family, params, blocks):
         except Exception as exc:  # noqa: BLE001 - any other type breaks the contract
             broken.append(f"{name}: {type(exc).__name__}")
     assert not broken
+
+
+SL3 = simple(Family.SL_R, 3)
+SO3 = model(Family.SO_CPT, 3)
+EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+# (label, value): each value goes into every argument slot of CATALOG
+VALUES = [
+    ("str", "sl(3,R)"),
+    ("None", None),
+    ("bool", True),
+    ("float", 3.0),
+    ("list params", [3]),
+    ("list params (p, q)", [1, 2]),
+    ("sum of simple algebras", parse_algebra("sl(2,R)+sl(2,R)")),
+    ("reductive with an abelian part", parse_algebra("sl(3,R)+R")),
+    ("one-factor ReductiveAlgebra", algebra(Family.SL_R, 3)),
+    ("unknown family", SigFamily.SO_N),
+    ("unknown family name", "sl_x"),
+    ("2200-digit int", WIDE),
+    ("5001-digit int", HUGE),
+    ("negative 5001-digit int", -HUGE),
+]
+
+# entry point -> one call per argument slot, each taking the hostile value
+CATALOG = {
+    "parse_algebra": [parse_algebra],
+    "algebra": [lambda v: algebra(v, 3), lambda v: algebra(Family.SL_R, v), lambda v: algebra(Family.SU, 1, v)],
+    "SimpleAlgebra": [
+        lambda v: SimpleAlgebra(v, (3,)),
+        lambda v: SimpleAlgebra(Family.SL_R, v),
+        lambda v: SimpleAlgebra(Family.SL_R, (v,)),
+        lambda v: SimpleAlgebra(Family.SL_R, [v]),
+    ],
+    "simple": [lambda v: simple(v, 3), lambda v: simple(Family.SL_R, v)],
+    "dims": [dims],
+    "vcd": [
+        lambda v: vcd(v, 1),
+        lambda v: vcd([v], 1),
+        lambda v: vcd([SL3], v),
+        lambda v: vcd([SL3], 1, irreducible=v),
+    ],
+    "check_semisimple": [check_semisimple, lambda v: check_semisimple([v, v])],
+    "isotropy_entries": [isotropy_entries],
+    "triality_classes": [triality_classes],
+    "check_involutions": [check_involutions],
+    "verify_case": [verify_case],
+    "model": [lambda v: model(v, 3), lambda v: model(Family.SO_CPT, v), lambda v: model(Family.SO, 1, v)],
+    "element": [
+        lambda v: element(v, EYE3),
+        lambda v: element(SO3, v),
+        lambda v: element(SO3, [v, [0, 1, 0], [0, 0, 1]]),
+        lambda v: element(SO3, [[v, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+    "named_element": [lambda v: named_element(v, "identity"), lambda v: named_element(SO3, v)],
+    "iter_algebra_cases": [lambda v: iter_algebra_cases(v, 8), lambda v: iter_algebra_cases("all", v)],
+    "iter_noncompact_simple": [lambda v: next(iter_noncompact_simple(v))],
+    "require_max_param": [require_max_param],
+    "export_payload": [cli.export_payload],
+}
+
+
+def _broken(calls):
+    """The calls that raise something other than an InputError, or an
+    InputError whose message does not format."""
+    broken = []
+    for name, call in calls:
+        try:
+            call()
+        except InputError as exc:
+            try:
+                str(exc)
+            except Exception as inner:  # noqa: BLE001
+                broken.append(f"{name}: message {type(inner).__name__}")
+        except Exception as exc:  # noqa: BLE001 - any other type breaks the contract
+            broken.append(f"{name}: {type(exc).__name__}")
+    return broken
+
+
+@pytest.mark.parametrize("value", [row[1] for row in VALUES], ids=[row[0] for row in VALUES])
+def test_every_catalog_input_is_answered_or_refused(value):
+    calls = [
+        (f"{name}[{slot}]", lambda call=call: call(value))
+        for name, slots in CATALOG.items()
+        for slot, call in enumerate(slots)
+    ]
+    assert not _broken(calls)
+
+
+# inputs that once escaped as ValueError (int-to-str limit), TypeError or
+# AttributeError
+PROBES = {
+    "SimpleAlgebra(SL_R, [5001 digits])": lambda: SimpleAlgebra(Family.SL_R, [HUGE]),
+    "SimpleAlgebra(5001 digits, (3,))": lambda: SimpleAlgebra(HUGE, (3,)),
+    "algebra(5001 digits, 3)": lambda: algebra(HUGE, 3),
+    "vcd rank 5001 digits": lambda: vcd([SL3], HUGE),
+    "vcd rank -5001 digits": lambda: vcd([SL3], -HUGE),
+    "require_max_param(5001 digits)": lambda: require_max_param(HUGE),
+    "iter_algebra_cases(all, 5001 digits)": lambda: iter_algebra_cases("all", HUGE),
+    "isotropy_entries(str)": lambda: isotropy_entries("sl(3,R)"),
+    "check_involutions(str)": lambda: check_involutions("sl(3,R)"),
+    "rank1_shortcut(str)": lambda: rank1_shortcut("sl(3,R)"),
+    "check_semisimple(str)": lambda: check_semisimple("sl(3,R)"),
+    "vcd(str)": lambda: vcd("sl(3,R)", 1),
+    "element(ambient, None)": lambda: element(SO3, None),
+    "dims(str)": lambda: dims("sl(3,R)"),
+    "parse_algebra(None)": lambda: parse_algebra(None),
+    "model(str family)": lambda: model("so", 1, 2),
+    "triality_classes(str)": lambda: triality_classes("x"),
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_the_recorded_probes_are_refused(name):
+    assert not _broken([(name, PROBES[name])])
+
+
+ZEROS_4200 = "1" + "0" * 4199
+
+# argv rows for cli.main: a 4,200-digit flag value still parses as an int
+CLI_ROWS = [
+    ["info", "0"],
+    ["involutions", "0"],
+    ["involutions", "so(8,C)"],
+    ["oracle", "--family", "so", "--n", ZEROS_4200],
+    ["oracle", "--family", "so", "--n", ZEROS_4200, "--matrix"],
+    ["oracle", "--family", "su", "--p", "0", "--q", "3", "--matrix"],
+    ["vcd", "sl(2,R)", "--rkq", ZEROS_4200],
+    ["verify", "--max-param", ZEROS_4200],
+    ["export", "--max-param", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", CLI_ROWS, ids=[" ".join(row)[:40] for row in CLI_ROWS])
+def test_every_cli_row_exits_cleanly(capsys, argv):
+    # exit 0, 1 or 2 with no traceback: one `error:` line, or argparse's
+    # usage error as SystemExit(2)
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+# raises outside the contract on purpose: `_build_token`'s ValueError, which
+# `_parse_token` turns into a ParseError, and the FrozenInstanceErrors of
+# `SimpleAlgebra`
+_ALLOWED_RAISES = {("liecheck.algebras", "_build_token", ValueError)}
+
+
+def _raises(tree):
+    """(enclosing function name, handler types, Raise node) for every raise."""
+    found = []
+
+    def walk(node, function, handler):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name, None)
+            elif isinstance(child, ast.ExceptHandler):
+                walk(child, function, child.type)
+            else:
+                if isinstance(child, ast.Raise):
+                    found.append((function, handler, child))
+                walk(child, function, handler)
+
+    walk(tree, None, None)
+    return found
+
+
+def test_every_raise_is_an_input_error_or_an_invariant():
+    checked = 0
+    for path in sorted(Path(liecheck.__file__).parent.glob("*.py")):
+        name = "liecheck" if path.stem == "__init__" else f"liecheck.{path.stem}"
+        namespace = vars(importlib.import_module(name))
+        for function, handler, node in _raises(ast.parse(path.read_text(encoding="utf-8"))):
+            # a bare raise re-raises what its handler caught
+            target = handler if node.exc is None else node.exc
+            if isinstance(target, ast.Call):
+                target = target.func
+            cls = eval(compile(ast.Expression(target), str(path), "eval"), namespace)  # noqa: S307
+            where = f"{name}.{function}:{node.lineno}"
+            allowed = cls is FrozenInstanceError or (name, function, cls) in _ALLOWED_RAISES
+            assert allowed or issubclass(cls, (InputError, OracleInvariantError)), (where, cls)
+            checked += 1
+    assert checked > 50

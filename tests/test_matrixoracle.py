@@ -607,7 +607,7 @@ def test_integral_fractions_give_the_int_element():
 def test_broken_invariants_raise_named_errors(monkeypatch):
     # dependent basis matrices
     k, p = mo._sl("R", 3)
-    monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p), 1))
+    monkeypatch.setitem(mo._SHAPES, Family.SL_R, ("R", lambda field, n: (k + k[:1], p), 1, 2))
     with pytest.raises(mo.OracleInvariantError):
         mo._bases.__wrapped__(model(Family.SL_R, 3))
     # blocks that do not fill the coordinates, in one part or in n
