@@ -327,18 +327,34 @@ def simple(family: Family, *params: int) -> SimpleAlgebra:
     return require_simple(algebra(family, *params))
 
 
+def _is_well_formed_sum(x) -> bool:
+    """True if `x` is a well-formed ReductiveAlgebra: a tuple of SimpleAlgebra
+    factors and two exact int abelian dimensions (``bool`` is not one)."""
+    return (
+        type(x) is ReductiveAlgebra
+        and type(x.simples) is tuple
+        and all(type(a) is SimpleAlgebra for a in x.simples)
+        and type(x.compact_abelian_dim) is int
+        and type(x.split_abelian_dim) is int
+    )
+
+
 def as_simple(x) -> SimpleAlgebra | None:
-    """`x` if a SimpleAlgebra, the one summand of a ReductiveAlgebra, else None."""
-    if type(x) is ReductiveAlgebra and len(x.simples) == 1 and x[1:] == (0, 0):
-        x = x.simples[0]
-    return x if type(x) is SimpleAlgebra else None
+    """`x` if a SimpleAlgebra, the one summand of a well-formed
+    ReductiveAlgebra with no abelian part, else None."""
+    if type(x) is SimpleAlgebra:
+        return x
+    if _is_well_formed_sum(x) and len(x.simples) == 1 and x[1:] == (0, 0):
+        return x.simples[0]
+    return None
 
 
 def require_simple(x) -> SimpleAlgebra:
-    """`as_simple(x)`, or OutOfDomain naming x's sum or type, never its ints."""
+    """`as_simple(x)`, or OutOfDomain naming x's sum or type, never its ints;
+    a malformed sum is named by its type and never rendered."""
     a = as_simple(x)
     if a is None:
-        got = render(x) if type(x) is ReductiveAlgebra else type(x).__name__
+        got = render(x) if _is_well_formed_sum(x) else type(x).__name__
         raise OutOfDomain(f"a single simple algebra is required, got {got}")
     return a
 

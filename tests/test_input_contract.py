@@ -6,7 +6,7 @@ entry points, `bound`, `enumerate_signatures`, `oracle_max`,
 `signature_dim`, `signature_compact_dim` and `from_signature`; the second
 through the catalog, verification and matrix entry points; the third
 through `cli.main`; beside them, the probes that once escaped as another
-exception.  The sizes straddle `algebras.SIZE_CAP_DIGITS`: a
+exception or were answered.  The sizes straddle `algebras.SIZE_CAP_DIGITS`: a
 2,200-digit size is past the cap, and a 5,001-digit one is past the 4,300
 digits Python converts from int to str, so a refusal that formats it would
 itself crash.  Last, a static check that every `raise` in the package
@@ -25,6 +25,8 @@ from liecheck import cli
 from liecheck.algebras import (
     Family,
     InputError,
+    OutOfDomain,
+    ReductiveAlgebra,
     SimpleAlgebra,
     algebra,
     dims,
@@ -49,7 +51,9 @@ from liecheck.verify import (
     check_involutions,
     check_semisimple,
     iter_algebra_cases,
+    product_checks,
     rank1_shortcut,
+    sweep,
     vcd,
     verify_case,
 )
@@ -129,6 +133,9 @@ VALUES = [
     ("sum of simple algebras", parse_algebra("sl(2,R)+sl(2,R)")),
     ("reductive with an abelian part", parse_algebra("sl(3,R)+R")),
     ("one-factor ReductiveAlgebra", algebra(Family.SL_R, 3)),
+    ("ReductiveAlgebra of None", ReductiveAlgebra(None)),
+    ("ReductiveAlgebra of str factors", ReductiveAlgebra(("x", "y"))),
+    ("ReductiveAlgebra with a str abelian dimension", ReductiveAlgebra((SL3,), "1")),
     ("unknown family", SigFamily.SO_N),
     ("unknown family name", "sl_x"),
     ("2200-digit int", WIDE),
@@ -168,6 +175,8 @@ CATALOG = {
     ],
     "named_element": [lambda v: named_element(v, "identity"), lambda v: named_element(SO3, v)],
     "iter_algebra_cases": [lambda v: iter_algebra_cases(v, 8), lambda v: iter_algebra_cases("all", v)],
+    "product_checks": [lambda v: product_checks(v, 8), lambda v: product_checks("all", v)],
+    "sweep": [lambda v: sweep(v, 8), lambda v: sweep("all", v)],
     "iter_noncompact_simple": [lambda v: next(iter_noncompact_simple(v))],
     "require_max_param": [require_max_param],
     "export_payload": [cli.export_payload],
@@ -221,12 +230,27 @@ PROBES = {
     "parse_algebra(None)": lambda: parse_algebra(None),
     "model(str family)": lambda: model("so", 1, 2),
     "triality_classes(str)": lambda: triality_classes("x"),
+    "dims(ReductiveAlgebra(None))": lambda: dims(ReductiveAlgebra(None)),
+    "dims(ReductiveAlgebra of str factors)": lambda: dims(ReductiveAlgebra(("x", "y"))),
+    "dims(ReductiveAlgebra with a str abelian dimension)": lambda: dims(ReductiveAlgebra((SL3,), "1")),
 }
 
 
 @pytest.mark.parametrize("name", PROBES)
 def test_the_recorded_probes_are_refused(name):
     assert not _broken([(name, PROBES[name])])
+
+
+# inputs that were once answered while another entry point refused them
+ANSWERED_PROBES = {
+    "product_checks(everything, 8)": lambda: product_checks("everything", 8),
+}
+
+
+@pytest.mark.parametrize("name", ANSWERED_PROBES)
+def test_the_recorded_answers_are_refused(name):
+    with pytest.raises(OutOfDomain):
+        ANSWERED_PROBES[name]()
 
 
 ZEROS_4200 = "1" + "0" * 4199

@@ -553,6 +553,94 @@ def test_sweep_cases_grow_with_max_param():
         assert len(small) < len(large), m
 
 
+SCOPES = ["complex", "real", "semisimple", "all"]
+
+
+def _set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_sweep_makes_no_reference_cycles():
+    # `sweep` pauses the cyclic collector, which is sound only while
+    # refcounting alone frees everything a sweep lets go
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for scope in SCOPES:
+            vf.sweep(scope, 12)
+        assert gc.collect() == 0
+    finally:
+        _set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
+    during = []
+    original = vf.verify_case
+
+    def recording(a):
+        during.append(gc.isenabled())
+        return original(a)
+
+    monkeypatch.setattr(vf, "verify_case", recording)
+    was = gc.isenabled()
+    _set_collector(enabled)
+    try:
+        for scope in SCOPES:
+            vf.sweep(scope, 6)
+            assert gc.isenabled() is enabled, scope
+    finally:
+        _set_collector(was)
+    assert during and not any(during)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_sweep_restores_the_collector_when_a_case_raises(monkeypatch, enabled):
+    reached = []
+    original = vf.verify_case
+
+    def failing_fifth(a):
+        reached.append(a)
+        if len(reached) == 5:
+            raise RuntimeError("fifth algebra")
+        return original(a)
+
+    monkeypatch.setattr(vf, "verify_case", failing_fifth)
+    was = gc.isenabled()
+    _set_collector(enabled)
+    try:
+        with pytest.raises(RuntimeError, match="fifth algebra"):
+            vf.sweep("all", 8)
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was)
+    assert len(reached) == 5
+
+
+def _record_collector_switches(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(gc, "enable", lambda: calls.append("enable"))
+    return calls
+
+
+@pytest.mark.parametrize("scope, size", [("everything", 8), ("all", 1), ("all", 8.0)])
+def test_sweep_refuses_arguments_before_it_pauses_the_collector(monkeypatch, scope, size):
+    calls = _record_collector_switches(monkeypatch)
+    with pytest.raises(al.OutOfDomain):
+        vf.sweep(scope, size)
+    assert calls == []
+
+
+def test_the_streaming_entry_points_leave_the_collector_alone(monkeypatch, capsys):
+    calls = _record_collector_switches(monkeypatch)
+    assert all(cases for _, cases in vf.iter_algebra_cases("all", 8))
+    assert cli.main(["verify", "--max-param", "8"]) == 0
+    assert capsys.readouterr().out.startswith("verify scope=all max-param=8")
+    assert calls == []
+
+
 MAXIMAL_RANK_ROWS = [
     {
         "algebra": "g2(C)",
