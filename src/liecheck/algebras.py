@@ -36,7 +36,6 @@ simple algebra, `require_ints` for exact ints within the size cap.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
@@ -200,10 +199,10 @@ class SimpleAlgebra:
         return self
 
     def __setattr__(self, attr, value):
-        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+        raise AttributeError(f"cannot assign to field {attr!r}")
 
     def __delattr__(self, attr):
-        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+        raise AttributeError(f"cannot delete field {attr!r}")
 
     def __reduce__(self):
         return SimpleAlgebra, (self.family, self.params)
@@ -253,8 +252,7 @@ _OUT_EXPONENT = {
 }
 
 
-@dataclass(frozen=True)
-class OutGroup:
+class OutGroup(NamedTuple):
     iso_type: OutIso
     exponent: int
     all_order_le_2: bool
@@ -327,15 +325,23 @@ def simple(family: Family, *params: int) -> SimpleAlgebra:
     return require_simple(algebra(family, *params))
 
 
+# `render` writes each abelian dimension as that many `u(1)` or `R` terms,
+# so a well-formed sum has at most this many of each
+ABELIAN_CAP = 4096
+
+
 def _is_well_formed_sum(x) -> bool:
     """True if `x` is a well-formed ReductiveAlgebra: a tuple of SimpleAlgebra
-    factors and two exact int abelian dimensions (``bool`` is not one)."""
+    factors and two exact int abelian dimensions (``bool`` is not one) in
+    0..ABELIAN_CAP."""
     return (
         type(x) is ReductiveAlgebra
         and type(x.simples) is tuple
         and all(type(a) is SimpleAlgebra for a in x.simples)
         and type(x.compact_abelian_dim) is int
         and type(x.split_abelian_dim) is int
+        and 0 <= x.compact_abelian_dim <= ABELIAN_CAP
+        and 0 <= x.split_abelian_dim <= ABELIAN_CAP
     )
 
 

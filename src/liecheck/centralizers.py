@@ -35,9 +35,9 @@ Compact families report dim C_K(A); indefinite families report dim S^A,
 the fixed-set dimension in the symmetric space.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
 
 from liecheck.algebras import InputError, OutOfDomain, require_ints
 
@@ -110,26 +110,33 @@ _COMPACT_PART = {
 }
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Conjugacy-class data: blocks of (tag, mult_plus, mult_minus).
-
-    Lists given as ``params``, ``blocks`` or a block are kept as tuples, so
-    a class given with lists hashes, and equals the same class given with
-    tuples.  Any other shape is kept as given, for `signature_dim` to refuse.
-    """
-
+class _SignatureFields(NamedTuple):
     family: SigFamily
     params: tuple[int, ...]
     blocks: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        if type(self.params) is list:
-            object.__setattr__(self, "params", tuple(self.params))
-        blocks = self.blocks
+
+class Signature(_SignatureFields):
+    """Conjugacy-class data: blocks of (tag, mult_plus, mult_minus).
+
+    Lists given as ``params``, ``blocks`` or a block are kept as tuples, so
+    a class given with lists hashes, and equals the same class given with
+    tuples; `_replace` and `_make` build through the same ``__new__``.  Any
+    other shape is kept as given, for `signature_dim` to refuse.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __new__(cls, family, params, blocks):
+        if type(params) is list:
+            params = tuple(params)
         if type(blocks) is list or type(blocks) is tuple and list in map(type, blocks):
             blocks = tuple(tuple(b) if type(b) is list else b for b in blocks)
-            object.__setattr__(self, "blocks", blocks)
+        return super().__new__(cls, family, params, blocks)
 
 
 # `bound`'s closed forms, family -> (name, least n, formula); a least n of

@@ -137,7 +137,7 @@ _CASE_BLOCK = (
     '      "passed": %s\n'
     "    }"
 )
-_SPOOL_CHUNK = 1 << 20
+_SPOOL_CHUNK = 1 << 18
 _encode_str = json.encoder.encode_basestring_ascii
 
 

@@ -31,7 +31,6 @@ construct the automorphisms themselves, and it does not re-derive the
 classification.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -81,8 +80,7 @@ class UnsupportedAlgebra(InputError):
     """The ambient algebra has no row set here (compact, noncanonical or too large)."""
 
 
-@dataclass(frozen=True)
-class IsotropyEntry:
+class IsotropyEntry(NamedTuple):
     """One classification row: a template plus its admissible instances."""
 
     ambient: SimpleAlgebra
@@ -100,8 +98,7 @@ class Instantiation(NamedTuple):
     space: SpaceDims
 
 
-@dataclass(frozen=True)
-class TrialityClass:
+class TrialityClass(NamedTuple):
     """A conjugacy class of order-3 automorphisms, named by its fixed set."""
 
     ambient: SimpleAlgebra

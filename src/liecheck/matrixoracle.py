@@ -28,7 +28,6 @@ Conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
@@ -59,8 +58,7 @@ class FixedDims(NamedTuple):
     dim_s_fixed: int
 
 
-@dataclass(frozen=True)
-class MatrixElement:
+class MatrixElement(NamedTuple):
     """A validated finite-order element in the defining representation.
 
     Integral entries are ints, the others Fractions.  ``operator_rows`` holds
@@ -75,7 +73,14 @@ class MatrixElement:
     ambient: SimpleAlgebra
     entries: tuple
     order: int
-    operator_rows: tuple = field(compare=False, repr=False)
+    operator_rows: tuple
+
+    def __repr__(self):
+        return f"MatrixElement(ambient={self.ambient!r}, entries={self.entries!r}, order={self.order!r})"
+
+    def __hash__(self):
+        # the rows hold lists, and they follow from the other three fields
+        return hash(self[:3])
 
 
 # largest realified size N accepted by `model`.  An element's operator rows
@@ -484,8 +489,7 @@ def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
 # the rank-two exceptional rotation case
 
 
-@dataclass(frozen=True)
-class G2RotationReport:
+class G2RotationReport(NamedTuple):
     """Exact centralizer data for blockdiag(1, R_t, I_2, R_t) in SO(3,4).
 
     The split rank-two exceptional algebra acts on the seven-dimensional

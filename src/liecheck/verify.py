@@ -40,7 +40,6 @@ margin is positive; `CaseResult.passed` is the one statement of that rule.
 
 import gc
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -102,7 +101,6 @@ ROUTE_TRIALITY = "triality"
 _PASS_ANY_MARGIN = frozenset((ROUTE_RANK1, ROUTE_EQUALITY))
 
 
-@dataclass(frozen=True, slots=True, init=False)
 class CaseResult:
     """Outcome of one route applied to one algebra.
 
@@ -110,17 +108,14 @@ class CaseResult:
     never stored: ``margin > 0``, or the route is ``rank1`` (always true)
     or ``equality_case`` (true at margin zero, by design).
 
-    ``__init__`` is written by hand: a sweep builds one record per case
-    (209,019 at max-param 48), and the generated ``__init__`` of a frozen
-    dataclass sets each field through ``object.__setattr__``.  This one
-    stores through the slot descriptors directly; assignment and deletion
-    after construction still raise FrozenInstanceError.
+    A slotted class rather than a named tuple: a sweep holds one record per
+    case (209,019 at max-param 48), and four slots take 64 bytes where a
+    4-tuple takes 80.  ``__init__`` stores through the slot descriptors;
+    assignment and deletion after construction raise AttributeError.
+    Records compare and hash as their four fields.
     """
 
-    algebra: SimpleAlgebra
-    route: str
-    margin: int
-    witness: str
+    __slots__ = ("algebra", "route", "margin", "witness")
 
     def __init__(self, algebra: SimpleAlgebra, route: str, margin: int, witness: str):
         _set_algebra(self, algebra)
@@ -132,14 +127,36 @@ class CaseResult:
     def passed(self) -> bool:
         return self.margin > 0 or self.route in _PASS_ANY_MARGIN
 
+    def _astuple(self) -> tuple:
+        return (self.algebra, self.route, self.margin, self.witness)
+
+    def __eq__(self, other):
+        if type(other) is not CaseResult:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "CaseResult(algebra=%r, route=%r, margin=%r, witness=%r)" % self._astuple()
+
+    def __reduce__(self):
+        return CaseResult, self._astuple()
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
 
 _set_algebra, _set_route, _set_margin, _set_witness = (
-    CaseResult.__dict__[f.name].__set__ for f in fields(CaseResult)
+    CaseResult.__dict__[name].__set__ for name in CaseResult.__slots__
 )
 
 
-@dataclass(frozen=True)
-class VcdResult:
+class VcdResult(NamedTuple):
     dim_s: int
     rk_q: int
     vcd: int
@@ -148,8 +165,7 @@ class VcdResult:
     cocompact: bool
 
 
-@dataclass(frozen=True)
-class SemisimpleReport:
+class SemisimpleReport(NamedTuple):
     """Product-level margins for a semisimple algebra.
 
     ``product_bound`` sums the per-factor strict bounds; the summed bound
@@ -172,8 +188,7 @@ class SemisimpleReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     scope: str
     max_param: int
     cases: tuple

@@ -7,7 +7,6 @@ forms; the catalog must reproduce them bit-exactly.
 
 import copy
 import pickle
-from dataclasses import FrozenInstanceError
 from operator import attrgetter
 
 import pytest
@@ -216,9 +215,9 @@ def test_interned_values_survive_copy_and_pickle():
 def test_simple_algebras_are_immutable():
     a = simple(Family.SL_R, 5)
     for attr, value in (("family", Family.SU), ("params", (6,)), ("name", "x"), ("other", 1)):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError, match="cannot assign to field"):
             setattr(a, attr, value)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError, match="cannot delete field"):
         del a.params
     assert render(a) == "sl(5,R)" and a.params == (5,)
     red = max_compact(simple(Family.SU, 2, 3))

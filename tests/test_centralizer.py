@@ -94,6 +94,10 @@ def test_list_params_are_the_tuple_value():
         listed = Signature(SigFamily.SU_PQ, [2, 3], blocks)
         assert listed.blocks == tupled.blocks
         assert listed == tupled and hash(listed) == hash(tupled)
+    # a copy with changed fields goes through the same rule
+    replaced = listed._replace(params=[2, 3], blocks=[[1, 2, 2], [-1, 0, 1]])
+    assert type(replaced) is Signature and replaced.params == (2, 3) and replaced.blocks == tupled.blocks
+    assert replaced == tupled and hash(replaced) == hash(tupled)
     # the entry points that take params answer a list as its tuple
     assert list(enumerate_signatures(SigFamily.SU_PQ, [1, 2])) == list(
         enumerate_signatures(SigFamily.SU_PQ, (1, 2))

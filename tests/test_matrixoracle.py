@@ -10,7 +10,6 @@ module imports no hypothesis, so that run starts without it; the random
 rotation check is in test_matrix_conjugation.py.
 """
 
-import dataclasses
 import hashlib
 import inspect
 import os
@@ -107,6 +106,13 @@ def test_identity_centralizer_is_everything():
         e = identity_element(a)
         assert e.order == 1
         assert matrix_fixed_dims(e) == FixedDims(*expected), (family, params)
+
+
+def test_matrix_element_hashes_and_its_repr_leaves_out_the_rows():
+    e = identity_element(model(Family.SO, 1, 2))
+    again = identity_element(model(Family.SO, 1, 2))
+    assert e == again and hash(e) == hash(again)
+    assert e.operator_rows and repr(e) == f"MatrixElement(ambient={e.ambient!r}, entries={e.entries!r}, order=1)"
 
 
 def realified(field, n, terms):
@@ -619,7 +625,7 @@ def test_broken_invariants_raise_named_errors(monkeypatch):
     e = identity_element(model(Family.SO, 1, 2))
     bump = ((0,), (1,))  # the sparse row of a 1 in the first cell
     with pytest.raises(mo.OracleInvariantError):
-        matrix_fixed_dims(dataclasses.replace(e, operator_rows=(bump, bump, bump)))
+        matrix_fixed_dims(e._replace(operator_rows=(bump, bump, bump)))
 
 
 def _raise_tests():

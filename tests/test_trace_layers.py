@@ -4,16 +4,20 @@ The tracer times each layer by rebinding a module attribute from outside
 the library; a renamed function, a generator turned into a list, or a
 layer that stops returning a sized tuple would break traced benchmark runs
 without failing any library test.  This reads `LAYERS` from the tracer
-file as it stands.
+file as it stands.  The tracer finds the layers in `sys.modules`, so a cold
+`import liecheck.cli` must load every one of them.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liecheck
 from liecheck import verify as vf
 from liecheck.algebras import Family, simple
 
@@ -62,3 +66,16 @@ def test_installed_tracer_counts_a_small_sweep():
         assert layers[layer + ".calls"] > 0, layer
     # uninstall restores every original
     assert vf.sweep.__module__ == "liecheck.verify" and vf.sweep.__name__ == "sweep"
+
+
+def test_cold_import_loads_every_layer_and_no_dataclasses():
+    # a fresh interpreter, as each CLI command starts: `dataclasses` would
+    # pull in `inspect`, `ast`, `dis` and `tokenize`, about 10 ms of imports
+    src = Path(liecheck.__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import liecheck.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True, timeout=60
+    )
+    loaded = set(out.stdout.split())
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    assert {module for _, module, _, _ in tracer.LAYERS} <= loaded

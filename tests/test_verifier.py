@@ -5,10 +5,8 @@ independently (catalog dimension formulas plus the involution rows) before
 being asserted here.
 """
 
-import dataclasses
 import gc
 import pickle
-import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -58,18 +56,18 @@ def test_pass_rule_on_each_route(route):
 
 
 def test_case_result_fields():
-    assert [f.name for f in dataclasses.fields(vf.CaseResult)] == ["algebra", "route", "margin", "witness"]
+    assert vf.CaseResult.__slots__ == ("algebra", "route", "margin", "witness")
     assert len(ROUTES) == 6
 
 
 def test_case_result_is_frozen_and_pickles():
     a = A(Family.SL_R, 3)
     c = vf.CaseResult(a, "berger_involution", 2, "w")
-    for f in dataclasses.fields(c):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(c, f.name, getattr(c, f.name))
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            delattr(c, f.name)
+    for name in vf.CaseResult.__slots__:
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(c, name, getattr(c, name))
+        with pytest.raises(AttributeError, match="cannot delete field"):
+            delattr(c, name)
     assert (c.algebra, c.route, c.margin, c.witness) == (a, "berger_involution", 2, "w")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(c, protocol))
@@ -431,19 +429,21 @@ def test_sweep_small_all():
 
 
 def test_sweep_keeps_no_rows_once_it_returns(monkeypatch):
-    refs = []
+    # a named tuple takes no weak reference, so the rows are recorded by id:
+    # while a row lives, no other object can take its id
+    ids = set()
     original = inv.isotropy_entries
 
     def recording(a):
         entries = original(a)
-        refs.extend(weakref.ref(e) for e in entries)
+        ids.update(map(id, entries))
         return entries
 
     monkeypatch.setattr(inv, "isotropy_entries", recording)
     rep = vf.sweep("all", 12)
     gc.collect()
-    assert rep.passed and refs
-    assert [r() for r in refs if r() is not None] == []
+    assert rep.passed and ids
+    assert [o for o in gc.get_objects() if type(o) is inv.IsotropyEntry and id(o) in ids] == []
 
 
 def test_sweep_equality_set_census():
