@@ -259,10 +259,20 @@ class OutGroup(NamedTuple):
 
 
 _SORT_KEY = attrgetter("sort_key")
+_NAME = attrgetter("name")
+_new_tuple = tuple.__new__
 
 
 def reductive(simples=(), compact_abelian=0, split_abelian=0):
-    simples = tuple(simples)
+    """The ReductiveAlgebra of these factors, in sort-key order, and abelian dims.
+
+    The split rows build most of a sweep's sums here, one call per
+    instance, so the call does no more than it must: a tuple argument is
+    not copied, two factors are ordered by one comparison, and the value
+    is made by one `tuple.__new__`, without the named tuple's `__new__`.
+    """
+    if type(simples) is not tuple:
+        simples = tuple(simples)
     if len(simples) == 2:
         # the split rows' sums: one comparison orders them as sorted() would
         x, y = simples
@@ -270,7 +280,7 @@ def reductive(simples=(), compact_abelian=0, split_abelian=0):
             simples = (y, x)
     elif len(simples) > 2:
         simples = tuple(sorted(simples, key=_SORT_KEY))
-    return ReductiveAlgebra(simples, compact_abelian, split_abelian)
+    return _new_tuple(ReductiveAlgebra, (simples, compact_abelian, split_abelian))
 
 
 def direct_sum(*parts: ReductiveAlgebra) -> ReductiveAlgebra:
@@ -665,6 +675,9 @@ def render(x) -> str:
     if isinstance(x, SimpleAlgebra):
         return x.name
     simples, c, s = x
+    if not (c or s):
+        # most sums a sweep renders: the names are joined without a list
+        return "+".join(map(_NAME, simples)) or "0"
     parts = [a.name for a in simples]
     if c:
         parts += ["u(1)"] * c

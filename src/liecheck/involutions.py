@@ -19,8 +19,13 @@ catalog's complexification column (`real_forms`).
 `isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
 instances equal to the ambient and repeats that low-rank isomorphisms
 create.  Rows are built on each call and not kept: nothing in this module
-holds an algebra's rows after its caller lets them go.  Algebras whose size
-parameter exceeds `SIZE_LIMIT` get no rows.
+holds an algebra's rows after its caller lets them go.  The one structure
+kept is the part table `_PARTS`, which the split rows read their summands
+from: per family, references to canonical values that `algebra`'s cache
+holds anyway.  It is empty at import and grows on demand: an entry (a, b)
+exists only if a split row of some (p, q) with a <= p and b <= q was built,
+so a + b never exceeds the largest size parameter swept.  Algebras
+whose size parameter exceeds `SIZE_LIMIT` get no rows.
 
 The two forms whose outer automorphism group has order-3 elements,
 `TRIALITY_FORMS`, carry a separate list of order-3 fixed-point classes
@@ -31,6 +36,7 @@ construct the automorphisms themselves, and it does not re-derive the
 classification.
 """
 
+import threading
 from functools import partial
 from typing import NamedTuple
 
@@ -152,6 +158,28 @@ def _sum_row(template, n, build, letters="kl", kind=LINEAR):
     return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind)
 
 
+# family -> its part table: _PARTS[family][a][b] is `_canonical(family, a, b)`,
+# None at (0, 0).  `_parts` grows each list a only as far as the widest b a
+# split row has asked of it, so every entry (a, b) lies in the (p, q) box of
+# some row built so far; nothing is built at import.  The lock keeps two
+# threads from both appending one index; lists only grow, so reads need none.
+_PARTS = {}
+_PARTS_LOCK = threading.Lock()
+
+
+def _parts(family, p, q):
+    """The part table of `family`, grown to hold every (a, b) with a <= p, b <= q."""
+    with _PARTS_LOCK:
+        table = _PARTS.setdefault(family, [])
+        for a in range(p + 1):
+            if a == len(table):
+                table.append([None] if a == 0 else [])
+            row = table[a]
+            for b in range(len(row), q + 1):
+                row.append(_canonical(family, a, b))
+    return table
+
+
 def _split_row(template, family, p, q, compact_abelian=0):
     """family(kp,kq) + family(lp,lq) + compact_abelian * u(1), per split of (p, q).
 
@@ -166,16 +194,19 @@ def _split_row(template, family, p, q, compact_abelian=0):
     and kq starts at 1 when kp == 0.
 
     Each instance is the `direct_sum` of the two canonical parts, joined here
-    without `direct_sum`'s loop over its arguments: the split rows hold most
-    of the instances a sweep builds, so the parts come from `algebra`'s cache
-    `_canonical` directly, without `algebra`'s Python call per part.
+    by one `reductive` call without `direct_sum`'s loop over its arguments:
+    the split rows hold most of the instances a sweep builds.  The parts are
+    read from the family's part table (`_parts`) by index, without a cache
+    lookup per part.
     """
+    parts = _parts(family, p, q)
     instances = []
     append = instances.append
     for kp in range(p // 2 + 1):
         lp = p - kp
+        k_parts, l_parts = parts[kp], parts[lp]
         for kq in range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1):
-            x, y = _canonical(family, kp, kq), _canonical(family, lp, q - kq)
+            x, y = k_parts[kq], l_parts[q - kq]
             append(
                 reductive(
                     x.simples + y.simples,
@@ -391,6 +422,12 @@ def isotropy_entries(a):
 
     The returned tuple keeps the printed column order of the source tables
     and always ends with the synthetic Cartan row (`kind == "compact"`).
+    That row can repeat a class another row lists: the Cartan involution of
+    so(p,q), for one, is the split (p,0)+(0,q), so max_compact is also an
+    instance of the split row, and a sweep counts that case twice, once per
+    row.  Up to max-param 48 the Cartan row repeats another row's instance
+    for 1,722 of the 2,057 ambients.  The repeat is kept: the verify
+    output, and so its pinned digests, include both cases.
     Sizes past `SIZE_LIMIT` raise UnsupportedAlgebra.  The rows are built
     on every call and not kept, so a caller that reads them once, like a
     sweep, lets them go when it is done with them.

@@ -7,8 +7,12 @@ split line) are additionally pinned against the exact matrix kernel, which
 recomputes the same dimensions from scratch.
 """
 
+import subprocess
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -654,6 +658,88 @@ def test_split_row_is_every_unordered_split():
                 ]
                 row = inv._split_row(template, fam, p, q, len(extra))
                 assert row.instances == want, (fam, p, q)
+
+
+def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
+    # an empty table grown unevenly: wide q before narrow q, large p before
+    # small p, and the border sizes of SIZE_LIMIT
+    monkeypatch.setattr(inv, "_PARTS", {})
+    sizes = [(3, 40), (3, 2), (20, 5), (2, 20), (1, 63), (32, 32), (1, 1), (7, 4), (4, 7)]
+    for fam, (template, extra) in _SPLIT_ROWS.items():
+        for p, q in sizes:
+            want = [
+                plus(red(fam, kp, kq), red(fam, p - kp, q - kq), *extra)
+                for kp in range(p + 1)
+                for kq in range(q + 1)
+                if (0, 0) != (kp, kq) <= (p - kp, q - kq)
+            ]
+            row = inv._split_row(template, fam, p, q, len(extra))
+            assert row.instances == want, (fam, p, q)
+        # the table holds exactly the boxes asked for, each entry the
+        # canonical value of its part
+        table = inv._PARTS[fam]
+        for a, parts in enumerate(table):
+            assert len(parts) == 1 + max(q for p, q in sizes if p >= a), (fam, a)
+            for b, part in enumerate(parts):
+                want = None if (a, b) == (0, 0) else al.algebra(fam, a, b)
+                assert part is want, (fam, a, b)
+        assert len(table) == 1 + max(p for p, _ in sizes)
+
+
+def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
+    # more threads than cores grow one empty table in different orders,
+    # switching as often as the interpreter allows; an index appended twice
+    # would shift every later part of its list
+    monkeypatch.setattr(inv, "_PARTS", {})
+    sizes = [(p, q) for p in range(1, 25) for q in (1, 12, 24)]
+    orders = [sizes, sizes[::-1], sizes[1::2] + sizes[::2], sizes[::3] + sizes]
+    template, extra = _SPLIT_ROWS[Family.SO]
+    errors = []
+    start = threading.Barrier(len(orders))
+
+    def grow(order):
+        try:
+            start.wait(timeout=30)
+            for p, q in order:
+                inv._split_row(template, Family.SO, p, q, len(extra))
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=grow, args=(order,)) for order in orders]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    table = inv._PARTS[Family.SO]
+    assert len(table) == 25
+    for a, parts in enumerate(table):
+        assert len(parts) == 25, a
+        assert parts[1:] == [red(Family.SO, a, b) for b in range(1, 25)], a
+
+
+def test_import_builds_no_part_table_and_a_sweep_grows_it_to_its_size():
+    # a fresh interpreter: the table is empty at import, and a sweep at
+    # max-param 16 asks for no part (a, b) with a + b past 16
+    src = Path(al.__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import liecheck.cli\n"
+        "from liecheck import involutions as inv, verify as vf\n"
+        "print(len(inv._PARTS))\n"
+        "vf.sweep('all', 16)\n"
+        "print(max(a + len(parts) - 1 for t in inv._PARTS.values() for a, parts in enumerate(t)))\n"
+        "print(sorted(f.name for f in inv._PARTS))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.split("\n") == ["0", "16", "['SO', 'SP', 'SU']", ""]
 
 
 def test_split_rows_match_every_ordered_split():
