@@ -218,6 +218,9 @@ class ReductiveAlgebra(NamedTuple):
     split_abelian_dim)`` that compares and hashes as that tuple.  A
     gl(k,C)-style complex abelian summand is stored as one compact plus one
     split dimension.
+
+    `reductive` builds values with `tuple.__new__`, past the named tuple's
+    own `__new__`, so this class must not gain a `__new__` or validation.
     """
 
     simples: tuple[SimpleAlgebra, ...] = ()
@@ -267,12 +270,11 @@ def reductive(simples=(), compact_abelian=0, split_abelian=0):
     """The ReductiveAlgebra of these factors, in sort-key order, and abelian dims.
 
     The split rows build most of a sweep's sums here, one call per
-    instance, so the call does no more than it must: a tuple argument is
-    not copied, two factors are ordered by one comparison, and the value
-    is made by one `tuple.__new__`, without the named tuple's `__new__`.
+    instance, so the call does no more than it must: two factors are
+    ordered by one comparison, and the value is made by one
+    `tuple.__new__`, without the named tuple's `__new__`.
     """
-    if type(simples) is not tuple:
-        simples = tuple(simples)
+    simples = tuple(simples)
     if len(simples) == 2:
         # the split rows' sums: one comparison orders them as sorted() would
         x, y = simples
@@ -675,10 +677,7 @@ def render(x) -> str:
     if isinstance(x, SimpleAlgebra):
         return x.name
     simples, c, s = x
-    if not (c or s):
-        # most sums a sweep renders: the names are joined without a list
-        return "+".join(map(_NAME, simples)) or "0"
-    parts = [a.name for a in simples]
+    parts = list(map(_NAME, simples))
     if c:
         parts += ["u(1)"] * c
     if s:

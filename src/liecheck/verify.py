@@ -664,9 +664,7 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
         if enabled:
             gc.enable()
     flagged = tuple(c for c in cases if c.route == ROUTE_EQUALITY)
-    # a positive margin passes on every route, so `passed`, a property
-    # call, is asked only of the cases that could fail
-    failures = tuple(c for c in cases if c.margin <= 0 and not c.passed)
+    failures = tuple(c for c in cases if not c.passed)
     passed = not failures and all(p.passed for p in products)
     return SweepReport(scope, max_param, cases, products, flagged, failures, passed)
 
