@@ -262,7 +262,6 @@ class OutGroup(NamedTuple):
 
 
 _SORT_KEY = attrgetter("sort_key")
-_NAME = attrgetter("name")
 _new_tuple = tuple.__new__
 
 
@@ -677,7 +676,7 @@ def render(x) -> str:
     if isinstance(x, SimpleAlgebra):
         return x.name
     simples, c, s = x
-    parts = list(map(_NAME, simples))
+    parts = [a.name for a in simples]
     if c:
         parts += ["u(1)"] * c
     if s:
