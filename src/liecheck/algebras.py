@@ -171,7 +171,8 @@ _INTERNED = {}
 
 
 class SimpleAlgebra:
-    """One simple algebra, interned on (family, params).
+    """One simple algebra, interned on (family, params) by `dict.setdefault`,
+    so threads that build one new key at once all get the first object stored.
 
     Built only from a `Family` and a tuple of exact ints in the family's
     domain (the one `algebra()` enforces, without collapsing coincidences);
@@ -195,7 +196,7 @@ class SimpleAlgebra:
                 ("sort_key", (family.value, params)),
             ):
                 object.__setattr__(self, attr, value)
-            _INTERNED[key] = self
+            self = _INTERNED.setdefault(key, self)
         return self
 
     def __setattr__(self, attr, value):

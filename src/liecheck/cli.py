@@ -138,6 +138,8 @@ _CASE_BLOCK = (
     "    }"
 )
 _SPOOL_CHUNK = 1 << 18
+# the keys of a product check in `verify --json`: its fields but the two ranks
+_PRODUCT_KEYS = tuple(k for k in vf.SemisimpleReport._fields if k not in ("rk_total", "rk_min"))
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -149,40 +151,6 @@ def _case_block(c) -> str:
         _encode_str(c.witness),
         "true" if c.passed else "false",
     )
-
-
-class _CaseTally:
-    """What `verify` reports about the cases, folded one algebra at a time.
-
-    ``route_counts`` keeps first-seen order, the key order of the JSON
-    document.  ``worst_at`` names the first four algebras, by rendered
-    name, whose smallest strict margin (rank-one and equality cases are
-    not strict) is ``worst``.
-    """
-
-    def __init__(self):
-        self.cases = self.flagged = self.failed = 0
-        self.route_counts = {}
-        self.worst = None
-        self.worst_at = []
-
-    def add(self, a, cases) -> None:
-        strict = None
-        for c in cases:
-            self.route_counts[c.route] = self.route_counts.get(c.route, 0) + 1
-            if c.route == vf.ROUTE_EQUALITY:
-                self.flagged += 1
-            elif c.route != vf.ROUTE_RANK1 and (strict is None or c.margin < strict):
-                strict = c.margin
-            if not c.passed:
-                self.failed += 1
-        self.cases += len(cases)
-        if strict is None:
-            return
-        if self.worst is None or strict < self.worst:
-            self.worst, self.worst_at = strict, [al.render(a)]
-        elif strict == self.worst and len(self.worst_at) < 4:
-            self.worst_at.append(al.render(a))
 
 
 def _write_verify_json(args, tally, passed, products, spool) -> None:
@@ -202,7 +170,7 @@ def _write_verify_json(args, tally, passed, products, spool) -> None:
             "max_param": args.max_param,
             "passed": passed,
             "route_counts": tally.route_counts,
-            "worst_strict_margin": tally.worst,
+            "worst_strict_margin": tally.worst_strict_margin,
         },
         indent=2,
     )
@@ -211,23 +179,12 @@ def _write_verify_json(args, tally, passed, products, spool) -> None:
     shutil.copyfileobj(spool, sys.stdout, _SPOOL_CHUNK)
     products = json.dumps(
         [
-            {
-                "factors": [al.render(a) for a in p.factors],
-                "dim_s": p.dim_s,
-                "product_bound": p.product_bound,
-                "product_margin": p.product_margin,
-                "naive_fixed_dim": p.naive_fixed_dim,
-                "naive_bound": p.naive_bound,
-                "naive_exceeds": p.naive_exceeds,
-                "swap_fixed_dim": p.swap_fixed_dim,
-                "swap_margin": p.swap_margin,
-                "passed": p.passed,
-            }
+            {k: getattr(p, k) for k in _PRODUCT_KEYS} | {"factors": [al.render(a) for a in p.factors]}
             for p in products
         ],
         indent=2,
     )
-    write(("\n  " if tally.cases else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
+    write(("\n  " if tally.count else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
 
 
 def _cmd_verify(args) -> int:
@@ -247,29 +204,30 @@ def _cmd_verify(args) -> int:
 
 
 def _run_verify(args, per_algebra, spool) -> int:
-    """Fold the cases into counts, and with a spool into JSON case blocks,
-    holding one algebra's cases at a time; then print the report."""
-    tally = _CaseTally()
+    """Fold the cases through a `verify.CaseTally`, and with a spool into
+    JSON case blocks, one algebra at a time; then print the report."""
+    tally = vf.CaseTally()
     for a, cases in per_algebra:
         if spool is not None and cases:
-            spool.write((",\n" if tally.cases else "\n") + ",\n".join(map(_case_block, cases)))
+            spool.write((",\n" if tally.count else "\n") + ",\n".join(map(_case_block, cases)))
         tally.add(a, cases)
         # let this algebra's cases go before the next one is verified
         del cases
     products = vf.product_checks(args.scope, args.max_param)
-    passed = not tally.failed and all(p.passed for p in products)
+    passed = tally.passed(products)
     if spool is not None:
         _write_verify_json(args, tally, passed, products, spool)
     else:
         print("verify scope=%s max-param=%d" % (args.scope, args.max_param))
         print(
             "cases: %d total, %d equality-flagged, %d failed"
-            % (tally.cases, tally.flagged, tally.failed)
+            % (tally.count, len(tally.flagged), len(tally.failures))
         )
         for route in sorted(tally.route_counts):
             print("  %-18s %d" % (route, tally.route_counts[route]))
-        if tally.worst is not None:
-            print("worst strict margin: %d at %s" % (tally.worst, ", ".join(tally.worst_at)))
+        if tally.worst_strict_margin is not None:
+            worst_at = ", ".join(map(al.render, tally.worst_at))
+            print("worst strict margin: %d at %s" % (tally.worst_strict_margin, worst_at))
         if products:
             bad = sum(1 for p in products if not p.passed)
             print("products: %d checked, %d failed" % (len(products), bad))

@@ -196,6 +196,9 @@ class SweepReport(NamedTuple):
     flagged: tuple
     failures: tuple
     passed: bool
+    route_counts: tuple
+    worst_strict_margin: Optional[int]
+    worst_at: tuple
 
 
 def _noncompact_factors(factors) -> tuple:
@@ -568,20 +571,11 @@ def _require_sweep_args(scope: str, max_param: int) -> None:
     require_max_param(max_param)
 
 
-def _product_demos(max_param: int):
-    demos = [
-        (simple(Family.SL_R, 2), simple(Family.SL_R, 2)),
-        (simple(Family.SL_R, 3), simple(Family.SL_R, 3)),
-        (simple(Family.SL_R, 3), simple(Family.SU, 1, 2)),
-        (simple(Family.SL_R, 2), simple(Family.SO, 1, 4)),
-    ]
-    seen = set(demos)
-    for a in iter_noncompact_simple(min(max_param, 8)):
-        pair = (a, a)
-        if pair not in seen:
-            demos.append(pair)
-            seen.add(pair)
-    return demos
+def _product_demos(max_param: int) -> list:
+    sl2, sl3 = simple(Family.SL_R, 2), simple(Family.SL_R, 3)
+    demos = [(sl2, sl2), (sl3, sl3), (sl3, simple(Family.SU, 1, 2)), (sl2, simple(Family.SO, 1, 4))]
+    demos += ((a, a) for a in iter_noncompact_simple(min(max_param, 8)))
+    return list(dict.fromkeys(demos))
 
 
 _ROUTE, _MARGIN, _WITNESS = attrgetter("route"), attrgetter("margin"), attrgetter("witness")
@@ -636,37 +630,82 @@ def product_checks(scope: str, max_param: int) -> tuple:
     return tuple(check_semisimple(pair) for pair in _product_demos(max_param))
 
 
+class CaseTally:
+    """A sweep's counts, flags and verdict, folded one algebra at a time.
+
+    `sweep` and ``liecheck verify`` pass each ``(algebra, cases)`` item of
+    `iter_algebra_cases` to ``add``.  It keeps ``count``; ``flagged`` and
+    ``failures``, lists of the ``equality_case`` and the failed cases in the
+    order added; ``route_counts`` in first-seen order; and the smallest
+    strict margin, ``worst_strict_margin`` (None while no case is strict:
+    ``rank1`` and ``equality_case`` margins are not), with ``worst_at``, the
+    first four algebras added whose smallest strict margin it is.
+    """
+
+    def __init__(self):
+        self.count, self.flagged, self.failures = 0, [], []
+        self.route_counts, self.worst_strict_margin, self.worst_at = {}, None, []
+
+    def add(self, a: SimpleAlgebra, cases) -> None:
+        strict = None
+        for c in cases:
+            self.route_counts[c.route] = self.route_counts.get(c.route, 0) + 1
+            if c.route == ROUTE_EQUALITY:
+                self.flagged.append(c)
+            elif c.route != ROUTE_RANK1 and (strict is None or c.margin < strict):
+                strict = c.margin
+            if not c.passed:
+                self.failures.append(c)
+        self.count += len(cases)
+        if strict is None:
+            return
+        if self.worst_strict_margin is None or strict < self.worst_strict_margin:
+            self.worst_strict_margin, self.worst_at = strict, [a]
+        elif strict == self.worst_strict_margin and len(self.worst_at) < 4:
+            self.worst_at.append(a)
+
+    def passed(self, products) -> bool:
+        """No case added failed, and every product check in ``products`` passed."""
+        return not self.failures and all(p.passed for p in products)
+
+
 def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """Run every applicable route over the catalog up to ``max_param``.
 
-    This materializes ``iter_algebra_cases``: ``cases`` holds every case of
-    every algebra, in its order.  ``max_param`` is an int from 2 to
-    ``SIZE_LIMIT``; other values raise OutOfDomain.
+    ``cases`` materializes ``iter_algebra_cases``, in its order.  The fields
+    after ``products`` are the `CaseTally` of its items and the product
+    checks, with lists as tuples and ``route_counts`` as (route, count)
+    pairs.  ``max_param`` is an int from 2 to ``SIZE_LIMIT``; other values
+    raise OutOfDomain.
 
-    Once the arguments are checked, the cases and product checks are built
-    with Python's cyclic garbage collector paused; on return or raise it is
-    switched back on only if it was on before.  At max-param 48 the report
-    holds 209,019 case records, and without the pause the collector scans
-    them in hundreds of passes that free nothing: the sweep makes no
-    reference cycles, so refcounting frees everything the collector would
-    (``tests/test_verifier.py::test_sweep_makes_no_reference_cycles``).
-    ``gc.disable`` is process-wide: other threads run without cyclic
-    collection until the sweep returns.
+    The cases and product checks are built with Python's cyclic garbage
+    collector paused, process-wide, and switched back on at return or raise
+    only if it was on.  The sweep makes no reference cycles
+    (``tests/test_verifier.py::test_sweep_makes_no_reference_cycles``), and
+    at max-param 48 the collector would scan its 209,019 case records in
+    hundreds of passes that free nothing.
     """
     _require_sweep_args(scope, max_param)
+    tally = CaseTally()
+
+    def folded(per_algebra):
+        for a, results in per_algebra:
+            tally.add(a, results)
+            yield from results
+
     enabled = gc.isenabled()
     gc.disable()
     try:
-        per_algebra = iter_algebra_cases(scope, max_param)
-        cases = tuple(c for _, results in per_algebra for c in results)
+        cases = tuple(folded(iter_algebra_cases(scope, max_param)))
         products = product_checks(scope, max_param)
     finally:
         if enabled:
             gc.enable()
-    flagged = tuple(c for c in cases if c.route == ROUTE_EQUALITY)
-    failures = tuple(c for c in cases if not c.passed)
-    passed = not failures and all(p.passed for p in products)
-    return SweepReport(scope, max_param, cases, products, flagged, failures, passed)
+    return SweepReport(
+        scope, max_param, cases, products,
+        tuple(tally.flagged), tuple(tally.failures), tally.passed(products),
+        tuple(tally.route_counts.items()), tally.worst_strict_margin, tuple(tally.worst_at),
+    )
 
 
 def maximal_rank_rows() -> list:
@@ -723,6 +762,7 @@ def case_payload(c: CaseResult) -> dict:
 
 __all__ = [
     "CaseResult",
+    "CaseTally",
     "IsotypyViolated",
     "MissingTableRow",
     "RankBoundViolated",

@@ -7,6 +7,8 @@ forms; the catalog must reproduce them bit-exactly.
 
 import copy
 import pickle
+import sys
+import threading
 from operator import attrgetter
 
 import pytest
@@ -196,6 +198,42 @@ def test_simple_algebras_are_interned():
     # a noncanonical presentation is its own interned value
     assert SimpleAlgebra(Family.SU, (2, 2)) is SimpleAlgebra(Family.SU, (2, 2))
     assert SimpleAlgebra(Family.SU, (2, 2)) not in algebra(Family.SU, 2, 2).simples
+
+
+def test_threads_interning_one_new_key_get_one_object(monkeypatch):
+    # four threads build the same new keys in step, switching as often as
+    # the interpreter allows; with a check-then-store table two of them
+    # could each intern an object for one key, and the two compare unequal
+    keys = [(p, q) for p in range(1, 70) for q in range(151, 186)]
+    built = [{} for _ in range(4)]
+    errors = []
+
+    def build(out):
+        try:
+            start.wait(timeout=30)
+            for key in keys:
+                out[key] = SimpleAlgebra(Family.SO, key)
+        except Exception as e:  # reported below
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):  # a check-then-store table split keys in each of 30 trial rounds
+            monkeypatch.setattr(algebras, "_INTERNED", {})
+            start = threading.Barrier(len(built))
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            split = [k for k in keys if any(out[k] is not built[0][k] for out in built)]
+            assert split == []
+            assert all(algebras._INTERNED[Family.SO, k] is built[0][k] for k in keys)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_interned_values_survive_copy_and_pickle():

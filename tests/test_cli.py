@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import weakref
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -341,13 +342,53 @@ def _nested_dump(obj, depth):
     return "  " * depth + json.dumps(obj, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-@pytest.mark.parametrize("scope", ["all", "semisimple"])
+@pytest.mark.parametrize("scope", ["all", "complex", "real", "semisimple"])
 def test_verify_json_is_the_dumped_payload(capsys, scope):
     rc, out, _ = run(capsys, "verify", "--json", "--scope", scope, "--max-param", "8")
     assert rc == 0
     payload = _dumped_payload(vf.sweep(scope, 8))
     assert json.loads(out) == payload
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def _recounted_tally(rep):
+    """`SweepReport`'s tally fields, counted again from ``rep.cases``."""
+    strict = {}  # algebra -> its smallest strict margin, in case order
+    for c in rep.cases:
+        if c.route not in (vf.ROUTE_EQUALITY, vf.ROUTE_RANK1):
+            strict[c.algebra] = min(strict.get(c.algebra, c.margin), c.margin)
+    worst = min(strict.values(), default=None)
+    return (
+        tuple(c for c in rep.cases if c.route == vf.ROUTE_EQUALITY),
+        tuple(c for c in rep.cases if not c.passed),
+        all(c.passed for c in rep.cases) and all(p.passed for p in rep.products),
+        tuple(Counter(c.route for c in rep.cases).items()),
+        worst,
+        tuple([a for a, m in strict.items() if m == worst][:4]),
+    )
+
+
+@pytest.mark.parametrize("scope", ["all", "complex", "real", "semisimple"])
+def test_verify_text_reports_the_sweep(capsys, scope):
+    rep = vf.sweep(scope, 16)
+    assert rep[4:] == _recounted_tally(rep)
+    routes = dict(rep.route_counts)
+    expected = ["verify scope=%s max-param=16" % scope]
+    expected.append(
+        "cases: %d total, %d equality-flagged, %d failed"
+        % (len(rep.cases), len(rep.flagged), len(rep.failures))
+    )
+    expected += ["  %-18s %d" % (route, routes[route]) for route in sorted(routes)]
+    if rep.worst_strict_margin is not None:
+        names = ", ".join(al.render(a) for a in rep.worst_at)
+        expected.append("worst strict margin: %d at %s" % (rep.worst_strict_margin, names))
+    if rep.products:
+        bad = sum(1 for p in rep.products if not p.passed)
+        expected.append("products: %d checked, %d failed" % (len(rep.products), bad))
+    expected.append("result: %s" % ("PASS" if rep.passed else "FAIL"))
+    rc, out, _ = run(capsys, "verify", "--scope", scope, "--max-param", "16")
+    assert rc == (0 if rep.passed else 1)
+    assert out.splitlines() == expected
 
 
 def test_case_blocks_match_case_payload():

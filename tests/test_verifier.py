@@ -489,6 +489,34 @@ def test_sweep_rejects_sizes_below_two():
             vf.sweep("all", size)
 
 
+def test_case_tally_folds_failures_flags_and_failed_products():
+    # no catalog case or product fails, so the failing paths are hand-made
+    sl3, sl4 = al.simple(Family.SL_R, 3), al.simple(Family.SL_R, 4)
+    cases = [
+        vf.CaseResult(sl3, vf.ROUTE_BERGER, 0, "margin 0 off the equality route"),
+        vf.CaseResult(sl3, vf.ROUTE_EQUALITY, 0, "flagged, passes"),
+        vf.CaseResult(sl3, vf.ROUTE_RANK1, -1, "rank one, passes, not strict"),
+        vf.CaseResult(sl3, vf.ROUTE_BERGER, 2, "strict"),
+    ]
+    late = vf.CaseResult(sl4, vf.ROUTE_TRIALITY, 0, "fails, ties the worst margin")
+    tally = vf.CaseTally()
+    tally.add(sl3, cases)
+    tally.add(sl4, [late])
+    assert tally.count == 5
+    assert tally.flagged == [cases[1]]
+    assert tally.failures == [cases[0], late]
+    assert list(tally.route_counts.items()) == [
+        (vf.ROUTE_BERGER, 2), (vf.ROUTE_EQUALITY, 1), (vf.ROUTE_RANK1, 1), (vf.ROUTE_TRIALITY, 1)
+    ]
+    assert (tally.worst_strict_margin, tally.worst_at) == (0, [sl3, sl4])
+    assert not tally.passed(())
+    good = vf.CaseTally()
+    good.add(sl3, cases[1:])
+    product = vf.check_semisimple((sl3, sl3))
+    assert good.passed(()) and good.passed((product,))
+    assert not good.passed((product, product._replace(passed=False)))
+
+
 def test_sweep_deterministic():
     assert vf.sweep("real", 6) == vf.sweep("real", 6)
 
