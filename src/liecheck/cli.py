@@ -14,6 +14,7 @@ import os
 import shutil
 import sys
 import tempfile
+from functools import partial
 
 from . import algebras as al
 from . import centralizers as cz
@@ -143,9 +144,10 @@ _PRODUCT_KEYS = tuple(k for k in vf.SemisimpleReport._fields if k not in ("rk_to
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _case_block(c) -> str:
+def _case_block(name, c) -> str:
+    """The JSON block of case ``c``, whose algebra's name ``name`` is already encoded."""
     return _CASE_BLOCK % (
-        _encode_str(al.render(c.algebra)),
+        name,
         _encode_str(c.route),
         c.margin,
         _encode_str(c.witness),
@@ -209,7 +211,9 @@ def _run_verify(args, per_algebra, spool) -> int:
     tally = vf.CaseTally()
     for a, cases in per_algebra:
         if spool is not None and cases:
-            spool.write((",\n" if tally.count else "\n") + ",\n".join(map(_case_block, cases)))
+            # every case of the item is one of `a`'s: its name is encoded once
+            blocks = map(partial(_case_block, _encode_str(al.render(a))), cases)
+            spool.write((",\n" if tally.count else "\n") + ",\n".join(blocks))
         tally.add(a, cases)
         # let this algebra's cases go before the next one is verified
         del cases

@@ -18,14 +18,18 @@ The real-form rows of a complex exceptional algebra are read from the
 catalog's complexification column (`real_forms`).
 `isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
 instances equal to the ambient and repeats that low-rank isomorphisms
-create.  Rows are built on each call and not kept: nothing in this module
-holds an algebra's rows after its caller lets them go.  The one structure
-kept is the part table `_PARTS`, which the split rows read their summands
-from: per family, references to canonical values that `algebra`'s cache
-holds anyway.  It is empty at import and grows on demand: an entry (a, b)
-exists only if a split row of some (p, q) with a <= p and b <= q was built,
-so a + b never exceeds the largest size parameter swept.  Algebras
-whose size parameter exceeds `SIZE_LIMIT` get no rows.
+create.  Each entry also states every instance's `render` text and dim S
+(`labels`, `dims_s`), so a caller names and measures each instance once:
+`_split_row` builds both from its parts, and `_entry` computes them for
+every other row.  Rows are built on each call and not kept: nothing in
+this module holds an algebra's rows after its caller lets them go.  The
+one structure kept is the part table `_PARTS`, which the split rows read
+their summands from: per family, references to canonical values, or to
+their lone simple factors, that `algebra`'s cache holds anyway.  It is
+empty at import and grows on demand: an entry (a, b) exists only if a
+split row of some (p, q) with a <= p and b <= q was built, so a + b never
+exceeds the largest size parameter swept.  Algebras whose size parameter
+exceeds `SIZE_LIMIT` get no rows.
 
 The two forms whose outer automorphism group has order-3 elements,
 `TRIALITY_FORMS`, carry a separate list of order-3 fixed-point classes
@@ -42,6 +46,7 @@ from typing import NamedTuple
 
 from .algebras import (
     _canonical,
+    _new_tuple,
     COMPACT,
     COMPACT_LINE,
     SIZE_LIMIT,
@@ -87,7 +92,13 @@ class UnsupportedAlgebra(InputError):
 
 
 class IsotropyEntry(NamedTuple):
-    """One classification row: a template plus its admissible instances."""
+    """One classification row: a template plus its admissible instances.
+
+    ``labels`` and ``dims_s`` are aligned with ``instances``: ``labels[i]``
+    is ``render(instances[i])`` and ``dims_s[i]`` its dim S (its split
+    abelian dimension plus each simple factor's ``space.dim_s``), stated
+    once here so that no reader re-derives them per case.
+    """
 
     ambient: SimpleAlgebra
     template: str
@@ -96,6 +107,8 @@ class IsotropyEntry(NamedTuple):
     kind: str
     instances: tuple
     notes: tuple = ()
+    labels: tuple = ()
+    dims_s: tuple = ()
 
 
 class Instantiation(NamedTuple):
@@ -114,13 +127,27 @@ class TrialityClass(NamedTuple):
 
 
 class _Row(NamedTuple):
-    """A row spec: an IsotropyEntry without its ambient and source."""
+    """A row spec: an IsotropyEntry without its ambient and source.
+
+    ``labels`` and ``dims_s`` are None unless the builder states them
+    itself, aligned with ``instances``, as `_split_row` does.
+    """
 
     template: str
     instances: list
     constraints: tuple = ()
     kind: str = LINEAR
     notes: tuple = ()
+    labels: list = None
+    dims_s: list = None
+
+
+def _named(h):
+    """(render(h), dim S of h): an instance's label and its dim S."""
+    fixed = h.split_abelian_dim
+    for f in h.simples:
+        fixed += f.space.dim_s
+    return render(h), fixed
 
 
 def _entry(ambient, source, row):
@@ -130,14 +157,20 @@ def _entry(ambient, source, row):
     involution classes with isomorphic fixed algebras keep one instance.
     su(7,7)'s split row, for one, drops 12 instances such as (kp,kq) against
     (kq,kp), and distinct splits can coincide through low-rank isomorphisms.
-    An instance equal to the ambient is dropped.
+    An instance equal to the ambient is dropped.  Each kept instance keeps
+    its label and dim S: the row's own when it states them, else `_named`'s.
     """
-    kept = dict.fromkeys(row.instances)
+    if row.labels is None:
+        kept = {h: _named(h) for h in row.instances}
+    else:
+        kept = dict(zip(row.instances, zip(row.labels, row.dims_s)))
     kept.pop(reductive((ambient,)), None)
     if not kept:
         return None
+    labels, dims_s = zip(*kept.values())
     return IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, tuple(kept), row.notes
+        ambient, row.template, row.constraints, source, row.kind, tuple(kept), row.notes,
+        labels, dims_s,
     )
 
 
@@ -158,13 +191,23 @@ def _sum_row(template, n, build, letters="kl", kind=LINEAR):
     return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind)
 
 
-# family -> its part table: _PARTS[family][a][b] is `_canonical(family, a, b)`,
-# None at (0, 0).  `_parts` grows each list a only as far as the widest b a
+# family -> its part table: _PARTS[family][a][b] stands for
+# `_canonical(family, a, b)`: it is that value's lone simple factor when the
+# value is one simple and nothing else, the value itself otherwise, and None
+# at (0, 0).  `_parts` grows each list a only as far as the widest b a
 # split row has asked of it, so every entry (a, b) lies in the (p, q) box of
 # some row built so far; nothing is built at import.  The lock keeps two
 # threads from both appending one index; lists only grow, so reads need none.
 _PARTS = {}
 _PARTS_LOCK = threading.Lock()
+
+
+def _part(value):
+    """The part-table entry for the canonical value `value`."""
+    simples = value.simples
+    if len(simples) == 1 and not value.compact_abelian_dim and not value.split_abelian_dim:
+        return simples[0]
+    return value
 
 
 def _parts(family, p, q):
@@ -176,7 +219,7 @@ def _parts(family, p, q):
                 table.append([None] if a == 0 else [])
             row = table[a]
             for b in range(len(row), q + 1):
-                row.append(_canonical(family, a, b))
+                row.append(_part(_canonical(family, a, b)))
     return table
 
 
@@ -193,29 +236,42 @@ def _split_row(template, family, p, q, compact_abelian=0):
     closed form: kp <= lp is kp <= p // 2, kq <= lq binds only when kp == lp,
     and kq starts at 1 when kp == 0.
 
-    Each instance is the `direct_sum` of the two canonical parts, joined here
-    by one `reductive` call without `direct_sum`'s loop over its arguments:
-    the split rows hold most of the instances a sweep builds.  The parts are
-    read from the family's part table (`_parts`) by index, without a cache
-    lookup per part.
+    The split rows hold most of the instances a sweep builds, so each one
+    is built here with its label and dim S (the row's ``labels`` and
+    ``dims_s``) from the parts, read from the family's part table (`_parts`)
+    by index.  When both parts are lone simple factors x and y, one
+    ``sort_key`` comparison orders them as `reductive` would, one
+    ``tuple.__new__`` makes the value, its label is ``x+y`` (``+u(1)`` on su
+    rows) and its dim S is the sum of theirs.  Any other pair (a trivial,
+    abelian or two-factor part) goes through `reductive` and `_named`.
     """
     parts = _parts(family, p, q)
-    instances = []
-    append = instances.append
+    tail = "+u(1)" * compact_abelian
+    instances, labels, dims_s = [], [], []
     for kp in range(p // 2 + 1):
         lp = p - kp
         k_parts, l_parts = parts[kp], parts[lp]
         for kq in range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1):
             x, y = k_parts[kq], l_parts[q - kq]
-            append(
-                reductive(
+            if x.__class__ is SimpleAlgebra and y.__class__ is SimpleAlgebra:
+                if y.sort_key < x.sort_key:
+                    x, y = y, x
+                instances.append(_new_tuple(ReductiveAlgebra, ((x, y), compact_abelian, 0)))
+                labels.append(f"{x.name}+{y.name}{tail}")
+                dims_s.append(x.space.dim_s + y.space.dim_s)
+            else:
+                x, y = _canonical(family, kp, kq), _canonical(family, lp, q - kq)
+                h = reductive(
                     x.simples + y.simples,
                     x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
                     x.split_abelian_dim + y.split_abelian_dim,
                 )
-            )
+                label, fixed = _named(h)
+                instances.append(h)
+                labels.append(label)
+                dims_s.append(fixed)
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
-    return _Row(template, instances, constraints, notes=_SPLIT_NOTE)
+    return _Row(template, instances, constraints, notes=_SPLIT_NOTE, labels=labels, dims_s=dims_s)
 
 
 def _pair(family, *extra):

@@ -431,13 +431,9 @@ def check_involutions(a: SimpleAlgebra) -> list:
     append = out.append
     for entry in inv.isotropy_entries(a):
         head = entry.template + " -> "
-        for h in entry.instances:
-            # dim S of h alone; reductive_dims would build all five dims
-            fixed = h.split_abelian_dim
-            for f in h.simples:
-                fixed += f.space.dim_s
+        for h, label, fixed in zip(entry.instances, entry.labels, entry.dims_s):
             margin = target - fixed
-            witness = f"{head}{render(h)} (fixed dim {fixed}{tail}"
+            witness = f"{head}{label} (fixed dim {fixed}{tail}"
             if margin == 0 and _is_equality_witness(a, h):
                 append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
             else:

@@ -660,29 +660,52 @@ def test_split_row_is_every_unordered_split():
                 assert row.instances == want, (fam, p, q)
 
 
+def _part_entry(fam, a, b):
+    """What the part table holds at (a, b): None at (0, 0), else the
+    canonical value's lone simple factor if the value is one simple and
+    nothing else, and the canonical value itself otherwise."""
+    if (a, b) == (0, 0):
+        return None
+    value = red(fam, a, b)
+    if len(value.simples) == 1 and value == al.ReductiveAlgebra(value.simples):
+        return value.simples[0]
+    return value
+
+
 def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
     # an empty table grown unevenly: wide q before narrow q, large p before
-    # small p, and the border sizes of SIZE_LIMIT
+    # small p, and the border sizes of SIZE_LIMIT; (1, 2), (2, 2) and (4, 4)
+    # sum so(kp,kq) parts that are not one simple factor (0, R, u(1) and
+    # so(2,2)), so their rows take _split_row's general path
     monkeypatch.setattr(inv, "_PARTS", {})
-    sizes = [(3, 40), (3, 2), (20, 5), (2, 20), (1, 63), (32, 32), (1, 1), (7, 4), (4, 7)]
+    sizes = [
+        (3, 40), (3, 2), (20, 5), (2, 20), (1, 63), (32, 32), (1, 1), (7, 4), (4, 7),
+        (1, 2), (2, 2), (4, 4),
+    ]
     for fam, (template, extra) in _SPLIT_ROWS.items():
+        used = set()
         for p, q in sizes:
-            want = [
-                plus(red(fam, kp, kq), red(fam, p - kp, q - kq), *extra)
+            splits = [
+                (red(fam, kp, kq), red(fam, p - kp, q - kq))
                 for kp in range(p + 1)
                 for kq in range(q + 1)
                 if (0, 0) != (kp, kq) <= (p - kp, q - kq)
             ]
+            used.update(part for split in splits for part in split)
+            want = [plus(x, y, *extra) for x, y in splits]
             row = inv._split_row(template, fam, p, q, len(extra))
             assert row.instances == want, (fam, p, q)
-        # the table holds exactly the boxes asked for, each entry the
-        # canonical value of its part
+            assert row.labels == [al.render(h) for h in want], (fam, p, q)
+            assert row.dims_s == [al.reductive_dims(h).dim_s for h in want], (fam, p, q)
+        if fam is Family.SO:
+            assert {al.TRIVIAL_ALGEBRA, SPLIT, CPT, red(Family.SO, 2, 2)} <= used
+        # the table holds exactly the boxes asked for, each entry its part's
+        # canonical value or that value's lone simple factor
         table = inv._PARTS[fam]
         for a, parts in enumerate(table):
             assert len(parts) == 1 + max(q for p, q in sizes if p >= a), (fam, a)
             for b, part in enumerate(parts):
-                want = None if (a, b) == (0, 0) else al.algebra(fam, a, b)
-                assert part is want, (fam, a, b)
+                assert part is _part_entry(fam, a, b), (fam, a, b)
         assert len(table) == 1 + max(p for p, _ in sizes)
 
 
@@ -721,7 +744,7 @@ def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
     assert len(table) == 25
     for a, parts in enumerate(table):
         assert len(parts) == 25, a
-        assert parts[1:] == [red(Family.SO, a, b) for b in range(1, 25)], a
+        assert parts[1:] == [_part_entry(Family.SO, a, b) for b in range(1, 25)], a
 
 
 def test_import_builds_no_part_table_and_a_sweep_grows_it_to_its_size():
@@ -768,3 +791,58 @@ def test_split_rows_match_every_ordered_split():
         assert (dim_s, item.entry.template, item.isotropy) == best, al.render(a)
         checked += 1
     assert checked > 250
+
+
+def test_entry_labels_and_dims_are_each_instance_rendered_and_measured():
+    # the labels and dims the rows state, against render and reductive_dims
+    # of each instance; every family's rows, the split rows' general path
+    # included, up to max-param 32
+    checked = 0
+    for a in al.iter_noncompact_simple(32):
+        for e in inv.isotropy_entries(a):
+            assert e.labels == tuple(map(al.render, e.instances)), (al.render(a), e.template)
+            assert e.dims_s == tuple(al.reductive_dims(h).dim_s for h in e.instances), (
+                al.render(a),
+                e.template,
+            )
+            checked += len(e.instances)
+    assert checked > 40_000
+
+
+# the split row's scale c: dim S of so(p,q), su(p,q) and sp(p,q) is c*p*q
+_SPLIT_SCALE = {Family.SO: 1, Family.SU: 2, Family.SP: 4}
+
+
+def test_split_row_margins_have_a_closed_form():
+    # target minus the fixed dim of (kp,kq)+(lp,lq) is c*(kp*lq + lp*kq) -
+    # min(p,q).  The row's margins, read from dims_s, are a sub-multiset of
+    # the formula's over the unordered splits (the row drops repeats) with
+    # the same minimum, and vanish only on so rows, at README's equality
+    # witness so(p,q-1).  Bound: max-param 48 (1,720 ambients, about 0.5 s);
+    # max-param 64 takes about 1.7 s.
+    ambients = 0
+    for a in al.iter_noncompact_simple(48):
+        c = _SPLIT_SCALE.get(a.family)
+        if c is None:
+            continue
+        p, q = a.params
+        d = al.dims(a)
+        target = d.dim_s - d.rk_r
+        template, _ = _SPLIT_ROWS[a.family]
+        (row,) = [e for e in inv.isotropy_entries(a) if e.template == template]
+        margins = [target - x for x in row.dims_s]
+        formula = [
+            c * (kp * (q - kq) + (p - kp) * kq) - min(p, q)
+            for kp in range(p + 1)
+            for kq in range(q + 1)
+            if (0, 0) != (kp, kq) <= (p - kp, q - kq)
+        ]
+        assert not Counter(margins) - Counter(formula), al.render(a)
+        assert min(margins) == min(formula), al.render(a)
+        zeros = [h for h, m in zip(row.instances, margins) if m == 0]
+        if a.family is Family.SO:
+            assert zeros == [red(Family.SO, p, q - 1)], al.render(a)
+        else:
+            assert zeros == [], al.render(a)
+        ambients += 1
+    assert ambients == 1720

@@ -401,7 +401,8 @@ def test_case_blocks_match_case_payload():
         'so(3) \u2192 "u(1)"\\ caf\u00e9\t\U0001d524 (fixed dim 0)',
     )
     for c in (*rep.cases, hand_made):
-        block = cli._case_block(c)
+        # the caller encodes the algebra's name, once per algebra
+        block = cli._case_block(cli._encode_str(al.render(c.algebra)), c)
         assert json.loads(block) == vf.case_payload(c)
         assert block == _nested_dump(vf.case_payload(c), 2)
 

@@ -1,11 +1,12 @@
 """The sweep's witnesses and sums read back to the numbers they state.
 
-A witness is the text a case prints; `check_involutions` builds it from an
-inline fixed-dimension sum and `render`.  Here each one is parsed back with
-`parse_algebra` and measured with `reductive_dims`, a route that shares
-neither of those, so a slip in either shows as the case it breaks, where
-the frozen digests of `test_golden_output.py` say only that something
-changed.
+A witness is the text a case prints; `check_involutions` builds it from
+each row's `labels` and `dims_s`, which `involutions._split_row` states
+from its parts and `involutions._entry` from `render` and a fixed-dimension
+sum.  Here each one is parsed back with `parse_algebra` and measured with
+`reductive_dims`, a route that shares none of those, so a slip in any shows
+as the case it breaks, where the frozen digests of `test_golden_output.py`
+say only that something changed.
 """
 
 import re
