@@ -4,25 +4,33 @@ For each noncompact simple algebra this module stores the classification rows
 of involution fixed-point sets (linear involutions, and for complex ambient
 algebras also the antilinear ones, whose fixed sets are the real forms), plus
 one synthetic row for the Cartan involution.  Row templates keep the
-free parameters of the printed tables; `instances` holds every admissible
-instantiation as a canonical catalog value.
+free parameters of the printed tables; each instantiation is stated by its
+part, its `render` label and its dim S.
 
-Rows are written as plain specs (`_Row`: template, instances, constraints,
-kind, notes) by three helpers: `_one` for a single instance, `_sum_row` for
-the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq) signature
-splits of so/su/sp(p,q).  Each classical family has one row builder over its
-parameters, which `_CLASSICAL_ROWS` pairs with the family's source label.
-An exceptional row is a catalog name, written once in `_EXCEPTIONAL_ROWS`:
-the name is the row template, and `parse_algebra` of it the one instance.
-The real-form rows of a complex exceptional algebra are read from the
-catalog's complexification column (`real_forms`).
+Rows are written as plain specs (`_Row`: template, parts, constraints,
+kind, notes, labels, dims_s) by three helpers: `_one` for a single
+instance, `_sum_row` for the k+l=n, 1<=k<=l rows, and `_split_row` for the
+(kp,kq)+(lp,lq) signature splits of so/su/sp(p,q).  Each classical family
+has one row builder over its parameters, which `_CLASSICAL_ROWS` pairs with
+the family's source label.  An exceptional row is a catalog name, written
+once in `_EXCEPTIONAL_ROWS`: the name is the row template, and
+`parse_algebra` of it the one instance.  The real-form rows of a complex
+exceptional algebra are read from the catalog's complexification column
+(`real_forms`).
+
 `isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
-instances equal to the ambient and repeats that low-rank isomorphisms
-create.  Each entry also states every instance's `render` text and dim S
-(`labels`, `dims_s`), so a caller names and measures each instance once:
-`_split_row` builds both from its parts, and `_entry` computes them for
-every other row.  Rows are built on each call and not kept: nothing in
-this module holds an algebra's rows after its caller lets them go.  The
+the instance equal to the ambient and repeats that low-rank isomorphisms
+create.  It compares instances by label: `render` is injective on
+canonical values, so equal labels mean equal instances.  Each entry
+states every instance's label and dim S (`labels`, `dims_s`), so a caller
+names and measures each instance once, and its `parts`, from which the
+`instances` property builds the catalog values only when they are read
+(`_value`).  A part is the value itself, or, for a split row's sum of two
+lone simple factors x and y, the plain tuple ``((x, y), c, 0)`` that
+`_split_row` states with the sum's label and dim S, without building the
+value; `check_involutions` reads labels and dims only, so a sweep builds a
+value for few of them.  Rows are built on each call and not kept: nothing
+in this module holds an algebra's rows after its caller lets them go.  The
 one structure kept is the part table `_PARTS`, which the split rows read
 their summands from: per family, references to canonical values, or to
 their lone simple factors, that `algebra`'s cache holds anyway.  It is
@@ -94,10 +102,13 @@ class UnsupportedAlgebra(InputError):
 class IsotropyEntry(NamedTuple):
     """One classification row: a template plus its admissible instances.
 
-    ``labels`` and ``dims_s`` are aligned with ``instances``: ``labels[i]``
-    is ``render(instances[i])`` and ``dims_s[i]`` its dim S (its split
-    abelian dimension plus each simple factor's ``space.dim_s``), stated
-    once here so that no reader re-derives them per case.
+    ``parts``, ``labels`` and ``dims_s`` are aligned, one item per instance:
+    ``parts[i]`` is the instance or the plain tuple of its fields (see
+    `_value`), ``labels[i]`` its ``render`` text and ``dims_s[i]`` its dim S
+    (its split abelian dimension plus each simple factor's
+    ``space.dim_s``), stated once here so that no reader re-derives them
+    per case.  ``instances`` builds the catalog values from ``parts`` on
+    each read; a reader of labels and dims alone builds none.
     """
 
     ambient: SimpleAlgebra
@@ -105,10 +116,15 @@ class IsotropyEntry(NamedTuple):
     constraints: tuple
     source: str
     kind: str
-    instances: tuple
+    parts: tuple
     notes: tuple = ()
     labels: tuple = ()
     dims_s: tuple = ()
+
+    @property
+    def instances(self) -> tuple:
+        """The row's instances as ReductiveAlgebra values, in row order."""
+        return tuple(map(_value, self.parts))
 
 
 class Instantiation(NamedTuple):
@@ -129,17 +145,27 @@ class TrialityClass(NamedTuple):
 class _Row(NamedTuple):
     """A row spec: an IsotropyEntry without its ambient and source.
 
-    ``labels`` and ``dims_s`` are None unless the builder states them
-    itself, aligned with ``instances``, as `_split_row` does.
+    ``parts`` are the instances as `IsotropyEntry` states them, before
+    deduplication.  ``labels`` and ``dims_s`` are None unless the builder
+    states them itself, aligned with ``parts``, as `_split_row` does; a
+    row without them holds catalog values only.
     """
 
     template: str
-    instances: list
+    parts: list
     constraints: tuple = ()
     kind: str = LINEAR
     notes: tuple = ()
     labels: list = None
     dims_s: list = None
+
+
+def _value(part):
+    """The ReductiveAlgebra a part stands for: the part itself when it is
+    one, else a value made by one ``tuple.__new__`` from its fields."""
+    if part.__class__ is ReductiveAlgebra:
+        return part
+    return _new_tuple(ReductiveAlgebra, part)
 
 
 def _named(h):
@@ -157,20 +183,26 @@ def _entry(ambient, source, row):
     involution classes with isomorphic fixed algebras keep one instance.
     su(7,7)'s split row, for one, drops 12 instances such as (kp,kq) against
     (kq,kp), and distinct splits can coincide through low-rank isomorphisms.
-    An instance equal to the ambient is dropped.  Each kept instance keeps
-    its label and dim S: the row's own when it states them, else `_named`'s.
+    An instance equal to the ambient is dropped.  Both compare labels, not
+    values: the parts are canonical, and `render` is injective on canonical
+    values, so the first of each label keeps its place, as the first of
+    each value would.  Each kept instance keeps its part and dim S, and its
+    label is the row's own when the row states labels, else `_named`'s.
     """
     if row.labels is None:
-        kept = {h: _named(h) for h in row.instances}
+        kept = {}
+        for h in row.parts:
+            label, fixed = _named(h)
+            kept[label] = (h, fixed)
     else:
-        kept = dict(zip(row.instances, zip(row.labels, row.dims_s)))
-    kept.pop(reductive((ambient,)), None)
+        kept = dict(zip(row.labels, zip(row.parts, row.dims_s)))
+    kept.pop(ambient.name, None)
     if not kept:
         return None
-    labels, dims_s = zip(*kept.values())
+    parts, dims_s = zip(*kept.values())
     return IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, tuple(kept), row.notes,
-        labels, dims_s,
+        ambient, row.template, row.constraints, source, row.kind, parts, row.notes,
+        tuple(kept), dims_s,
     )
 
 
@@ -197,7 +229,8 @@ def _sum_row(template, n, build, letters="kl", kind=LINEAR):
 # at (0, 0).  `_parts` grows each list a only as far as the widest b a
 # split row has asked of it, so every entry (a, b) lies in the (p, q) box of
 # some row built so far; nothing is built at import.  The lock keeps two
-# threads from both appending one index; lists only grow, so reads need none.
+# threads from both appending one index; lists only grow, so reads, and the
+# check that a box is already covered, need none.
 _PARTS = {}
 _PARTS_LOCK = threading.Lock()
 
@@ -212,6 +245,11 @@ def _part(value):
 
 def _parts(family, p, q):
     """The part table of `family`, grown to hold every (a, b) with a <= p, b <= q."""
+    table = _PARTS.get(family)
+    # each call grows every list a <= p to at least q + 1 entries, in order
+    # of a, so list lengths never rise with a: list p is the box's shortest
+    if table is not None and len(table) > p and len(table[p]) > q:
+        return table
     with _PARTS_LOCK:
         table = _PARTS.setdefault(family, [])
         for a in range(p + 1):
@@ -236,18 +274,20 @@ def _split_row(template, family, p, q, compact_abelian=0):
     closed form: kp <= lp is kp <= p // 2, kq <= lq binds only when kp == lp,
     and kq starts at 1 when kp == 0.
 
-    The split rows hold most of the instances a sweep builds, so each one
-    is built here with its label and dim S (the row's ``labels`` and
+    The split rows hold most of the instances a sweep states, so each one
+    is stated here with its label and dim S (the row's ``labels`` and
     ``dims_s``) from the parts, read from the family's part table (`_parts`)
     by index.  When both parts are lone simple factors x and y, one
-    ``sort_key`` comparison orders them as `reductive` would, one
-    ``tuple.__new__`` makes the value, its label is ``x+y`` (``+u(1)`` on su
-    rows) and its dim S is the sum of theirs.  Any other pair (a trivial,
-    abelian or two-factor part) goes through `reductive` and `_named`.
+    ``sort_key`` comparison orders them as `reductive` would, the instance's
+    part is the plain tuple ``((x, y), c, 0)`` (c = ``compact_abelian``;
+    `_value` makes the value only when it is read), its label is ``x+y``
+    (``+u(1)`` on su rows) and its dim S is the sum of theirs.  Any other
+    pair (a trivial, abelian or two-factor part) goes through `reductive`
+    and `_named`, and its part is the value.
     """
     parts = _parts(family, p, q)
     tail = "+u(1)" * compact_abelian
-    instances, labels, dims_s = [], [], []
+    sums, labels, dims_s = [], [], []
     for kp in range(p // 2 + 1):
         lp = p - kp
         k_parts, l_parts = parts[kp], parts[lp]
@@ -256,7 +296,7 @@ def _split_row(template, family, p, q, compact_abelian=0):
             if x.__class__ is SimpleAlgebra and y.__class__ is SimpleAlgebra:
                 if y.sort_key < x.sort_key:
                     x, y = y, x
-                instances.append(_new_tuple(ReductiveAlgebra, ((x, y), compact_abelian, 0)))
+                sums.append(((x, y), compact_abelian, 0))
                 labels.append(f"{x.name}+{y.name}{tail}")
                 dims_s.append(x.space.dim_s + y.space.dim_s)
             else:
@@ -267,11 +307,11 @@ def _split_row(template, family, p, q, compact_abelian=0):
                     x.split_abelian_dim + y.split_abelian_dim,
                 )
                 label, fixed = _named(h)
-                instances.append(h)
+                sums.append(h)
                 labels.append(label)
                 dims_s.append(fixed)
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
-    return _Row(template, instances, constraints, notes=_SPLIT_NOTE, labels=labels, dims_s=dims_s)
+    return _Row(template, sums, constraints, notes=_SPLIT_NOTE, labels=labels, dims_s=dims_s)
 
 
 def _pair(family, *extra):

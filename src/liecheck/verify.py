@@ -35,11 +35,12 @@ Routes
     addition to their involution rows.
 
 Every route but ``rank1`` and ``equality_case`` passes exactly when its
-margin is positive; `CaseResult.passed` is the one statement of that rule.
+margin is positive; `_passes` is the one statement of that rule.
 """
 
 import gc
 from collections.abc import Iterable
+from itertools import groupby
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -52,7 +53,6 @@ from .algebras import (
     Family,
     InputError,
     OutOfDomain,
-    ReductiveAlgebra,
     SimpleAlgebra,
     algebra,
     complexify,
@@ -101,12 +101,21 @@ ROUTE_TRIALITY = "triality"
 _PASS_ANY_MARGIN = frozenset((ROUTE_RANK1, ROUTE_EQUALITY))
 
 
+def _passes(route: str, margin: int) -> bool:
+    """The pass rule: a positive margin, or a route in `_PASS_ANY_MARGIN`.
+
+    For each route it is monotone in the margin: a case passes whenever a
+    case of its route with a smaller margin does.
+    """
+    return margin > 0 or route in _PASS_ANY_MARGIN
+
+
 class CaseResult:
     """Outcome of one route applied to one algebra.
 
     ``margin`` is target minus fixed-set dimension.  ``passed`` is derived,
-    never stored: ``margin > 0``, or the route is ``rank1`` (always true)
-    or ``equality_case`` (true at margin zero, by design).
+    never stored, by `_passes`: ``margin > 0``, or the route is ``rank1``
+    (always true) or ``equality_case`` (true at margin zero, by design).
 
     A slotted class rather than a named tuple: a sweep holds one record per
     case (209,019 at max-param 48), and four slots take 64 bytes where a
@@ -125,7 +134,8 @@ class CaseResult:
 
     @property
     def passed(self) -> bool:
-        return self.margin > 0 or self.route in _PASS_ANY_MARGIN
+        """``_passes(route, margin)``: the pass rule, stated once there."""
+        return _passes(self.route, self.margin)
 
     def _astuple(self) -> tuple:
         return (self.algebra, self.route, self.margin, self.witness)
@@ -400,15 +410,20 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
     return CaseResult(a, ROUTE_RESTRICTED, margin, witness)
 
 
-def _is_equality_witness(a: SimpleAlgebra, h: ReductiveAlgebra) -> bool:
+def _is_equality_witness(a: SimpleAlgebra, label: str) -> bool:
+    """Whether the instance labelled ``label`` in a row of ``a`` is an
+    equality witness: sl(n-1,R)+R in sl(n,R), so(p,q-1) in so(p,q), or
+    gl(p,R) in so(p,p).  Row labels are ``render`` texts of canonical
+    values, and ``render`` is injective on those, so comparing labels
+    compares the instances."""
     if a.family is Family.SL_R:
         n = a.params[0]
-        return h == direct_sum(algebra(Family.SL_R, n - 1), SPLIT_LINE)
+        return label == render(direct_sum(algebra(Family.SL_R, n - 1), SPLIT_LINE))
     if a.family is Family.SO:
         p, q = a.params
-        if h == algebra(Family.SO, p, q - 1):
+        if label == render(algebra(Family.SO, p, q - 1)):
             return True
-        return p == q and h == direct_sum(algebra(Family.SL_R, p), SPLIT_LINE)
+        return p == q and label == render(direct_sum(algebra(Family.SL_R, p), SPLIT_LINE))
     return False
 
 
@@ -420,6 +435,8 @@ def check_involutions(a: SimpleAlgebra) -> list:
     sets already listed here; no separate route is needed.  The two
     algebras with order-3 outer classes, so(8,C) and so(4,4), also get one
     ``triality`` case per order-3 class, after their involution rows.
+    The rows are read once, through ``inv.isotropy_entries``, and only by
+    their labels and dims: no instance value is built here.
     """
     a = require_simple(a)
     d = dims(a)
@@ -431,10 +448,10 @@ def check_involutions(a: SimpleAlgebra) -> list:
     append = out.append
     for entry in inv.isotropy_entries(a):
         head = entry.template + " -> "
-        for h, label, fixed in zip(entry.instances, entry.labels, entry.dims_s):
+        for label, fixed in zip(entry.labels, entry.dims_s):
             margin = target - fixed
             witness = f"{head}{label} (fixed dim {fixed}{tail}"
-            if margin == 0 and _is_equality_witness(a, h):
+            if margin == 0 and _is_equality_witness(a, label):
                 append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
             else:
                 append(CaseResult(a, ROUTE_BERGER, margin, witness))
@@ -636,6 +653,14 @@ class CaseTally:
     strict margin, ``worst_strict_margin`` (None while no case is strict:
     ``rank1`` and ``equality_case`` margins are not), with ``worst_at``, the
     first four algebras added whose smallest strict margin it is.
+
+    ``add`` folds each run of consecutive cases of one route as a whole: its
+    length, its smallest margin (its low) and, for ``equality_case``, all
+    of it as flagged.  Since `_passes` is monotone in the margin, a run
+    whose low passes has no failure, and only a run whose low fails is
+    scanned case by case.  Any order of cases folds exactly;
+    `iter_algebra_cases` sorts each algebra's cases by route, so there a
+    route is one run.
     """
 
     def __init__(self):
@@ -644,14 +669,17 @@ class CaseTally:
 
     def add(self, a: SimpleAlgebra, cases) -> None:
         strict = None
-        for c in cases:
-            self.route_counts[c.route] = self.route_counts.get(c.route, 0) + 1
-            if c.route == ROUTE_EQUALITY:
-                self.flagged.append(c)
-            elif c.route != ROUTE_RANK1 and (strict is None or c.margin < strict):
-                strict = c.margin
-            if not c.passed:
-                self.failures.append(c)
+        counts = self.route_counts
+        for route, run in groupby(cases, _ROUTE):
+            run = list(run)
+            counts[route] = counts.get(route, 0) + len(run)
+            low = min(map(_MARGIN, run))
+            if route == ROUTE_EQUALITY:
+                self.flagged += run
+            elif route != ROUTE_RANK1 and (strict is None or low < strict):
+                strict = low
+            if not _passes(route, low):
+                self.failures += [c for c in run if not _passes(route, c.margin)]
         self.count += len(cases)
         if strict is None:
             return

@@ -645,6 +645,14 @@ def _reference_split_instances(a):
     return template, tuple(dict.fromkeys(h for h in built if h != ambient))
 
 
+def _row_values(row):
+    """The values a row's parts stand for, each checked to be exactly a
+    ReductiveAlgebra, as `IsotropyEntry.instances` builds them."""
+    values = [inv._value(part) for part in row.parts]
+    assert all(type(h) is al.ReductiveAlgebra for h in values)
+    return values
+
+
 def test_split_row_is_every_unordered_split():
     # _split_row's closed-form ranges against the condition they state
     for fam, (template, extra) in _SPLIT_ROWS.items():
@@ -657,7 +665,7 @@ def test_split_row_is_every_unordered_split():
                     if (0, 0) != (kp, kq) <= (p - kp, q - kq)
                 ]
                 row = inv._split_row(template, fam, p, q, len(extra))
-                assert row.instances == want, (fam, p, q)
+                assert _row_values(row) == want, (fam, p, q)
 
 
 def _part_entry(fam, a, b):
@@ -694,7 +702,7 @@ def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
             used.update(part for split in splits for part in split)
             want = [plus(x, y, *extra) for x, y in splits]
             row = inv._split_row(template, fam, p, q, len(extra))
-            assert row.instances == want, (fam, p, q)
+            assert _row_values(row) == want, (fam, p, q)
             assert row.labels == [al.render(h) for h in want], (fam, p, q)
             assert row.dims_s == [al.reductive_dims(h).dim_s for h in want], (fam, p, q)
         if fam is Family.SO:
@@ -745,6 +753,38 @@ def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
     for a, parts in enumerate(table):
         assert len(parts) == 25, a
         assert parts[1:] == [_part_entry(Family.SO, a, b) for b in range(1, 25)], a
+
+
+def test_a_covered_box_reads_the_part_table_without_the_lock(monkeypatch):
+    # after uneven growth, `_parts` skips the lock exactly for the boxes
+    # every list a <= p already covers, and grows the table for the rest
+    monkeypatch.setattr(inv, "_PARTS", {})
+    for p, q in [(2, 20), (6, 3), (4, 9)]:
+        inv._parts(Family.SO, p, q)
+    table = inv._PARTS[Family.SO]
+
+    class Refused(Exception):
+        pass
+
+    class NoLock:
+        def __enter__(self):
+            raise Refused
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(inv, "_PARTS_LOCK", NoLock())
+    fast = 0
+    for p in range(9):
+        for q in range(23):
+            covered = p < len(table) and all(len(table[a]) > q for a in range(p + 1))
+            if covered:
+                assert inv._parts(Family.SO, p, q) is table, (p, q)
+                fast += 1
+            else:
+                with pytest.raises(Refused):
+                    inv._parts(Family.SO, p, q)
+    assert fast == 3 * 21 + 2 * 10 + 2 * 4
 
 
 def test_import_builds_no_part_table_and_a_sweep_grows_it_to_its_size():
@@ -806,6 +846,31 @@ def test_entry_labels_and_dims_are_each_instance_rendered_and_measured():
                 e.template,
             )
             checked += len(e.instances)
+    assert checked > 40_000
+
+
+def test_raw_row_labels_are_equal_exactly_when_values_are():
+    # `_entry` drops repeats and the ambient by label; that keeps what a
+    # drop by value keeps only if, within each row's raw parts (and the
+    # ambient), equal labels go with equal values and unequal with unequal
+    checked = 0
+    for a in al.iter_noncompact_simple(32):
+        if a.family in inv._CLASSICAL_ROWS:
+            rows = inv._CLASSICAL_ROWS[a.family][1](*a.params)
+        else:
+            rows = inv._exceptional_rows(a)[1]
+        for row in rows:
+            values = [inv._value(part) for part in row.parts]
+            labels = [al.render(h) for h in values]
+            if row.labels is not None:
+                assert row.labels == labels, (al.render(a), row.template)
+            pairs = set(zip(labels, values))
+            pairs.add((al.render(a), al.reductive((a,))))
+            assert len(pairs) == len({x for x, _ in pairs}) == len({h for _, h in pairs}), (
+                al.render(a),
+                row.template,
+            )
+            checked += len(values)
     assert checked > 40_000
 
 

@@ -18,6 +18,8 @@ from pathlib import Path
 import pytest
 
 import liecheck
+from liecheck import algebras as al
+from liecheck import involutions as inv
 from liecheck import verify as vf
 from liecheck.algebras import Family, simple
 
@@ -66,6 +68,31 @@ def test_installed_tracer_counts_a_small_sweep():
         assert layers[layer + ".calls"] > 0, layer
     # uninstall restores every original
     assert vf.sweep.__module__ == "liecheck.verify" and vf.sweep.__name__ == "sweep"
+
+
+def test_route_checks_reach_the_layers_the_tracer_rebinds(monkeypatch):
+    # the tracer times the row layer by rebinding `involutions.isotropy_entries`
+    # and benchmark/child.py times each algebra by rebinding
+    # `verify.verify_case`; a route that built rows another way, or a sweep
+    # that called verify_case other than through the module attribute,
+    # would drop out of those numbers without failing anything else
+    rows_calls = []
+    rows = inv.isotropy_entries
+    monkeypatch.setattr(inv, "isotropy_entries", lambda a: rows_calls.append(a) or rows(a))
+    checked = 0
+    for a in al.iter_noncompact_simple(12):
+        rows_calls.clear()
+        vf.check_involutions(a)
+        assert rows_calls == [a], al.render(a)
+        checked += 1
+    assert checked > 100
+
+    case_calls = []
+    case = vf.verify_case
+    monkeypatch.setattr(vf, "verify_case", lambda a: case_calls.append(a) or case(a))
+    rep = vf.sweep("all", 12)
+    assert sorted(case_calls, key=al.render) == sorted(al.iter_noncompact_simple(12), key=al.render)
+    assert {c.algebra for c in rep.cases} == set(case_calls)
 
 
 def test_cold_import_loads_every_layer_and_no_dataclasses():

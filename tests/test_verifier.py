@@ -9,7 +9,7 @@ import gc
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liecheck import algebras as al
 from liecheck import cli
@@ -515,6 +515,121 @@ def test_case_tally_folds_failures_flags_and_failed_products():
     product = vf.check_semisimple((sl3, sl3))
     assert good.passed(()) and good.passed((product,))
     assert not good.passed((product, product._replace(passed=False)))
+
+
+def _reference_fold(items):
+    """A case-by-case fold of (algebra, cases) items, one pass per case:
+    the fields `CaseTally` keeps, as plain values."""
+    count, flagged, failures, route_counts = 0, [], [], {}
+    worst, worst_at = None, []
+    for a, cases in items:
+        strict = None
+        for c in cases:
+            route_counts[c.route] = route_counts.get(c.route, 0) + 1
+            if c.route == vf.ROUTE_EQUALITY:
+                flagged.append(c)
+            elif c.route != vf.ROUTE_RANK1 and (strict is None or c.margin < strict):
+                strict = c.margin
+            if not (c.margin > 0 or c.route in (vf.ROUTE_RANK1, vf.ROUTE_EQUALITY)):
+                failures.append(c)
+        count += len(cases)
+        if strict is None:
+            continue
+        if worst is None or strict < worst:
+            worst, worst_at = strict, [a]
+        elif strict == worst and len(worst_at) < 4:
+            worst_at.append(a)
+    return count, flagged, failures, list(route_counts.items()), worst, worst_at
+
+
+_FOLD_ROUTES = (
+    vf.ROUTE_RANK1, vf.ROUTE_BERGER, vf.ROUTE_EQUALITY,
+    vf.ROUTE_MAXIMAL_RANK, vf.ROUTE_RESTRICTED, vf.ROUTE_TRIALITY,
+)
+_FOLD_ALGEBRAS = (
+    al.simple(Family.SL_R, 3), al.simple(Family.SO, 2, 3), al.simple(Family.SU, 1, 2),
+    al.simple(Family.E6_C), al.simple(Family.F4_4),
+)
+_fold_items = st.lists(
+    st.tuples(
+        st.sampled_from(_FOLD_ALGEBRAS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(_FOLD_ROUTES), st.integers(-2, 3), st.sampled_from("wxyz")
+            ),
+            max_size=12,
+        ),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fold_items)
+def test_case_tally_run_fold_equals_a_case_by_case_fold(items):
+    # cases in any order, so a route can come back in several runs of one
+    # algebra's list, each run with its failures anywhere in it
+    items = [
+        (a, [vf.CaseResult(a, route, margin, w) for route, margin, w in cases])
+        for a, cases in items
+    ]
+    tally = vf.CaseTally()
+    for a, cases in items:
+        tally.add(a, cases)
+    got = (
+        tally.count, tally.flagged, tally.failures, list(tally.route_counts.items()),
+        tally.worst_strict_margin, tally.worst_at,
+    )
+    assert got == _reference_fold(items)
+    # the failures are the very records, in the order added
+    want = _reference_fold(items)[2]
+    assert all(x is y for x, y in zip(tally.failures, want))
+
+
+def test_checks_and_export_build_no_instance_value(monkeypatch):
+    # with the part-to-value builder refusing every call, the involution
+    # route, the rows' labels and dims, and the export atlas still run for
+    # every algebra up to max-param 24: none of them reads a value
+    def refuse(part):
+        raise AssertionError("an instance value was built")
+
+    monkeypatch.setattr(inv, "_value", refuse)
+    entries = 0
+    for a in al.iter_noncompact_simple(24):
+        assert vf.check_involutions(a)
+        for e in inv.isotropy_entries(a):
+            assert len(e.labels) == len(e.dims_s) == len(e.parts) > 0
+            entries += 1
+    assert entries == 2091
+    assert len(cli.export_payload(24)["entries"]) == entries
+    with pytest.raises(AssertionError, match="value was built"):
+        e.instances
+
+
+def _value_equality_witness(a, h):
+    """The equality witness rule on instance values, as the rows state
+    them before they carried labels."""
+    if a.family is Family.SL_R:
+        return h == al.direct_sum(red(Family.SL_R, a.params[0] - 1), al.SPLIT_LINE)
+    if a.family is Family.SO:
+        p, q = a.params
+        if h == red(Family.SO, p, q - 1):
+            return True
+        return p == q and h == al.direct_sum(red(Family.SL_R, p), al.SPLIT_LINE)
+    return False
+
+
+def test_equality_witness_by_label_is_the_value_rule():
+    # every instance up to max-param 32, whatever its margin
+    checked = witnesses = 0
+    for a in al.iter_noncompact_simple(32):
+        for e in inv.isotropy_entries(a):
+            for h, label in zip(e.instances, e.labels):
+                by_label = vf._is_equality_witness(a, label)
+                assert by_label == _value_equality_witness(a, h), (al.render(a), label)
+                witnesses += by_label
+                checked += 1
+    assert checked > 40_000 and witnesses > 250
 
 
 def test_sweep_deterministic():
