@@ -8,11 +8,12 @@ free parameters of the printed tables; each instantiation is stated by its
 part, its `render` label and its dim S.
 
 Rows are written as plain specs (`_Row`: template, parts, constraints,
-kind, notes, labels, dims_s) by three helpers: `_one` for a single
-instance, `_sum_row` for the k+l=n, 1<=k<=l rows, and `_split_row` for the
-(kp,kq)+(lp,lq) signature splits of so/su/sp(p,q).  Each classical family
-has one row builder over its parameters, which `_CLASSICAL_ROWS` pairs with
-the family's source label.  An exceptional row is a catalog name, written
+kind, notes, labels, dims_s) by three helpers, which name and measure each
+instance as they build it: `_one` for a single instance, `_sum_row` for
+the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq)
+signature splits of so/su/sp(p,q).  Each classical family has one row
+builder over its parameters, which `_CLASSICAL_ROWS` pairs with the
+family's source label.  An exceptional row is a catalog name, written
 once in `_EXCEPTIONAL_ROWS`: the name is the row template, and
 `parse_algebra` of it the one instance.  The real-form rows of a complex
 exceptional algebra are read from the catalog's complexification column
@@ -22,15 +23,14 @@ exceptional algebra are read from the catalog's complexification column
 the instance equal to the ambient and repeats that low-rank isomorphisms
 create.  It compares instances by label: `render` is injective on
 canonical values, so equal labels mean equal instances.  Each entry
-states every instance's label and dim S (`labels`, `dims_s`), so a caller
-names and measures each instance once, and its `parts`, from which the
-`instances` property builds the catalog values only when they are read
-(`_value`).  A part is the value itself, or, for a split row's sum of two
-lone simple factors x and y, the plain tuple ``((x, y), c, 0)`` that
-`_split_row` states with the sum's label and dim S, without building the
-value; `check_involutions` reads labels and dims only, so a sweep builds a
-value for few of them.  Rows are built on each call and not kept: nothing
-in this module holds an algebra's rows after its caller lets them go.  The
+keeps every instance's label and dim S (`labels`, `dims_s`), which every
+route reads (`check_involutions`, and `max_fixed_dim` for the rank-one
+route, the product checks and f4(4)), so no route builds or measures an
+instance again.  The `instances` property builds the catalog values from
+`parts` when read (`_value`): a part is the value itself, or, for a split
+row's sum of two lone simple factors x and y, the plain tuple ``((x, y),
+c, 0)``.  Rows are built on each call and not kept: nothing in this
+module holds an algebra's rows after its caller lets them go.  The
 one structure kept is the part table `_PARTS`, which the split rows read
 their summands from: per family, references to canonical values, or to
 their lone simple factors, that `algebra`'s cache holds anyway.  It is
@@ -146,18 +146,17 @@ class _Row(NamedTuple):
     """A row spec: an IsotropyEntry without its ambient and source.
 
     ``parts`` are the instances as `IsotropyEntry` states them, before
-    deduplication.  ``labels`` and ``dims_s`` are None unless the builder
-    states them itself, aligned with ``parts``, as `_split_row` does; a
-    row without them holds catalog values only.
+    deduplication; ``labels`` and ``dims_s`` are each one's label and dim
+    S, aligned with ``parts``, from `_named` or `_split_row`'s part table.
     """
 
     template: str
     parts: list
-    constraints: tuple = ()
-    kind: str = LINEAR
-    notes: tuple = ()
-    labels: list = None
-    dims_s: list = None
+    constraints: tuple
+    kind: str
+    notes: tuple
+    labels: list
+    dims_s: list
 
 
 def _value(part):
@@ -186,16 +185,9 @@ def _entry(ambient, source, row):
     An instance equal to the ambient is dropped.  Both compare labels, not
     values: the parts are canonical, and `render` is injective on canonical
     values, so the first of each label keeps its place, as the first of
-    each value would.  Each kept instance keeps its part and dim S, and its
-    label is the row's own when the row states labels, else `_named`'s.
+    each value would.
     """
-    if row.labels is None:
-        kept = {}
-        for h in row.parts:
-            label, fixed = _named(h)
-            kept[label] = (h, fixed)
-    else:
-        kept = dict(zip(row.labels, zip(row.parts, row.dims_s)))
+    kept = dict(zip(row.labels, zip(row.parts, row.dims_s)))
     kept.pop(ambient.name, None)
     if not kept:
         return None
@@ -213,14 +205,16 @@ _SPLIT_NOTE = (
 
 def _one(template, instance, *constraints, kind=LINEAR, notes=()):
     """A row with a single instance."""
-    return _Row(template, [instance], constraints, kind, notes)
+    label, fixed = _named(instance)
+    return _Row(template, [instance], constraints, kind, notes, [label], [fixed])
 
 
 def _sum_row(template, n, build, letters="kl", kind=LINEAR):
     """A row over k+l=n, 1<=k<=l: one instance build(k, l) per k."""
     a, b = letters
     instances = [build(k, n - k) for k in range(1, n // 2 + 1)]
-    return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind)
+    labels, dims_s = map(list, zip(*map(_named, instances)))
+    return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind, (), labels, dims_s)
 
 
 # family -> its part table: _PARTS[family][a][b] stands for
@@ -311,7 +305,7 @@ def _split_row(template, family, p, q, compact_abelian=0):
                 labels.append(label)
                 dims_s.append(fixed)
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
-    return _Row(template, sums, constraints, notes=_SPLIT_NOTE, labels=labels, dims_s=dims_s)
+    return _Row(template, sums, constraints, LINEAR, _SPLIT_NOTE, labels, dims_s)
 
 
 def _pair(family, *extra):
@@ -552,7 +546,8 @@ def isotropy_entries(a):
 
 
 def instantiations(a):
-    """Every admissible (row, isotropy, dimensions) triple for `a`."""
+    """Every admissible (row, isotropy, dimensions) triple for `a`.  Nothing
+    in liecheck calls it; it stays while the benchmark tracer's layers name it."""
     out = []
     for entry in isotropy_entries(a):
         for h in entry.instances:
@@ -561,16 +556,17 @@ def instantiations(a):
 
 
 def max_fixed_dim(a):
-    """Largest fixed-space dimension over all rows, with its witness.
+    """(dim S, entry, label) of the largest fixed set, read off the rows.
 
-    Ties keep the earliest row in table order, so the reported witness is
+    Ties keep the first instance in table order, so the reported witness is
     deterministic.
     """
     best = None
-    for item in instantiations(a):
-        if best is None or item.space.dim_s > best.space.dim_s:
-            best = item
-    return best.space.dim_s, best
+    for entry in isotropy_entries(a):
+        top = max(entry.dims_s)
+        if best is None or top > best[0]:
+            best = (top, entry, entry.labels[entry.dims_s.index(top)])
+    return best
 
 
 def entry_payload(entry):

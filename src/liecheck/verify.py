@@ -223,14 +223,15 @@ def _noncompact_factors(factors) -> tuple:
 
 
 def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
-    """Settle a real rank one algebra, or return None if the rank is not 1."""
+    """Settle a real rank one algebra by `inv.max_fixed_dim`'s witness, or
+    return None if the rank is not 1."""
     a = require_simple(a)
     d = dims(a)
     if d.rk_r != 1:
         return None
-    best, top = inv.max_fixed_dim(a)
+    best, _, label = inv.max_fixed_dim(a)
     witness = "real rank one: largest involution fixed set %s (dim %d vs dim S - 1 = %d)" % (
-        render(top.isotropy),
+        label,
         best,
         d.dim_s - 1,
     )
@@ -320,12 +321,12 @@ def f44_equality_case() -> CaseResult:
     so the case is decided at the source instead: semisimple classes meet
     the fixed set of the involution with witness diag(-I8, 1) there, and
     every involution fixed set of the ambient algebra stays strictly
-    below the target.
+    below the target, by the dims its rows state.
     """
     a = simple(Family.F4_4)
     d = dims(a)
     target = d.dim_s - d.rk_r
-    fixed_dims = sorted({i.space.dim_s for i in inv.instantiations(a)}, reverse=True)
+    fixed_dims = sorted({x for e in inv.isotropy_entries(a) for x in e.dims_s}, reverse=True)
     margin = target - fixed_dims[0]
     witness = (
         "witness diag(-I8, 1) inside s(o(4)+o(5)): restriction to so(4,5) meets the "
@@ -528,8 +529,9 @@ def check_semisimple(factors) -> SemisimpleReport:
     The honest bound sums per-factor strict gaps; the naive single-factor
     estimate (fix everything except one factor) can exceed the summed
     target and is recorded to document why the per-factor route is
-    necessary.  Swap involutions between isomorphic factors fix a
-    diagonal and are checked separately.
+    necessary; it reads `inv.max_fixed_dim` once per distinct factor.
+    Swap involutions between isomorphic factors fix a diagonal and are
+    checked separately.
     """
     factors = _noncompact_factors(factors)
     if len(factors) < 2:
@@ -540,9 +542,8 @@ def check_semisimple(factors) -> SemisimpleReport:
     rk_min = min(d.rk_r for d in per)
     product_bound = sum(d.dim_s - d.rk_r for d in per)
     product_margin = (dim_s - rk_min) - product_bound
-    naive_fixed_dim = max(
-        dim_s - per[i].dim_s + inv.max_fixed_dim(factors[i])[0] for i in range(len(factors))
-    )
+    top = {a: inv.max_fixed_dim(a)[0] for a in dict.fromkeys(factors)}
+    naive_fixed_dim = max(dim_s - d.dim_s + top[a] for a, d in zip(factors, per))
     naive_bound = dim_s - rk_total
     duplicated = {a for a in factors if factors.count(a) >= 2}
     if duplicated:

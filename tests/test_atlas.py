@@ -17,9 +17,11 @@ from pathlib import Path
 import pytest
 
 from liecheck import algebras as al
+from liecheck import centralizers as ce
 from liecheck import involutions as inv
 from liecheck import matrixoracle as mo
 from liecheck.algebras import Family
+from liecheck.centralizers import SigFamily
 
 CPT = al.COMPACT_LINE
 SPLIT = al.SPLIT_LINE
@@ -98,23 +100,26 @@ def test_complex_sl5_row():
 
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_sl_n_c_maximum_is_corank_one(n):
-    value, best = inv.max_fixed_dim(A(Family.SL_C, n))
+    value, entry, label = inv.max_fixed_dim(A(Family.SL_C, n))
     assert value == (n - 1) ** 2
-    assert best.isotropy == plus(red(Family.SL_C, n - 1), CPT, SPLIT)
+    assert entry.template == "s(gl(k,C)+gl(l,C))"
+    assert label == al.render(plus(red(Family.SL_C, n - 1), CPT, SPLIT))
 
 
 def test_sl_3_c_maximum_is_the_split_form():
     # the lone case where an antilinear fixed set beats every linear one:
     # dim_s sl(3,R) = 5 > 4 = (n-1)^2
-    value, best = inv.max_fixed_dim(A(Family.SL_C, 3))
+    value, entry, label = inv.max_fixed_dim(A(Family.SL_C, 3))
     assert value == 5
-    assert best.isotropy == red(Family.SL_R, 3)
+    assert (entry.template, entry.kind) == ("sl(3,R)", "real_form")
+    assert label == al.render(red(Family.SL_R, 3))
 
 
 def test_sl_4_c_maximum_is_symplectic():
-    value, best = inv.max_fixed_dim(A(Family.SL_C, 4))
+    value, entry, label = inv.max_fixed_dim(A(Family.SL_C, 4))
     assert value == 10
-    assert best.isotropy == red(Family.SP_C, 2)
+    assert entry.template == "sp(4,C)"
+    assert label == al.render(red(Family.SP_C, 2))
 
 
 def test_real_sl6_row():
@@ -146,9 +151,10 @@ def test_sl_n_r_equality_witness(n):
     # the corank-one witness meets dim S - rk exactly; nothing exceeds it
     a = A(Family.SL_R, n)
     d = al.dims(a)
-    value, best = inv.max_fixed_dim(a)
+    value, entry, label = inv.max_fixed_dim(a)
     assert value == d.dim_s - d.rk_r
-    assert best.isotropy == plus(red(Family.SL_R, n - 1), SPLIT)
+    assert entry.template == "s(gl(k,R)+gl(l,R))"
+    assert label == al.render(plus(red(Family.SL_R, n - 1), SPLIT))
 
 
 def test_sl2r_has_no_self_row():
@@ -196,9 +202,10 @@ def test_so23_row():
         plus(red(Family.SL_R, 2), SPLIT),
     }
     assert instance_set(a) == expected
-    value, best = inv.max_fixed_dim(a)
+    value, entry, label = inv.max_fixed_dim(a)
     assert value == 4
-    assert best.isotropy == plus(red(Family.SL_R, 2), red(Family.SL_R, 2))
+    assert entry.template == "so(kp,kq)+so(lp,lq)"
+    assert label == al.render(plus(red(Family.SL_R, 2), red(Family.SL_R, 2)))
 
 
 def test_so33_has_both_equality_witnesses():
@@ -221,9 +228,10 @@ def test_sp12_row():
         plus(red(Family.SU, 1, 2), CPT),
     }
     assert instance_set(a) == expected
-    value, best = inv.max_fixed_dim(a)
+    value, entry, label = inv.max_fixed_dim(a)
     assert value == 4
-    assert best.isotropy == plus(red(Family.SU_CPT, 2), red(Family.SO, 1, 4))
+    assert entry.template == "sp(kp,kq)+sp(lp,lq)"
+    assert label == al.render(plus(red(Family.SU_CPT, 2), red(Family.SO, 1, 4)))
 
 
 def test_sp_r3_row():
@@ -241,9 +249,10 @@ def test_sp_r3_row():
 
 
 def test_sp_r4_maximum():
-    value, best = inv.max_fixed_dim(A(Family.SP_R, 4))
+    value, entry, label = inv.max_fixed_dim(A(Family.SP_R, 4))
     assert value == 14  # n*n - n + 2 at n = 4
-    assert best.isotropy == plus(red(Family.SP_R, 3), red(Family.SP_R, 1))
+    assert entry.template == "sp(2k,R)+sp(2l,R)"
+    assert label == al.render(plus(red(Family.SP_R, 3), red(Family.SP_R, 1)))
 
 
 def test_so_star4_row():
@@ -258,9 +267,10 @@ def test_so_star4_row():
         al.max_compact(a),
     }
     assert instance_set(a) == expected
-    value, best = inv.max_fixed_dim(a)
+    value, entry, label = inv.max_fixed_dim(a)
     assert value == 8
-    assert best.isotropy == plus(red(Family.SU, 2, 2), CPT)
+    assert entry.template == "u(k,l)"
+    assert label == al.render(plus(red(Family.SU, 2, 2), CPT))
 
 
 def test_sl_h3_row():
@@ -273,9 +283,10 @@ def test_sl_h3_row():
         al.max_compact(a),
     }
     assert instance_set(a) == expected
-    value, best = inv.max_fixed_dim(a)
+    value, entry, label = inv.max_fixed_dim(a)
     assert value == 8
-    assert best.isotropy == plus(red(Family.SL_C, 3), CPT)
+    assert entry.template == "gl(3,C)"
+    assert label == al.render(plus(red(Family.SL_C, 3), CPT))
 
 
 REAL_EXCEPTIONAL_ROWS = {
@@ -411,9 +422,10 @@ def test_complex_exceptional_rows(fam):
 
 
 def test_g2_real_maximum():
-    value, best = inv.max_fixed_dim(A(Family.G2_2))
+    value, entry, label = inv.max_fixed_dim(A(Family.G2_2))
     assert value == 4
-    assert best.isotropy == plus(red(Family.SL_R, 2), red(Family.SL_R, 2))
+    assert entry.template == "sl(2,R)+sl(2,R)"
+    assert label == al.render(plus(red(Family.SL_R, 2), red(Family.SL_R, 2)))
 
 
 def test_e7_m5_product_sign_note():
@@ -826,11 +838,27 @@ def test_split_rows_match_every_ordered_split():
             for h in want if e is row else e.instances:
                 dim_s = al.reductive_dims(h).dim_s
                 if best is None or dim_s > best[0]:
-                    best = (dim_s, e.template, h)
-        dim_s, item = inv.max_fixed_dim(a)
-        assert (dim_s, item.entry.template, item.isotropy) == best, al.render(a)
+                    best = (dim_s, e.template, al.render(h))
+        dim_s, entry, label = inv.max_fixed_dim(a)
+        assert (dim_s, entry.template, label) == best, al.render(a)
         checked += 1
     assert checked > 250
+
+
+def test_max_fixed_dim_is_the_first_maximum_over_instantiations():
+    # the rule max_fixed_dim stated before it read the rows' dims: over the
+    # measured (row, instance) triples in table order, the first whose
+    # dim S is strictly above every earlier one
+    checked = 0
+    for a in al.iter_noncompact_simple(32):
+        best = None
+        for item in inv.instantiations(a):
+            if best is None or item.space.dim_s > best.space.dim_s:
+                best = item
+        want = (best.space.dim_s, best.entry, al.render(best.isotropy))
+        assert inv.max_fixed_dim(a) == want, al.render(a)
+        checked += 1
+    assert checked == 985
 
 
 def test_entry_labels_and_dims_are_each_instance_rendered_and_measured():
@@ -911,3 +939,82 @@ def test_split_row_margins_have_a_closed_form():
             assert zeros == [], al.render(a)
         ambients += 1
     assert ambients == 1720
+
+
+# forms whose canonical algebra is not simple, so has no involution rows
+_SIGNATURE_FORMS_NOT_SIMPLE = {
+    (SigFamily.SO_PQ, (1, 1)): "so(1,1) is the line R",
+    (SigFamily.SO_PQ, (2, 2)): "so(2,2) is sl(2,R)+sl(2,R)",
+    (SigFamily.SOSTAR_2N, (2,)): "so*(4) is sl(2,R)+su(2)",
+}
+
+# forms whose signature maximum is below the atlas maximum, and why.  The
+# signature classes of su(p,q) and sp(p,q) are elements of SU(p,q) and
+# Sp(p,q), whose adjoint actions are inner automorphisms only, and every
+# family drops the one-rotation-class elements as central-like (`bound`)
+_SIGNATURE_FORMS_BELOW = {
+    (SigFamily.SU_PQ, (1, 1)): (
+        "sl(2,R)'s maximum, the split line R, is fixed by Ad(diag(1,-1)), outside the "
+        "identity component of Aut = PGL(2,R), the only one SU(1,1) acts through"
+    ),
+    (SigFamily.SU_PQ, (2, 2)): (
+        "so(2,4)'s maximum so(2,3) is fixed by a reflection, of determinant -1: outer, "
+        "since p+q is even; the so(p,q) family, elements of O(p,q), meets it"
+    ),
+    (SigFamily.SP_PQ, (1, 1)): (
+        "so(1,4)'s maximum so(1,3) = sl(2,C) is fixed by a reflection, outside the "
+        "identity component SO_0(1,4) that Sp(1,1) covers; the so(p,q) family meets it"
+    ),
+    (SigFamily.SP_PQ, (2, 2)): (
+        "sp(2,2)'s maximum sp(4,C) is fixed by an outer involution, which sp(p,q) has "
+        "only for p = q; Sp(2,2)'s own involutions fix the splits and u(2,2)"
+    ),
+    (SigFamily.SOSTAR_2N, (3,)): (
+        "so*(6)'s maximum su(1,2)+u(1) (row u(k,l)) is fixed by a one-rotation-class "
+        "element, 2*floor(n/2)*ceil(n/2) = 4 above bound's 2 at n = 3"
+    ),
+    (SigFamily.SOSTAR_2N, (4,)): (
+        "so*(8)'s maximum so(2,4)+u(1) (row u(k,l)) is fixed by a one-rotation-class "
+        "element, 2*floor(n/2)*ceil(n/2) = 8 above bound's 6 at n = 4"
+    ),
+}
+
+
+def test_involution_rows_are_the_worst_case_for_the_signature_families():
+    """No finite-order class of a signature family fixes more of S than the
+    involution rows of its canonical algebra state.
+
+    The forms are so(p,q), su(p,q) and sp(p,q) with 1 <= p <= q, p+q <= 8,
+    and so*(2n) with 2 <= n <= 8: every class from `enumerate_signatures`
+    against the largest non-Cartan ``dims_s`` of `isotropy_entries`.  The
+    two are equal except on `_SIGNATURE_FORMS_BELOW`, where the rows'
+    maximum is an automorphism the family's classes do not reach.  A form
+    above the rows would be a class the sweep misses; it is never added to
+    a list here.  Not covered: sl(n,R), sl(n,H), sp(2n,R) and the complex
+    families have no signature family, and the exceptional algebras none
+    either.
+    """
+    forms = [
+        (fam, (p, n - p))
+        for fam in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+        for n in range(2, 9)
+        for p in range(1, n // 2 + 1)
+    ]
+    forms += [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 9)]
+    not_simple, below = set(), set()
+    for form in forms:
+        fam, params = form
+        signature_max = max(map(ce.signature_dim, ce.enumerate_signatures(fam, params)))
+        a = al.as_simple(al.algebra(mo.SIG_AMBIENT[fam], *params))
+        if a is None:
+            not_simple.add(form)
+            continue
+        atlas_max = max(
+            max(e.dims_s) for e in inv.isotropy_entries(a) if e.kind != "compact"
+        )
+        assert signature_max <= atlas_max, (form, signature_max, atlas_max)
+        if signature_max < atlas_max:
+            below.add(form)
+    assert len(forms) == 55
+    assert not_simple == set(_SIGNATURE_FORMS_NOT_SIMPLE)
+    assert below == set(_SIGNATURE_FORMS_BELOW)
