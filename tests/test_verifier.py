@@ -738,6 +738,42 @@ def test_sweep_leaves_the_collector_as_it_found_it(monkeypatch, enabled):
     assert during and not any(during)
 
 
+def test_sweep_runs_no_collection_over_its_records():
+    # the records go to the oldest generation before the collector is back
+    # on, so no young pass scans them when the next allocation comes
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        assert gc.get_freeze_count() == 0
+        vf.sweep("all", 16)
+    finally:
+        gc.callbacks.remove(record)
+        _set_collector(was)
+    assert started == []
+
+
+def test_sweep_keeps_a_callers_frozen_objects_frozen():
+    was = gc.isenabled()
+    gc.enable()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        vf.sweep("all", 8)
+        assert gc.get_freeze_count() == frozen
+        assert gc.isenabled()
+    finally:
+        gc.unfreeze()
+        _set_collector(was)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_sweep_restores_the_collector_when_a_case_raises(monkeypatch, enabled):
     reached = []

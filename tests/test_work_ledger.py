@@ -3,7 +3,8 @@
 `sweep("all", 16)` runs in a fresh interpreter, so no cache is warm, with
 each counted function rebound in every liecheck module that holds it.  Each
 count in `CEILINGS` is a ceiling: a change may lower one, and says so when
-it does, but never raises one.  Beside the ceilings the ledger states where
+it does, but never raises one.  `gc_collections` counts the cyclic
+collections that start during the sweep, seen through `gc.callbacks`.  Beside the ceilings the ledger states where
 the work goes:
 
 - no route builds a row instance's value (`_value`) or calls
@@ -31,6 +32,7 @@ CEILINGS = {
     "reductive_dims": 29,
     "instantiations": 0,
     "_value": 0,
+    "gc_collections": 0,
 }
 
 # (module, function) of every caller allowed to measure with reductive_dims
@@ -42,7 +44,7 @@ NON_ROW_MEASURES = {
 }
 
 _CHILD = """
-import json, sys
+import gc, json, sys
 sys.path.insert(0, sys.argv[1])
 import liecheck.cli
 from liecheck import algebras as al, involutions as inv, verify as vf
@@ -76,7 +78,18 @@ for name, home in counted.items():
             if value is fn:
                 setattr(module, attr, wrapper)
 
+collections = []
+
+
+def collection_started(phase, info):
+    if phase == "start":
+        collections.append(info["generation"])
+
+
+gc.callbacks.append(collection_started)
 rep = vf.sweep("all", 16)
+gc.callbacks.remove(collection_started)
+counts["gc_collections"] = len(collections)
 print(json.dumps({
     "cases": len(rep.cases),
     "counts": counts,
