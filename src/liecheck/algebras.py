@@ -220,9 +220,8 @@ class ReductiveAlgebra(NamedTuple):
     gl(k,C)-style complex abelian summand is stored as one compact plus one
     split dimension.
 
-    `reductive`, and `involutions._split_row` for its sums of two simple
-    factors, build values with `tuple.__new__`, past the named tuple's own
-    `__new__`, so this class must not gain a `__new__` or validation.
+    `reductive` builds values with `tuple.__new__`, past the named tuple's
+    own `__new__`, so this class must not gain a `__new__` or validation.
     """
 
     simples: tuple[SimpleAlgebra, ...] = ()

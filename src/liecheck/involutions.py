@@ -5,10 +5,10 @@ of involution fixed-point sets (linear involutions, and for complex ambient
 algebras also the antilinear ones, whose fixed sets are the real forms), plus
 one synthetic row for the Cartan involution.  Row templates keep the
 free parameters of the printed tables; each instantiation is stated by its
-part, its `render` label and its dim S.
+`render` label and its dim S, and by nothing else.
 
-Rows are written as plain specs (`_Row`: template, parts, constraints,
-kind, notes, labels, dims_s) by three helpers, which name and measure each
+Rows are written as plain specs (`_Row`: template, constraints, kind,
+notes, labels, dims_s) by three helpers, which name and measure each
 instance as they build it: `_one` for a single instance, `_sum_row` for
 the k+l=n, 1<=k<=l rows, and `_split_row` for the (kp,kq)+(lp,lq)
 signature splits of so/su/sp(p,q).  Each classical family has one row
@@ -28,18 +28,17 @@ ambient's; any other row keeps its lists as they stand.  Each entry
 keeps every instance's label and dim S (`labels`, `dims_s`), which every
 route reads (`check_involutions`, and `max_fixed_dim` for the rank-one
 route, the product checks and f4(4)), so no route builds or measures an
-instance again.  The `instances` property builds the catalog values from
-`parts` when read (`_value`): a part is the value itself, or, for a split
-row's sum of two lone simple factors x and y, the plain tuple ``((x, y),
-c, 0)``.  Rows are built on each call and not kept: nothing in this
-module holds an algebra's rows after its caller lets them go.  The
-one structure kept is the part table `_PARTS`, which the split rows read
-their summands from: per family, references to canonical values, or to
-their lone simple factors, that `algebra`'s cache holds anyway.  It is
-empty at import and grows on demand: an entry (a, b) exists only if a
-split row of some (p, q) with a <= p and b <= q was built, so a + b never
-exceeds the largest size parameter swept.  Algebras whose size parameter
-exceeds `SIZE_LIMIT` get no rows.
+instance again.  A label is the instance: the `instances` property parses
+the labels back into catalog values when read.  Rows are built on each
+call and not kept: nothing in this module holds an algebra's rows after
+its caller lets them go.  The one structure kept is the part table
+`_PARTS`, which the split rows read their summands from: per family,
+references to canonical values, or to their lone simple factors, that
+`algebra`'s cache holds anyway.  It is empty at import and grows on
+demand: an entry (a, b) exists only if a split row of some (p, q) with
+a <= p and b <= q was built, so a + b never exceeds the largest size
+parameter swept.  Algebras whose size parameter exceeds `SIZE_LIMIT` get
+no rows.
 
 The two forms whose outer automorphism group has order-3 elements,
 `TRIALITY_FORMS`, carry a separate list of order-3 fixed-point classes
@@ -56,7 +55,6 @@ from typing import NamedTuple
 
 from .algebras import (
     _canonical,
-    _new_tuple,
     COMPACT,
     COMPACT_LINE,
     SIZE_LIMIT,
@@ -104,13 +102,12 @@ class UnsupportedAlgebra(InputError):
 class IsotropyEntry(NamedTuple):
     """One classification row: a template plus its admissible instances.
 
-    ``parts``, ``labels`` and ``dims_s`` are aligned, one item per instance:
-    ``parts[i]`` is the instance or the plain tuple of its fields (see
-    `_value`), ``labels[i]`` its ``render`` text and ``dims_s[i]`` its dim S
-    (its split abelian dimension plus each simple factor's
-    ``space.dim_s``), stated once here so that no reader re-derives them
-    per case.  ``instances`` builds the catalog values from ``parts`` on
-    each read; a reader of labels and dims alone builds none.
+    ``labels`` and ``dims_s`` are aligned, one item per instance:
+    ``labels[i]`` is its ``render`` text and ``dims_s[i]`` its dim S (its
+    split abelian dimension plus each simple factor's ``space.dim_s``),
+    stated once here so that no reader re-derives them per case.
+    ``instances`` parses the labels on each read; a reader of labels and
+    dims alone builds no value.
     """
 
     ambient: SimpleAlgebra
@@ -118,15 +115,14 @@ class IsotropyEntry(NamedTuple):
     constraints: tuple
     source: str
     kind: str
-    parts: tuple
-    notes: tuple = ()
-    labels: tuple = ()
-    dims_s: tuple = ()
+    notes: tuple
+    labels: tuple
+    dims_s: tuple
 
     @property
     def instances(self) -> tuple:
         """The row's instances as ReductiveAlgebra values, in row order."""
-        return tuple(map(_value, self.parts))
+        return tuple(map(parse_algebra, self.labels))
 
 
 class Instantiation(NamedTuple):
@@ -147,26 +143,16 @@ class TrialityClass(NamedTuple):
 class _Row(NamedTuple):
     """A row spec: an IsotropyEntry without its ambient and source.
 
-    ``parts`` are the instances as `IsotropyEntry` states them, before
-    deduplication; ``labels`` and ``dims_s`` are each one's label and dim
-    S, aligned with ``parts``, from `_named` or `_split_row`'s part table.
+    ``labels`` and ``dims_s`` state each instance before deduplication, as
+    `_named` or `_split_row`'s part table gives them.
     """
 
     template: str
-    parts: list
     constraints: tuple
     kind: str
     notes: tuple
     labels: list
     dims_s: list
-
-
-def _value(part):
-    """The ReductiveAlgebra a part stands for: the part itself when it is
-    one, else a value made by one ``tuple.__new__`` from its fields."""
-    if part.__class__ is ReductiveAlgebra:
-        return part
-    return _new_tuple(ReductiveAlgebra, part)
 
 
 def _named(h):
@@ -184,28 +170,23 @@ def _entry(ambient, source, row):
     involution classes with isomorphic fixed algebras keep one instance.
     su(7,7)'s split row, for one, drops 12 instances such as (kp,kq) against
     (kq,kp), and distinct splits can coincide through low-rank isomorphisms.
-    An instance equal to the ambient is dropped.  Both compare labels, not
-    values: the parts are canonical, and `render` is injective on canonical
-    values, so the first of each label keeps its place, as the first of
-    each value would.  Most rows repeat no label and miss the ambient (69
-    of the 6,641 rows up to max-param 48 do not), and their entry keeps
-    the row's lists as they stand.
+    An instance equal to the ambient is dropped.  Both compare labels:
+    each is the `render` text of a canonical value, and `render` is
+    injective on canonical values, so the first of each label keeps its
+    place, as the first of each value would.  Most rows repeat no label
+    and miss the ambient (69 of the 6,641 rows up to max-param 48 do not),
+    and their entry keeps the row's lists as they stand.
     """
-    labels = row.labels
+    labels, dims_s = row.labels, row.dims_s
     if ambient.name in labels or len(set(labels)) < len(labels):
-        kept = dict(zip(labels, zip(row.parts, row.dims_s)))
+        kept = dict(zip(labels, dims_s))
         kept.pop(ambient.name, None)
-        if not kept:
-            return None
-        parts, dims_s = zip(*kept.values())
-        labels = tuple(kept)
-    elif not labels:
+        labels, dims_s = kept, kept.values()
+    if not labels:
         return None
-    else:
-        parts, dims_s, labels = tuple(row.parts), tuple(row.dims_s), tuple(labels)
     return IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, parts, row.notes,
-        labels, dims_s,
+        ambient, row.template, row.constraints, source, row.kind, row.notes,
+        tuple(labels), tuple(dims_s),
     )
 
 
@@ -217,15 +198,15 @@ _SPLIT_NOTE = (
 def _one(template, instance, *constraints, kind=LINEAR, notes=()):
     """A row with a single instance."""
     label, fixed = _named(instance)
-    return _Row(template, [instance], constraints, kind, notes, [label], [fixed])
+    return _Row(template, constraints, kind, notes, [label], [fixed])
 
 
 def _sum_row(template, n, build, letters="kl", kind=LINEAR):
     """A row over k+l=n, 1<=k<=l: one instance build(k, l) per k."""
     a, b = letters
-    instances = [build(k, n - k) for k in range(1, n // 2 + 1)]
-    labels, dims_s = map(list, zip(*map(_named, instances)))
-    return _Row(template, instances, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind, (), labels, dims_s)
+    named = [_named(build(k, n - k)) for k in range(1, n // 2 + 1)]
+    labels, dims_s = map(list, zip(*named))
+    return _Row(template, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind, (), labels, dims_s)
 
 
 # family -> its part table: _PARTS[family][a][b] stands for
@@ -280,19 +261,17 @@ def _split_row(template, family, p, q, compact_abelian=0):
     and kq starts at 1 when kp == 0.
 
     The split rows hold most of the instances a sweep states, so each one
-    is stated here with its label and dim S (the row's ``labels`` and
-    ``dims_s``) from the parts, read from the family's part table (`_parts`)
-    by index.  When both parts are lone simple factors x and y, one
-    ``sort_key`` comparison orders them as `reductive` would, the instance's
-    part is the plain tuple ``((x, y), c, 0)`` (c = ``compact_abelian``;
-    `_value` makes the value only when it is read), its label is ``x+y``
-    (``+u(1)`` on su rows) and its dim S is the sum of theirs.  Any other
-    pair (a trivial, abelian or two-factor part) goes through `reductive`
-    and `_named`, and its part is the value.
+    is stated here by its label and dim S (the row's ``labels`` and
+    ``dims_s``) from its two summands, read from the family's part table
+    (`_parts`) by index.  When both are lone simple factors x and y, one
+    ``sort_key`` comparison orders them as `reductive` would, the label is
+    ``x+y`` (``+u(1)`` on su rows) and the dim S is the sum of theirs, with
+    no value built.  Any other pair (a trivial, abelian or two-factor
+    summand) goes through `reductive` and `_named`.
     """
     parts = _parts(family, p, q)
     tail = "+u(1)" * compact_abelian
-    sums, labels, dims_s = [], [], []
+    labels, dims_s = [], []
     for kp in range(p // 2 + 1):
         lp = p - kp
         k_parts, l_parts = parts[kp], parts[lp]
@@ -301,22 +280,19 @@ def _split_row(template, family, p, q, compact_abelian=0):
             if x.__class__ is SimpleAlgebra and y.__class__ is SimpleAlgebra:
                 if y.sort_key < x.sort_key:
                     x, y = y, x
-                sums.append(((x, y), compact_abelian, 0))
                 labels.append(f"{x.name}+{y.name}{tail}")
                 dims_s.append(x.space.dim_s + y.space.dim_s)
             else:
                 x, y = _canonical(family, kp, kq), _canonical(family, lp, q - kq)
-                h = reductive(
+                label, fixed = _named(reductive(
                     x.simples + y.simples,
                     x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
                     x.split_abelian_dim + y.split_abelian_dim,
-                )
-                label, fixed = _named(h)
-                sums.append(h)
+                ))
                 labels.append(label)
                 dims_s.append(fixed)
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
-    return _Row(template, sums, constraints, LINEAR, _SPLIT_NOTE, labels, dims_s)
+    return _Row(template, constraints, LINEAR, _SPLIT_NOTE, labels, dims_s)
 
 
 def _pair(family, *extra):

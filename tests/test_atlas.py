@@ -12,6 +12,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,26 @@ def instance_set(a):
     for e in inv.isotropy_entries(a):
         out.update(e.instances)
     return out
+
+
+_token_value = lru_cache(maxsize=None)(al.parse_algebra)
+
+
+@lru_cache(maxsize=None)
+def label_value(label):
+    """The value a row label names, as `IsotropyEntry.instances` parses it.
+
+    `parse_algebra` of a sum is the direct sum of its summands' values, so
+    each summand is parsed once per test run and the sums are built here,
+    once per label: the tests that read every label up to max-param 32
+    share them.
+    """
+    return al.direct_sum(*map(_token_value, label.split("+")))
+
+
+def states(values):
+    """The labels and dims S a row states for the instances `values`."""
+    return [al.render(h) for h in values], [al.reductive_dims(h).dim_s for h in values]
 
 
 def test_input_must_be_canonical_and_noncompact():
@@ -479,13 +500,15 @@ def test_association_balances_every_row_set(rows_24):
     repeats = 0
     for a, entries in rows_24.items():
         d = al.dims(a)
-        listed = [h for e in entries if e.kind != "compact" for h in e.instances]
+        listed = [label for e in entries if e.kind != "compact" for label in e.labels]
         (cartan,) = [e for e in entries if e.kind == "compact"]
-        if cartan.instances[0] in listed:
+        if cartan.labels[0] in listed:
             repeats += 1
         else:
-            listed.append(cartan.instances[0])
-        count = Counter((x.dim_k, x.dim_s) for x in map(al.reductive_dims, listed))
+            listed.append(cartan.labels[0])
+        count = Counter(
+            (x.dim_k, x.dim_s) for x in (al.reductive_dims(label_value(label)) for label in listed)
+        )
         count[d.dim_k, d.dim_s] += 1  # the identity
         for (dim_k, dim_s), n in count.items():
             assert count[dim_k, d.dim_s - dim_s] == n, (al.render(a), dim_k, dim_s)
@@ -507,9 +530,11 @@ def test_real_rows_complexify_into_the_complex_rows(rows_24):
         g_c = al.complexify(a)
         (c,) = g_c.simples
         complex_rows = rows_24[c] if c in rows_24 else inv.isotropy_entries(c)
-        targets = {g_c, *(h for e in complex_rows if e.kind == "linear" for h in e.instances)}
+        targets = {
+            g_c, *(label_value(x) for e in complex_rows if e.kind == "linear" for x in e.labels)
+        }
         for e in entries:
-            for h in e.instances:
+            for h in map(label_value, e.labels):
                 lines = [line] * (h.compact_abelian_dim + h.split_abelian_dim)
                 h_c = plus(*map(al.complexify, h.simples), *lines)
                 assert h_c in targets, (al.render(a), al.render(h), al.render(h_c))
@@ -657,14 +682,6 @@ def _reference_split_instances(a):
     return template, tuple(dict.fromkeys(h for h in built if h != ambient))
 
 
-def _row_values(row):
-    """The values a row's parts stand for, each checked to be exactly a
-    ReductiveAlgebra, as `IsotropyEntry.instances` builds them."""
-    values = [inv._value(part) for part in row.parts]
-    assert all(type(h) is al.ReductiveAlgebra for h in values)
-    return values
-
-
 def test_split_row_is_every_unordered_split():
     # _split_row's closed-form ranges against the condition they state
     for fam, (template, extra) in _SPLIT_ROWS.items():
@@ -677,7 +694,7 @@ def test_split_row_is_every_unordered_split():
                     if (0, 0) != (kp, kq) <= (p - kp, q - kq)
                 ]
                 row = inv._split_row(template, fam, p, q, len(extra))
-                assert _row_values(row) == want, (fam, p, q)
+                assert (row.labels, row.dims_s) == states(want), (fam, p, q)
 
 
 def _part_entry(fam, a, b):
@@ -714,9 +731,7 @@ def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
             used.update(part for split in splits for part in split)
             want = [plus(x, y, *extra) for x, y in splits]
             row = inv._split_row(template, fam, p, q, len(extra))
-            assert _row_values(row) == want, (fam, p, q)
-            assert row.labels == [al.render(h) for h in want], (fam, p, q)
-            assert row.dims_s == [al.reductive_dims(h).dim_s for h in want], (fam, p, q)
+            assert (row.labels, row.dims_s) == states(want), (fam, p, q)
         if fam is Family.SO:
             assert {al.TRIVIAL_ALGEBRA, SPLIT, CPT, red(Family.SO, 2, 2)} <= used
         # the table holds exactly the boxes asked for, each entry its part's
@@ -829,8 +844,9 @@ def test_split_rows_match_every_ordered_split():
             assert rows == []
             continue
         (row,) = rows
-        # same values in the same first-occurrence order, not only as sets
-        assert row.instances == want, al.render(a)
+        # same values in the same first-occurrence order, not only as sets;
+        # `render` is injective on canonical values, so labels compare them
+        assert row.labels == tuple(map(al.render, want)), al.render(a)
         # max_fixed_dim keeps the earliest instance among ties, so the
         # witness depends on that order too
         best = None
@@ -847,40 +863,43 @@ def test_split_rows_match_every_ordered_split():
 
 def test_max_fixed_dim_is_the_first_maximum_over_instantiations():
     # the rule max_fixed_dim stated before it read the rows' dims: over the
-    # measured (row, instance) triples in table order, the first whose
-    # dim S is strictly above every earlier one
+    # (row, instance) pairs in table order, each instance measured from its
+    # value, the first whose dim S is strictly above every earlier one
     checked = 0
     for a in al.iter_noncompact_simple(32):
         best = None
-        for item in inv.instantiations(a):
-            if best is None or item.space.dim_s > best.space.dim_s:
-                best = item
-        want = (best.space.dim_s, best.entry, al.render(best.isotropy))
-        assert inv.max_fixed_dim(a) == want, al.render(a)
+        for e in inv.isotropy_entries(a):
+            for label in e.labels:
+                dim_s = al.reductive_dims(label_value(label)).dim_s
+                if best is None or dim_s > best[0]:
+                    best = (dim_s, e, label)
+        assert inv.max_fixed_dim(a) == best, al.render(a)
         checked += 1
     assert checked == 985
 
 
 def test_entry_labels_and_dims_are_each_instance_rendered_and_measured():
-    # the labels and dims the rows state, against render and reductive_dims
-    # of each instance; every family's rows, the split rows' general path
-    # included, up to max-param 32
+    # each label is the render text of the value it names, and each dim S
+    # that value's, by reductive_dims; every family's rows, the split rows'
+    # general path included, up to max-param 32
     checked = 0
     for a in al.iter_noncompact_simple(32):
         for e in inv.isotropy_entries(a):
-            assert e.labels == tuple(map(al.render, e.instances)), (al.render(a), e.template)
-            assert e.dims_s == tuple(al.reductive_dims(h).dim_s for h in e.instances), (
+            labels, dims_s = states([label_value(label) for label in e.labels])
+            assert (e.labels, e.dims_s) == (tuple(labels), tuple(dims_s)), (
                 al.render(a),
                 e.template,
             )
-            checked += len(e.instances)
+            checked += len(labels)
     assert checked > 40_000
 
 
 def test_raw_row_labels_are_equal_exactly_when_values_are():
     # `_entry` drops repeats and the ambient by label; that keeps what a
-    # drop by value keeps only if, within each row's raw parts (and the
-    # ambient), equal labels go with equal values and unequal with unequal
+    # drop by value keeps only if, within each row's raw labels (and the
+    # ambient's), equal labels go with equal values and unequal with
+    # unequal.  Each raw label is the render text of the value it names, so
+    # it is canonical: two labels naming one value would render alike
     checked = 0
     for a in al.iter_noncompact_simple(32):
         if a.family in inv._CLASSICAL_ROWS:
@@ -888,10 +907,9 @@ def test_raw_row_labels_are_equal_exactly_when_values_are():
         else:
             rows = inv._exceptional_rows(a)[1]
         for row in rows:
-            values = [inv._value(part) for part in row.parts]
-            labels = [al.render(h) for h in values]
-            if row.labels is not None:
-                assert row.labels == labels, (al.render(a), row.template)
+            labels = row.labels
+            values = [label_value(label) for label in labels]
+            assert labels == [al.render(h) for h in values], (al.render(a), row.template)
             pairs = set(zip(labels, values))
             pairs.add((al.render(a), al.reductive((a,))))
             assert len(pairs) == len({x for x, _ in pairs}) == len({h for _, h in pairs}), (
@@ -905,14 +923,13 @@ def test_raw_row_labels_are_equal_exactly_when_values_are():
 def _deduped_entry(ambient, source, row):
     # the reference: every row through a label-keyed dict, the rule `_entry`
     # keeps for rows that repeat a label or hold the ambient's
-    kept = dict(zip(row.labels, zip(row.parts, row.dims_s)))
+    kept = dict(zip(row.labels, row.dims_s))
     kept.pop(ambient.name, None)
     if not kept:
         return None
-    parts, dims_s = zip(*kept.values())
     return inv.IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, parts, row.notes,
-        tuple(kept), dims_s,
+        ambient, row.template, row.constraints, source, row.kind, row.notes,
+        tuple(kept), tuple(kept.values()),
     )
 
 
@@ -937,7 +954,7 @@ def test_entries_are_the_label_dedupe_of_their_rows():
             deduped += a.name in row.labels or len(set(row.labels)) < len(row.labels)
     assert (rows_seen, deduped) == (6641, 69)
     a = A(Family.SL_R, 5)
-    assert inv._entry(a, "t", inv._Row("t", [], (), inv.LINEAR, (), [], [])) is None
+    assert inv._entry(a, "t", inv._Row("t", (), inv.LINEAR, (), [], [])) is None
     assert inv._entry(a, "t", inv._one("t", al.reductive((a,)))) is None
 
 
@@ -971,9 +988,9 @@ def test_split_row_margins_have_a_closed_form():
         ]
         assert not Counter(margins) - Counter(formula), al.render(a)
         assert min(margins) == min(formula), al.render(a)
-        zeros = [h for h, m in zip(row.instances, margins) if m == 0]
+        zeros = [label for label, m in zip(row.labels, margins) if m == 0]
         if a.family is Family.SO:
-            assert zeros == [red(Family.SO, p, q - 1)], al.render(a)
+            assert zeros == [al.render(red(Family.SO, p, q - 1))], al.render(a)
         else:
             assert zeros == [], al.render(a)
         ambients += 1

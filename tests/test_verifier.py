@@ -587,18 +587,18 @@ def test_case_tally_run_fold_equals_a_case_by_case_fold(items):
 
 
 def test_checks_and_export_build_no_instance_value(monkeypatch):
-    # with the part-to-value builder refusing every call, the involution
+    # with `IsotropyEntry.instances` refusing every read, the involution
     # route, the rows' labels and dims, and the export atlas still run for
     # every algebra up to max-param 24: none of them reads a value
-    def refuse(part):
+    def refuse(entry):
         raise AssertionError("an instance value was built")
 
-    monkeypatch.setattr(inv, "_value", refuse)
+    monkeypatch.setattr(inv.IsotropyEntry, "instances", property(refuse))
     entries = 0
     for a in al.iter_noncompact_simple(24):
         assert vf.check_involutions(a)
         for e in inv.isotropy_entries(a):
-            assert len(e.labels) == len(e.dims_s) == len(e.parts) > 0
+            assert len(e.labels) == len(e.dims_s) > 0
             entries += 1
     assert entries == 2091
     assert len(cli.export_payload(24)["entries"]) == entries
@@ -606,27 +606,34 @@ def test_checks_and_export_build_no_instance_value(monkeypatch):
         e.instances
 
 
-def _value_equality_witness(a, h):
-    """The equality witness rule on instance values, as the rows state
-    them before they carried labels."""
+def _value_equality_witnesses(a):
+    """The equality witnesses of `a` as values, as the rows stated them
+    before they carried labels."""
     if a.family is Family.SL_R:
-        return h == al.direct_sum(red(Family.SL_R, a.params[0] - 1), al.SPLIT_LINE)
+        return [al.direct_sum(red(Family.SL_R, a.params[0] - 1), al.SPLIT_LINE)]
     if a.family is Family.SO:
         p, q = a.params
-        if h == red(Family.SO, p, q - 1):
-            return True
-        return p == q and h == al.direct_sum(red(Family.SL_R, p), al.SPLIT_LINE)
-    return False
+        witnesses = [red(Family.SO, p, q - 1)]
+        if p == q:
+            witnesses.append(al.direct_sum(red(Family.SL_R, p), al.SPLIT_LINE))
+        return witnesses
+    return []
 
 
 def test_equality_witness_by_label_is_the_value_rule():
-    # every instance up to max-param 32, whatever its margin
+    # every instance up to max-param 32, whatever its margin.  An instance
+    # can equal a witness only if it has the witness's dim S, which the row
+    # states (`test_entry_labels_and_dims_are_each_instance_rendered_and_measured`
+    # pins it to the value), so only those labels are parsed into values
     checked = witnesses = 0
     for a in al.iter_noncompact_simple(32):
+        values = _value_equality_witnesses(a)
+        dims_s = {al.reductive_dims(h).dim_s for h in values}
         for e in inv.isotropy_entries(a):
-            for h, label in zip(e.instances, e.labels):
+            for label, fixed in zip(e.labels, e.dims_s):
                 by_label = vf._is_equality_witness(a, label)
-                assert by_label == _value_equality_witness(a, h), (al.render(a), label)
+                by_value = fixed in dims_s and al.parse_algebra(label) in values
+                assert by_label == by_value, (al.render(a), label)
                 witnesses += by_label
                 checked += 1
     assert checked > 40_000 and witnesses > 250

@@ -2,11 +2,11 @@
 
 A witness is the text a case prints; `check_involutions` builds it from
 each row's `labels` and `dims_s`, which `involutions._split_row` states
-from its parts and `involutions._entry` from `render` and a fixed-dimension
-sum.  Here each one is parsed back with `parse_algebra` and measured with
-`reductive_dims`, a route that shares none of those, so a slip in any shows
-as the case it breaks, where the frozen digests of `test_golden_output.py`
-say only that something changed.
+from its two summands and `involutions._named` from `render` and a
+fixed-dimension sum.  Here each one is parsed back with `parse_algebra` and
+measured with `reductive_dims`, a route that shares none of those, so a
+slip in any shows as the case it breaks, where the frozen digests of
+`test_golden_output.py` say only that something changed.
 """
 
 import re
@@ -112,11 +112,13 @@ def _round_trips(h):
 
 
 def test_every_row_instance_renders_and_parses_back():
+    # each instance is its label parsed, and renders back to that label
     checked = 0
     for a in al.iter_noncompact_simple(16):
         for entry in inv.isotropy_entries(a):
-            for h in entry.instances:
-                assert _round_trips(h), (al.render(a), entry.template, h)
+            for label, h in zip(entry.labels, entry.instances):
+                assert type(h) is al.ReductiveAlgebra, (al.render(a), entry.template, label)
+                assert al.render(h) == label, (al.render(a), entry.template, label)
                 checked += 1
     assert checked == 4_894
 

@@ -7,10 +7,15 @@ it does, but never raises one.  `gc_collections` counts the cyclic
 collections that start during the sweep, seen through `gc.callbacks`.  Beside the ceilings the ledger states where
 the work goes:
 
-- no route builds a row instance's value (`_value`) or calls
-  `instantiations`, and `reductive_dims` is called only from the routes
-  that measure something other than a row instance (the restricted-form
-  and maximal-rank tables and the triality classes);
+- no route calls `instantiations` or reads a row's `instances`: the
+  `parse_algebra` ceiling counts only the catalog names a cold sweep
+  parses (the exceptional rows, the catalog's coincidence, compact-form
+  and complexification columns, and the restricted-form table), so
+  parsing the labels of even one classical row back into values breaks
+  it;
+- `reductive_dims` is called only from the routes that measure something
+  other than a row instance (the restricted-form and maximal-rank tables
+  and the triality classes);
 - `max_fixed_dim` is called once per rank-one algebra and once per
   distinct factor of each product check.
 """
@@ -31,7 +36,7 @@ CEILINGS = {
     "reductive": 2072,
     "reductive_dims": 29,
     "instantiations": 0,
-    "_value": 0,
+    "parse_algebra": 243,
     "gc_collections": 0,
 }
 
@@ -50,8 +55,8 @@ import liecheck.cli
 from liecheck import algebras as al, involutions as inv, verify as vf
 
 counted = {
-    "isotropy_entries": inv, "max_fixed_dim": inv, "instantiations": inv, "_value": inv,
-    "render": al, "reductive": al, "reductive_dims": al,
+    "isotropy_entries": inv, "max_fixed_dim": inv, "instantiations": inv,
+    "parse_algebra": al, "render": al, "reductive": al, "reductive_dims": al,
 }
 counts = dict.fromkeys(counted, 0)
 callers = set()
