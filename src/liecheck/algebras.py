@@ -218,10 +218,8 @@ class ReductiveAlgebra(NamedTuple):
     An immutable named tuple ``(simples, compact_abelian_dim,
     split_abelian_dim)`` that compares and hashes as that tuple.  A
     gl(k,C)-style complex abelian summand is stored as one compact plus one
-    split dimension.
-
-    `reductive` builds values with `tuple.__new__`, past the named tuple's
-    own `__new__`, so this class must not gain a `__new__` or validation.
+    split dimension.  Canonical values list their simple factors in
+    ``sort_key`` order, as `reductive` and `direct_sum` build them.
     """
 
     simples: tuple[SimpleAlgebra, ...] = ()
@@ -263,26 +261,11 @@ class OutGroup(NamedTuple):
 
 
 _SORT_KEY = attrgetter("sort_key")
-_new_tuple = tuple.__new__
 
 
 def reductive(simples=(), compact_abelian=0, split_abelian=0):
-    """The ReductiveAlgebra of these factors, in sort-key order, and abelian dims.
-
-    The split rows build most of a sweep's sums here, one call per
-    instance, so the call does no more than it must: two factors are
-    ordered by one comparison, and the value is made by one
-    `tuple.__new__`, without the named tuple's `__new__`.
-    """
-    simples = tuple(simples)
-    if len(simples) == 2:
-        # the split rows' sums: one comparison orders them as sorted() would
-        x, y = simples
-        if y.sort_key < x.sort_key:
-            simples = (y, x)
-    elif len(simples) > 2:
-        simples = tuple(sorted(simples, key=_SORT_KEY))
-    return _new_tuple(ReductiveAlgebra, (simples, compact_abelian, split_abelian))
+    """The ReductiveAlgebra of these factors, in sort-key order, and abelian dims."""
+    return ReductiveAlgebra(tuple(sorted(simples, key=_SORT_KEY)), compact_abelian, split_abelian)
 
 
 def direct_sum(*parts: ReductiveAlgebra) -> ReductiveAlgebra:

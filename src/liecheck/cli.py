@@ -27,10 +27,6 @@ from .centralizers import SigFamily
 EXIT_BROKEN_PIPE = 141
 
 
-def _out_name(iso) -> str:
-    return "trivial" if iso.name == "TRIVIAL" else iso.name
-
-
 def _cmd_info(args) -> int:
     # every line is built before any is printed, so an input rejected
     # halfway (a compact algebra has no max compact) leaves stdout empty
@@ -49,7 +45,7 @@ def _cmd_info(args) -> int:
     if a is not None:
         out = al.out_group(a)
         lines += [
-            "out = %s (exponent %d)" % (_out_name(out.iso_type), out.exponent),
+            "out = %s (exponent %d)" % (out.iso_type.value, out.exponent),
             "max compact: %s" % al.render(al.max_compact(a)),
             "complexification: %s" % al.render(al.complexify(a)),
         ]

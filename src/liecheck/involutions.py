@@ -65,12 +65,12 @@ from .algebras import (
     SimpleAlgebra,
     SpaceDims,
     algebra,
+    as_simple,
     direct_sum,
     is_canonical,
     max_compact,
     parse_algebra,
     real_forms,
-    reductive,
     reductive_dims,
     render,
     require_simple,
@@ -221,14 +221,6 @@ _PARTS = {}
 _PARTS_LOCK = threading.Lock()
 
 
-def _part(value):
-    """The part-table entry for the canonical value `value`."""
-    simples = value.simples
-    if len(simples) == 1 and not value.compact_abelian_dim and not value.split_abelian_dim:
-        return simples[0]
-    return value
-
-
 def _parts(family, p, q):
     """The part table of `family`, grown to hold every (a, b) with a <= p, b <= q."""
     table = _PARTS.get(family)
@@ -243,7 +235,8 @@ def _parts(family, p, q):
                 table.append([None] if a == 0 else [])
             row = table[a]
             for b in range(len(row), q + 1):
-                row.append(_part(_canonical(family, a, b)))
+                value = _canonical(family, a, b)
+                row.append(as_simple(value) or value)
     return table
 
 
@@ -263,14 +256,17 @@ def _split_row(template, family, p, q, compact_abelian=0):
     The split rows hold most of the instances a sweep states, so each one
     is stated here by its label and dim S (the row's ``labels`` and
     ``dims_s``) from its two summands, read from the family's part table
-    (`_parts`) by index.  When both are lone simple factors x and y, one
-    ``sort_key`` comparison orders them as `reductive` would, the label is
-    ``x+y`` (``+u(1)`` on su rows) and the dim S is the sum of theirs, with
-    no value built.  Any other pair (a trivial, abelian or two-factor
-    summand) goes through `reductive` and `_named`.
+    (`_parts`) by index.  When both are lone simple factors x and y (97% of
+    the split instances up to max-param 48), one ``sort_key`` comparison
+    orders them as `reductive` would, the label is ``x+y`` (``+u(1)`` on su
+    rows) and the dim S is the sum of theirs, with no value built.  Any
+    other pair (a trivial, abelian or two-factor summand) is built by
+    `direct_sum` from the two canonical values (and u(1) on su rows) and
+    named by `_named`.
     """
     parts = _parts(family, p, q)
     tail = "+u(1)" * compact_abelian
+    extra = (COMPACT_LINE,) * compact_abelian
     labels, dims_s = [], []
     for kp in range(p // 2 + 1):
         lp = p - kp
@@ -283,11 +279,8 @@ def _split_row(template, family, p, q, compact_abelian=0):
                 labels.append(f"{x.name}+{y.name}{tail}")
                 dims_s.append(x.space.dim_s + y.space.dim_s)
             else:
-                x, y = _canonical(family, kp, kq), _canonical(family, lp, q - kq)
-                label, fixed = _named(reductive(
-                    x.simples + y.simples,
-                    x.compact_abelian_dim + y.compact_abelian_dim + compact_abelian,
-                    x.split_abelian_dim + y.split_abelian_dim,
+                label, fixed = _named(direct_sum(
+                    _canonical(family, kp, kq), _canonical(family, lp, q - kq), *extra
                 ))
                 labels.append(label)
                 dims_s.append(fixed)

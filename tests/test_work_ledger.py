@@ -17,7 +17,11 @@ the work goes:
   other than a row instance (the restricted-form and maximal-rank tables
   and the triality classes);
 - `max_fixed_dim` is called once per rank-one algebra and once per
-  distinct factor of each product check.
+  distinct factor of each product check;
+- `isotropy_entries` builds each algebra's rows once (through
+  `check_involutions`, or `max_fixed_dim` on the rank-one route), again
+  once per distinct factor of each product check, and once more for
+  `f44_equality_case`, which reads f4(4)'s rows a second time.
 """
 
 import json
@@ -99,6 +103,7 @@ print(json.dumps({
     "cases": len(rep.cases),
     "counts": counts,
     "callers": sorted(callers),
+    "algebras": len({c.algebra for c in rep.cases}),
     "rank_one": len({c.algebra for c in rep.cases if c.route == vf.ROUTE_RANK1}),
     "product_factors": sum(len(set(p.factors)) for p in rep.products),
 }))
@@ -118,3 +123,5 @@ def test_sweep_work_stays_within_the_ledger():
         assert counts[name] <= ceiling, (name, counts[name], ceiling)
     assert {tuple(c) for c in got["callers"]} <= NON_ROW_MEASURES, got["callers"]
     assert counts["max_fixed_dim"] == got["rank_one"] + got["product_factors"]
+    # the 1 is f44_equality_case's
+    assert counts["isotropy_entries"] == got["algebras"] + got["product_factors"] + 1
