@@ -21,12 +21,12 @@ in sort-key order, so two sums of the same factors are equal.
 
 Dimension formulas for the classical families are the textbook closed
 forms; real ranks are the standard split ranks.  Each exceptional family
-is one row of `_EXCEPTIONAL`.  `_NAMES` is the name grammar of the
-classical families, read by both `render` and `parse_algebra`; sizes are
-ASCII decimal, at most 10**SIZE_CAP_DIGITS.  The family classes
-(`COMPACT`, `COMPLEX`, `REAL_EXCEPTIONAL`) and the catalog order are read
-off `_NAMES`, `_TWO_PARAM` and `_EXCEPTIONAL`.  Everything is exact
-integer arithmetic.
+is one row of `_EXCEPTIONAL`, each classical one a row of `_NAMES`, which
+states its name grammar for `render` and `parse_algebra` (sizes are ASCII
+decimal, at most 10**SIZE_CAP_DIGITS).  Rows of both tables state the
+maximal compact and the complexification; the family classes (`COMPACT`,
+`COMPLEX`, `REAL_EXCEPTIONAL`), the (p, q) families and the catalog order
+are read off both alike.  Everything is exact integer arithmetic.
 
 The package refuses arguments by two guards stated here, both raising
 OutOfDomain before any message formats the input: `require_simple` for a
@@ -97,30 +97,42 @@ class Family(Enum):
     __hash__ = object.__hash__
 
 
-# Names of the classical families: (head, tag, scale).  The tag is the
-# field suffix of a one-parameter family named with one, else the number of
-# parameters; scale turns a parameter into the printed size, so sp(2n,R),
-# sp(2n,C) and so*(2n) print their matrix size.  `render` writes these
-# names and `parse_algebra` reads them back.
+class _Classical(NamedTuple):
+    """One classical family; its related algebras are given by family."""
+
+    head: str
+    tag: str | int
+    scale: int
+    max_compact: tuple[Family, int] | None  # None for the compact forms
+    complexification: tuple[Family, int] | None  # None for the complex algebras, which double
+
+
+# The classical families.  The tag is the field suffix of a one-parameter
+# family named with one, else the number of parameters; scale turns a
+# parameter into the printed size, as sp(2n,R) prints 2n.  The max compact
+# is K's family at each parameter, with its count of u(1) summands; the
+# complexification is a complex family and the factor on the summed size.
 _NAMES = {
-    Family.SL_R: ("sl", "R", 1),
-    Family.SL_H: ("sl", "H", 1),
-    Family.SU: ("su", 2, 1),
-    Family.SO: ("so", 2, 1),
-    Family.SP_R: ("sp", "R", 2),
-    Family.SP: ("sp", 2, 1),
-    Family.SO_STAR: ("so*", 1, 2),
-    Family.SL_C: ("sl", "C", 1),
-    Family.SO_C: ("so", "C", 1),
-    Family.SP_C: ("sp", "C", 2),
-    Family.SU_CPT: ("su", 1, 1),
-    Family.SO_CPT: ("so", 1, 1),
-    Family.SP_CPT: ("sp", 1, 1),
+    # head, tag, scale, max compact, complexification
+    Family.SL_R: ("sl", "R", 1, (Family.SO_CPT, 0), (Family.SL_C, 1)),
+    Family.SL_H: ("sl", "H", 1, (Family.SP_CPT, 0), (Family.SL_C, 2)),
+    Family.SU: ("su", 2, 1, (Family.SU_CPT, 1), (Family.SL_C, 1)),
+    Family.SO: ("so", 2, 1, (Family.SO_CPT, 0), (Family.SO_C, 1)),
+    Family.SP_R: ("sp", "R", 2, (Family.SU_CPT, 1), (Family.SP_C, 1)),
+    Family.SP: ("sp", 2, 1, (Family.SP_CPT, 0), (Family.SP_C, 1)),
+    Family.SO_STAR: ("so*", 1, 2, (Family.SU_CPT, 1), (Family.SO_C, 2)),
+    Family.SL_C: ("sl", "C", 1, (Family.SU_CPT, 0), None),
+    Family.SO_C: ("so", "C", 1, (Family.SO_CPT, 0), None),
+    Family.SP_C: ("sp", "C", 2, (Family.SP_CPT, 0), None),
+    Family.SU_CPT: ("su", 1, 1, None, (Family.SL_C, 1)),
+    Family.SO_CPT: ("so", 1, 1, None, (Family.SO_C, 1)),
+    Family.SP_CPT: ("sp", 1, 1, None, (Family.SP_C, 1)),
 }
-_NAMED = {(head, tag): family for family, (head, tag, _) in _NAMES.items()}
+_NAMES = {family: _Classical(*row) for family, row in _NAMES.items()}
+_NAMED = {(row.head, row.tag): family for family, row in _NAMES.items()}
 
 # the (p, q) families, each with the compact family its (0, n) signature is
-_TWO_PARAM = {Family.SU: Family.SU_CPT, Family.SO: Family.SO_CPT, Family.SP: Family.SP_CPT}
+_TWO_PARAM = {f: row.max_compact[0] for f, row in _NAMES.items() if row.tag == 2}
 _ONE_PARAM = frozenset(_NAMES).difference(_TWO_PARAM)
 
 # Every size (n, or p + q) is at most 10**SIZE_CAP_DIGITS, so each
@@ -442,14 +454,13 @@ _EXCEPTIONAL = {
 _EXCEPTIONAL = {family: _Exceptional(*row) for family, row in _EXCEPTIONAL.items()}
 _EXCEPTIONAL_NAMED = {row.name: family for family, row in _EXCEPTIONAL.items()}
 
-# The family classes, read off the tables above: the complex algebras are
-# the "C"-tagged names and the exceptional rows with no complexification,
-# the compact ones the (0, n) families and the rows with no max compact.
-COMPLEX_CLASSICAL = frozenset(f for f, (_, tag, _) in _NAMES.items() if tag == "C")
+# The family classes, read off both tables alike: the complex algebras are
+# the rows with no complexification, the compact ones those with no max compact.
+COMPLEX_CLASSICAL = frozenset(f for f, row in _NAMES.items() if row.complexification is None)
 COMPLEX_EXCEPTIONAL = frozenset(f for f, row in _EXCEPTIONAL.items() if row.complexification is None)
 COMPLEX = COMPLEX_CLASSICAL | COMPLEX_EXCEPTIONAL
-COMPACT = frozenset(_TWO_PARAM.values()).union(
-    f for f, row in _EXCEPTIONAL.items() if row.max_compact is None
+COMPACT = frozenset(
+    f for table in (_NAMES, _EXCEPTIONAL) for f, row in table.items() if row.max_compact is None
 )
 REAL_EXCEPTIONAL = frozenset(_EXCEPTIONAL).difference(COMPACT, COMPLEX_EXCEPTIONAL)
 
@@ -533,17 +544,6 @@ def is_complex(a: SimpleAlgebra) -> bool:
     return require_simple(a).family in COMPLEX
 
 
-# one-parameter families whose maximal compact is a compact family of the
-# same parameter
-_COMPACT_FORM = {
-    Family.SL_R: Family.SO_CPT,
-    Family.SL_H: Family.SP_CPT,
-    Family.SL_C: Family.SU_CPT,
-    Family.SO_C: Family.SO_CPT,
-    Family.SP_C: Family.SP_CPT,
-}
-
-
 def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
     """Maximal compact subalgebra, up to isogeny, as a ReductiveAlgebra."""
     a = require_simple(a)
@@ -552,42 +552,23 @@ def max_compact(a: SimpleAlgebra) -> ReductiveAlgebra:
         raise OutOfDomain(f"{render(a)} is already compact")
     if fam in _EXCEPTIONAL:
         return parse_algebra(_EXCEPTIONAL[fam].max_compact)
-    if fam in _COMPACT_FORM:
-        return algebra(_COMPACT_FORM[fam], *params)
-    if fam is Family.SU:
-        p, q = params
-        return direct_sum(algebra(Family.SU_CPT, p), algebra(Family.SU_CPT, q), COMPACT_LINE)
-    if fam is Family.SO:
-        p, q = params
-        return direct_sum(algebra(Family.SO_CPT, p), algebra(Family.SO_CPT, q))
-    if fam in (Family.SP_R, Family.SO_STAR):
-        (n,) = params
-        return direct_sum(algebra(Family.SU_CPT, n), COMPACT_LINE)
-    p, q = params  # sp(p,q)
-    return direct_sum(algebra(Family.SP_CPT, p), algebra(Family.SP_CPT, q))
+    family, lines = _NAMES[fam].max_compact
+    parts = [algebra(family, n) for n in params]
+    if len(parts) > 1 or lines:
+        return direct_sum(*parts, *(COMPACT_LINE,) * lines)
+    return parts[0]  # `algebra`'s value as it is, with no `reductive` call
 
 
 def complexify(a: SimpleAlgebra) -> ReductiveAlgebra:
     """Complexification, canonicalized; a complex algebra doubles."""
     a = require_simple(a)
-    fam, params = a.family, a.params
+    fam = a.family
     if fam in COMPLEX:
         return reductive((a, a))
     if fam in _EXCEPTIONAL:
         return parse_algebra(_EXCEPTIONAL[fam].complexification)
-    if fam is Family.SL_R:
-        return algebra(Family.SL_C, *params)
-    if fam is Family.SL_H:
-        return algebra(Family.SL_C, 2 * params[0])
-    if fam in (Family.SU, Family.SU_CPT):
-        return algebra(Family.SL_C, sum(params))
-    if fam in (Family.SO, Family.SO_CPT):
-        return algebra(Family.SO_C, sum(params))
-    if fam in (Family.SP_R, Family.SP_CPT):
-        return algebra(Family.SP_C, *params)
-    if fam is Family.SP:
-        return algebra(Family.SP_C, sum(params))
-    return algebra(Family.SO_C, 2 * params[0])  # so*(2n)
+    family, factor = _NAMES[fam].complexification
+    return algebra(family, factor * sum(a.params))
 
 
 def real_forms(a: SimpleAlgebra) -> tuple[str, ...]:
@@ -649,11 +630,11 @@ def _out_iso(a: SimpleAlgebra) -> OutIso:
 def _name(fam, params):
     if fam in _EXCEPTIONAL:
         return _EXCEPTIONAL[fam].name
-    head, tag, scale = _NAMES[fam]
-    args = [str(scale * x) for x in params]
-    if isinstance(tag, str):
-        args.append(tag)
-    return f"{head}({','.join(args)})"
+    row = _NAMES[fam]
+    args = [str(row.scale * x) for x in params]
+    if isinstance(row.tag, str):
+        args.append(row.tag)
+    return f"{row.head}({','.join(args)})"
 
 
 def render(x) -> str:
@@ -709,7 +690,7 @@ def _build_token(head: str, args: list[str]) -> ReductiveAlgebra:
         family, sizes = _NAMED[head, len(args)], args
     if not all(_SIZE.fullmatch(s) for s in sizes):
         raise ValueError(sizes)
-    scale = _NAMES[family][2]
+    scale = _NAMES[family].scale
     params = [int(s) for s in sizes]
     if any(n % scale for n in params):
         raise OutOfDomain(f"{head}({','.join(args)}): matrix size must be even")

@@ -154,35 +154,28 @@ def _case_block(name, c) -> str:
 def _write_verify_json(args, tally, passed, products, spool) -> None:
     """Print the sweep as json.dump(payload, indent=2) would.
 
-    The small head and the products go through json.dumps; a value nested
-    one level deeper only gains two spaces after each newline, since
-    encoded JSON strings hold no raw newline.  The head comes before the
-    cases but needs all of their counts, so the cases, nearly all of the
-    document, wait in ``spool`` as pre-encoded blocks and are copied out
-    after it a chunk per write.
+    The document is encoded whole, with an empty ``cases`` array, and split
+    inside that array.  The cases, nearly all of the document, wait in
+    ``spool`` as pre-encoded blocks, since the part before them needs all
+    of their counts, and are copied out between the two parts a chunk per write.
     """
-    write = sys.stdout.write
-    head = json.dumps(
-        {
-            "scope": args.scope,
-            "max_param": args.max_param,
-            "passed": passed,
-            "route_counts": tally.route_counts,
-            "worst_strict_margin": tally.worst_strict_margin,
-        },
-        indent=2,
-    )
-    write(head[: -len("\n}")] + ',\n  "cases": [')
-    spool.seek(0)
-    shutil.copyfileobj(spool, sys.stdout, _SPOOL_CHUNK)
-    products = json.dumps(
-        [
+    doc = {
+        "scope": args.scope,
+        "max_param": args.max_param,
+        "passed": passed,
+        "route_counts": tally.route_counts,
+        "worst_strict_margin": tally.worst_strict_margin,
+        "cases": [],
+        "products": [
             {k: getattr(p, k) for k in _PRODUCT_KEYS} | {"factors": [al.render(a) for a in p.factors]}
             for p in products
         ],
-        indent=2,
-    )
-    write(("\n  " if tally.count else "") + '],\n  "products": ' + products.replace("\n", "\n  ") + "\n}\n")
+    }
+    head, key, tail = json.dumps(doc, indent=2).partition('"cases": [')
+    sys.stdout.write(head + key)
+    spool.seek(0)
+    shutil.copyfileobj(spool, sys.stdout, _SPOOL_CHUNK)
+    sys.stdout.write(("\n  " if tally.count else "") + tail + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -302,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("--element", default="q_split", help="named element (identity, q_split)")
 
     p_ver = sub.add_parser("verify", help="run every applicable margin route")
-    p_ver.add_argument("--scope", default="all", choices=("complex", "real", "semisimple", "all"))
+    p_ver.add_argument("--scope", default="all", choices=vf._SCOPES)
     p_ver.add_argument("--max-param", type=int, default=32, dest="max_param")
     p_ver.add_argument("--json", action="store_true")
 

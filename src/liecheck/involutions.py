@@ -201,9 +201,9 @@ def _one(template, instance, *constraints, kind=LINEAR, notes=()):
     return _Row(template, constraints, kind, notes, [label], [fixed])
 
 
-def _sum_row(template, n, build, letters="kl", kind=LINEAR):
-    """A row over k+l=n, 1<=k<=l: one instance build(k, l) per k."""
-    a, b = letters
+def _sum_row(template, n, build, kind=LINEAR):
+    """A row over k+l=n, 1<=k<=l (p and q on a real-form row): one instance build(k, l) per k."""
+    a, b = "pq" if kind == REAL_FORM else "kl"
     named = [_named(build(k, n - k)) for k in range(1, n // 2 + 1)]
     labels, dims_s = map(list, zip(*named))
     return _Row(template, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind, (), labels, dims_s)
@@ -240,8 +240,8 @@ def _parts(family, p, q):
     return table
 
 
-def _split_row(template, family, p, q, compact_abelian=0):
-    """family(kp,kq) + family(lp,lq) + compact_abelian * u(1), per split of (p, q).
+def _split_row(template, family, p, q):
+    """family(kp,kq) + family(lp,lq), and u(1) when family is su, per split of (p, q).
 
     The row holds one (kp, kq) per unordered split of (p, q) into two nonzero
     parts, (0, 0) != (kp, kq) <= (lp, lq) with (lp, lq) = (p - kp, q - kq).
@@ -265,8 +265,8 @@ def _split_row(template, family, p, q, compact_abelian=0):
     named by `_named`.
     """
     parts = _parts(family, p, q)
-    tail = "+u(1)" * compact_abelian
-    extra = (COMPACT_LINE,) * compact_abelian
+    extra = (COMPACT_LINE,) if family is Family.SU else ()
+    tail = "+u(1)" * len(extra)
     labels, dims_s = [], []
     for kp in range(p // 2 + 1):
         lp = p - kp
@@ -316,7 +316,7 @@ def _rows_su(p, q):
     rows = [_one(f"so({p},{q})", algebra(Family.SO, p, q))]
     if p == q:
         rows.append(_one(f"so*({2 * p})", algebra(Family.SO_STAR, p), "p=q"))
-    rows.append(_split_row("s(u(kp,kq)+u(lp,lq))", Family.SU, p, q, compact_abelian=1))
+    rows.append(_split_row("s(u(kp,kq)+u(lp,lq))", Family.SU, p, q))
     if p == q:
         rows.append(_one(f"gl({p},C)", direct_sum(algebra(Family.SL_C, p), SPLIT_LINE), "p=q"))
     if p % 2 == 0 and q % 2 == 0:
@@ -386,7 +386,7 @@ def _rows_sl_c(n):
     if n % 2 == 0:
         rows.append(_one(f"sp({n},C)", algebra(Family.SP_C, n // 2), f"n={n} even"))
     rows.append(_one(f"sl({n},R)", algebra(Family.SL_R, n), kind=REAL_FORM))
-    rows.append(_sum_row("su(p,q)", n, partial(algebra, Family.SU), "pq", REAL_FORM))
+    rows.append(_sum_row("su(p,q)", n, partial(algebra, Family.SU), REAL_FORM))
     if n % 2 == 0:
         rows.append(
             _one(f"sl({n // 2},H)", algebra(Family.SL_H, n // 2), f"n={n} even", kind=REAL_FORM)
@@ -399,7 +399,7 @@ def _rows_so_c(n):
     if n % 2 == 0:
         gl = direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE, SPLIT_LINE)
         rows.append(_one(f"gl({n // 2},C)", gl, f"n={n} even"))
-    rows.append(_sum_row("so(p,q)", n, partial(algebra, Family.SO), "pq", REAL_FORM))
+    rows.append(_sum_row("so(p,q)", n, partial(algebra, Family.SO), REAL_FORM))
     if n % 2 == 0:
         rows.append(
             _one(f"so*({n})", algebra(Family.SO_STAR, n // 2), f"n={n} even", kind=REAL_FORM)
@@ -412,7 +412,7 @@ def _rows_sp_c(n):  # the algebra is sp(2n,C)
         _sum_row("sp(2k,C)+sp(2l,C)", n, _pair(Family.SP_C)),
         _one(f"gl({n},C)", direct_sum(algebra(Family.SL_C, n), COMPACT_LINE, SPLIT_LINE)),
         _one(f"sp({2 * n},R)", algebra(Family.SP_R, n), kind=REAL_FORM),
-        _sum_row("sp(p,q)", n, partial(algebra, Family.SP), "pq", REAL_FORM),
+        _sum_row("sp(p,q)", n, partial(algebra, Family.SP), REAL_FORM),
     ]
 
 

@@ -693,7 +693,7 @@ def test_split_row_is_every_unordered_split():
                     for kq in range(q + 1)
                     if (0, 0) != (kp, kq) <= (p - kp, q - kq)
                 ]
-                row = inv._split_row(template, fam, p, q, len(extra))
+                row = inv._split_row(template, fam, p, q)
                 assert (row.labels, row.dims_s) == states(want), (fam, p, q)
 
 
@@ -730,7 +730,7 @@ def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
             ]
             used.update(part for split in splits for part in split)
             want = [plus(x, y, *extra) for x, y in splits]
-            row = inv._split_row(template, fam, p, q, len(extra))
+            row = inv._split_row(template, fam, p, q)
             assert (row.labels, row.dims_s) == states(want), (fam, p, q)
         if fam is Family.SO:
             assert {al.TRIVIAL_ALGEBRA, SPLIT, CPT, red(Family.SO, 2, 2)} <= used
@@ -751,7 +751,7 @@ def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
     monkeypatch.setattr(inv, "_PARTS", {})
     sizes = [(p, q) for p in range(1, 25) for q in (1, 12, 24)]
     orders = [sizes, sizes[::-1], sizes[1::2] + sizes[::2], sizes[::3] + sizes]
-    template, extra = _SPLIT_ROWS[Family.SO]
+    template, _ = _SPLIT_ROWS[Family.SO]
     errors = []
     start = threading.Barrier(len(orders))
 
@@ -759,7 +759,7 @@ def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
         try:
             start.wait(timeout=30)
             for p, q in order:
-                inv._split_row(template, Family.SO, p, q, len(extra))
+                inv._split_row(template, Family.SO, p, q)
         except Exception as e:  # reported below
             errors.append(e)
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from liecheck import algebras
 from liecheck.algebras import (
     COMPACT,
+    SIZE_LIMIT,
     Family,
     OutOfDomain,
     ReductiveAlgebra,
@@ -396,7 +397,9 @@ def test_max_compact():
 
 
 def test_max_compact_dimension_identity():
-    for a in iter_noncompact_simple(12):
+    # every catalog algebra, so each compact column entry is checked against
+    # the independent dimension formulas at every size the sweeps reach
+    for a in iter_noncompact_simple(SIZE_LIMIT):
         d = dims(a)
         k = reductive_dims(max_compact(a))
         assert k.dim_g == d.dim_k, render(a)
@@ -437,8 +440,28 @@ def test_real_forms_read_the_complexification_column():
 
 
 def test_complexify_doubles_dimension():
-    for a in iter_noncompact_simple(10):
+    compact = [
+        SimpleAlgebra(family, (n,))
+        for family in (Family.SU_CPT, Family.SO_CPT, Family.SP_CPT)
+        for n in range(1, SIZE_LIMIT + 1)
+    ]
+    for a in [*iter_noncompact_simple(SIZE_LIMIT), *compact]:
         assert reductive_dims(complexify(a)).dim_g == 2 * dims(a).dim_g, render(a)
+
+
+def test_classical_rows_state_compact_and_complex_families():
+    # the columns' shape, as the family classes are read off them: a compact
+    # column is a classical compact family and 0 or 1 u(1), a complexification
+    # a classical complex family and a factor of 1 or 2
+    F = Family
+    for family, row in algebras._NAMES.items():
+        if row.max_compact is not None:
+            cpt, lines = row.max_compact
+            assert cpt in COMPACT.intersection(algebras._NAMES) and lines in (0, 1), family
+        if row.complexification is not None:
+            complex_family, factor = row.complexification
+            assert complex_family in algebras.COMPLEX_CLASSICAL and factor in (1, 2), family
+    assert algebras._TWO_PARAM == {F.SU: F.SU_CPT, F.SO: F.SO_CPT, F.SP: F.SP_CPT}
 
 
 def test_iter_covers_expected_families():

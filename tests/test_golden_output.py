@@ -32,6 +32,12 @@ canonical-forms digest was taken from the code before the catalog stated
 its exceptional forms, low-rank coincidences and names in one table each;
 it pins `render(algebra(...))` for every family and in-domain parameter
 tuple up to `SIZE_LIMIT`, both signature orders and (0, n) included.
+The presentations digest was taken from the code before the classical
+catalog rows stated their maximal compact and complexification as
+columns; it pins the dims, name, max compact (or its refusal),
+complexification and out group of every `SimpleAlgebra` each family
+accepts at parameters (), (0..69) and (0..39)^2, so the noncanonical
+(0, n) and (q, p) forms are included.
 The largest-size oracle answers were taken from the code before
 `oracle_max` stopped building angle tables and scanning every candidate
 (about 3 s of work there); they pin the value and witness at five sizes
@@ -91,6 +97,8 @@ CATALOG_VALUES_64_COUNT = 3513 + 3 * 64
 CATALOG_VALUES_64_SHA256 = "785a445b7adb9044171a18fb56baa705cda21db19bfa0c9bf74a94826ce742fc"
 CANONICAL_FORMS_64_COUNT = 3 * (64 * 65 // 2 + 64) + 10 * 64 + 22
 CANONICAL_FORMS_64_SHA256 = "f9f142dd92609fd230110866a08b11ad905c75479f872f095c24c2401c53d8ff"
+PRESENTATIONS_COUNT = 22 + 10 * 69 + 3 * (40 * 40 - 1)
+PRESENTATIONS_SHA256 = "5824445743847def7ca02b589d36bc223216c0ff487c3dd0e7b6681b4e895dc2"
 VERIFY_JSON_SHA256 = {
     ("all", "12"): "bcb14958858ea4d71c7b0c80dc7f6e56550ec18b57041266c7b3f0050849827d",
     ("complex", "8"): "091582fcba778e5875fc89924bdacb657f01b6e882e14eba4edb5e362f115eb5",
@@ -223,6 +231,40 @@ def test_canonical_forms_at_the_size_limit():
                 parse_algebra(render(a))
         else:
             assert parse_algebra(render(a)) == want, render(a)
+
+
+def _presentations():
+    """Every `SimpleAlgebra` at parameters (), (0..69) and (0..39)^2 that its
+    family accepts, canonical or not."""
+    params = [(), *((n,) for n in range(70)), *((p, q) for p in range(40) for q in range(40))]
+    for family in Family:
+        for x in params:
+            try:
+                yield SimpleAlgebra(family, x)
+            except OutOfDomain:
+                pass
+
+
+def _presentation_line(a):
+    try:
+        cpt = render(max_compact(a))
+    except OutOfDomain as exc:
+        cpt = "OutOfDomain: %s" % exc
+    out = out_group(a)
+    return "%s%r\t%s\t%r\t%s\t%s\t%s %d %s\n" % (
+        a.family.value, a.params, render(a), tuple(dims(a)), cpt, render(complexify(a)),
+        out.iso_type.value, out.exponent, out.all_order_le_2,
+    )
+
+
+def test_every_presentation_keeps_its_catalog_values():
+    digest = hashlib.sha256()
+    count = 0
+    for a in _presentations():
+        digest.update(_presentation_line(a).encode())
+        count += 1
+    assert count == PRESENTATIONS_COUNT
+    assert digest.hexdigest() == PRESENTATIONS_SHA256
 
 
 def test_export_16_payload():
