@@ -210,6 +210,8 @@ def reduced_form(rows):
 def in_span(reduced, rows):
     """Whether every sparse row lies in the span of a `reduced_form`."""
     for cols, vals in rows:
+        if not cols:  # the zero row lies in every span
+            continue
         if not _INT_ONLY.issuperset(map(type, vals)):
             vals = _scaled_to_ints(vals)
         if any(_residual(reduced, cols, vals).values()):

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product
+from math import gcd, lcm
 from typing import NamedTuple
 
 from liecheck._exact import in_span, reduced_form, sparse_ranks
@@ -61,10 +62,12 @@ class FixedDims(NamedTuple):
 class MatrixElement(NamedTuple):
     """A validated finite-order element in the defining representation.
 
-    Integral entries are ints, the others Fractions.  ``operator_rows`` holds
-    A M A^-1 - M for every basis matrix M of the ambient (the k basis first,
-    then p): the rows of X -> A X A^-1 - X that validation found inside the
-    span of the basis (the k rows inside the span of the k basis), and that
+    Integral entries are ints, the others Fractions.  ``operator_rows`` holds,
+    for every basis matrix M of the ambient (the k basis first, then p), the
+    primitive integer multiple of A M A^-1 - M: the positive multiple whose
+    values are coprime ints.  These are the rows of X -> A X A^-1 - X, up to
+    a positive scale per row, that validation found inside the span of the
+    basis (the k rows inside the span of the k basis), and that
     `matrix_fixed_dims` eliminates.  Each is a sparse row in the sense of
     `liecheck._exact`: the flattened cells i * N + j it reaches, strictly
     increasing, and their nonzero values.
@@ -131,26 +134,6 @@ def _eye(n):
     return m
 
 
-def _mul(a, b):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for k in range(n):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(n):
-                    if brow[j]:
-                        orow[j] = orow[j] + c * brow[j]
-    return out
-
-
-def _is_identity(m):
-    return m == _eye(len(m))
-
-
 def _sparse_rows(basis, n):
     """Sparse basis matrices as sparse rows over the n * n flattened cells."""
     return tuple(
@@ -158,30 +141,61 @@ def _sparse_rows(basis, n):
     )
 
 
-def _operator_rows(a, inv, basis):
-    """A M A^-1 - M as a sparse row, for each sparse basis matrix M.
+def _sparse_mul(a, b):
+    """The product of two matrices given as lists of sparse rows, each a
+    {column: value} dict of the nonzero entries."""
+    out = []
+    for row in a:
+        acc = {}
+        get = acc.get
+        for k, x in row.items():
+            for j, y in b[k].items():
+                acc[j] = get(j, 0) + x * y
+        out.append({j: v for j, v in acc.items() if v})
+    return out
 
-    A E_ij A^-1 is column i of A times row j of A^-1, so only the nonzeros
-    of M, of those columns and of those rows are ever touched, and only the
-    cells they reach are accumulated.
+
+def _operator_rows(a, inv, basis):
+    """A primitive integer multiple of A M A^-1 - M as a sparse row, for each
+    sparse basis matrix M; A and A^-1 come as lists of {column: value} rows.
+
+    A and A^-1 are scaled into ints by the lcm of their denominators, d and
+    e, so that d A M e A^-1 - d e M is d e (A M A^-1 - M) in ints; each row
+    is then divided by the gcd of its values.  A positive scale per row
+    changes no span test and no rank.  A E_ij A^-1 is column i of A times
+    row j of A^-1, so only the nonzeros of M, of those columns and of those
+    rows are ever touched, and only the cells they reach are accumulated.
     """
     n = len(a)
-    cols = [[(r * n, a[r][i]) for r in range(n) if a[r][i]] for i in range(n)]
-    inv_rows = [[(c, y) for c, y in enumerate(row) if y] for row in inv]
+    d = lcm(*[x.denominator for row in a for x in row.values()])
+    e = d if inv is a else lcm(*[y.denominator for row in inv for y in row.values()])
+    de = d * e
+    cols = [[] for _ in range(n)]
+    for r, row in enumerate(a):
+        base = r * n
+        for i, x in row.items():
+            cols[i].append((base, x.numerator * (d // x.denominator)))
+    inv_rows = [[(c, y.numerator * (e // y.denominator)) for c, y in row.items()] for row in inv]
     out = []
     for m in basis:
         acc = {}
+        get = acc.get
         for i, j, x in m:
             cell = i * n + j
-            acc[cell] = acc.get(cell, 0) - x
+            acc[cell] = get(cell, 0) - de * x
             targets = inv_rows[j]
             for base, ar in cols[i]:
                 coeff = ar * x
                 for c, y in targets:
                     cell = base + c
-                    acc[cell] = acc.get(cell, 0) + coeff * y
-        keep = sorted(cell for cell, v in acc.items() if v)
-        out.append((keep, list(map(acc.__getitem__, keep))))
+                    acc[cell] = get(cell, 0) + coeff * y
+        g = gcd(*acc.values())  # 0 for the zero row
+        if g:
+            keep = [cell for cell, v in acc.items() if v]
+            keep.sort()
+            out.append((keep, [acc[cell] // g for cell in keep]))
+        else:
+            out.append(([], []))
     return tuple(out)
 
 
@@ -301,11 +315,12 @@ _SHAPES = {
 
 
 class _Basis(NamedTuple):
-    """An ambient's basis matrices and the reduced forms of the spans of
-    their sparse rows: of k + p, and of k alone."""
+    """An ambient's basis matrices, k, p and k + p, and the reduced forms of
+    the spans of their sparse rows: of k + p, and of k alone."""
 
     k: tuple
     p: tuple
+    matrices: tuple
     span: dict
     k_span: dict
 
@@ -322,62 +337,65 @@ def _bases(a: SimpleAlgebra) -> _Basis:
     if len(span) != len(rows):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
     # a compact ambient has no p basis: its k span is the whole span
-    return _Basis(k, p, span, reduced_form(rows[: len(k)]) if p else span)
+    return _Basis(k, p, k + p, span, reduced_form(rows[: len(k)]) if p else span)
 
 
 # ---------------------------------------------------------------------------
 # elements
 
 
+def _entry(x):
+    """An entry that is not an int: a Fraction, kept as an int when it is
+    integral."""
+    if type(x) is not Fraction:
+        raise InvalidElement(f"entries must be int or Fraction, not {type(x).__name__}")
+    return x.numerator if x.denominator == 1 else x
+
+
 def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
     """Validate entries, finite order, and both invariance requirements.
 
-    Conjugation preserves the ambient exactly when every operator row
-    A M A^-1 - M lies in the span of the basis, and the maximal compact
-    when every k row lies in the span of the k basis.  Both spans are
-    reduced once per ambient (`_bases`), so each row is tested in one pass
-    against them and no basis is eliminated again.
+    The rows are read once, into the entries and into sparse rows, on which
+    the order test and A^-1 are computed.  Conjugation preserves the ambient
+    exactly when every operator row lies in the span of the basis, and the
+    maximal compact when every k row lies in the span of the k basis.  Both
+    spans are reduced once per ambient (`_bases`).  The k span lies inside
+    the whole span, so each k row is tested against the k span only, and
+    each p row against the whole span; only when a k row fails are the rows
+    tested against the whole span, to tell which requirement is violated.
     """
     ambient = require_simple(ambient)
     n = _size(ambient)
     shaped = type(rows) in (list, tuple) and len(rows) == n
     if not shaped or any(type(r) not in (list, tuple) or len(r) != n for r in rows):
         raise InvalidElement(f"expected a {n} x {n} matrix of lists or tuples for {ambient}")
-    a = []
-    for r in rows:
-        out = []
-        for x in r:
-            if type(x) is int:
-                out.append(x)
-            elif type(x) is Fraction:
-                out.append(x.numerator if x.denominator == 1 else x)
-            else:
-                raise InvalidElement(
-                    f"entries must be int or Fraction, not {type(x).__name__}"
-                )
-        a.append(out)
-
-    a2 = _mul(a, a)
-    if _is_identity(a):
+    entries = [[x if type(x) is int else _entry(x) for x in r] for r in rows]
+    a = [dict(compress(enumerate(r), r)) for r in entries]
+    eye = [{i: 1} for i in range(n)]
+    a2 = _sparse_mul(a, a)
+    if a == eye:
         order, inv = 1, a
-    elif _is_identity(a2):
+    elif a2 == eye:
         order, inv = 2, a
-    elif _is_identity(_mul(a2, a2)):
-        order, inv = 4, _mul(a2, a)
+    elif _sparse_mul(a2, a2) == eye:
+        order, inv = 4, _sparse_mul(a2, a)
     else:
         raise InvalidElement("element order must divide 4")
 
     basis = _bases(ambient)
-    moved = _operator_rows(a, inv, basis.k + basis.p)
+    nk = len(basis.k)
+    moved = _operator_rows(a, inv, basis.matrices)
     # A M A^-1 lies in a span that holds M exactly when A M A^-1 - M does
-    if not in_span(basis.span, moved):
-        raise InvalidElement("conjugation does not preserve the ambient algebra")
-    if not in_span(basis.k_span, moved[: len(basis.k)]):
+    if not in_span(basis.k_span, moved[:nk]):
+        if not in_span(basis.span, moved):
+            raise InvalidElement("conjugation does not preserve the ambient algebra")
         raise InvalidElement(
             "conjugation must preserve the maximal compact subalgebra; "
             "bring the element to the standard orthogonal position first"
         )
-    return MatrixElement(ambient, tuple(tuple(r) for r in a), order, moved)
+    if not in_span(basis.span, moved[nk:]):
+        raise InvalidElement("conjugation does not preserve the ambient algebra")
+    return MatrixElement(ambient, tuple(map(tuple, entries)), order, moved)
 
 
 def identity_element(ambient: SimpleAlgebra) -> MatrixElement:

@@ -47,6 +47,7 @@ Refreeze only when an answer is meant to change.
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -391,12 +392,18 @@ def _diagonal(field, diag):
     return m
 
 
+def _mul(a, b):
+    n = len(b[0])
+    return [[sum(x * y[j] for x, y in zip(row, b)) for j in range(n)] for row in a]
+
+
 def test_operator_rows_are_sparse_up_to_7():
-    # every stored row: strictly increasing columns, no zero value.  The
-    # elements flip the first F-coordinate, turn it a quarter over C and H,
-    # and over R conjugate the flip by a Pythagorean rotation, so that some
-    # cells cancel to zero and some values are fractions.
-    fractions = nonempty = 0
+    # every stored row: strictly increasing columns, no zero value, every
+    # value an int and the values of each row coprime.  The elements flip
+    # the first F-coordinate, turn it a quarter over C and H, and over R
+    # conjugate the flip by a Pythagorean rotation, so that some cells
+    # cancel to zero and some entries are fractions.
+    rational_rows = nonempty = 0
     for m in _matrix_models_up_to_7():
         field = mo._SHAPES[m.family][0]
         size = mo._size(m)
@@ -415,13 +422,17 @@ def test_operator_rows_are_sparse_up_to_7():
             rot[0][1], rot[1][0] = Fraction(-4, 5), Fraction(4, 5)
             rot_inv = [list(r) for r in zip(*rot)]
             flipped = _diagonal(field, flip)
-            elements.append(mo.element(m, mo._mul(mo._mul(rot, flipped), rot_inv)))
+            elements.append(mo.element(m, _mul(_mul(rot, flipped), rot_inv)))
         k, p = mo._bases(m)[:2]
         assert all(_is_sparse_row(row, size * size) for row in mo._sparse_rows(k + p, size)), m
         for e in elements:
             assert len(e.operator_rows) == len(k + p)
+            rational = any(type(x) is Fraction for r in e.entries for x in r)
             for row in e.operator_rows:
                 assert _is_sparse_row(row, size * size), (m, e.entries, row)
+                assert all(type(x) is int for x in row[1]), (m, e.entries, row)
+                if row[0]:
+                    assert math.gcd(*row[1]) == 1, (m, e.entries, row)
                 nonempty += bool(row[0])
-                fractions += any(type(x) is Fraction for x in row[1])
-    assert nonempty > 2000 and fractions > 200, (nonempty, fractions)
+                rational_rows += rational and bool(row[0])
+    assert nonempty > 2000 and rational_rows > 200, (nonempty, rational_rows)

@@ -18,7 +18,8 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import chain, compress, permutations, product
 from pathlib import Path
 
 import pytest
@@ -69,11 +70,14 @@ def rotation(n, i, j, c, s):
 
 
 def mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    """Dense matrix product that skips the zero entries of a."""
+    out = []
+    for arow in a:
+        orow = [0] * len(b[0])
+        for x, brow in compress(zip(arow, b), arow):
+            orow = [u + x * v for u, v in zip(orow, brow)]
+        out.append(orow)
+    return out
 
 
 # (family, params, (dim_g, dim_k, dim_s)) -- centralizer of the identity is
@@ -289,6 +293,12 @@ def test_rejects_form_breaking_and_non_orthogonal_elements():
     # compact, so the k/p split is not respected
     with pytest.raises(InvalidElement, match="compact"):
         element(a, BOOSTED_REFLECTION)
+    # swaps the two blocks of so(2,2) with scales 2 and 1/2: an involution
+    # that normalizes k = so(2)+so(2), but takes the p block [[0, Z], [Z^t, 0]]
+    # to [[0, 4 Z^t], [Z / 4, 0]], outside the algebra; only the p rows show it
+    half = Fraction(1, 2)
+    with pytest.raises(InvalidElement, match="algebra"):
+        element(model(Family.SO, 2, 2), [[0, 0, 2, 0], [0, 0, 0, 2], [half, 0, 0, 0], [0, half, 0, 0]])
 
 
 # the classes of acceptance criterion 3: so(p,q) and su(p,q) with
@@ -301,22 +311,60 @@ CRITERION_3 = [
 ] + [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 7)]
 
 
+def _flat_sparse(dense):
+    """The sparse row (columns, values) of a dense matrix, flattened."""
+    flat = list(chain.from_iterable(dense))
+    cols = list(compress(range(len(flat)), flat))
+    return cols, [flat[c] for c in cols]
+
+
+@lru_cache(maxsize=None)
+def _basis_rows(ambient):
+    """The ambient's k and p basis matrices, and their flattened sparse rows."""
+    k, p = mo._bases(ambient)[:2]
+    n = mo._size(ambient)
+    rows = []
+    for triples in k + p:
+        m = [[0] * n for _ in range(n)]
+        for i, j, x in triples:
+            m[i][j] = x
+        rows.append(_flat_sparse(m))
+    return k, p, rows
+
+
 def _rank_verdict(ambient, rows):
     """The verdict of the rank criterion that `element` applied before it
-    tested span membership: appending the operator rows to the basis, and
-    the k rows to the k basis, must keep each rank."""
+    tested span membership: appending the rows of X -> A X A^3 - X to the
+    basis, and the k rows to the k basis, must keep each rank.  Every row is
+    built densely here, with its own product, from the basis matrices
+    alone."""
     a = [list(r) for r in rows]
-    a2 = mo._mul(a, a)
-    a3 = mo._mul(a2, a)
-    if not mo._is_identity(mo._mul(a3, a)):
+    a2 = mul(a, a)
+    a3 = mul(a2, a)
+    n = len(a)
+    if mul(a3, a) != eye(n):
         return "order"
-    k, p = mo._bases(ambient)[:2]
-    rows = mo._sparse_rows(k + p, len(a))
-    moved = mo._operator_rows(a, a3, k + p)  # A^-1 = A^3
-    full, compact = sparse_ranks([rows + moved, rows[: len(k)] + moved[: len(k)]])
-    if full != len(rows):
+    k, p, basis = _basis_rows(ambient)
+    a_cols = [list(c) for c in zip(*a)]
+    moved = []
+    for triples in k + p:
+        # A M A^3 - M: minus M, plus column i of A times row i of M A^3 for
+        # every nonzero row i of M (A^-1 = A^3)
+        conj = [[0] * n for _ in range(n)]
+        m_rows = {}
+        for i, j, x in triples:
+            conj[i][j] -= x
+            m_rows.setdefault(i, [0] * n)[j] = x
+        for i, row in zip(m_rows, mul(list(m_rows.values()), a3)):
+            col = a_cols[i]
+            for r in compress(range(n), col):
+                conj[r] = [u + col[r] * v for u, v in zip(conj[r], row)]
+        moved.append(_flat_sparse(conj))
+    nk = len(k)
+    full, compact = sparse_ranks([basis + moved, basis[:nk] + moved[:nk]])
+    if full != len(basis):
         return "algebra"
-    if compact != len(k):
+    if compact != nk:
         return "compact"
     return "accepted"
 

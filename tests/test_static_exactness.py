@@ -3,8 +3,9 @@
 Every answer liecheck gives is an integer or a `Fraction`, with no
 tolerance anywhere.  This reads the source of every module and refuses what
 would bring a float in: true division, a float or complex literal, and any
-use of `float`, `round` or a `math` name other than `lcm`.  It covers code
-that no test reaches.
+use of `float`, `round` or a `math` name other than `lcm` and `gcd`, which
+map ints to ints and raise `TypeError` on a float.  It covers code that no
+test reaches.
 """
 
 import ast
@@ -15,7 +16,7 @@ import liecheck
 PACKAGE = Path(liecheck.__file__).resolve().parent
 
 _FLOAT_NAMES = frozenset(("float", "round"))
-_MATH_NAMES = frozenset(("lcm",))
+_MATH_NAMES = frozenset(("gcd", "lcm"))
 
 
 def _inexact(tree):
@@ -56,8 +57,8 @@ def test_the_scan_sees_every_form():
         "float(a)\n"
         "round(a)\n"
         "math.sqrt(a)\n"
-        "from math import lcm, floor\n"
-        "a // b; a % b; math.lcm(a, b); Fraction(a, b)\n"
+        "from math import gcd, lcm, floor\n"
+        "a // b; a % b; math.lcm(a, b); math.gcd(a, b); Fraction(a, b)\n"
     )
     assert sorted(_inexact(tree)) == [
         (1, "true division"),

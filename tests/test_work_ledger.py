@@ -22,14 +22,23 @@ the work goes:
   `check_involutions`, or `max_fixed_dim` on the rank-one route), again
   once per distinct factor of each product check, and once more for
   `f44_equality_case`, which reads f4(4)'s rows a second time.
+
+The matrix oracle's operator rows reach elimination as ints: rebinding
+`_exact._scaled_to_ints` the same way shows that no call comes from
+`in_span` or `matrix_fixed_dims` on rows that `element` built, for
+`g22_case` and a criterion-3 subset that includes a rational element.
 """
 
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+from liecheck import _exact
 from liecheck import algebras as al
+from liecheck import matrixoracle as mo
+from liecheck.centralizers import SigFamily, Signature, enumerate_signatures
 
 CASES = 4531
 
@@ -125,3 +134,57 @@ def test_sweep_work_stays_within_the_ledger():
     assert counts["max_fixed_dim"] == got["rank_one"] + got["product_factors"]
     # the 1 is f44_equality_case's
     assert counts["isotropy_entries"] == got["algebras"] + got["product_factors"] + 1
+
+
+def _mul(a, b):
+    return [[sum(x * y[c] for x, y in zip(row, b)) for c in range(len(b[0]))] for row in a]
+
+
+def _rebind(monkeypatch, fn, wrapper):
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "liecheck":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+def test_operator_rows_reach_elimination_as_ints(monkeypatch):
+    scaled = _exact._scaled_to_ints
+    stacks = []
+
+    def counting(vals):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return scaled(vals)
+
+    _rebind(monkeypatch, scaled, counting)
+    # the rebinding is seen: a Fraction row is scaled
+    assert not _exact.in_span({}, [([0], [Fraction(1, 2)])])
+    assert len(stacks) == 1
+    stacks.clear()
+
+    mo.g22_case()
+    elements = [
+        mo.from_signature(sig)
+        for family, params in ((SigFamily.SO_PQ, (2, 3)), (SigFamily.SU_PQ, (2, 2)), (SigFamily.SOSTAR_2N, (3,)))
+        for sig in enumerate_signatures(family, params, order_le_4=True)
+    ]
+    # a rational element: an so(2,3) class whose negative coordinates are
+    # turned by 3-4-5 rotations
+    base = mo.from_signature(Signature(SigFamily.SO_PQ, (2, 3), ((1, 0, 1), (2, 1, 1))))
+    rows = [list(r) for r in base.entries]
+    for i in (2, 3):
+        rot = [[Fraction(int(r == c)) for c in range(5)] for r in range(5)]
+        rot[i][i] = rot[i + 1][i + 1] = Fraction(3, 5)
+        rot[i][i + 1], rot[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
+        rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
+    rational = mo.element(base.ambient, rows)
+    assert any(type(x) is Fraction for r in rational.entries for x in r)
+    assert mo.matrix_fixed_dims(rational) == mo.matrix_fixed_dims(base)
+    for e in elements:
+        mo.matrix_fixed_dims(e)
+    assert len(elements) > 20
+    assert not [names for names in stacks if names & {"in_span", "matrix_fixed_dims"}]
