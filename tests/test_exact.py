@@ -1,8 +1,9 @@
 """Exercises the exact rank/kernel routines against a test-local reference.
 
-The reference below is deliberately naive (Fraction Gaussian elimination) so
-that the fraction-free Bareiss path in liecheck._exact is checked by an
-independent implementation.
+The reference below is deliberately naive (dense Fraction Gaussian
+elimination, no reduction above the pivots) so that liecheck._exact's one
+elimination, the sparse reduced echelon form behind `sparse_ranks`,
+`reduced_form` and `in_span`, is checked by an independent implementation.
 """
 
 from fractions import Fraction
@@ -55,12 +56,15 @@ def test_fraction_entries():
 
 def test_large_entries_stay_exact():
     # Scaled Hilbert-like matrix: classically ill-conditioned in floats but
-    # has full rank; entries grow large under elimination.
+    # has full rank; entries grow large under elimination.  The Hilbert
+    # matrix itself goes in as Fractions, with no scaling into ints.
     n = 8
     lcm = 720720
-    m = [[lcm // (i + j + 1) for j in range(n)] for i in range(n)]
-    assert _exact.rank(m) == n
-    assert reference_rank(m) == n
+    scaled = [[lcm // (i + j + 1) for j in range(n)] for i in range(n)]
+    hilbert = [[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)]
+    for m in (scaled, hilbert):
+        assert _exact.rank(m) == n
+        assert reference_rank(m) == n
 
 
 def test_block_diagonal_splitting():

@@ -24,9 +24,10 @@ the work goes:
   `f44_equality_case`, which reads f4(4)'s rows a second time.
 
 The matrix oracle's operator rows reach elimination as ints: rebinding
-`_exact._scaled_to_ints` the same way shows that no call comes from
-`in_span` or `matrix_fixed_dims` on rows that `element` built, for
-`g22_case` and a criterion-3 subset that includes a rational element.
+`_exact.reduced_form` and `_exact.in_span` the same way shows that every
+value of every row they receive from `element`'s span tests or under
+`matrix_fixed_dims` is an int, for `g22_case` and a criterion-3 subset
+that includes a rational element.
 """
 
 import json
@@ -149,22 +150,31 @@ def _rebind(monkeypatch, fn, wrapper):
 
 
 def test_operator_rows_reach_elimination_as_ints(monkeypatch):
-    scaled = _exact._scaled_to_ints
-    stacks = []
+    calls = []  # (eliminating function, functions on the stack, all values ints)
 
-    def counting(vals):
-        frame, names = sys._getframe(1), set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        stacks.append(names)
-        return scaled(vals)
+    def recording(fn, name):
+        # the rows are the last argument of both: reduced_form(rows) and
+        # in_span(reduced, rows)
+        def wrapper(*args):
+            rows = list(args[-1])
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            calls.append((name, names, all(type(x) is int for _, vals in rows for x in vals)))
+            return fn(*args[:-1], rows)
 
-    _rebind(monkeypatch, scaled, counting)
-    # the rebinding is seen: a Fraction row is scaled
+        return wrapper
+
+    for name in ("reduced_form", "in_span"):
+        fn = getattr(_exact, name)
+        _rebind(monkeypatch, fn, recording(fn, name))
+    # the rebinding is seen: a Fraction row is recorded, by in_span itself
+    # and by sparse_ranks' own reduced_form
     assert not _exact.in_span({}, [([0], [Fraction(1, 2)])])
-    assert len(stacks) == 1
-    stacks.clear()
+    assert _exact.sparse_ranks([[([0, 1], [1, Fraction(1, 2)]), ([0], [1])]]) == [2]
+    assert [(name, ints) for name, _, ints in calls] == [("in_span", False), ("reduced_form", False)]
+    calls.clear()
 
     mo.g22_case()
     elements = [
@@ -187,4 +197,8 @@ def test_operator_rows_reach_elimination_as_ints(monkeypatch):
     for e in elements:
         mo.matrix_fixed_dims(e)
     assert len(elements) > 20
-    assert not [names for names in stacks if names & {"in_span", "matrix_fixed_dims"}]
+    # element's span tests, and sparse_ranks' reduced forms under
+    # matrix_fixed_dims
+    checked = [(name, ints) for name, names, ints in calls if name == "in_span" or "matrix_fixed_dims" in names]
+    assert {name for name, _ in checked} == {"in_span", "reduced_form"}
+    assert all(ints for _, ints in checked)
