@@ -27,9 +27,10 @@ Conventions:
     two conjugate eigenvalues; +-1 blocks use mult_plus alone.
   * Blocks fill the coordinates by one rule, in `_validate`: a +-1 block
     fills its multiplicities, an angle block its multiplicities times the
-    family's `_ANGLE_WIDTH` (2 for so(n) and so(p,q), whose angle blocks
-    are rotation planes, 1 otherwise).  Two-parameter families fill
-    (p, q) part by part; one-parameter families fill n with both parts.
+    width its row's field gives (2 over R, for so(n) and so(p,q), whose
+    angle blocks are rotation planes, 1 over C and H).  Two-parameter
+    families fill (p, q) part by part; one-parameter families fill n with
+    both parts.
 
 Compact families report dim C_K(A); indefinite families report dim S^A,
 the fixed-set dimension in the symmetric space.
@@ -39,7 +40,8 @@ from enum import Enum
 from itertools import chain
 from typing import NamedTuple
 
-from liecheck.algebras import InputError, OutOfDomain, require_ints
+from liecheck import algebras
+from liecheck.algebras import Family, InputError, OutOfDomain, require_ints
 
 
 class InvalidSignature(InputError):
@@ -73,41 +75,64 @@ class SigFamily(Enum):
     SOSTAR_2N = "so_star_2n"
 
 
-_DEFINITE = (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT)
-_TWO_PARAM = (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+class _Row(NamedTuple):
+    """One signature family: its matrix model, by catalog family, and that
+    model's field (R, C or H); the terms of `signature_dim`'s polynomial
+    for a +-1 block and for an angle block, in (mult_plus, mult_minus),
+    and its constant; and, for an indefinite family, (compact family,
+    constant), where dim C_K(A) is that family's block terms, part by part,
+    plus the constant.  A definite family's compact part is None."""
+
+    ambient: Family
+    field: str
+    real: object
+    angle: object
+    centre: int
+    compact: tuple | None
+
+
+# su(n) drops its one-dimensional centre.  so*(2n)'s +-1 blocks centralize
+# a smaller so*, its angle blocks a u(a,b).  K is s(u(p)+u(q)) for su(p,q),
+# one dimension short of u(p)+u(q), and u(n) for so*(2n), whose two parts
+# are the conjugate multiplicities
+_ROWS = {
+    SigFamily.SO_N: (
+        Family.SO_CPT, "R", lambda a, _: a * (a - 1) // 2, lambda a, _: a * a, 0, None
+    ),
+    SigFamily.SU_N: (Family.SU_CPT, "C", lambda a, _: a * a, lambda a, _: a * a, -1, None),
+    SigFamily.SP_N_COMPACT: (
+        Family.SP_CPT, "H", lambda a, _: a * (2 * a + 1), lambda a, _: a * a, 0, None
+    ),
+    SigFamily.SO_PQ: (
+        Family.SO, "R", lambda a, b: a * b, lambda a, b: 2 * a * b, 0, (SigFamily.SO_N, 0)
+    ),
+    SigFamily.SU_PQ: (
+        Family.SU, "C", lambda a, b: 2 * a * b, lambda a, b: 2 * a * b, 0, (SigFamily.SU_N, -1)
+    ),
+    SigFamily.SP_PQ: (
+        Family.SP, "H", lambda a, b: 4 * a * b, lambda a, b: 2 * a * b, 0,
+        (SigFamily.SP_N_COMPACT, 0),
+    ),
+    SigFamily.SOSTAR_2N: (
+        Family.SO_STAR, "H", lambda a, _: a * (a - 1), lambda a, b: 2 * a * b, 0,
+        (SigFamily.SU_N, 0),
+    ),
+}
+_ROWS = {family: _Row(*row) for family, row in _ROWS.items()}
+
+_DEFINITE = tuple(f for f, row in _ROWS.items() if row.compact is None)
+_ARITY = {f: 2 if row.ambient in algebras._TWO_PARAM else 1 for f, row in _ROWS.items()}
 # su(n) and su(p,q) tag every block alike: their +-1 blocks are enumerated
 # with the angle blocks, from one table with an empty prefix
-_SU = (SigFamily.SU_N, SigFamily.SU_PQ)
-
-# The dimension polynomial of `signature_dim`, one term per block: (term of
-# a +-1 block, term of an angle block), each in (mult_plus, mult_minus).
-# _CENTRE holds the constant: su(n) drops its one-dimensional centre.
-_TERMS = {
-    SigFamily.SO_N: (lambda a, _: a * (a - 1) // 2, lambda a, _: a * a),
-    SigFamily.SU_N: (lambda a, _: a * a, lambda a, _: a * a),
-    SigFamily.SP_N_COMPACT: (lambda a, _: a * (2 * a + 1), lambda a, _: a * a),
-    SigFamily.SO_PQ: (lambda a, b: a * b, lambda a, b: 2 * a * b),
-    SigFamily.SU_PQ: (lambda a, b: 2 * a * b, lambda a, b: 2 * a * b),
-    SigFamily.SP_PQ: (lambda a, b: 4 * a * b, lambda a, b: 2 * a * b),
-    # so*(2n): +-1 blocks centralize a smaller so*, angle blocks a u(a,b)
-    SigFamily.SOSTAR_2N: (lambda a, _: a * (a - 1), lambda a, b: 2 * a * b),
-}
-_CENTRE = {SigFamily.SU_N: -1}
-
+_SU = tuple(f for f, row in _ROWS.items() if row.field == "C")
 # coordinates an angle block fills per unit of multiplicity: 2 in the real
 # models, whose angle blocks are rotation planes, and 1 over C and H
-_ANGLE_WIDTH = {**dict.fromkeys(SigFamily, 1), SigFamily.SO_N: 2, SigFamily.SO_PQ: 2}
-
-# dim C_K(A) of each indefinite family, as (compact family, centre): K's
-# centralizer is that family's, part by part, plus the centre constant.
-# K is s(u(p)+u(q)) for su(p,q), one dimension short of u(p)+u(q), and
-# u(n) for so*(2n), whose two parts are the conjugate multiplicities
-_COMPACT_PART = {
-    SigFamily.SO_PQ: (SigFamily.SO_N, 0),
-    SigFamily.SU_PQ: (SigFamily.SU_N, -1),
-    SigFamily.SP_PQ: (SigFamily.SP_N_COMPACT, 0),
-    SigFamily.SOSTAR_2N: (SigFamily.SU_N, 0),
-}
+_ANGLE_WIDTH = {f: 2 if row.field == "R" else 1 for f, row in _ROWS.items()}
+# the matrix model of each family (also the CLI's `oracle --matrix` target)
+SIG_AMBIENT = {f: row.ambient for f, row in _ROWS.items()}
+# `oracle --family` names: each family by its model's name less "_cpt", and
+# its parameter count
+FAMILY_NAMES = {(row.ambient.value.removesuffix("_cpt"), _ARITY[f]): f for f, row in _ROWS.items()}
 
 
 class _SignatureFields(NamedTuple):
@@ -183,7 +208,7 @@ def _check_params(family, params, blocks=()):
     tuples of three ints (`require_ints` checks the ints)."""
     if type(family) is not SigFamily:
         raise OutOfDomain(f"family must be a SigFamily, got {type(family).__name__}")
-    arity = 2 if family in _TWO_PARAM else 1
+    arity = _ARITY[family]
     if type(params) in (tuple, list) and type(blocks) is tuple and {*map(type, blocks)} <= {tuple}:
         params = tuple(params)
         require_ints(chain(params, *blocks), "parameters and blocks")
@@ -234,22 +259,23 @@ def signature_dim(sig: Signature) -> int:
 
 def _dim(sig: Signature) -> int:
     """The dimension polynomial of `signature_dim`, for validated signatures."""
-    return _blocks_dim(sig.family, sig.blocks) + _CENTRE.get(sig.family, 0)
+    return _blocks_dim(sig.family, sig.blocks) + _ROWS[sig.family].centre
 
 
 def _blocks_dim(family, blocks):
-    """Sum of the `_TERMS` of some blocks (no centre constant)."""
-    real, angle = _TERMS[family]
+    """Sum of the block terms of the family's row (no centre constant)."""
+    row = _ROWS[family]
+    real, angle = row.real, row.angle
     return sum(real(mp, mm) if t in (1, -1) else angle(mp, mm) for t, mp, mm in blocks)
 
 
 def signature_compact_dim(sig: Signature) -> int:
     """dim C_K(A) for the indefinite families (cross-check channel): the
-    `_TERMS` of K's compact family, applied to each part's multiplicity."""
+    block terms of K's compact family, applied to each part's multiplicity."""
     _validate(sig)
-    if sig.family not in _COMPACT_PART:
+    if sig.family in _DEFINITE:
         raise OutOfDomain(f"{sig.family.value} is compact; use signature_dim")
-    compact, centre = _COMPACT_PART[sig.family]
+    compact, centre = _ROWS[sig.family].compact
     parts = ((t, m, 0) for t, mp, mm in sig.blocks for m in (mp, mm))
     return _blocks_dim(compact, parts) + centre
 
@@ -489,9 +515,9 @@ def oracle_max(family: SigFamily, params):
     """
     bound(family, params)  # domain gate only
     params = _check_budget(family, params)
-    real, term = _TERMS[family]  # su's +-1 blocks share the angle term
+    row = _ROWS[family]
+    real, term, centre = row.real, row.angle, row.centre  # su's +-1 blocks share the angle term
     total = family is SigFamily.SOSTAR_2N
-    centre = _CENTRE.get(family, 0)
     memo = {}
     best_dim, best = -1, ()  # every dimension is >= 0 and every tuple > ()
     for prefix, (rp, rq) in _prefixes(family, params):

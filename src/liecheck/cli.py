@@ -21,7 +21,6 @@ from . import centralizers as cz
 from . import involutions as inv
 from . import matrixoracle as mo
 from . import verify as vf
-from .centralizers import SigFamily
 
 
 EXIT_BROKEN_PIPE = 141
@@ -70,31 +69,15 @@ def _cmd_involutions(args) -> int:
     return 0
 
 
-_DEFINITE_FAMILIES = {
-    "so": SigFamily.SO_N,
-    "su": SigFamily.SU_N,
-    "sp": SigFamily.SP_N_COMPACT,
-    "so_star": SigFamily.SOSTAR_2N,
-}
-_INDEFINITE_FAMILIES = {
-    "so": SigFamily.SO_PQ,
-    "su": SigFamily.SU_PQ,
-    "sp": SigFamily.SP_PQ,
-}
-
-
 def _oracle_target(args):
     has_n = args.n is not None
     has_pq = args.p is not None or args.q is not None
     if has_n == has_pq or (has_pq and (args.p is None or args.q is None)):
         raise al.OutOfDomain("give either --n N or both --p P and --q Q")
-    if has_n:
-        family, params = _DEFINITE_FAMILIES[args.family], (args.n,)
-    else:
-        family = _INDEFINITE_FAMILIES.get(args.family)
-        if family is None:
-            raise al.OutOfDomain("family %s takes --n, not a signature" % args.family)
-        params = (args.p, args.q)
+    params = (args.n,) if has_n else (args.p, args.q)
+    family = cz.FAMILY_NAMES.get((args.family, len(params)))
+    if family is None:
+        raise al.OutOfDomain("family %s takes --n, not a signature" % args.family)
     if not args.matrix and family not in cz.BOUNDED_FAMILIES:
         raise al.OutOfDomain(
             "no closed-form bound for %s; use --matrix for the exact kernel computation"
@@ -287,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("algebra")
 
     p_orc = sub.add_parser("oracle", help="centralizer bound vs exhaustive signature maximum")
-    p_orc.add_argument("--family", required=True, choices=sorted(_DEFINITE_FAMILIES))
+    names = sorted({name for name, _ in cz.FAMILY_NAMES})
+    p_orc.add_argument("--family", required=True, choices=names)
     p_orc.add_argument("--n", type=int)
     p_orc.add_argument("--p", type=int)
     p_orc.add_argument("--q", type=int)

@@ -37,11 +37,12 @@ from typing import NamedTuple
 from liecheck._exact import in_span, reduced_form, sparse_ranks
 from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims, require_simple
 from liecheck.centralizers import (
+    SIG_AMBIENT,
     InvalidSignature,
     OracleInvariantError,
     SigFamily,
     Signature,
-    signature_dim,
+    _validate,
 )
 
 
@@ -421,19 +422,6 @@ def named_element(ambient: SimpleAlgebra, name: str) -> MatrixElement:
     return builders[name](ambient)
 
 
-# matrix model family of each centralizer-signature family (also the CLI's
-# `oracle --matrix` target)
-SIG_AMBIENT = {
-    SigFamily.SO_N: Family.SO_CPT,
-    SigFamily.SU_N: Family.SU_CPT,
-    SigFamily.SP_N_COMPACT: Family.SP_CPT,
-    SigFamily.SO_PQ: Family.SO,
-    SigFamily.SU_PQ: Family.SU,
-    SigFamily.SP_PQ: Family.SP,
-    SigFamily.SOSTAR_2N: Family.SO_STAR,
-}
-
-
 def _realized(sig: Signature):
     """The block element of a signature, as real rows.
 
@@ -478,7 +466,7 @@ def _realized(sig: Signature):
 def from_signature(sig: Signature) -> MatrixElement:
     """Realize a centralizer class as an order-dividing-4 matrix element:
     its block F-matrix (`_realized`), realified through `_UNITS`."""
-    signature_dim(sig)  # validates the block data, rejects central classes
+    _validate(sig)  # rejects malformed block data and central classes
     ambient = model(SIG_AMBIENT[sig.family], *sig.params)
     return element(ambient, _realized(sig))
 

@@ -459,8 +459,9 @@ def _reference_refuses(s):
 
 
 def _reference_compact_dim(s):
-    """`signature_compact_dim` before `_COMPACT_PART`: one hand-written
-    polynomial per indefinite family, for a signature `_validate` accepts."""
+    """`signature_compact_dim` without the rows' compact parts: one
+    hand-written polynomial per indefinite family, for a signature
+    `_validate` accepts."""
     fam, blocks = s.family, s.blocks
     if fam is SigFamily.SO_PQ:
         return sum(

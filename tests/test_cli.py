@@ -161,27 +161,55 @@ def test_oracle_so_star(capsys):
 def test_oracle_parameter_shapes(capsys):
     rc, _, err = run(capsys, "oracle", "--family", "su", "--n", "3", "--p", "1", "--q", "2")
     assert rc == 2
-    rc, _, err = run(capsys, "oracle", "--family", "so_star", "--p", "1", "--q", "2")
-    assert rc == 2 and "--n" in err
+    rc, out, err = run(capsys, "oracle", "--family", "so_star", "--p", "1", "--q", "2")
+    assert (rc, out, err) == (2, "", "error: family so_star takes --n, not a signature\n")
     rc, _, err = run(capsys, "oracle", "--family", "su", "--p", "2")
     assert rc == 2
 
 
+def test_oracle_help_lists_the_family_names(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["oracle", "--help"])
+    assert exit_info.value.code == 0
+    assert "--family {so,so_star,sp,su}" in capsys.readouterr().out
+
+
+# each --family name with its size flags, the SigFamily value it reaches,
+# and whether that family has no closed form, so that the oracle refuses it
+_FAMILY_FLAGS = [
+    (["so", "--n", "4"], "so_n", False),
+    (["su", "--n", "3"], "su_n", False),
+    (["sp", "--n", "3"], "sp_n_compact", True),
+    (["so_star", "--n", "5"], "so_star_2n", False),
+    (["so", "--p", "2", "--q", "3"], "so_pq", True),
+    (["su", "--p", "2", "--q", "3"], "su_pq", False),
+    (["sp", "--p", "2", "--q", "3"], "sp_pq", False),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, label",
-    [(["--family", "so", "--p", "2", "--q", "3"], "so_pq"), (["--family", "sp", "--n", "3"], "sp_n_compact")],
+    "flags, value, refused", _FAMILY_FLAGS, ids=[value for _, value, _ in _FAMILY_FLAGS]
 )
-def test_oracle_without_closed_form_names_matrix(capsys, monkeypatch, argv, label):
-    # refused when the arguments are read, before the bound or the
-    # enumeration runs
+def test_oracle_family_flags_reach_their_signature_family(
+    capsys, monkeypatch, flags, value, refused
+):
+    # the oracle names the family it reached on its first line; one without
+    # a closed form is refused by name when the arguments are read, before
+    # the bound or the enumeration runs
     def never(*_):
         raise AssertionError("reached the oracle")
 
-    monkeypatch.setattr(cz, "bound", never)
-    monkeypatch.setattr(cz, "oracle_max", never)
-    rc, out, err = run(capsys, "oracle", *argv)
-    assert rc == 2 and out == ""
-    assert "no closed-form bound for %s" % label in err and "--matrix" in err
+    if refused:
+        monkeypatch.setattr(cz, "bound", never)
+        monkeypatch.setattr(cz, "oracle_max", never)
+    rc, out, err = run(capsys, "oracle", "--family", *flags)
+    if refused:
+        assert rc == 2 and out == ""
+        assert "no closed-form bound for %s;" % value in err and "--matrix" in err
+    else:
+        assert rc == 0 and err == ""
+        params = [int(x) for x in flags[2::2]]
+        assert out.splitlines()[0] == "family %s, params %s" % (value, params)
 
 
 def test_oracle_matrix_refuses_models_past_the_size_limit(capsys, monkeypatch):

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from liecheck import centralizers
+from liecheck import algebras, centralizers
 from liecheck import matrixoracle as mo
 from liecheck._exact import sparse_ranks
 from liecheck.algebras import Family, OutOfDomain
@@ -544,18 +544,21 @@ def test_realized_elements_are_pinned():
 
 
 def test_every_signature_family_is_in_every_geometry_table():
-    # a new family cannot miss a table: each has a dimension polynomial, an
-    # angle width and a matrix model, each indefinite family the compact
-    # family of its K, and angle blocks are two coordinates wide exactly
-    # where the model's field is R (a quarter turn is a rotation plane)
-    for family in SigFamily:
-        assert family in centralizers._TERMS and family in mo.SIG_AMBIENT, family
-        field = mo._SHAPES[mo.SIG_AMBIENT[family]][0]
-        assert centralizers._ANGLE_WIDTH[family] == (2 if field == "R" else 1), family
-        if family in centralizers._DEFINITE:
-            assert family not in centralizers._COMPACT_PART
-        else:
-            assert centralizers._COMPACT_PART[family][0] in centralizers._DEFINITE, family
+    # each family is one row, and the row's field is its matrix model's.  An
+    # indefinite row's compact part names a definite row whose model is the
+    # catalog's max compact of the row's own model; its constant is the
+    # catalog's u(1) count plus the compact row's constant once per part
+    rows = centralizers._ROWS
+    assert set(rows) == set(SigFamily)
+    for family, row in rows.items():
+        assert row.field == mo._SHAPES[row.ambient][0], family
+        if row.compact is None:
+            continue
+        compact, constant = row.compact
+        k_family, u1 = algebras._NAMES[row.ambient].max_compact
+        parts = 2 if row.ambient in algebras._TWO_PARAM else 1
+        assert rows[compact].compact is None and rows[compact].ambient is k_family, family
+        assert constant == u1 + parts * rows[compact].centre, family
 
 
 def test_conjugation_invariance_hand_picked():
