@@ -74,6 +74,10 @@ class SigFamily(Enum):
     SP_PQ = "sp_pq"
     SOSTAR_2N = "so_star_2n"
 
+    # members compare by identity, so the identity hash is consistent with
+    # equality; it replaces Enum's Python-level hash(self._name_)
+    __hash__ = object.__hash__
+
 
 class _Row(NamedTuple):
     """One signature family: its matrix model, by catalog family, and that

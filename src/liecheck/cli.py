@@ -89,7 +89,7 @@ def _oracle_target(args):
 def _cmd_oracle(args) -> int:
     family, params = _oracle_target(args)
     if args.matrix:
-        ambient = mo.model(mo.SIG_AMBIENT[family], *params)
+        ambient = mo.model(cz.SIG_AMBIENT[family], *params)
         elem = mo.named_element(ambient, args.element)
         fixed = mo.matrix_fixed_dims(elem)
         print("model %s, element %s (order %d)" % (al.render(ambient), args.element, elem.order))

@@ -70,7 +70,7 @@ from .algebras import (
     require_simple,
     simple,
 )
-from .centralizers import OracleInvariantError, SigFamily, bound
+from .centralizers import SIG_AMBIENT, OracleInvariantError, SigFamily, bound
 
 
 class MissingTableRow(InputError, LookupError):
@@ -110,60 +110,24 @@ def _passes(route: str, margin: int) -> bool:
     return margin > 0 or route in _PASS_ANY_MARGIN
 
 
-class CaseResult:
+class CaseResult(NamedTuple):
     """Outcome of one route applied to one algebra.
 
     ``margin`` is target minus fixed-set dimension.  ``passed`` is derived,
     never stored, by `_passes`: ``margin > 0``, or the route is ``rank1``
     (always true) or ``equality_case`` (true at margin zero, by design).
-
-    A slotted class rather than a named tuple: a sweep holds one record per
-    case (209,019 at max-param 48), and four slots take 64 bytes where a
-    4-tuple takes 80.  ``__init__`` stores through the slot descriptors;
-    assignment and deletion after construction raise AttributeError.
-    Records compare and hash as their four fields.
+    A case compares, hashes and pickles as the tuple of its four fields.
     """
 
-    __slots__ = ("algebra", "route", "margin", "witness")
-
-    def __init__(self, algebra: SimpleAlgebra, route: str, margin: int, witness: str):
-        _set_algebra(self, algebra)
-        _set_route(self, route)
-        _set_margin(self, margin)
-        _set_witness(self, witness)
+    algebra: SimpleAlgebra
+    route: str
+    margin: int
+    witness: str
 
     @property
     def passed(self) -> bool:
         """``_passes(route, margin)``: the pass rule, stated once there."""
         return _passes(self.route, self.margin)
-
-    def _astuple(self) -> tuple:
-        return (self.algebra, self.route, self.margin, self.witness)
-
-    def __eq__(self, other):
-        if type(other) is not CaseResult:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __hash__(self):
-        return hash(self._astuple())
-
-    def __repr__(self):
-        return "CaseResult(algebra=%r, route=%r, margin=%r, witness=%r)" % self._astuple()
-
-    def __reduce__(self):
-        return CaseResult, self._astuple()
-
-    def __setattr__(self, attr, value):
-        raise AttributeError(f"cannot assign to field {attr!r}")
-
-    def __delattr__(self, attr):
-        raise AttributeError(f"cannot delete field {attr!r}")
-
-
-_set_algebra, _set_route, _set_margin, _set_witness = (
-    CaseResult.__dict__[name].__set__ for name in CaseResult.__slots__
-)
 
 
 class VcdResult(NamedTuple):
@@ -240,7 +204,7 @@ def rank1_shortcut(a: SimpleAlgebra) -> Optional[CaseResult]:
 
 def _subgroup_dims(parts, torus: int) -> tuple:
     """(dim H, rk H) from the catalog values of the compact summands of H."""
-    ds = [reductive_dims(algebra(mo.SIG_AMBIENT[sf], *ps)) for sf, ps in parts]
+    ds = [reductive_dims(algebra(SIG_AMBIENT[sf], *ps)) for sf, ps in parts]
     return torus + sum(d.dim_g for d in ds), torus + sum(d.rk_cpt for d in ds)
 
 
@@ -288,7 +252,6 @@ def check_maximal_rank_pair(a: SimpleAlgebra) -> CaseResult:
 
 
 class _RestrictedRow(NamedTuple):
-    family: Family
     g_label: str
     k_label: str
     bound_spec: object  # (SigFamily, params) | "recursive" | None
@@ -297,21 +260,19 @@ class _RestrictedRow(NamedTuple):
 # The distinguished noncompact subgroup of each real exceptional algebra of
 # rank >= 2: its catalog name (its value is `parse_algebra` of the name),
 # its maximal compact as the source prints it, and its centralizer bound.
-_RESTRICTED_ROWS_DATA = (
-    _RestrictedRow(Family.E6_6, "sp(2,2)", "sp(2)+sp(2)", (SigFamily.SP_PQ, (2, 2))),
-    _RestrictedRow(Family.E6_2, "so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
-    _RestrictedRow(Family.E6_M14, "so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
-    _RestrictedRow(Family.E6_M26, "sp(1,3)", "sp(1)+sp(3)", (SigFamily.SP_PQ, (1, 3))),
-    _RestrictedRow(Family.E7_7, "e6(2)+so(2)", "su(6)+su(2)+so(2)", "recursive"),
-    _RestrictedRow(Family.E7_M5, "su(4,4)", "s(u(4)+u(4))", (SigFamily.SU_PQ, (4, 4))),
-    _RestrictedRow(Family.E7_M25, "su(2,6)", "s(u(2)+u(6))", (SigFamily.SU_PQ, (2, 6))),
-    _RestrictedRow(Family.E8_8, "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
-    _RestrictedRow(Family.E8_M24, "so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
-    _RestrictedRow(Family.G2_2, "sl(2,R)+sl(2,R)", "so(2)+so(2)", None),
-    _RestrictedRow(Family.F4_4, "so(4,5)", "s(o(4)+o(5))", None),
-)
-
-_RESTRICTED_INDEX = {row.family: row for row in _RESTRICTED_ROWS_DATA}
+_RESTRICTED_INDEX = {
+    Family.E6_6: _RestrictedRow("sp(2,2)", "sp(2)+sp(2)", (SigFamily.SP_PQ, (2, 2))),
+    Family.E6_2: _RestrictedRow("so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
+    Family.E6_M14: _RestrictedRow("so*(10)+so(2)", "u(5)+so(2)", (SigFamily.SOSTAR_2N, (5,))),
+    Family.E6_M26: _RestrictedRow("sp(1,3)", "sp(1)+sp(3)", (SigFamily.SP_PQ, (1, 3))),
+    Family.E7_7: _RestrictedRow("e6(2)+so(2)", "su(6)+su(2)+so(2)", "recursive"),
+    Family.E7_M5: _RestrictedRow("su(4,4)", "s(u(4)+u(4))", (SigFamily.SU_PQ, (4, 4))),
+    Family.E7_M25: _RestrictedRow("su(2,6)", "s(u(2)+u(6))", (SigFamily.SU_PQ, (2, 6))),
+    Family.E8_8: _RestrictedRow("so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
+    Family.E8_M24: _RestrictedRow("so*(16)", "u(8)", (SigFamily.SOSTAR_2N, (8,))),
+    Family.G2_2: _RestrictedRow("sl(2,R)+sl(2,R)", "so(2)+so(2)", None),
+    Family.F4_4: _RestrictedRow("so(4,5)", "s(o(4)+o(5))", None),
+}
 
 
 def f44_equality_case() -> CaseResult:
@@ -766,8 +727,8 @@ def maximal_rank_rows() -> list:
 def restricted_rows() -> list:
     """The restricted-form table, recomputed from the catalog."""
     rows = []
-    for row in _RESTRICTED_ROWS_DATA:
-        a = simple(row.family)
+    for family, row in _RESTRICTED_INDEX.items():
+        a = simple(family)
         d = dims(a)
         gd = reductive_dims(parse_algebra(row.g_label))
         rows.append(

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement, islice
 import pytest
 
 from liecheck import centralizers
+from liecheck.algebras import Family
 from liecheck.centralizers import (
     ENUMERATION_BUDGET,
     InvalidSignature,
@@ -36,6 +37,13 @@ from liecheck.centralizers import (
 
 def sig(family, params, *blocks):
     return Signature(family, params, tuple(blocks))
+
+
+@pytest.mark.parametrize("enum", [Family, SigFamily])
+def test_family_enums_hash_by_identity(enum):
+    # members compare by identity, so the tables keyed by them hash with the
+    # C-level identity hash, not Enum's Python-level hash of the name
+    assert enum.__hash__ is object.__hash__
 
 
 def test_bound_values():

@@ -56,19 +56,24 @@ def test_pass_rule_on_each_route(route):
 
 
 def test_case_result_fields():
-    assert vf.CaseResult.__slots__ == ("algebra", "route", "margin", "witness")
+    assert vf.CaseResult._fields == ("algebra", "route", "margin", "witness")
     assert len(ROUTES) == 6
 
 
 def test_case_result_is_frozen_and_pickles():
     a = A(Family.SL_R, 3)
     c = vf.CaseResult(a, "berger_involution", 2, "w")
-    for name in vf.CaseResult.__slots__:
-        with pytest.raises(AttributeError, match="cannot assign to field"):
+    tried = []
+    for name in vf.CaseResult._fields:
+        with pytest.raises(AttributeError, match="can't set attribute"):
             setattr(c, name, getattr(c, name))
-        with pytest.raises(AttributeError, match="cannot delete field"):
+        with pytest.raises(AttributeError, match="can't delete attribute"):
             delattr(c, name)
+        tried.append(name)
+    assert len(tried) == 4
     assert (c.algebra, c.route, c.margin, c.witness) == (a, "berger_involution", 2, "w")
+    # a case is a named tuple, so it equals the plain tuple of its fields
+    assert c == (a, "berger_involution", 2, "w")
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(c, protocol))
         assert back == c and hash(back) == hash(c), protocol
