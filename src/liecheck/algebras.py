@@ -19,14 +19,15 @@ immutable named tuple `(simples, compact_abelian_dim, split_abelian_dim)`
 that compares and hashes as that tuple; `reductive` puts its simple factors
 in sort-key order, so two sums of the same factors are equal.
 
-Dimension formulas for the classical families are the textbook closed
-forms; real ranks are the standard split ranks.  Each exceptional family
-is one row of `_EXCEPTIONAL`, each classical one a row of `_NAMES`, which
-states its name grammar for `render` and `parse_algebra` (sizes are ASCII
-decimal, at most 10**SIZE_CAP_DIGITS).  Rows of both tables state the
-maximal compact and the complexification; the family classes (`COMPACT`,
-`COMPLEX`, `REAL_EXCEPTIONAL`), the (p, q) families and the catalog order
-are read off both alike.  Everything is exact integer arithmetic.
+Each exceptional family is one row of `_EXCEPTIONAL`, each classical one
+a row of `_NAMES`, which states its name grammar for `render` and
+`parse_algebra` (sizes are ASCII decimal, at most 10**SIZE_CAP_DIGITS).
+Rows of both tables state the maximal compact and the complexification;
+the family classes (`COMPACT`, `COMPLEX`, `REAL_EXCEPTIONAL`), the (p, q)
+families and the catalog order are read off both alike.  A classical real
+form's dimensions are read off its row too: dim g from the
+complexification, dim K and rk K from the maximal compact, and rk_R from
+the row's real-rank rule.  Everything is exact integer arithmetic.
 
 The package refuses arguments by two guards stated here, both raising
 OutOfDomain before any message formats the input: `require_simple` for a
@@ -105,6 +106,7 @@ class _Classical(NamedTuple):
     scale: int
     max_compact: tuple[Family, int] | None  # None for the compact forms
     complexification: tuple[Family, int] | None  # None for the complex algebras, which double
+    real_rank: tuple[int, int] | None  # None but for the one-parameter real forms
 
 
 # The classical families.  The tag is the field suffix of a one-parameter
@@ -112,21 +114,23 @@ class _Classical(NamedTuple):
 # parameter into the printed size, as sp(2n,R) prints 2n.  The max compact
 # is K's family at each parameter, with its count of u(1) summands; the
 # complexification is a complex family and the factor on the summed size.
+# A one-parameter real form's real rank (d, o) is n // d + o at size n; a
+# (p, q) family's is min(p, q).
 _NAMES = {
-    # head, tag, scale, max compact, complexification
-    Family.SL_R: ("sl", "R", 1, (Family.SO_CPT, 0), (Family.SL_C, 1)),
-    Family.SL_H: ("sl", "H", 1, (Family.SP_CPT, 0), (Family.SL_C, 2)),
-    Family.SU: ("su", 2, 1, (Family.SU_CPT, 1), (Family.SL_C, 1)),
-    Family.SO: ("so", 2, 1, (Family.SO_CPT, 0), (Family.SO_C, 1)),
-    Family.SP_R: ("sp", "R", 2, (Family.SU_CPT, 1), (Family.SP_C, 1)),
-    Family.SP: ("sp", 2, 1, (Family.SP_CPT, 0), (Family.SP_C, 1)),
-    Family.SO_STAR: ("so*", 1, 2, (Family.SU_CPT, 1), (Family.SO_C, 2)),
-    Family.SL_C: ("sl", "C", 1, (Family.SU_CPT, 0), None),
-    Family.SO_C: ("so", "C", 1, (Family.SO_CPT, 0), None),
-    Family.SP_C: ("sp", "C", 2, (Family.SP_CPT, 0), None),
-    Family.SU_CPT: ("su", 1, 1, None, (Family.SL_C, 1)),
-    Family.SO_CPT: ("so", 1, 1, None, (Family.SO_C, 1)),
-    Family.SP_CPT: ("sp", 1, 1, None, (Family.SP_C, 1)),
+    # head, tag, scale, max compact, complexification, real rank
+    Family.SL_R: ("sl", "R", 1, (Family.SO_CPT, 0), (Family.SL_C, 1), (1, -1)),
+    Family.SL_H: ("sl", "H", 1, (Family.SP_CPT, 0), (Family.SL_C, 2), (1, -1)),
+    Family.SU: ("su", 2, 1, (Family.SU_CPT, 1), (Family.SL_C, 1), None),
+    Family.SO: ("so", 2, 1, (Family.SO_CPT, 0), (Family.SO_C, 1), None),
+    Family.SP_R: ("sp", "R", 2, (Family.SU_CPT, 1), (Family.SP_C, 1), (1, 0)),
+    Family.SP: ("sp", 2, 1, (Family.SP_CPT, 0), (Family.SP_C, 1), None),
+    Family.SO_STAR: ("so*", 1, 2, (Family.SU_CPT, 1), (Family.SO_C, 2), (2, 0)),
+    Family.SL_C: ("sl", "C", 1, (Family.SU_CPT, 0), None, None),
+    Family.SO_C: ("so", "C", 1, (Family.SO_CPT, 0), None, None),
+    Family.SP_C: ("sp", "C", 2, (Family.SP_CPT, 0), None, None),
+    Family.SU_CPT: ("su", 1, 1, None, (Family.SL_C, 1), None),
+    Family.SO_CPT: ("so", 1, 1, None, (Family.SO_C, 1), None),
+    Family.SP_CPT: ("sp", 1, 1, None, (Family.SP_C, 1), None),
 }
 _NAMES = {family: _Classical(*row) for family, row in _NAMES.items()}
 _NAMED = {(row.head, row.tag): family for family, row in _NAMES.items()}
@@ -470,55 +474,41 @@ def dims(a: SimpleAlgebra) -> SpaceDims:
 
 
 def _space(fam, params):
-    if fam is Family.SL_R:
-        (n,) = params
-        g, k = n * n - 1, n * (n - 1) // 2
-        return SpaceDims(g, k, g - k, n - 1, n // 2)
-    if fam is Family.SL_H:
-        (n,) = params
-        g, k = 4 * n * n - 1, n * (2 * n + 1)
-        return SpaceDims(g, k, g - k, n - 1, n)
-    if fam is Family.SU:
-        p, q = params
-        g, k = (p + q) ** 2 - 1, p * p + q * q - 1
-        return SpaceDims(g, k, 2 * p * q, min(p, q), p + q - 1)
-    if fam is Family.SO:
-        p, q = params
-        g = (p + q) * (p + q - 1) // 2
-        k = (p * (p - 1) + q * (q - 1)) // 2
-        return SpaceDims(g, k, p * q, min(p, q), p // 2 + q // 2)
-    if fam is Family.SP_R:
-        (n,) = params
-        g, k = n * (2 * n + 1), n * n
-        return SpaceDims(g, k, n * (n + 1), n, n)
-    if fam is Family.SP:
-        p, q = params
-        m = p + q
-        g = m * (2 * m + 1)
-        k = p * (2 * p + 1) + q * (2 * q + 1)
-        return SpaceDims(g, k, 4 * p * q, min(p, q), m)
-    if fam is Family.SO_STAR:
-        (n,) = params
-        g, k = n * (2 * n - 1), n * n
-        return SpaceDims(g, k, n * n - n, n // 2, n)
     if fam in _EXCEPTIONAL:
         row = _EXCEPTIONAL[fam]
         return SpaceDims(row.dim_g, row.dim_k, row.dim_g - row.dim_k, row.rk_r, row.rk_cpt)
-    d, r = _dim_rank(fam, params)
-    if fam in COMPLEX:
+    row = _NAMES[fam]
+    if row.max_compact is None:
+        d, r = _dim_rank(fam, *params)
+        return SpaceDims(d, d, 0, 0, r)
+    if row.complexification is None:
+        d, r = _dim_rank(fam, *params)
         return SpaceDims(2 * d, d, d, r, r)
-    return SpaceDims(d, d, 0, 0, r)
+    # a classical real form, read off its row
+    family, factor = row.complexification
+    g = _dim_rank(family, factor * sum(params))[0]
+    family, lines = row.max_compact
+    k = rk_cpt = lines
+    for n in params:
+        d, r = _dim_rank(family, n)
+        k += d
+        rk_cpt += r
+    if row.real_rank is None:
+        rk_r = min(params)
+    else:
+        d, o = row.real_rank
+        rk_r = params[0] // d + o
+    return SpaceDims(g, k, g - k, rk_r, rk_cpt)
 
 
-def _dim_rank(fam, params):
-    """(dim, rank) of a classical complex simple algebra, or of a compact one."""
+def _dim_rank(fam, n):
+    """(dim, rank) of the classical complex or compact simple algebra of
+    family `fam` at size n: sl(n,C) or su(n), so(n,C) or so(n), sp(2n,C) or
+    sp(n).  su(0) counts as (-1, -1), so su(0)+su(q)+u(1) is su(q)."""
     if fam in (Family.SL_C, Family.SU_CPT):
-        (n,) = params
         return n * n - 1, n - 1
     if fam in (Family.SO_C, Family.SO_CPT):
-        (n,) = params
         return n * (n - 1) // 2, n // 2
-    (n,) = params
     return n * (2 * n + 1), n
 
 

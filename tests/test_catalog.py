@@ -2,7 +2,11 @@
 
 Expected values are frozen here from the closed-form dimension formulas
 (worked by hand) and the standard structure constants of the exceptional
-forms; the catalog must reproduce them bit-exactly.
+forms; the catalog must reproduce them bit-exactly.  The catalog reads a
+classical real form's dims off its own `_NAMES` columns, so the checks
+here that compare those columns with each other are consistency checks;
+`test_satake.py` derives every noncompact form's dims and ranks from root
+data and Satake diagrams, independently of the catalog.
 """
 
 import copy
@@ -397,8 +401,11 @@ def test_max_compact():
 
 
 def test_max_compact_dimension_identity():
-    # every catalog algebra, so each compact column entry is checked against
-    # the independent dimension formulas at every size the sweeps reach
+    # every catalog algebra at every size the sweeps reach.  A classical real
+    # form's dim K and rk K are read off the max-compact column itself, so
+    # there this is a tautology up to the coincidences (so(4,5)'s K is
+    # so(5)+su(2)+su(2) once renamed); it still checks each exceptional
+    # row's dim K and rk K against its max-compact name
     for a in iter_noncompact_simple(SIZE_LIMIT):
         d = dims(a)
         k = reductive_dims(max_compact(a))
@@ -452,7 +459,9 @@ def test_complexify_doubles_dimension():
 def test_classical_rows_state_compact_and_complex_families():
     # the columns' shape, as the family classes are read off them: a compact
     # column is a classical compact family and 0 or 1 u(1), a complexification
-    # a classical complex family and a factor of 1 or 2
+    # a classical complex family and a factor of 1 or 2, and a real-rank rule
+    # (d, o), rk_R = n // d + o, is stated by each one-parameter real form
+    # alone: the (p, q) families take min(p, q), compact and complex ones none
     F = Family
     for family, row in algebras._NAMES.items():
         if row.max_compact is not None:
@@ -462,6 +471,10 @@ def test_classical_rows_state_compact_and_complex_families():
             complex_family, factor = row.complexification
             assert complex_family in algebras.COMPLEX_CLASSICAL and factor in (1, 2), family
     assert algebras._TWO_PARAM == {F.SU: F.SU_CPT, F.SO: F.SO_CPT, F.SP: F.SP_CPT}
+    rules = {family: row.real_rank for family, row in algebras._NAMES.items() if row.real_rank}
+    assert rules.keys() == {F.SL_R, F.SL_H, F.SP_R, F.SO_STAR}
+    assert rules.keys() == algebras._ONE_PARAM - COMPACT - algebras.COMPLEX
+    assert all(d in (1, 2) and o in (-1, 0) for d, o in rules.values())
 
 
 def test_iter_covers_expected_families():

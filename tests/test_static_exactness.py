@@ -5,7 +5,8 @@ tolerance anywhere.  This reads the source of every module and refuses what
 would bring a float in: true division, a float or complex literal, and any
 use of `float`, `round` or a `math` name other than `lcm` and `gcd`, which
 map ints to ints and raise `TypeError` on a float.  It covers code that no
-test reaches.
+test reaches.  The tests' own root data (`_rootdata.py`), the independent
+side of the catalog's dims, is held to the same rule.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import liecheck
 
 PACKAGE = Path(liecheck.__file__).resolve().parent
+ROOTDATA = Path(__file__).resolve().parent / "_rootdata.py"
 
 _FLOAT_NAMES = frozenset(("float", "round"))
 _MATH_NAMES = frozenset(("gcd", "lcm"))
@@ -41,8 +43,8 @@ def test_no_inexact_arithmetic_in_the_package():
     modules = sorted(PACKAGE.rglob("*.py"))
     assert len(modules) >= 8
     found = [
-        f"{path.relative_to(PACKAGE)}:{line}: {what}"
-        for path in modules
+        f"{path.relative_to(path.parent.parent)}:{line}: {what}"
+        for path in [*modules, ROOTDATA]
         for line, what in _inexact(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert found == []
