@@ -123,11 +123,15 @@ _PRODUCT_KEYS = tuple(k for k in vf.SemisimpleReport._fields if k not in ("rk_to
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+# each route name JSON-encoded once, not once per case
+_ROUTE_JSON = {route: _encode_str(route) for route in vf.ROUTES}
+
+
 def _case_block(name, c) -> str:
     """The JSON block of case ``c``, whose algebra's name ``name`` is already encoded."""
     return _CASE_BLOCK % (
         name,
-        _encode_str(c.route),
+        _ROUTE_JSON[c.route],
         c.margin,
         _encode_str(c.witness),
         "true" if c.passed else "false",

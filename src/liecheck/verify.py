@@ -40,7 +40,7 @@ margin is positive; `_passes` is the one statement of that rule.
 
 import gc
 from collections.abc import Iterable
-from itertools import groupby
+from itertools import count, groupby, repeat
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -95,6 +95,7 @@ ROUTE_EQUALITY = "equality_case"
 ROUTE_MAXIMAL_RANK = "maximal_rank_pair"
 ROUTE_RESTRICTED = "restricted_form"
 ROUTE_TRIALITY = "triality"
+ROUTES = (ROUTE_RANK1, ROUTE_BERGER, ROUTE_EQUALITY, ROUTE_MAXIMAL_RANK, ROUTE_RESTRICTED, ROUTE_TRIALITY)
 
 # routes that pass whatever the margin: rank one on general grounds, and
 # the documented equality witnesses at margin zero
@@ -399,6 +400,14 @@ def check_involutions(a: SimpleAlgebra) -> list:
     ``triality`` case per order-3 class, after their involution rows.
     The rows are read once, through ``inv.isotropy_entries``, and only by
     their labels and dims: no instance value is built here.
+
+    A row's cases are built in one batch: its witnesses and its margins by
+    one comprehension each, and its ``berger_involution`` cases by one
+    ``map`` of ``tuple.__new__``.  Only a row whose ``dims_s`` holds the
+    target has an instance at margin 0; such a row is then scanned, and
+    each of those instances that `_is_equality_witness` accepts becomes an
+    ``equality_case`` in place.  Every other margin-0 instance stays a
+    failing ``berger_involution`` case.
     """
     a = require_simple(a)
     d = dims(a)
@@ -407,16 +416,21 @@ def check_involutions(a: SimpleAlgebra) -> list:
     # built once per row and the tail once per algebra
     tail = f" vs target {target})"
     out = []
-    append = out.append
     for entry in inv.isotropy_entries(a):
         head = entry.template + " -> "
-        for label, fixed in zip(entry.labels, entry.dims_s):
-            margin = target - fixed
-            witness = f"{head}{label} (fixed dim {fixed}{tail}"
-            if margin == 0 and _is_equality_witness(a, label):
-                append(CaseResult(a, ROUTE_EQUALITY, 0, witness))
-            else:
-                append(CaseResult(a, ROUTE_BERGER, margin, witness))
+        labels, dims_s = entry.labels, entry.dims_s
+        witnesses = [f"{head}{label} (fixed dim {fixed}{tail}" for label, fixed in zip(labels, dims_s)]
+        margins = [target - fixed for fixed in dims_s]
+        start = len(out)
+        # `tuple.__new__` makes the same tuple as CaseResult's generated
+        # `__new__`, without that Python frame per case (209,019 cases at
+        # max-param 48); this is the one place a case skips it
+        fields = zip(repeat(a), repeat(ROUTE_BERGER), margins, witnesses)
+        out += map(tuple.__new__, repeat(CaseResult), fields)
+        if target in dims_s:
+            for i, label, fixed, witness in zip(count(start), labels, dims_s, witnesses):
+                if fixed == target and _is_equality_witness(a, label):
+                    out[i] = CaseResult(a, ROUTE_EQUALITY, 0, witness)
     if a in inv.TRIALITY_FORMS:
         for cls in inv.triality_classes(a):
             fixed = reductive_dims(cls.fixed_algebra).dim_s
@@ -756,6 +770,7 @@ def case_payload(c: CaseResult) -> dict:
 
 
 __all__ = [
+    "ROUTES",
     "CaseResult",
     "CaseTally",
     "IsotypyViolated",

@@ -19,7 +19,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, permutations, product
+from itertools import compress, permutations, product
 from pathlib import Path
 
 import pytest
@@ -311,56 +311,72 @@ CRITERION_3 = [
 ] + [(SigFamily.SOSTAR_2N, (n,)) for n in range(2, 7)]
 
 
-def _flat_sparse(dense):
-    """The sparse row (columns, values) of a dense matrix, flattened."""
-    flat = list(chain.from_iterable(dense))
-    cols = list(compress(range(len(flat)), flat))
-    return cols, [flat[c] for c in cols]
+def _sparse(triples):
+    """The matrix with entry x at (i, j) for each (i, j, x), as
+    {row: {column: value}}."""
+    m = {}
+    for i, j, x in triples:
+        m.setdefault(i, {})[j] = x
+    return m
+
+
+def _sparse_mul(a, b):
+    """The product of two {row: {column: value}} matrices, zeros dropped."""
+    out = {}
+    for i, arow in a.items():
+        acc = {}
+        for k, x in arow.items():
+            for j, y in b.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + x * y
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return out
+
+
+def _flat_sparse(m, n):
+    """The sparse row (columns, values) of an n x n {row: {column: value}}
+    matrix, flattened row by row."""
+    cells = sorted((i * n + j, x) for i, row in m.items() for j, x in row.items() if x)
+    return [c for c, _ in cells], [x for _, x in cells]
 
 
 @lru_cache(maxsize=None)
 def _basis_rows(ambient):
-    """The ambient's k and p basis matrices, and their flattened sparse rows."""
+    """The ambient's k and p basis matrices, as (i, j, x) entries, and their
+    flattened sparse rows."""
     k, p = mo._bases(ambient)[:2]
     n = mo._size(ambient)
-    rows = []
-    for triples in k + p:
-        m = [[0] * n for _ in range(n)]
-        for i, j, x in triples:
-            m[i][j] = x
-        rows.append(_flat_sparse(m))
-    return k, p, rows
+    return len(k), k + p, [_flat_sparse(_sparse(triples), n) for triples in k + p]
 
 
 def _rank_verdict(ambient, rows):
     """The verdict of the rank criterion that `element` applied before it
     tested span membership: appending the rows of X -> A X A^3 - X to the
     basis, and the k rows to the k basis, must keep each rank.  Every row is
-    built densely here, with its own product, from the basis matrices
+    built here, with its own sparse product, from the basis matrices
     alone."""
-    a = [list(r) for r in rows]
-    a2 = mul(a, a)
-    a3 = mul(a2, a)
-    n = len(a)
-    if mul(a3, a) != eye(n):
+    n = len(rows)
+    a = _sparse((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x)
+    a3 = _sparse_mul(_sparse_mul(a, a), a)
+    if _sparse_mul(a3, a) != {i: {i: 1} for i in range(n)}:
         return "order"
-    k, p, basis = _basis_rows(ambient)
-    a_cols = [list(c) for c in zip(*a)]
+    a_cols = _sparse((j, i, x) for i, row in a.items() for j, x in row.items())
+    nk, mats, basis = _basis_rows(ambient)
     moved = []
-    for triples in k + p:
-        # A M A^3 - M: minus M, plus column i of A times row i of M A^3 for
-        # every nonzero row i of M (A^-1 = A^3)
-        conj = [[0] * n for _ in range(n)]
-        m_rows = {}
+    for triples in mats:
+        # A M A^3 - M, with A^-1 = A^3: each entry x of M at (i, j) adds x
+        # times column i of A times row j of A^3, and takes x from (i, j)
+        conj = {}
         for i, j, x in triples:
-            conj[i][j] -= x
-            m_rows.setdefault(i, [0] * n)[j] = x
-        for i, row in zip(m_rows, mul(list(m_rows.values()), a3)):
-            col = a_cols[i]
-            for r in compress(range(n), col):
-                conj[r] = [u + col[r] * v for u, v in zip(conj[r], row)]
-        moved.append(_flat_sparse(conj))
-    nk = len(k)
+            a3_row = a3[j]
+            for r, y in a_cols[i].items():
+                crow = conj.setdefault(r, {})
+                for c, z in a3_row.items():
+                    crow[c] = crow.get(c, 0) + x * y * z
+            crow = conj.setdefault(i, {})
+            crow[j] = crow.get(j, 0) - x
+        moved.append(_flat_sparse(conj, n))
     full, compact = sparse_ranks([basis + moved, basis[:nk] + moved[:nk]])
     if full != len(basis):
         return "algebra"

@@ -58,6 +58,8 @@ def test_pass_rule_on_each_route(route):
 def test_case_result_fields():
     assert vf.CaseResult._fields == ("algebra", "route", "margin", "witness")
     assert len(ROUTES) == 6
+    # vf.ROUTES, which `verify --json` encodes once, holds every route constant
+    assert sorted(vf.ROUTES) == ROUTES
 
 
 def test_case_result_is_frozen_and_pickles():
@@ -547,10 +549,6 @@ def _reference_fold(items):
     return count, flagged, failures, list(route_counts.items()), worst, worst_at
 
 
-_FOLD_ROUTES = (
-    vf.ROUTE_RANK1, vf.ROUTE_BERGER, vf.ROUTE_EQUALITY,
-    vf.ROUTE_MAXIMAL_RANK, vf.ROUTE_RESTRICTED, vf.ROUTE_TRIALITY,
-)
 _FOLD_ALGEBRAS = (
     al.simple(Family.SL_R, 3), al.simple(Family.SO, 2, 3), al.simple(Family.SU, 1, 2),
     al.simple(Family.E6_C), al.simple(Family.F4_4),
@@ -560,7 +558,7 @@ _fold_items = st.lists(
         st.sampled_from(_FOLD_ALGEBRAS),
         st.lists(
             st.tuples(
-                st.sampled_from(_FOLD_ROUTES), st.integers(-2, 3), st.sampled_from("wxyz")
+                st.sampled_from(vf.ROUTES), st.integers(-2, 3), st.sampled_from("wxyz")
             ),
             max_size=12,
         ),
@@ -642,6 +640,73 @@ def test_equality_witness_by_label_is_the_value_rule():
                 witnesses += by_label
                 checked += 1
     assert checked > 40_000 and witnesses > 250
+
+
+def test_a_margin_zero_instance_off_the_equality_witnesses_fails(monkeypatch):
+    # no catalog instance meets the target without being an equality
+    # witness, so the failing branch is fed a hand-made second row of
+    # sl(5,R) (target 14 - 4 = 10): a margin-0 instance that is no witness,
+    # the witness sl(4,R)+R, and positive margins
+    sl5 = A(Family.SL_R, 5)
+    witness_label = al.render(al.direct_sum(red(Family.SL_R, 4), al.SPLIT_LINE))
+    rows = (
+        inv.IsotropyEntry(sl5, "first", (), "hand-made", "inner", (), ("so(5)", "u(1)"), (4, 0)),
+        inv.IsotropyEntry(
+            sl5, "second", (), "hand-made", "inner", (),
+            ("off(10)", witness_label, "low(3)"), (10, 10, 3),
+        ),
+    )
+    original = inv.isotropy_entries
+    monkeypatch.setattr(inv, "isotropy_entries", lambda a: rows if a == sl5 else original(a))
+    cases = vf.check_involutions(sl5)
+    assert [(c.route, c.margin) for c in cases] == [
+        (vf.ROUTE_BERGER, 6), (vf.ROUTE_BERGER, 10),
+        (vf.ROUTE_BERGER, 0), (vf.ROUTE_EQUALITY, 0), (vf.ROUTE_BERGER, 7),
+    ]
+    assert all(type(c) is vf.CaseResult for c in cases)
+    off, equal = cases[2], cases[3]
+    assert off.witness == "second -> off(10) (fixed dim 10 vs target 10)" and not off.passed
+    assert equal.witness == f"second -> {witness_label} (fixed dim 10 vs target 10)" and equal.passed
+    tally = vf.CaseTally()
+    tally.add(sl5, cases)
+    assert tally.failures == [off] and tally.flagged == [equal]
+    rep = vf.sweep("real", 5)
+    assert not rep.passed and rep.failures == (off,)
+    assert equal in rep.flagged
+
+
+def _reference_involution_cases(a):
+    """`check_involutions`' row cases of ``a``, one instance at a time."""
+    d = al.dims(a)
+    target = d.dim_s - d.rk_r
+    out = []
+    for e in inv.isotropy_entries(a):
+        for label, fixed in zip(e.labels, e.dims_s):
+            margin = target - fixed
+            witness = "%s -> %s (fixed dim %d vs target %d)" % (e.template, label, fixed, target)
+            if margin == 0 and vf._is_equality_witness(a, label):
+                out.append(vf.CaseResult(a, vf.ROUTE_EQUALITY, 0, witness))
+            else:
+                out.append(vf.CaseResult(a, vf.ROUTE_BERGER, margin, witness))
+    return out
+
+
+def test_involution_cases_match_a_per_instance_reference():
+    # every algebra up to max-param 24, the two triality forms included:
+    # the row cases equal the reference's, in order, as `CaseResult`s, and
+    # only the triality classes follow them
+    tails = {}
+    for a in al.iter_noncompact_simple(24):
+        want = _reference_involution_cases(a)
+        got = vf.check_involutions(a)
+        assert got[: len(want)] == want, al.render(a)
+        assert all(type(c) is vf.CaseResult for c in got)
+        tail = got[len(want):]
+        assert all(c.route == vf.ROUTE_TRIALITY for c in tail)
+        if tail:
+            tails[al.render(a)] = len(tail)
+    assert set(tails) == {"so(8,C)", "so(4,4)"}
+    assert tails == {al.render(a): len(inv.triality_classes(a)) for a in inv.TRIALITY_FORMS}
 
 
 def test_sweep_deterministic():

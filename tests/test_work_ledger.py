@@ -4,8 +4,12 @@
 each counted function rebound in every liecheck module that holds it.  Each
 count in `CEILINGS` is a ceiling: a change may lower one, and says so when
 it does, but never raises one.  `gc_collections` counts the cyclic
-collections that start during the sweep, seen through `gc.callbacks`.  Beside the ceilings the ledger states where
-the work goes:
+collections that start during the sweep, seen through `gc.callbacks`.
+`case_results` counts the cases built through `CaseResult`'s generated
+Python ``__new__``, rebound on the class: the involution rows' cases are
+made by `tuple.__new__` without it, so a per-case constructor that comes
+back raises this count from 131 to the sweep's 4,531 cases.  Beside the
+ceilings the ledger states where the work goes:
 
 - no route calls `instantiations` or reads a row's `instances`: the
   `parse_algebra` ceiling counts only the catalog names a cold sweep
@@ -52,6 +56,7 @@ CEILINGS = {
     "instantiations": 0,
     "parse_algebra": 243,
     "gc_collections": 0,
+    "case_results": 131,
 }
 
 # (module, function) of every caller allowed to measure with reductive_dims
@@ -105,6 +110,16 @@ def collection_started(phase, info):
         collections.append(info["generation"])
 
 
+case_result_new = vf.CaseResult.__new__
+
+
+def counting_new(cls, *args, **kwargs):
+    counts["case_results"] += 1
+    return case_result_new(cls, *args, **kwargs)
+
+
+counts["case_results"] = 0
+vf.CaseResult.__new__ = counting_new
 gc.callbacks.append(collection_started)
 rep = vf.sweep("all", 16)
 gc.callbacks.remove(collection_started)
