@@ -438,37 +438,34 @@ def _candidate_count(family, params):
     partition numbers p(n // weight): the candidates that split each size
     into blocks on its own.  So a partition number past the budget settles
     the answer, and the exact counts below only ever run on small sizes.
+    Past the floor, table[i][j] counts the angle fills of (i, j) units of
+    weight, a one-parameter family running as (n, 0); so*(2n)'s angle
+    blocks of total multiplicity k take k + 1 shapes, and its table stops
+    past the budget.  Each of the (p - weight*i + 1)(q - weight*j + 1) +-1
+    prefixes leaving (i, j) takes table[i][j] fills; su has no prefix.
     """
     over = ENUMERATION_BUDGET + 1
     if min(params) < 0:
         return 0  # nothing fills a negative size
-    if family is SigFamily.SOSTAR_2N:
-        # angle blocks of total multiplicity k come in k + 1 shapes (a, k - a)
-        (n,) = params
-        angles = _multiset_counts(n, lambda k: k + 1)
-        if angles[-1] > ENUMERATION_BUDGET:
-            return over
-        return min(sum((n - r + 1) * angles[r] for r in range(n + 1)), over)
     weight = _ANGLE_WIDTH[family]
-    parts = [_multiset_counts(x // weight, lambda k: 1) for x in params]
     floor = 1
-    for c in parts:
-        floor *= c[-1]
+    for x in params:
+        floor *= _multiset_counts(x // weight, lambda k: 1)[-1]
     if floor > ENUMERATION_BUDGET:
         return over
-    if family is SigFamily.SU_N:
-        return floor
-    if len(params) == 1:  # so(n), sp(n): +-1 blocks fill n - weight*r coordinates
-        (n,) = params
-        return min(sum((n - weight * r + 1) * parts[0][r] for r in range(n // weight + 1)), over)
-    p, q = params
-    if family is SigFamily.SU_PQ:
-        return min(_pair_partitions(p, q)[p][q], over)
-    pairs = _pair_partitions(p // weight, q // weight)
+    p, q = params if len(params) == 2 else (*params, 0)
+    if family is SigFamily.SOSTAR_2N:
+        table = [[c] for c in _multiset_counts(p, lambda k: k + 1)]
+        if len(table) <= p:
+            return over
+    else:
+        table = _pair_partitions(p // weight, q // weight)
+    if family in _SU:
+        return min(table[p][q], over)
     total = sum(
-        (p - weight * i + 1) * (q - weight * j + 1) * pairs[i][j]
-        for i in range(p // weight + 1)
-        for j in range(q // weight + 1)
+        (p - weight * i + 1) * (q - weight * j + 1) * c
+        for i, row in enumerate(table)
+        for j, c in enumerate(row)
     )
     return min(total, over)
 

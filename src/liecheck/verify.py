@@ -40,7 +40,7 @@ margin is positive; `_passes` is the one statement of that rule.
 
 import gc
 from collections.abc import Iterable
-from itertools import count, groupby, repeat
+from itertools import chain, count, groupby, repeat, starmap
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -408,6 +408,10 @@ def check_involutions(a: SimpleAlgebra) -> list:
     each of those instances that `_is_equality_witness` accepts becomes an
     ``equality_case`` in place.  Every other margin-0 instance stays a
     failing ``berger_involution`` case.
+
+    On real rank one the rows are listed, but the verdict is the ``rank1``
+    case that `verify_case` returns in their place; up to max-param 64
+    only sl(2,C) lists failing cases, two at margin 0.
     """
     a = require_simple(a)
     d = dims(a)
@@ -623,7 +627,9 @@ class CaseTally:
     """A sweep's counts, flags and verdict, folded one algebra at a time.
 
     `sweep` and ``liecheck verify`` pass each ``(algebra, cases)`` item of
-    `iter_algebra_cases` to ``add``.  It keeps ``count``; ``flagged`` and
+    `iter_algebra_cases` to ``add``, which returns the cases it folded:
+    `sweep` chains those lists into its tuple, one ``add`` call per algebra
+    and no loop of its own.  The tally keeps ``count``; ``flagged`` and
     ``failures``, lists of the ``equality_case`` and the failed cases in the
     order added; ``route_counts`` in first-seen order; and the smallest
     strict margin, ``worst_strict_margin`` (None while no case is strict:
@@ -643,7 +649,7 @@ class CaseTally:
         self.count, self.flagged, self.failures = 0, [], []
         self.route_counts, self.worst_strict_margin, self.worst_at = {}, None, []
 
-    def add(self, a: SimpleAlgebra, cases) -> None:
+    def add(self, a: SimpleAlgebra, cases: list) -> list:
         strict = None
         counts = self.route_counts
         for route, run in groupby(cases, _ROUTE):
@@ -657,12 +663,12 @@ class CaseTally:
             if not _passes(route, low):
                 self.failures += [c for c in run if not _passes(route, c.margin)]
         self.count += len(cases)
-        if strict is None:
-            return
-        if self.worst_strict_margin is None or strict < self.worst_strict_margin:
-            self.worst_strict_margin, self.worst_at = strict, [a]
-        elif strict == self.worst_strict_margin and len(self.worst_at) < 4:
-            self.worst_at.append(a)
+        if strict is not None:
+            if self.worst_strict_margin is None or strict < self.worst_strict_margin:
+                self.worst_strict_margin, self.worst_at = strict, [a]
+            elif strict == self.worst_strict_margin and len(self.worst_at) < 4:
+                self.worst_at.append(a)
+        return cases
 
     def passed(self, products) -> bool:
         """No case added failed, and every product check in ``products`` passed."""
@@ -693,16 +699,10 @@ def sweep(scope: str = "all", max_param: int = 32) -> SweepReport:
     """
     _require_sweep_args(scope, max_param)
     tally = CaseTally()
-
-    def folded(per_algebra):
-        for a, results in per_algebra:
-            tally.add(a, results)
-            yield from results
-
     enabled = gc.isenabled()
     gc.disable()
     try:
-        cases = tuple(folded(iter_algebra_cases(scope, max_param)))
+        cases = tuple(chain.from_iterable(starmap(tally.add, iter_algebra_cases(scope, max_param))))
         products = product_checks(scope, max_param)
     finally:
         if enabled:

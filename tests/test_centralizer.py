@@ -293,6 +293,32 @@ def test_candidate_count_matches_enumeration():
                 assert _candidate_count(fam, (p, q)) == built, (fam, p, q)
 
 
+# the counts on each side of ENUMERATION_BUDGET that decide which sizes are
+# refused (None: over it); README names su(46) as the smallest su(n) past it
+_BUDGET_EDGES = [
+    (SigFamily.SU_N, (45,), 89_134),
+    (SigFamily.SU_N, (46,), None),
+    (SigFamily.SO_N, (52,), 94_514),
+    (SigFamily.SO_N, (53,), None),
+    (SigFamily.SOSTAR_2N, (13,), 61_402),
+    (SigFamily.SOSTAR_2N, (14,), None),
+    (SigFamily.SU_PQ, (10, 11), 94_664),
+    (SigFamily.SU_PQ, (10, 12), None),
+    (SigFamily.SP_PQ, (5, 10), 92_823),
+    (SigFamily.SP_PQ, (5, 11), None),
+    (SigFamily.SU_PQ, (9, 12), 89_079),
+    (SigFamily.SU_PQ, (9, 13), None),
+]
+
+
+def test_candidate_counts_at_the_budget_edges():
+    for family, params, count in _BUDGET_EDGES:
+        expected = ENUMERATION_BUDGET + 1 if count is None else count
+        assert _candidate_count(family, params) == expected, (family, params)
+    # the sizes the oracle tests run at the edge are pinned here
+    assert set(_LARGEST_IN_BUDGET) <= {(f, p) for f, p, c in _BUDGET_EDGES if c is not None}
+
+
 def _validated(family, params, order_le_4):
     """The candidates that pass the full `_validate`, in enumeration order."""
     for blocks in _built(family, params, order_le_4):

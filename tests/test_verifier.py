@@ -39,6 +39,21 @@ def test_rank1_shortcut():
     assert vf.rank1_shortcut(A(Family.SL_R, 3)) is None
 
 
+def test_rank_one_verdict_is_the_rank1_case_over_the_listed_rows():
+    # on real rank one `check_involutions` lists the rows, and `verify_case`
+    # returns the rank1 case instead, whose margin is the rows' smallest;
+    # sl(2,C)'s two margin-0 rows are the only failing ones listed
+    rank_one = [a for a in al.iter_noncompact_simple(16) if al.dims(a).rk_r == 1]
+    assert len(rank_one) == 43
+    failing = []
+    for a in rank_one:
+        shortcut, rows = vf.rank1_shortcut(a), vf.check_involutions(a)
+        assert vf.verify_case(a) == [shortcut] and shortcut.passed, al.render(a)
+        assert shortcut.margin == min(c.margin for c in rows), al.render(a)
+        failing += [al.render(c.algebra) for c in rows if not c.passed]
+    assert failing == ["sl(2,C)", "sl(2,C)"]
+
+
 ROUTES = sorted(v for k, v in vars(vf).items() if k.startswith("ROUTE_"))
 
 
@@ -578,7 +593,7 @@ def test_case_tally_run_fold_equals_a_case_by_case_fold(items):
     ]
     tally = vf.CaseTally()
     for a, cases in items:
-        tally.add(a, cases)
+        assert tally.add(a, cases) is cases
     got = (
         tally.count, tally.flagged, tally.failures, list(tally.route_counts.items()),
         tally.worst_strict_margin, tally.worst_at,

@@ -8,8 +8,12 @@ collections that start during the sweep, seen through `gc.callbacks`.
 `case_results` counts the cases built through `CaseResult`'s generated
 Python ``__new__``, rebound on the class: the involution rows' cases are
 made by `tuple.__new__` without it, so a per-case constructor that comes
-back raises this count from 131 to the sweep's 4,531 cases.  Beside the
-ceilings the ledger states where the work goes:
+back raises this count from 131 to the sweep's 4,531 cases.
+`verify_calls` counts the Python-level calls, generator resumes included,
+that run code of `liecheck/verify.py`, seen through `sys.setprofile`: one
+`CaseTally.add` call per algebra keeps it at 6,717, and a Python frame per
+case, such as a generator that yields each case, raises it past 11,000.
+Beside the ceilings the ledger states where the work goes:
 
 - no route calls `instantiations` or reads a row's `instances`: the
   `parse_algebra` ceiling counts only the catalog names a cold sweep
@@ -57,6 +61,7 @@ CEILINGS = {
     "parse_algebra": 243,
     "gc_collections": 0,
     "case_results": 131,
+    "verify_calls": 6717,
 }
 
 # (module, function) of every caller allowed to measure with reductive_dims
@@ -118,10 +123,17 @@ def counting_new(cls, *args, **kwargs):
     return case_result_new(cls, *args, **kwargs)
 
 
-counts["case_results"] = 0
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename == vf.__file__:
+        counts["verify_calls"] += 1
+
+
+counts["case_results"] = counts["verify_calls"] = 0
 vf.CaseResult.__new__ = counting_new
 gc.callbacks.append(collection_started)
+sys.setprofile(profile)
 rep = vf.sweep("all", 16)
+sys.setprofile(None)
 gc.callbacks.remove(collection_started)
 counts["gc_collections"] = len(collections)
 print(json.dumps({
@@ -147,6 +159,8 @@ def test_sweep_work_stays_within_the_ledger():
     for name, ceiling in CEILINGS.items():
         assert counts[name] <= ceiling, (name, counts[name], ceiling)
     assert {tuple(c) for c in got["callers"]} <= NON_ROW_MEASURES, got["callers"]
+    # the profile sees verify.py: each algebra's cases come from verify_case
+    assert counts["verify_calls"] >= got["algebras"]
     assert counts["max_fixed_dim"] == got["rank_one"] + got["product_factors"]
     # the 1 is f44_equality_case's
     assert counts["isotropy_entries"] == got["algebras"] + got["product_factors"] + 1
