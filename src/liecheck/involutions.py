@@ -19,16 +19,19 @@ once in `_EXCEPTIONAL_ROWS`: the name is the row template, and
 exceptional algebra are read from the catalog's complexification column
 (`real_forms`).
 
-`isotropy_entries` alone turns specs into `IsotropyEntry` values, dropping
-the instance equal to the ambient and repeats that low-rank isomorphisms
-create.  It compares instances by label: `render` is injective on
-canonical values, so equal labels mean equal instances.  Labels are
-compared one against another only in a row that repeats one or holds the
-ambient's; any other row keeps its lists as they stand.  Each entry
-keeps every instance's label and dim S (`labels`, `dims_s`), which every
-route reads (`check_involutions`, and `max_fixed_dim` for the rank-one
-route, the product checks and f4(4)), so no route builds or measures an
-instance again.  A label is the instance: the `instances` property parses
+`isotropy_entries` alone turns specs into `IsotropyEntry` values, adding
+the ambient and the source and keeping the lists as the builder wrote
+them.  Each row lists its distinct instances, by isomorphism type and
+not by class, and never the ambient itself, so no row is filtered and
+none is empty.  Low-rank isomorphisms make only two kinds of row that
+would break this, and their builders leave the extra instances out: the
+p = q signature splits, where so, su and sp(a,b) equal (b,a)
+(`_split_row`), and the rows sp(2,R) = sl(2,R) and sp(2,C) = sl(2,C)
+(`_rows_sl_r`, `_rows_sl_c`).  Each entry keeps every instance's label
+and dim S (`labels`, `dims_s`), which every route reads
+(`check_involutions`, and `max_fixed_dim` for the rank-one route, the
+product checks and f4(4)), so no route builds or measures an instance
+again.  A label is the instance: the `instances` property parses
 the labels back into catalog values when read.  Rows are built on each
 call and not kept: nothing in this module holds an algebra's rows after
 its caller lets them go.  The one structure kept is the part table
@@ -105,7 +108,9 @@ class IsotropyEntry(NamedTuple):
     ``labels`` and ``dims_s`` are aligned, one item per instance:
     ``labels[i]`` is its ``render`` text and ``dims_s[i]`` its dim S (its
     split abelian dimension plus each simple factor's ``space.dim_s``),
-    stated once here so that no reader re-derives them per case.
+    stated once here so that no reader re-derives them per case.  The
+    labels are distinct and none is the ambient's, so ``labels`` is never
+    empty.
     ``instances`` parses the labels on each read; a reader of labels and
     dims alone builds no value.
     """
@@ -143,16 +148,16 @@ class TrialityClass(NamedTuple):
 class _Row(NamedTuple):
     """A row spec: an IsotropyEntry without its ambient and source.
 
-    ``labels`` and ``dims_s`` state each instance before deduplication, as
-    `_named` or `_split_row`'s part table gives them.
+    ``labels`` and ``dims_s`` are the entry's own tuples, as `_named` or
+    `_split_row`'s part table gives them: one item per distinct instance.
     """
 
     template: str
     constraints: tuple
     kind: str
     notes: tuple
-    labels: list
-    dims_s: list
+    labels: tuple
+    dims_s: tuple
 
 
 def _named(h):
@@ -163,33 +168,6 @@ def _named(h):
     return render(h), fixed
 
 
-def _entry(ambient, source, row):
-    """The row spec as an IsotropyEntry, or None when no instance is left.
-
-    Instances are deduplicated by isomorphism type, not by class: distinct
-    involution classes with isomorphic fixed algebras keep one instance.
-    su(7,7)'s split row, for one, drops 12 instances such as (kp,kq) against
-    (kq,kp), and distinct splits can coincide through low-rank isomorphisms.
-    An instance equal to the ambient is dropped.  Both compare labels:
-    each is the `render` text of a canonical value, and `render` is
-    injective on canonical values, so the first of each label keeps its
-    place, as the first of each value would.  Most rows repeat no label
-    and miss the ambient (69 of the 6,641 rows up to max-param 48 do not),
-    and their entry keeps the row's lists as they stand.
-    """
-    labels, dims_s = row.labels, row.dims_s
-    if ambient.name in labels or len(set(labels)) < len(labels):
-        kept = dict(zip(labels, dims_s))
-        kept.pop(ambient.name, None)
-        labels, dims_s = kept, kept.values()
-    if not labels:
-        return None
-    return IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, row.notes,
-        tuple(labels), tuple(dims_s),
-    )
-
-
 _SPLIT_NOTE = (
     "signature splits across the two summands are assumed componentwise",
 )
@@ -198,14 +176,14 @@ _SPLIT_NOTE = (
 def _one(template, instance, *constraints, kind=LINEAR, notes=()):
     """A row with a single instance."""
     label, fixed = _named(instance)
-    return _Row(template, constraints, kind, notes, [label], [fixed])
+    return _Row(template, constraints, kind, notes, (label,), (fixed,))
 
 
 def _sum_row(template, n, build, kind=LINEAR):
     """A row over k+l=n, 1<=k<=l (p and q on a real-form row): one instance build(k, l) per k."""
     a, b = "pq" if kind == REAL_FORM else "kl"
     named = [_named(build(k, n - k)) for k in range(1, n // 2 + 1)]
-    labels, dims_s = map(list, zip(*named))
+    labels, dims_s = zip(*named)
     return _Row(template, (f"{a}+{b}={n}", f"1<={a}<={b}"), kind, (), labels, dims_s)
 
 
@@ -243,15 +221,19 @@ def _parts(family, p, q):
 def _split_row(template, family, p, q):
     """family(kp,kq) + family(lp,lq), and u(1) when family is su, per split of (p, q).
 
-    The row holds one (kp, kq) per unordered split of (p, q) into two nonzero
-    parts, (0, 0) != (kp, kq) <= (lp, lq) with (lp, lq) = (p - kp, q - kq).
-    A split and its complement give the same direct sum, and the
-    lexicographically smaller of the two comes first in the (kp, kq) loop
-    order, so keeping only that one leaves `_entry` with exactly the values,
-    in exactly the first-occurrence order, that the loop over every ordered
-    split gives after deduplication.  The loop ranges state that set in
-    closed form: kp <= lp is kp <= p // 2, kq <= lq binds only when kp == lp,
-    and kq starts at 1 when kp == 0.
+    The row holds one (kp, kq) per distinct sum: the lexicographically least
+    split of its orbit, in (kp, kq) loop order.  A split and its complement
+    (lp, lq) = (p - kp, q - kq) give the same direct sum, so the row keeps
+    (0, 0) != (kp, kq) <= (lp, lq).  When p == q the swap (kq, kp) gives the
+    same sum too, as so, su and sp(a,b) equal (b,a), so the row also keeps
+    (kp, kq) <= (kq, kp) and (kp, kq) <= (lq, lp).  The least split of an
+    orbit comes first in the loop over every ordered split, so the row
+    holds exactly the values, in exactly the first-occurrence order, that
+    loop gives after deduplication; no other two splits give one sum, and
+    none gives the ambient.  The loop ranges state that set in closed form:
+    kp <= lp is kp <= p // 2, kq <= lq binds only when kp == lp, and kq
+    starts at 1 when kp == 0; when p == q the two swap conditions are
+    kp <= kq <= lp.
 
     The split rows hold most of the instances a sweep states, so each one
     is stated here by its label and dim S (the row's ``labels`` and
@@ -271,7 +253,11 @@ def _split_row(template, family, p, q):
     for kp in range(p // 2 + 1):
         lp = p - kp
         k_parts, l_parts = parts[kp], parts[lp]
-        for kq in range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1):
+        if p == q:
+            kqs = range(max(kp, 1), lp + 1)
+        else:
+            kqs = range(1 if kp == 0 else 0, q + 1 if kp < lp else q // 2 + 1)
+        for kq in kqs:
             x, y = k_parts[kq], l_parts[q - kq]
             if x.__class__ is SimpleAlgebra and y.__class__ is SimpleAlgebra:
                 if y.sort_key < x.sort_key:
@@ -285,7 +271,7 @@ def _split_row(template, family, p, q):
                 labels.append(label)
                 dims_s.append(fixed)
     constraints = (f"kp+lp={p}", f"kq+lq={q}", "both summands nonzero")
-    return _Row(template, constraints, LINEAR, _SPLIT_NOTE, labels, dims_s)
+    return _Row(template, constraints, LINEAR, _SPLIT_NOTE, tuple(labels), tuple(dims_s))
 
 
 def _pair(family, *extra):
@@ -308,7 +294,8 @@ def _rows_sl_r(n):
         rows.append(
             _one(f"gl({n // 2},C)", direct_sum(algebra(Family.SL_C, n // 2), COMPACT_LINE), even)
         )
-        rows.append(_one(f"sp({n},R)", algebra(Family.SP_R, n // 2), even))
+        if n >= 4:  # sp(2,R) is sl(2,R) itself
+            rows.append(_one(f"sp({n},R)", algebra(Family.SP_R, n // 2), even))
     return rows
 
 
@@ -383,7 +370,7 @@ def _rows_sl_c(n):
         _one(f"so({n},C)", algebra(Family.SO_C, n)),
         _sum_row("s(gl(k,C)+gl(l,C))", n, _pair(Family.SL_C, COMPACT_LINE, SPLIT_LINE)),
     ]
-    if n % 2 == 0:
+    if n % 2 == 0 and n >= 4:  # sp(2,C) is sl(2,C) itself
         rows.append(_one(f"sp({n},C)", algebra(Family.SP_C, n // 2), f"n={n} even"))
     rows.append(_one(f"sl({n},R)", algebra(Family.SL_R, n), kind=REAL_FORM))
     rows.append(_sum_row("su(p,q)", n, partial(algebra, Family.SU), REAL_FORM))
@@ -520,9 +507,12 @@ def isotropy_entries(a):
         rows = rows_of(*a.params)
     else:
         source, rows = _exceptional_rows(a)
-    entries = [_entry(a, source, row) for row in rows]
-    entries.append(_entry(a, "cartan", _one("compact", max_compact(a), kind=CARTAN)))
-    return tuple(e for e in entries if e is not None)
+    sources = [source] * len(rows) + ["cartan"]
+    rows.append(_one("compact", max_compact(a), kind=CARTAN))
+    return tuple(
+        IsotropyEntry(a, r.template, r.constraints, s, r.kind, r.notes, r.labels, r.dims_s)
+        for s, r in zip(sources, rows)
+    )
 
 
 def instantiations(a):

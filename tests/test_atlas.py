@@ -64,7 +64,7 @@ def label_value(label):
 
 def states(values):
     """The labels and dims S a row states for the instances `values`."""
-    return [al.render(h) for h in values], [al.reductive_dims(h).dim_s for h in values]
+    return tuple(map(al.render, values)), tuple(al.reductive_dims(h).dim_s for h in values)
 
 
 def test_input_must_be_canonical_and_noncompact():
@@ -183,6 +183,15 @@ def test_sl2r_has_no_self_row():
     a = A(Family.SL_R, 2)
     assert not any("sp" in e.template for e in inv.isotropy_entries(a))
     assert instance_set(a) == {SPLIT, CPT}
+
+
+def test_sl2c_has_no_self_row():
+    # sp(2,C) = sl(2,C) would be the whole algebra; the row must vanish
+    a = A(Family.SL_C, 2)
+    assert [e.template for e in inv.isotropy_entries(a)] == [
+        "so(2,C)", "s(gl(k,C)+gl(l,C))", "sl(2,R)", "su(p,q)", "sl(1,H)", "compact",
+    ]
+    assert instance_set(a) == {plus(CPT, SPLIT), red(Family.SL_R, 2), red(Family.SU_CPT, 2)}
 
 
 def test_su33_row():
@@ -487,17 +496,31 @@ def rows_24():
     return {a: inv.isotropy_entries(a) for a in al.iter_noncompact_simple(24)}
 
 
+@lru_cache(maxsize=None)
+def compact_type(label):
+    """The render text of the maximal compact subalgebra of the instance
+    `label` names: each noncompact simple factor's `max_compact`, each
+    compact factor as it is, and u(1) per compact abelian dimension."""
+    h = label_value(label)
+    parts = [
+        al.reductive((f,)) if f.family in al.COMPACT else al.max_compact(f) for f in h.simples
+    ]
+    return al.render(plus(*parts, *(CPT,) * h.compact_abelian_dim))
+
+
 def test_association_balances_every_row_set(rows_24):
-    """Berger's association sigma -> sigma theta, counted by dimensions.
+    """Berger's association sigma -> sigma theta, counted by type.
 
     For the Cartan involution theta and an involution sigma commuting with
     it, with fixed set h, sigma theta fixes (k cap h) + (p cap q): the same
-    dim K as h and the complementary dim S.  So over the identity and every
-    instance of every row, as many have (dim K, dim S) = (k, s) as have
-    (k, S - s).  The synthetic Cartan row repeats the class of theta when
-    another row lists it too; that repeat is dropped before counting.
+    maximal compact subalgebra k cap h as h, and the complementary dim S.
+    So over the identity and every instance of every row, as many have
+    (type of K, dim S) = (k, s) as have (k, S - s).  The type fixes dim K,
+    so this implies the count by (dim K, dim S).  The synthetic Cartan row
+    repeats the class of theta when another row lists it too; that repeat
+    is dropped before counting.
     """
-    repeats = 0
+    repeats = instances = 0
     for a, entries in rows_24.items():
         d = al.dims(a)
         listed = [label for e in entries if e.kind != "compact" for label in e.labels]
@@ -507,12 +530,13 @@ def test_association_balances_every_row_set(rows_24):
         else:
             listed.append(cartan.labels[0])
         count = Counter(
-            (x.dim_k, x.dim_s) for x in (al.reductive_dims(label_value(label)) for label in listed)
+            (compact_type(label), al.reductive_dims(label_value(label)).dim_s) for label in listed
         )
-        count[d.dim_k, d.dim_s] += 1  # the identity
-        for (dim_k, dim_s), n in count.items():
-            assert count[dim_k, d.dim_s - dim_s] == n, (al.render(a), dim_k, dim_s)
-    assert (len(rows_24), repeats) == (593, 426)
+        count[al.render(al.max_compact(a)), d.dim_s] += 1  # the identity
+        for (k, dim_s), n in count.items():
+            assert count[k, d.dim_s - dim_s] == n, (al.render(a), k, dim_s)
+        instances += len(listed)
+    assert (len(rows_24), repeats, instances) == (593, 426, 17530)
 
 
 def test_real_rows_complexify_into_the_complex_rows(rows_24):
@@ -683,16 +707,17 @@ def _reference_split_instances(a):
 
 
 def test_split_row_is_every_unordered_split():
-    # _split_row's closed-form ranges against the condition they state
+    # _split_row's closed-form ranges against the condition they state,
+    # deduplicated in loop order: the p == q swaps give no new sum
     for fam, (template, extra) in _SPLIT_ROWS.items():
         for p in range(1, 13):
             for q in range(1, 13):
-                want = [
+                want = dict.fromkeys(
                     plus(red(fam, kp, kq), red(fam, p - kp, q - kq), *extra)
                     for kp in range(p + 1)
                     for kq in range(q + 1)
                     if (0, 0) != (kp, kq) <= (p - kp, q - kq)
-                ]
+                )
                 row = inv._split_row(template, fam, p, q)
                 assert (row.labels, row.dims_s) == states(want), (fam, p, q)
 
@@ -729,7 +754,7 @@ def test_split_rows_read_the_part_table_in_any_growth_order(monkeypatch):
                 if (0, 0) != (kp, kq) <= (p - kp, q - kq)
             ]
             used.update(part for split in splits for part in split)
-            want = [plus(x, y, *extra) for x, y in splits]
+            want = dict.fromkeys(plus(x, y, *extra) for x, y in splits)
             row = inv._split_row(template, fam, p, q)
             assert (row.labels, row.dims_s) == states(want), (fam, p, q)
         if fam is Family.SO:
@@ -885,20 +910,17 @@ def test_entry_labels_and_dims_are_each_instance_rendered_and_measured():
     checked = 0
     for a in al.iter_noncompact_simple(32):
         for e in inv.isotropy_entries(a):
-            labels, dims_s = states([label_value(label) for label in e.labels])
-            assert (e.labels, e.dims_s) == (tuple(labels), tuple(dims_s)), (
-                al.render(a),
-                e.template,
-            )
-            checked += len(labels)
+            want = states([label_value(label) for label in e.labels])
+            assert (e.labels, e.dims_s) == want, (al.render(a), e.template)
+            checked += len(e.labels)
     assert checked > 40_000
 
 
 def test_raw_row_labels_are_equal_exactly_when_values_are():
-    # `_entry` drops repeats and the ambient by label; that keeps what a
-    # drop by value keeps only if, within each row's raw labels (and the
-    # ambient's), equal labels go with equal values and unequal with
-    # unequal.  Each raw label is the render text of the value it names, so
+    # a row's distinct labels, none the ambient's, state distinct values,
+    # none the ambient, only if within each row's labels (and the
+    # ambient's) equal labels go with equal values and unequal with
+    # unequal.  Each label is the render text of the value it names, so
     # it is canonical: two labels naming one value would render alike
     checked = 0
     for a in al.iter_noncompact_simple(32):
@@ -909,7 +931,7 @@ def test_raw_row_labels_are_equal_exactly_when_values_are():
         for row in rows:
             labels = row.labels
             values = [label_value(label) for label in labels]
-            assert labels == [al.render(h) for h in values], (al.render(a), row.template)
+            assert labels == tuple(map(al.render, values)), (al.render(a), row.template)
             pairs = set(zip(labels, values))
             pairs.add((al.render(a), al.reductive((a,))))
             assert len(pairs) == len({x for x, _ in pairs}) == len({h for _, h in pairs}), (
@@ -921,8 +943,8 @@ def test_raw_row_labels_are_equal_exactly_when_values_are():
 
 
 def _deduped_entry(ambient, source, row):
-    # the reference: every row through a label-keyed dict, the rule `_entry`
-    # keeps for rows that repeat a label or hold the ambient's
+    # the reference: a row through a label-keyed dict, dropping repeats and
+    # the ambient, and no entry when nothing is left
     kept = dict(zip(row.labels, row.dims_s))
     kept.pop(ambient.name, None)
     if not kept:
@@ -934,10 +956,12 @@ def _deduped_entry(ambient, source, row):
 
 
 def test_entries_are_the_label_dedupe_of_their_rows():
-    # every row up to max-param 48, classical, exceptional and Cartan, on
-    # both of `_entry`'s paths (about 0.3 s)
-    rows_seen = deduped = 0
-    for a in al.iter_noncompact_simple(48):
+    # every row of every algebra up to SIZE_LIMIT, classical, exceptional
+    # and Cartan (about 0.7 s): no row repeats a label or holds the
+    # ambient's, so each entry is its row as built, and also the label
+    # dedupe of it
+    rows_seen = 0
+    for a in al.iter_noncompact_simple(al.SIZE_LIMIT):
         if a.family in inv._CLASSICAL_ROWS:
             source, rows_of = inv._CLASSICAL_ROWS[a.family]
             rows = [(source, row) for row in rows_of(*a.params)]
@@ -945,17 +969,51 @@ def test_entries_are_the_label_dedupe_of_their_rows():
             source, exceptional = inv._exceptional_rows(a)
             rows = [(source, row) for row in exceptional]
         rows.append(("cartan", inv._one("compact", al.max_compact(a), kind=inv.CARTAN)))
-        for source, row in rows:
-            assert inv._entry(a, source, row) == _deduped_entry(a, source, row), (
-                al.render(a),
-                row.template,
-            )
+        entries = inv.isotropy_entries(a)
+        assert len(entries) == len(rows), al.render(a)
+        for (source, row), entry in zip(rows, entries):
+            where = (al.render(a), row.template)
+            assert a.name not in row.labels, where
+            assert len(set(row.labels)) == len(row.labels), where
+            assert entry == _deduped_entry(a, source, row), where
             rows_seen += 1
-            deduped += a.name in row.labels or len(set(row.labels)) < len(row.labels)
-    assert (rows_seen, deduped) == (6641, 69)
-    a = A(Family.SL_R, 5)
-    assert inv._entry(a, "t", inv._Row("t", (), inv.LINEAR, (), [], [])) is None
-    assert inv._entry(a, "t", inv._one("t", al.reductive((a,)))) is None
+    assert rows_seen == 11031
+
+
+# each k+l=n row's dim S at (k, n - k), by template; n is the ambient's
+# first parameter in every family with such a row
+_SUM_ROW_DIMS = {
+    "so(k,l)": lambda k, l: k * l,
+    "so(p,q)": lambda k, l: k * l,
+    "u(k,l)": lambda k, l: 2 * k * l,
+    "su(p,q)": lambda k, l: 2 * k * l,
+    "sp(k,l)": lambda k, l: 4 * k * l,
+    "sp(p,q)": lambda k, l: 4 * k * l,
+    "s(gl(k,R)+gl(l,R))": lambda k, l: k * (k + 1) // 2 + l * (l + 1) // 2 - 1,
+    "sp(2k,R)+sp(2l,R)": lambda k, l: k * (k + 1) + l * (l + 1),
+    "so*(2k)+so*(2l)": lambda k, l: k * (k - 1) + l * (l - 1),
+    "s(gl(k,H)+gl(l,H))": lambda k, l: 2 * k * k - k + 2 * l * l - l - 1,
+    "so(k,C)+so(l,C)": lambda k, l: k * (k - 1) // 2 + l * (l - 1) // 2,
+    "s(gl(k,C)+gl(l,C))": lambda k, l: k * k + l * l - 1,
+    "sp(2k,C)+sp(2l,C)": lambda k, l: k * (2 * k + 1) + l * (2 * l + 1),
+}
+
+
+def test_sum_rows_have_a_closed_form():
+    # every k+l=n row up to max-param 48 (about 0.2 s): its dims S are the
+    # template's closed form at k = 1..n//2, in row order
+    rows = Counter()
+    for a in al.iter_noncompact_simple(48):
+        for e in inv.isotropy_entries(a):
+            dim_s = _SUM_ROW_DIMS.get(e.template)
+            if dim_s is None:
+                continue
+            n = a.params[0]
+            want = tuple(dim_s(k, n - k) for k in range(1, n // 2 + 1))
+            assert e.dims_s == want, (al.render(a), e.template)
+            rows[e.template] += 1
+    assert set(rows) == set(_SUM_ROW_DIMS)
+    assert sum(rows.values()) == 640
 
 
 # the split row's scale c: dim S of so(p,q), su(p,q) and sp(p,q) is c*p*q
@@ -965,7 +1023,8 @@ _SPLIT_SCALE = {Family.SO: 1, Family.SU: 2, Family.SP: 4}
 def test_split_row_margins_have_a_closed_form():
     # target minus the fixed dim of (kp,kq)+(lp,lq) is c*(kp*lq + lp*kq) -
     # min(p,q).  The row's margins, read from dims_s, are a sub-multiset of
-    # the formula's over the unordered splits (the row drops repeats) with
+    # the formula's over the unordered splits (the row keeps one split per
+    # distinct sum) with
     # the same minimum, and vanish only on so rows, at README's equality
     # witness so(p,q-1).  Bound: max-param 48 (1,720 ambients, about 0.5 s);
     # max-param 64 takes about 1.7 s.

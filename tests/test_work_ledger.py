@@ -54,8 +54,8 @@ CASES = 4531
 CEILINGS = {
     "isotropy_entries": 399,
     "max_fixed_dim": 144,
-    "render": 3127,
-    "reductive": 2072,
+    "render": 3094,
+    "reductive": 2044,
     "reductive_dims": 29,
     "instantiations": 0,
     "parse_algebra": 243,
