@@ -434,31 +434,32 @@ def _candidate_count(family, params):
     followed by each multiset of its `_angle_blocks` walk) for
     (family, params), capped at ENUMERATION_BUDGET + 1.
 
-    Each count is at least the product, over the size parameters n, of the
-    partition numbers p(n // weight): the candidates that split each size
-    into blocks on its own.  So a partition number past the budget settles
-    the answer, and the exact counts below only ever run on small sizes.
-    Past the floor, table[i][j] counts the angle fills of (i, j) units of
-    weight, a one-parameter family running as (n, 0); so*(2n)'s angle
-    blocks of total multiplicity k take k + 1 shapes, and its table stops
-    past the budget.  Each of the (p - weight*i + 1)(q - weight*j + 1) +-1
-    prefixes leaving (i, j) takes table[i][j] fills; su has no prefix.
+    table[i][j] counts the angle fills of (i, j) units of weight.  A
+    one-parameter family runs as (n, 0), its one column a `_multiset_counts`
+    list (so*(2n)'s angle blocks of total multiplicity k take k + 1 shapes),
+    and a list cut short is past the budget.  A (p, q) family's count is at
+    least the product of the partition numbers of p // weight and
+    q // weight, the fills that split each part on its own, so a floor past
+    the budget settles it and `_pair_partitions` only runs on small sizes.
+    Each of the (p - weight*i + 1)(q - weight*j + 1) +-1 prefixes leaving
+    (i, j) takes table[i][j] fills; su has no prefix.
     """
     over = ENUMERATION_BUDGET + 1
     if min(params) < 0:
         return 0  # nothing fills a negative size
     weight = _ANGLE_WIDTH[family]
-    floor = 1
-    for x in params:
-        floor *= _multiset_counts(x // weight, lambda k: 1)[-1]
-    if floor > ENUMERATION_BUDGET:
-        return over
     p, q = params if len(params) == 2 else (*params, 0)
-    if family is SigFamily.SOSTAR_2N:
-        table = [[c] for c in _multiset_counts(p, lambda k: k + 1)]
-        if len(table) <= p:
+    if len(params) == 1:
+        kinds = (lambda k: k + 1) if family is SigFamily.SOSTAR_2N else (lambda k: 1)
+        table = [[c] for c in _multiset_counts(p // weight, kinds)]
+        if len(table) <= p // weight:
             return over
     else:
+        floor = 1
+        for x in params:
+            floor *= _multiset_counts(x // weight, lambda k: 1)[-1]
+        if floor > ENUMERATION_BUDGET:
+            return over
         table = _pair_partitions(p // weight, q // weight)
     if family in _SU:
         return min(table[p][q], over)

@@ -66,7 +66,6 @@ from .algebras import (
     InputError,
     ReductiveAlgebra,
     SimpleAlgebra,
-    SpaceDims,
     algebra,
     as_simple,
     direct_sum,
@@ -82,7 +81,6 @@ from .algebras import (
 
 __all__ = [
     "IsotropyEntry",
-    "Instantiation",
     "TRIALITY_FORMS",
     "TrialityClass",
     "UnsupportedAlgebra",
@@ -128,12 +126,6 @@ class IsotropyEntry(NamedTuple):
     def instances(self) -> tuple:
         """The row's instances as ReductiveAlgebra values, in row order."""
         return tuple(map(parse_algebra, self.labels))
-
-
-class Instantiation(NamedTuple):
-    entry: IsotropyEntry
-    isotropy: ReductiveAlgebra
-    space: SpaceDims
 
 
 class TrialityClass(NamedTuple):
@@ -516,13 +508,10 @@ def isotropy_entries(a):
 
 
 def instantiations(a):
-    """Every admissible (row, isotropy, dimensions) triple for `a`.  Nothing
-    in liecheck calls it; it stays while the benchmark tracer's layers name it."""
-    out = []
-    for entry in isotropy_entries(a):
-        for h in entry.instances:
-            out.append(Instantiation(entry, h, reductive_dims(h)))
-    return tuple(out)
+    """Every (entry, instance, its SpaceDims) triple for `a`, as plain tuples,
+    in row order.  Nothing in liecheck calls it; it stays while the
+    benchmark tracer's layers name it."""
+    return tuple((e, h, reductive_dims(h)) for e in isotropy_entries(a) for h in e.instances)
 
 
 def max_fixed_dim(a):

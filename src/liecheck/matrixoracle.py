@@ -505,8 +505,9 @@ class G2RotationReport(NamedTuple):
     S(O(1,2) x U(1,1)), of dimension 3 + 4 - 1 = 6, but the determinant of a
     realified unitary block is identically +1, so the determinant condition
     removes components rather than dimensions: the exact kernel computation
-    returns 7.  Both numbers are recorded side by side and only the final
-    strict inequality is asserted downstream.
+    returns 7.  Both numbers are recorded side by side.  The report states
+    no verdict: g2(2)'s is `verify.check_restricted_form`'s margin,
+    ``strict_target - chain_upper_bound``, through the pass rule.
     """
 
     ambient: SimpleAlgebra
@@ -520,18 +521,6 @@ class G2RotationReport(NamedTuple):
     half_signature: Signature
     half_turn_chain: int
     zero_turn_rejected: bool
-
-    @property
-    def strict(self) -> bool:
-        """Whether the chain bound is strictly below the target: derived
-        from the margin that `check_restricted_form` reports, never stored."""
-        return self.chain_upper_bound < self.strict_target
-
-    @property
-    def half_turn_needs_involution_route(self) -> bool:
-        """Whether the half-turn chain misses the target, so that class is
-        left to the involution route."""
-        return self.half_turn_chain >= self.strict_target
 
 
 def g22_case() -> G2RotationReport:

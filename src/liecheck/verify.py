@@ -633,8 +633,9 @@ class CaseTally:
     ``failures``, lists of the ``equality_case`` and the failed cases in the
     order added; ``route_counts`` in first-seen order; and the smallest
     strict margin, ``worst_strict_margin`` (None while no case is strict:
-    ``rank1`` and ``equality_case`` margins are not), with ``worst_at``, the
-    first four algebras added whose smallest strict margin it is.
+    a margin is strict when its route is outside `_PASS_ANY_MARGIN`), with
+    ``worst_at``, the first four algebras added whose smallest strict
+    margin it is.
 
     ``add`` folds each run of consecutive cases of one route as a whole: its
     length, its smallest margin (its low) and, for ``equality_case``, all
@@ -658,7 +659,7 @@ class CaseTally:
             low = min(map(_MARGIN, run))
             if route == ROUTE_EQUALITY:
                 self.flagged += run
-            elif route != ROUTE_RANK1 and (strict is None or low < strict):
+            if route not in _PASS_ANY_MARGIN and (strict is None or low < strict):
                 strict = low
             if not _passes(route, low):
                 self.failures += [c for c in run if not _passes(route, c.margin)]

@@ -174,7 +174,8 @@ def test_criterion_6_g22_special_case():
     assert rep.chain_upper_bound == rep.quarter_turn.dim_centralizer_g - rep.compact_centralizer_dim == 5
     assert rep.strict_target == 6
     assert rep.quarter_turn.dim_s_fixed < 6
-    assert rep.strict
+    case = vf.check_restricted_form(al.simple(Family.G2_2))
+    assert case.passed and case.margin == 1  # the verifier's own verdict
     print("[criterion 6] split rank-two quarter-turn: exact kernel, dim S^A < 6: PASS")
 
 

@@ -486,8 +486,8 @@ def test_compact_entry_is_the_cartan_fixed_set():
 def test_fixed_sets_are_proper_submanifolds():
     for a in al.iter_noncompact_simple(8):
         top = al.dims(a).dim_s
-        for item in inv.instantiations(a):
-            assert item.space.dim_s < top, (al.render(a), al.render(item.isotropy))
+        for _, h, space in inv.instantiations(a):
+            assert space.dim_s < top, (al.render(a), al.render(h))
 
 
 @pytest.fixture(scope="module")
@@ -942,24 +942,11 @@ def test_raw_row_labels_are_equal_exactly_when_values_are():
     assert checked > 40_000
 
 
-def _deduped_entry(ambient, source, row):
-    # the reference: a row through a label-keyed dict, dropping repeats and
-    # the ambient, and no entry when nothing is left
-    kept = dict(zip(row.labels, row.dims_s))
-    kept.pop(ambient.name, None)
-    if not kept:
-        return None
-    return inv.IsotropyEntry(
-        ambient, row.template, row.constraints, source, row.kind, row.notes,
-        tuple(kept), tuple(kept.values()),
-    )
-
-
-def test_entries_are_the_label_dedupe_of_their_rows():
+def test_entries_are_their_rows_as_built():
     # every row of every algebra up to SIZE_LIMIT, classical, exceptional
     # and Cartan (about 0.7 s): no row repeats a label or holds the
-    # ambient's, so each entry is its row as built, and also the label
-    # dedupe of it
+    # ambient's, and each entry is its row as built, field by field, with
+    # the ambient and the source added
     rows_seen = 0
     for a in al.iter_noncompact_simple(al.SIZE_LIMIT):
         if a.family in inv._CLASSICAL_ROWS:
@@ -975,7 +962,7 @@ def test_entries_are_the_label_dedupe_of_their_rows():
             where = (al.render(a), row.template)
             assert a.name not in row.labels, where
             assert len(set(row.labels)) == len(row.labels), where
-            assert entry == _deduped_entry(a, source, row), where
+            assert entry._asdict() == {"ambient": a, "source": source, **row._asdict()}, where
             rows_seen += 1
     assert rows_seen == 11031
 
@@ -1014,6 +1001,83 @@ def test_sum_rows_have_a_closed_form():
             rows[e.template] += 1
     assert set(rows) == set(_SUM_ROW_DIMS)
     assert sum(rows.values()) == 640
+
+
+# each one-instance classical row's dim S, by ambient family: its template
+# at the ambient's stored parameters (p <= q), mapped to the closed form in
+# them; a key that needs an even parameter goes unused at an odd one
+_ONE_ROW_DIMS = {
+    Family.SL_R: lambda n: {
+        f"gl({n // 2},C)": (n // 2) ** 2 - 1,
+        f"sp({n},R)": (n // 2) * (n // 2 + 1),
+    },
+    Family.SU: lambda p, q: {
+        f"so({p},{q})": p * q,
+        f"so*({2 * p})": p * (p - 1),
+        f"gl({p},C)": p * p,
+        f"sp({p // 2},{q // 2})": p * q,
+        f"sp({2 * p},R)": p * (p + 1),
+    },
+    Family.SO: lambda p, q: {
+        f"so({p},C)": p * (p - 1) // 2,
+        f"u({p // 2},{q // 2})": p * q // 2,
+        f"gl({p},R)": p * (p + 1) // 2,
+    },
+    Family.SP: lambda p, q: {
+        f"sp({2 * p},C)": p * (2 * p + 1),
+        f"u({p},{q})": 2 * p * q,
+        f"gl({p},H)": 2 * p * p - p,
+    },
+    Family.SP_R: lambda n: {
+        f"sp({n},C)": (n // 2) * (n + 1),
+        f"gl({n},R)": n * (n + 1) // 2,
+    },
+    Family.SO_STAR: lambda m: {
+        f"so({m},C)": m * (m - 1) // 2,
+        f"gl({m // 2},H)": (m // 2) * (m - 1),
+    },
+    Family.SL_H: lambda m: {
+        f"so*({2 * m})": m * (m - 1),
+        f"gl({m},C)": m * m - 1,
+    },
+    Family.SL_C: lambda n: {
+        f"so({n},C)": n * (n - 1) // 2,
+        f"sp({n},C)": (n // 2) * (n + 1),
+        f"sl({n},R)": n * (n + 1) // 2 - 1,
+        f"sl({n // 2},H)": 2 * (n // 2) ** 2 - n // 2 - 1,
+    },
+    Family.SO_C: lambda n: {
+        f"gl({n // 2},C)": (n // 2) ** 2,
+        f"so*({n})": (n // 2) * (n // 2 - 1),
+    },
+    Family.SP_C: lambda n: {
+        f"gl({n},C)": n * n,
+        f"sp({2 * n},R)": n * (n + 1),
+    },
+}
+
+
+def test_one_instance_rows_have_a_closed_form():
+    # every classical row that is neither a k+l=n row, a split row nor the
+    # Cartan row holds one instance, whose dim S is its template's closed
+    # form; a template in no table fails.  Bound: max-param 48 (2,142 rows,
+    # about 0.15 s with the row builds); SIZE_LIMIT (3,510 rows) takes about
+    # 0.35 s
+    rows, templates = 0, set()
+    other = set(_SUM_ROW_DIMS) | {template for template, _ in _SPLIT_ROWS.values()}
+    for a in al.iter_noncompact_simple(48):
+        if a.family not in inv._CLASSICAL_ROWS:
+            continue
+        forms = _ONE_ROW_DIMS[a.family](*a.params)
+        for e in inv.isotropy_entries(a):
+            if e.template in other or e.kind == inv.CARTAN:
+                continue
+            assert e.template in forms, (al.render(a), e.template)
+            assert e.dims_s == (forms[e.template],), (al.render(a), e.template)
+            rows += 1
+            templates.add((a.family, list(forms).index(e.template)))
+    assert len(templates) == 27
+    assert rows == 2142
 
 
 # the split row's scale c: dim S of so(p,q), su(p,q) and sp(p,q) is c*p*q

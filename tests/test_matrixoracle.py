@@ -608,7 +608,6 @@ def test_g22_rotation_case_report():
     assert r.compact_centralizer_dim == 2
     assert r.chain_upper_bound == r.quarter_turn.dim_centralizer_g - 2 == 5
     assert r.strict_target == 6
-    assert r.strict is True
 
     # the independent combinatorial route must reproduce the kernel numbers
     assert signature_dim(r.quarter_signature) == r.quarter_turn.dim_s_fixed
@@ -618,7 +617,6 @@ def test_g22_rotation_case_report():
     assert r.half_turn == FixedDims(9, 3, 6)
     assert r.half_turn_chain == 7
     assert r.half_turn_chain >= r.strict_target
-    assert r.half_turn_needs_involution_route is True
     assert signature_dim(r.half_signature) == r.half_turn.dim_s_fixed
 
     # zero angle degenerates to the identity
