@@ -305,14 +305,14 @@ def algebra(family: Family, *params: int) -> ReductiveAlgebra:
     Parameters must be ``int`` (``bool`` and ``float`` are rejected).  The
     result is a shared immutable value: equal arguments return the same
     object.  Its cache, `_canonical`, hashes the arguments before checking
-    them, so an unhashable one is refused here; any other TypeError comes
-    back from the second call.
+    them, so an unhashable one is refused here: `_check_params` accepts
+    only hashable arguments, and any other TypeError is raised as it came.
     """
     try:
         return _canonical(family, *params)
     except TypeError:
         _check_params(family, params)
-    return _canonical(family, *params)
+        raise
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -40,8 +40,9 @@ references to canonical values, or to their lone simple factors, that
 `algebra`'s cache holds anyway.  It is empty at import and grows on
 demand: an entry (a, b) exists only if a split row of some (p, q) with
 a <= p and b <= q was built, so a + b never exceeds the largest size
-parameter swept.  Algebras whose size parameter exceeds `SIZE_LIMIT` get
-no rows.
+parameter swept.  It grows under a lock; its lists only grow, so the split
+rows read them without it.  Algebras whose size parameter exceeds
+`SIZE_LIMIT` get no rows.
 
 The two forms whose outer automorphism group has order-3 elements,
 `TRIALITY_FORMS`, carry a separate list of order-3 fixed-point classes
@@ -184,20 +185,15 @@ def _sum_row(template, n, build, kind=LINEAR):
 # value is one simple and nothing else, the value itself otherwise, and None
 # at (0, 0).  `_parts` grows each list a only as far as the widest b a
 # split row has asked of it, so every entry (a, b) lies in the (p, q) box of
-# some row built so far; nothing is built at import.  The lock keeps two
-# threads from both appending one index; lists only grow, so reads, and the
-# check that a box is already covered, need none.
+# some row built so far; nothing is built at import.  Every call grows the
+# table under the lock, so no two threads append one index; lists only
+# grow, so `_split_row` reads entries without it.
 _PARTS = {}
 _PARTS_LOCK = threading.Lock()
 
 
 def _parts(family, p, q):
     """The part table of `family`, grown to hold every (a, b) with a <= p, b <= q."""
-    table = _PARTS.get(family)
-    # each call grows every list a <= p to at least q + 1 entries, in order
-    # of a, so list lengths never rise with a: list p is the box's shortest
-    if table is not None and len(table) > p and len(table[p]) > q:
-        return table
     with _PARTS_LOCK:
         table = _PARTS.setdefault(family, [])
         for a in range(p + 1):

@@ -807,38 +807,6 @@ def test_threads_growing_the_part_table_keep_every_part_in_place(monkeypatch):
         assert parts[1:] == [_part_entry(Family.SO, a, b) for b in range(1, 25)], a
 
 
-def test_a_covered_box_reads_the_part_table_without_the_lock(monkeypatch):
-    # after uneven growth, `_parts` skips the lock exactly for the boxes
-    # every list a <= p already covers, and grows the table for the rest
-    monkeypatch.setattr(inv, "_PARTS", {})
-    for p, q in [(2, 20), (6, 3), (4, 9)]:
-        inv._parts(Family.SO, p, q)
-    table = inv._PARTS[Family.SO]
-
-    class Refused(Exception):
-        pass
-
-    class NoLock:
-        def __enter__(self):
-            raise Refused
-
-        def __exit__(self, *exc):
-            return False
-
-    monkeypatch.setattr(inv, "_PARTS_LOCK", NoLock())
-    fast = 0
-    for p in range(9):
-        for q in range(23):
-            covered = p < len(table) and all(len(table[a]) > q for a in range(p + 1))
-            if covered:
-                assert inv._parts(Family.SO, p, q) is table, (p, q)
-                fast += 1
-            else:
-                with pytest.raises(Refused):
-                    inv._parts(Family.SO, p, q)
-    assert fast == 3 * 21 + 2 * 10 + 2 * 4
-
-
 def test_import_builds_no_part_table_and_a_sweep_grows_it_to_its_size():
     # a fresh interpreter: the table is empty at import, and a sweep at
     # max-param 16 asks for no part (a, b) with a + b past 16

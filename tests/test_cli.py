@@ -45,6 +45,10 @@ def test_info_reductive_sum(capsys):
     assert rc == 0
     assert "dim S = 15" in out
     assert "split abelian part: dim 1" in out
+    rc, out, _ = run(capsys, "info", "sl(2,R)+u(1)")
+    assert rc == 0
+    assert "dim g = 4, dim K = 2, dim S = 2" in out
+    assert "compact abelian part: dim 1" in out
 
 
 # exception classes that report a bug, not bad input: cli.main lets them

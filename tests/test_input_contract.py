@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import liecheck
-from liecheck import cli
+from liecheck import algebras, cli
 from liecheck.algebras import (
     Family,
     InputError,
@@ -291,11 +291,14 @@ def test_every_cli_row_exits_cleanly(capsys, argv):
 
 
 # raises outside the contract on purpose: `_build_token`'s ValueError, which
-# `_parse_token` turns into a ParseError, and the AttributeErrors that
+# `_parse_token` turns into a ParseError, the AttributeErrors that
 # assignment and deletion raise on a `SimpleAlgebra`, the one record class
-# that is not a `NamedTuple`
+# that is not a `NamedTuple`, and `algebra`'s re-raise of a TypeError
+# behind arguments that `_check_params` accepts: those all hash, so only a
+# broken cache reaches it
 _ALLOWED_RAISES = {
     ("liecheck.algebras", "_build_token", ValueError),
+    ("liecheck.algebras", "algebra", TypeError),
     ("liecheck.algebras", "__setattr__", AttributeError),
     ("liecheck.algebras", "__delattr__", AttributeError),
 }
@@ -336,3 +339,16 @@ def test_every_raise_is_an_input_error_or_an_invariant():
             assert allowed or issubclass(cls, (InputError, OracleInvariantError)), (where, cls)
             checked += 1
     assert checked > 50
+
+
+def test_algebra_raises_a_type_error_behind_valid_arguments_as_it_came(monkeypatch):
+    # no argument list `_check_params` accepts fails to hash, so only a
+    # broken cache reaches the re-raise; it must not be turned into a refusal
+    def broken(family, *params):
+        raise TypeError("broken cache")
+
+    monkeypatch.setattr(algebras, "_canonical", broken)
+    with pytest.raises(TypeError, match="broken cache"):
+        algebra(Family.SL_R, 3)
+    with pytest.raises(OutOfDomain):
+        algebra(Family.SL_R, [3])

@@ -623,6 +623,13 @@ def test_g22_rotation_case_report():
     assert r.zero_turn_rejected is True
 
 
+def test_g22_zero_turn_flag_reports_an_accepted_identity(monkeypatch):
+    # the stored flag can report a fault: were the central identity class
+    # accepted, the report would say so
+    monkeypatch.setattr(mo, "_validate", lambda sig: None)
+    assert g22_case().zero_turn_rejected is False
+
+
 def test_g22_quarter_matches_direct_signature_construction():
     s = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (2, 1, 1))
     assert matrix_fixed_dims(from_signature(s)) == g22_case().quarter_turn
