@@ -7,9 +7,10 @@ is again a product of classical groups, so its dimension is a polynomial
 in the multiplicities; `signature_dim` evaluates that polynomial and
 `oracle_max` maximizes it exactly, which is what the closed-form bounds in
 `bound` are validated against.  `enumerate_signatures` streams every
-class and `oracle_max` walks only the best angle multisets, both by one
-step rule (`_steps`); the tests check `oracle_max` against the
-brute-force maximum over `enumerate_signatures`.
+class and `oracle_max` walks only the best angle multisets, both over one
+prefix generator (`_prefixes`) and one step rule (`_steps`); their budget
+sums each prefix run's fills, stopping once past it.  The tests check
+`oracle_max` against the brute-force maximum over `enumerate_signatures`.
 
 Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
@@ -441,8 +442,7 @@ def _candidate_count(family, params):
     least the product of the partition numbers of p // weight and
     q // weight, the fills that split each part on its own, so a floor past
     the budget settles it and `_pair_partitions` only runs on small sizes.
-    Each of the (p - weight*i + 1)(q - weight*j + 1) +-1 prefixes leaving
-    (i, j) takes table[i][j] fills; su has no prefix.
+    Each run of `_prefixes` that leaves (i, j) takes table[i][j] fills.
     """
     over = ENUMERATION_BUDGET + 1
     if min(params) < 0:
@@ -461,14 +461,12 @@ def _candidate_count(family, params):
         if floor > ENUMERATION_BUDGET:
             return over
         table = _pair_partitions(p // weight, q // weight)
-    if family in _SU:
-        return min(table[p][q], over)
-    total = sum(
-        (p - weight * i + 1) * (q - weight * j + 1) * c
-        for i, row in enumerate(table)
-        for j, c in enumerate(row)
-    )
-    return min(total, over)
+    total = 0
+    for _, (rp, rq) in _prefixes(family, params):
+        total += table[rp][rq]
+        if total > ENUMERATION_BUDGET:
+            return over
+    return total
 
 
 def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):

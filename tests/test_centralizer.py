@@ -282,6 +282,9 @@ def _built(family, params, order_le_4=False):
 
 
 def test_candidate_count_matches_enumeration():
+    # both sides read `_prefixes`, so this checks the fill table against the
+    # walk; the +-1 prefix rule itself is pinned by `_BUDGET_EDGES` (frozen
+    # counts) and `test_golden_output.SIGNATURES_8_SHA256`
     for fam in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT, SigFamily.SOSTAR_2N):
         for n in range(0, 10):
             built = sum(1 for _ in _built(fam, (n,)))
@@ -317,6 +320,21 @@ def test_candidate_counts_at_the_budget_edges():
         assert _candidate_count(family, params) == expected, (family, params)
     # the sizes the oracle tests run at the edge are pinned here
     assert set(_LARGEST_IN_BUDGET) <= {(f, p) for f, p, c in _BUDGET_EDGES if c is not None}
+
+
+def test_candidate_count_stops_at_the_first_run_past_the_budget(monkeypatch):
+    # so(37,33)'s first run alone fills more than the budget: the count reads
+    # that run and none of the other 116,279
+    runs = []
+
+    def counting(family, params):
+        for run in _prefixes(family, params):
+            runs.append(run)
+            yield run
+
+    monkeypatch.setattr(centralizers, "_prefixes", counting)
+    assert _candidate_count(SigFamily.SO_PQ, (37, 33)) == ENUMERATION_BUDGET + 1
+    assert len(runs) == 1
 
 
 def _validated(family, params, order_le_4):

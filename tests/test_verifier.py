@@ -724,6 +724,64 @@ def test_involution_cases_match_a_per_instance_reference():
     assert tails == {al.render(a): len(inv.triality_classes(a)) for a in inv.TRIALITY_FORMS}
 
 
+# the smallest strict margin of each classical family, in stored parameters
+# (p <= q for the (p, q) families; n for sp(2n,R), sp(2n,C) and so*(2n))
+_WORST_MARGIN = {
+    Family.SL_R: lambda n: n - 3,
+    Family.SL_H: lambda n: 3 * n - 3,
+    Family.SL_C: lambda n: n - 1,
+    Family.SO_C: lambda n: (n - 1) // 2,
+    Family.SP_R: lambda n: n - 2,
+    Family.SP_C: lambda n: 3 * n - 4,
+    Family.SO_STAR: lambda n: (3 * n - 3) // 2,
+    Family.SU: lambda p, q: p,
+    Family.SP: lambda p, q: 3 * p,
+    Family.SO: lambda p, q: p - 2 if p == q else min(q - p, p),
+}
+# the algebras off their family's formula: each one's smallest strict margin
+# and the template of a row that sets it
+_WORST_MARGIN_EXCEPTIONS = {
+    "sl(3,R)": (1, "so(k,l)"),
+    "sl(3,C)": (1, "sl(3,R)"),
+    "sl(4,C)": (2, "sp(4,C)"),
+    "sl(3,H)": (4, "gl(3,C)"),
+    "sl(4,H)": (8, "sp(k,l)"),
+    "so*(8)": (2, "u(k,l)"),
+    "sp(2,2)": (4, "sp(4,C)"),
+}
+
+
+def test_worst_strict_margin_has_a_closed_form_per_classical_family():
+    # the smallest margin over the cases outside rank1 and equality_case is
+    # the family's formula, except at the seven below.  Every value is at
+    # least 1, so the only margin-0 cases are the flagged equality family and
+    # rank one; an algebra with no strict case has real rank one.  Bound:
+    # max-param 32 (968 algebras, about 0.13 s); the same held for all 1,902
+    # with a strict case up to max-param 48
+    lows, classical, rank_one = {}, 0, 0
+    for a in al.iter_noncompact_simple(32):
+        formula = _WORST_MARGIN.get(a.family)
+        if formula is None:
+            continue
+        classical += 1
+        strict = [
+            c for c in vf.verify_case(a) if c.route not in (vf.ROUTE_RANK1, vf.ROUTE_EQUALITY)
+        ]
+        if not strict:
+            assert al.dims(a).rk_r == 1, al.render(a)
+            rank_one += 1
+            continue
+        low = min(c.margin for c in strict)
+        assert low >= 1, al.render(a)
+        if low != formula(*a.params):
+            templates = {c.witness.split(" -> ")[0] for c in strict if c.margin == low}
+            lows[al.render(a)] = low, templates
+    assert (classical, rank_one) == (968, 90)
+    assert lows.keys() == _WORST_MARGIN_EXCEPTIONS.keys()
+    for name, (low, template) in _WORST_MARGIN_EXCEPTIONS.items():
+        assert lows[name][0] == low and template in lows[name][1], name
+
+
 def test_sweep_deterministic():
     assert vf.sweep("real", 6) == vf.sweep("real", 6)
 
