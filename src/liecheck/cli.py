@@ -320,7 +320,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout (`| head`); send what is left, and the
         # interpreter's flush at exit, to devnull instead of a traceback
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     return rc
 

@@ -390,6 +390,15 @@ def _is_equality_witness(a: SimpleAlgebra, label: str) -> bool:
     return False
 
 
+# one int object per margin value, shared by every case that has it: the
+# library `sweep` keeps its cases, and at max-param 48 about half of them
+# have a margin above 256, past CPython's cached small ints.  The table
+# holds one entry per distinct margin: about 2.3k at max-param 48 (about
+# 0.15 MB), and at most about 8.2k under SIZE_LIMIT, whose largest target
+# is sp(128,C)'s 8,192.
+_MARGINS: dict = {}
+
+
 def check_involutions(a: SimpleAlgebra) -> list:
     """Margins for every instantiated involution row of ``a``.
 
@@ -403,7 +412,9 @@ def check_involutions(a: SimpleAlgebra) -> list:
 
     A row's cases are built in one batch: its witnesses and its margins by
     one comprehension each, and its ``berger_involution`` cases by one
-    ``map`` of ``tuple.__new__``.  Only a row whose ``dims_s`` holds the
+    ``map`` of ``tuple.__new__``.  Each margin is then taken from the
+    process-wide table `_MARGINS`, so that every case with one margin
+    value holds the same int object.  Only a row whose ``dims_s`` holds the
     target has an instance at margin 0; such a row is then scanned, and
     each of those instances that `_is_equality_witness` accepts becomes an
     ``equality_case`` in place.  Every other margin-0 instance stays a
@@ -425,6 +436,7 @@ def check_involutions(a: SimpleAlgebra) -> list:
         labels, dims_s = entry.labels, entry.dims_s
         witnesses = [f"{head}{label} (fixed dim {fixed}{tail}" for label, fixed in zip(labels, dims_s)]
         margins = [target - fixed for fixed in dims_s]
+        margins = list(map(_MARGINS.setdefault, margins, margins))
         start = len(out)
         # `tuple.__new__` makes the same tuple as CaseResult's generated
         # `__new__`, without that Python frame per case (209,019 cases at

@@ -479,6 +479,40 @@ def test_verify_json_into_a_closed_pipe_exits_141(unbuffered):
     assert err == b""
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone, on the descriptor ``fd``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def _lowest_free_fd():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+def test_a_closed_stdout_is_sent_to_devnull_without_a_leaked_descriptor(monkeypatch):
+    # the in-process form of the closed-pipe exit: stdout's descriptor now
+    # refers to devnull, and the descriptor opened for that is closed again
+    with tempfile.TemporaryFile() as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        free = _lowest_free_fd()
+        assert cli.main(["info", "sl(3,R)"]) == cli.EXIT_BROKEN_PIPE == 141
+        now, devnull = os.fstat(f.fileno()), os.stat(os.devnull)
+        assert (now.st_rdev, now.st_ino) == (devnull.st_rdev, devnull.st_ino)
+        assert _lowest_free_fd() == free
+
+
 class _CaseList(list):
     """A list of cases that a weakref can follow."""
 

@@ -26,6 +26,7 @@ import pytest
 
 from liecheck import algebras, centralizers
 from liecheck import matrixoracle as mo
+from liecheck import verify as vf
 from liecheck._exact import sparse_ranks
 from liecheck.algebras import Family, OutOfDomain
 from liecheck.centralizers import (
@@ -167,6 +168,42 @@ def test_q_split_fixed_dims():
         e = q_split_element(model(family, *params))
         assert e.order == 2
         assert matrix_fixed_dims(e) == FixedDims(*expected), (family, params)
+
+
+def _equality_element(a, label):
+    """The element whose fixed set is the equality witness ``label`` of
+    ``a``, or None for a witness of any other shape."""
+    h = algebras.parse_algebra(label)
+    if a.family is Family.SL_R and h == algebras.parse_algebra(f"sl({a.params[0] - 1},R)+R"):
+        return q_split_element(model(a.family, *a.params))
+    if a.family is Family.SO:
+        p, q = a.params
+        if h == algebras.algebra(Family.SO, p, q - 1):
+            return q_split_element(model(a.family, p, q))
+        if (p, q) == (3, 3) and h == algebras.parse_algebra("sl(3,R)+R"):
+            # swapping the two coordinate triples fixes gl(3,R)
+            return element(model(a.family, p, q), [[int(j == (i + 3) % 6) for j in range(6)] for i in range(6)])
+    return None
+
+
+def test_every_equality_case_is_realized_at_its_row_dims():
+    # the margin-0 passes: each equality case's witness is the fixed set of
+    # an order-2 element, at its row's dims and at its ambient's target
+    cases = [
+        c
+        for a in algebras.iter_noncompact_simple(16)
+        for c in vf.verify_case(a)
+        if c.route == vf.ROUTE_EQUALITY
+    ]
+    assert len(cases) == 62
+    for c in cases:
+        label = c.witness.split(" -> ")[1].split(" (fixed dim ")[0]
+        e = _equality_element(c.algebra, label)
+        assert e is not None, ("an equality case of another shape", c)
+        d, ambient = algebras.reductive_dims(algebras.parse_algebra(label)), algebras.dims(c.algebra)
+        assert e.order == 2
+        assert matrix_fixed_dims(e) == FixedDims(d.dim_g, d.dim_k, d.dim_s), c
+        assert d.dim_s == ambient.dim_s - ambient.rk_r, c
 
 
 def test_q_split_only_for_real_orthogonal_style_models():

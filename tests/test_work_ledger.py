@@ -13,6 +13,10 @@ back raises this count from 131 to the sweep's 4,531 cases.
 that run code of `liecheck/verify.py`, seen through `sys.setprofile`: one
 `CaseTally.add` call per algebra keeps it at 6,717, and a Python frame per
 case, such as a generator that yields each case, raises it past 11,000.
+`margin_objects` counts the distinct int objects among the cases' margins:
+every case with one margin value holds the same int (`verify._MARGINS`),
+so it equals the sweep's 251 distinct margins; an int per case, as a
+margin above 256 gets when it is not shared, raises it to 258.
 Beside the ceilings the ledger states where the work goes:
 
 - no route calls `instantiations` or reads a row's `instances`: the
@@ -143,6 +147,8 @@ print(json.dumps({
     "algebras": len({c.algebra for c in rep.cases}),
     "rank_one": len({c.algebra for c in rep.cases if c.route == vf.ROUTE_RANK1}),
     "product_factors": sum(len(set(p.factors)) for p in rep.products),
+    "margin_values": len({c.margin for c in rep.cases}),
+    "margin_objects": len({id(c.margin) for c in rep.cases}),
 }))
 """
 
@@ -164,6 +170,7 @@ def test_sweep_work_stays_within_the_ledger():
     assert counts["max_fixed_dim"] == got["rank_one"] + got["product_factors"]
     # the 1 is f44_equality_case's
     assert counts["isotropy_entries"] == got["algebras"] + got["product_factors"] + 1
+    assert got["margin_objects"] == got["margin_values"] == 251
 
 
 def _mul(a, b):
