@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import shutil
+import stat
 import sys
 import tempfile
 from functools import partial
@@ -247,12 +248,42 @@ def export_payload(max_param: int) -> dict:
     }
 
 
+def _write_atlas(payload, out):
+    """Write the atlas to `out`; a regular file gets all of it or keeps its own.
+
+    A regular file, or a path that names nothing yet, is written through a
+    temporary file beside it, which then replaces it (keeping its mode), so
+    a failed write leaves the earlier atlas as it was.  Anything else that
+    exists, such as a symlink, ``/dev/stdout`` or a FIFO, is written in
+    place, since a rename would replace the node itself.
+    """
+    try:
+        mode = os.lstat(out).st_mode
+    except OSError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(out, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        return
+    tmp = "%s.%d.tmp" % (out, os.getpid())
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, out)
+    finally:
+        if os.path.lexists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+
+
 def _cmd_export(args) -> int:
     payload = export_payload(args.max_param)
     try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_atlas(payload, args.out)
     except OSError as exc:
         print("error: cannot write %s (%s)" % (args.out, exc.strerror), file=sys.stderr)
         return 2

@@ -13,7 +13,8 @@ from itertools import combinations_with_replacement, islice
 
 import pytest
 
-from liecheck import centralizers
+from liecheck import algebras, centralizers
+from liecheck import verify as vf
 from liecheck.algebras import Family
 from liecheck.centralizers import (
     ENUMERATION_BUDGET,
@@ -212,6 +213,46 @@ def test_oracle_attains_bounds_on_small_ranges():
                 assert oracle_max(SigFamily.SP_PQ, params)[0] == bound(SigFamily.SP_PQ, params)
     for family, params in _LARGEST_IN_BUDGET:
         assert oracle_max(family, params)[0] == bound(family, params), (family, params)
+
+
+def test_every_class_keeps_a_nonnegative_margin_and_margin_zero_is_equality():
+    # the signature side of the margin-0 set: every class of every order of
+    # the indefinite families, against its ambient's dim S - rk_R
+    forms = [
+        (family, (p, q))
+        for family in (SigFamily.SO_PQ, SigFamily.SU_PQ, SigFamily.SP_PQ)
+        for p in range(1, 5)
+        for q in range(p, 9 - p)
+    ] + [(SigFamily.SOSTAR_2N, (n,)) for n in range(1, 9)]
+    classes, zero, so_forms = 0, [], set()
+    for family, params in forms:
+        ambient = algebras.as_simple(algebras.algebra(centralizers.SIG_AMBIENT[family], *params))
+        if ambient is None:  # so(1,1), so(2,2), so*(2), so*(4)
+            continue
+        if family is SigFamily.SO_PQ:
+            so_forms.add(params)
+        d = algebras.dims(ambient)
+        target = d.dim_s - d.rk_r
+        for s in enumerate_signatures(family, params):
+            classes += 1
+            fixed = signature_dim(s)
+            assert fixed <= target, s
+            if fixed == target:
+                zero.append((s, ambient, fixed))
+    assert classes == 12411 and len(zero) == 32
+    # each is a reflection in so(p,q): +-1 blocks, one of total multiplicity
+    # 1; every so(p,q) reaches margin 0, so its maximum is p(q - 1)
+    for s, _, _ in zero:
+        assert s.family is SigFamily.SO_PQ and {tag for tag, _, _ in s.blocks} <= {1, -1}, s
+        assert [mp + mm for _, mp, mm in s.blocks].count(1) == 1, s
+    assert {s.params for s, _, _ in zero} == so_forms
+    for s, ambient, fixed in zero:
+        cases = vf.verify_case(ambient)
+        if s.params[0] == 1:  # real rank one: so(1,q), sl(2,R), sl(2,C)
+            assert [(c.route, c.margin) for c in cases] == [(vf.ROUTE_RANK1, 0)], s
+        else:
+            tail = "(fixed dim %d vs target %d)" % (fixed, fixed)
+            assert any(c.route == vf.ROUTE_EQUALITY and c.witness.endswith(tail) for c in cases), s
 
 
 def test_oracle_max_is_fast_and_small_at_the_largest_sizes():

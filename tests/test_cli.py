@@ -6,9 +6,12 @@ import io
 import json
 import os
 import pkgutil
+import resource
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import weakref
 from collections import Counter
@@ -641,6 +644,50 @@ def test_export_unwritable_path(tmp_path, capsys):
     rc, _, err = run(capsys, "export", "--out", str(tmp_path / "missing" / "atlas.json"))
     assert rc == 2
     assert "error: cannot write" in err
+
+
+def test_failed_export_keeps_the_earlier_atlas(tmp_path, capsys):
+    out_path = tmp_path / "atlas.json"
+    assert run(capsys, "export", "--max-param", "8", "--out", str(out_path))[0] == 0
+    out_path.chmod(0o640)
+    before = out_path.read_bytes()
+    assert len(before) > 20000
+    # a write past 20,000 bytes fails with EFBIG, as on a full disk
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (20000, limits[1]))
+    try:
+        rc, out, err = run(capsys, "export", "--max-param", "8", "--out", str(out_path))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert (rc, out, err) == (2, "", "error: cannot write %s (File too large)\n" % out_path)
+    assert out_path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["atlas.json"]
+    # a whole atlas replaces it, with its mode
+    rc, out, _ = run(capsys, "export", "--max-param", "2", "--out", str(out_path))
+    assert rc == 0 and out == "wrote %s (%d entries)\n" % (out_path, len(json.loads(out_path.read_text())["entries"]))
+    assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
+    assert os.listdir(tmp_path) == ["atlas.json"]
+
+
+def test_export_writes_a_non_regular_target_in_place(tmp_path, capsys):
+    expected = tmp_path / "expected.json"
+    assert run(capsys, "export", "--max-param", "2", "--out", str(expected))[0] == 0
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    rc, out, _ = run(capsys, "export", "--max-param", "2", "--out", str(fifo))
+    reader.join(10)
+    assert rc == 0 and out.startswith("wrote %s " % fifo)
+    assert got == [expected.read_bytes()]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    # a symlink stays a link; its target gets the atlas
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old")
+    link.symlink_to(target)
+    assert run(capsys, "export", "--max-param", "2", "--out", str(link))[0] == 0
+    assert link.is_symlink() and target.read_bytes() == expected.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["expected.json", "fifo", "link.json", "target.json"]
 
 
 def test_export_schema_and_tables(tmp_path, capsys):

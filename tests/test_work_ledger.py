@@ -1,22 +1,32 @@
 """Work ledger: how many times a small sweep calls each counted layer.
 
-`sweep("all", 16)` runs in a fresh interpreter, so no cache is warm, with
-each counted function rebound in every liecheck module that holds it.  Each
+`sweep("all", 16)` runs in a fresh interpreter that imports only
+`liecheck.verify`, so no cache is warm, under one `sys.setprofile` hook.
+The hook rebinds nothing: on each ``"call"`` event, generator resumes
+included, it counts the frame by its code object.  Each counted name must
+be a plain function, and the ledger fails naming one that is not.  Each
 count in `CEILINGS` is a ceiling: a change may lower one, and says so when
-it does, but never raises one.  `gc_collections` counts the cyclic
-collections that start during the sweep, seen through `gc.callbacks`.
-`case_results` counts the cases built through `CaseResult`'s generated
-Python ``__new__``, rebound on the class: the involution rows' cases are
-made by `tuple.__new__` without it, so a per-case constructor that comes
-back raises this count from 131 to the sweep's 4,531 cases.
-`verify_calls` counts the Python-level calls, generator resumes included,
-that run code of `liecheck/verify.py`, seen through `sys.setprofile`: one
-`CaseTally.add` call per algebra keeps it at 6,717, and a Python frame per
-case, such as a generator that yields each case, raises it past 11,000.
-`margin_objects` counts the distinct int objects among the cases' margins:
-every case with one margin value holds the same int (`verify._MARGINS`),
-so it equals the sweep's 251 distinct margins; an int per case, as a
-margin above 256 gets when it is not shared, raises it to 258.
+it does, but never raises one.
+
+- the seven layer functions (`isotropy_entries`, `max_fixed_dim`,
+  `instantiations`, `parse_algebra`, `render`, `reductive`,
+  `reductive_dims`) count by their ``__code__``, whoever calls them;
+- `case_results` counts frames of `CaseResult`'s generated Python
+  ``__new__``: the involution rows' cases are made by `tuple.__new__`
+  without it, so a per-case constructor that comes back raises this count
+  from 131 to the sweep's 4,531 cases and more;
+- `verify_calls` counts the frames of code in `liecheck/verify.py`: one
+  `CaseTally.add` call per algebra keeps it at 6,717, and a Python frame
+  per case, such as a generator that yields each case, raises it past
+  11,000;
+- `gc_collections` counts the cyclic collections that start during the
+  sweep, seen through `gc.callbacks`;
+- `margin_objects` counts the distinct int objects among the cases'
+  margins: every case with one margin value holds the same int
+  (`verify._MARGINS`), so it equals the sweep's 251 distinct margins; an
+  int per case, as a margin above 256 gets when it is not shared, raises
+  it to 258.
+
 Beside the ceilings the ledger states where the work goes:
 
 - no route calls `instantiations` or reads a row's `instances`: the
@@ -27,7 +37,7 @@ Beside the ceilings the ledger states where the work goes:
   it;
 - `reductive_dims` is called only from the routes that measure something
   other than a row instance (the restricted-form and maximal-rank tables
-  and the triality classes);
+  and the triality classes), read off each call's calling frame;
 - `max_fixed_dim` is called once per rank-one algebra and once per
   distinct factor of each product check;
 - `isotropy_entries` builds each algebra's rows once (through
@@ -35,9 +45,10 @@ Beside the ceilings the ledger states where the work goes:
   once per distinct factor of each product check, and once more for
   `f44_equality_case`, which reads f4(4)'s rows a second time.
 
-The matrix oracle's operator rows reach elimination as ints: rebinding
-`_exact.reduced_form` and `_exact.in_span` the same way shows that every
-value of every row they receive from `element`'s span tests or under
+The matrix oracle's operator rows reach elimination as ints: a profile
+hook of the same kind reads the `rows` argument of every
+`_exact.reduced_form` and `_exact.in_span` call, and shows that every value
+of every row they receive from `element`'s span tests or under
 `matrix_fixed_dims` is an int, for `g22_case` and a criterion-3 subset
 that includes a rational element.
 """
@@ -77,40 +88,22 @@ NON_ROW_MEASURES = {
 }
 
 _CHILD = """
-import gc, json, sys
+import gc, json, sys, types
 sys.path.insert(0, sys.argv[1])
-import liecheck.cli
 from liecheck import algebras as al, involutions as inv, verify as vf
 
 counted = {
-    "isotropy_entries": inv, "max_fixed_dim": inv, "instantiations": inv,
-    "parse_algebra": al, "render": al, "reductive": al, "reductive_dims": al,
+    "isotropy_entries": inv.isotropy_entries, "max_fixed_dim": inv.max_fixed_dim,
+    "instantiations": inv.instantiations, "parse_algebra": al.parse_algebra,
+    "render": al.render, "reductive": al.reductive, "reductive_dims": al.reductive_dims,
+    "case_results": vf.CaseResult.__new__,
 }
+not_functions = sorted(n for n, fn in counted.items() if type(fn) is not types.FunctionType)
+names = {fn.__code__: n for n, fn in counted.items() if n not in not_functions}
+dims_code = al.reductive_dims.__code__
 counts = dict.fromkeys(counted, 0)
+counts["verify_calls"] = 0
 callers = set()
-modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "liecheck"]
-
-
-def counting(name, fn):
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        if name == "reductive_dims":
-            frame = sys._getframe(1)
-            while frame.f_code.co_name.startswith("<"):  # a comprehension
-                frame = frame.f_back
-            callers.add((frame.f_globals["__name__"], frame.f_code.co_name))
-        return fn(*args, **kwargs)
-    return wrapper
-
-
-for name, home in counted.items():
-    fn = getattr(home, name)
-    wrapper = counting(name, fn)
-    for module in modules:
-        for attr, value in list(vars(module).items()):
-            if value is fn:
-                setattr(module, attr, wrapper)
-
 collections = []
 
 
@@ -119,21 +112,21 @@ def collection_started(phase, info):
         collections.append(info["generation"])
 
 
-case_result_new = vf.CaseResult.__new__
-
-
-def counting_new(cls, *args, **kwargs):
-    counts["case_results"] += 1
-    return case_result_new(cls, *args, **kwargs)
-
-
 def profile(frame, event, arg):
-    if event == "call" and frame.f_code.co_filename == vf.__file__:
+    if event != "call":
+        return
+    code = frame.f_code
+    if code in names:
+        counts[names[code]] += 1
+        if code is dims_code:
+            frame = frame.f_back
+            while frame.f_code.co_name.startswith("<"):  # a comprehension
+                frame = frame.f_back
+            callers.add((frame.f_globals["__name__"], frame.f_code.co_name))
+    if code.co_filename == vf.__file__:
         counts["verify_calls"] += 1
 
 
-counts["case_results"] = counts["verify_calls"] = 0
-vf.CaseResult.__new__ = counting_new
 gc.callbacks.append(collection_started)
 sys.setprofile(profile)
 rep = vf.sweep("all", 16)
@@ -141,6 +134,7 @@ sys.setprofile(None)
 gc.callbacks.remove(collection_started)
 counts["gc_collections"] = len(collections)
 print(json.dumps({
+    "not_functions": not_functions,
     "cases": len(rep.cases),
     "counts": counts,
     "callers": sorted(callers),
@@ -160,10 +154,11 @@ def test_sweep_work_stays_within_the_ledger():
         capture_output=True, text=True, check=True, timeout=120,
     )
     got = json.loads(out.stdout)
+    assert not got["not_functions"], ("not a plain function", got["not_functions"])
     assert got["cases"] == CASES
     counts = got["counts"]
-    for name, ceiling in CEILINGS.items():
-        assert counts[name] <= ceiling, (name, counts[name], ceiling)
+    over = {name: (counts[name], ceiling) for name, ceiling in CEILINGS.items() if counts[name] > ceiling}
+    assert not over, over
     assert {tuple(c) for c in got["callers"]} <= NON_ROW_MEASURES, got["callers"]
     # the profile sees verify.py: each algebra's cases come from verify_case
     assert counts["verify_calls"] >= got["algebras"]
@@ -177,64 +172,60 @@ def _mul(a, b):
     return [[sum(x * y[c] for x, y in zip(row, b)) for c in range(len(b[0]))] for row in a]
 
 
-def _rebind(monkeypatch, fn, wrapper):
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "liecheck":
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+def test_operator_rows_reach_elimination_as_ints():
+    # (eliminating function, functions on the stack, the rows' type, all
+    # values ints); both take their rows as `rows`: reduced_form(rows) and
+    # in_span(reduced, rows)
+    calls = []
+    names = {_exact.reduced_form.__code__: "reduced_form", _exact.in_span.__code__: "in_span"}
 
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            rows = frame.f_locals["rows"]
+            ints = isinstance(rows, (list, tuple)) and all(type(x) is int for _, vals in rows for x in vals)
+            stack, caller = set(), frame.f_back
+            while caller is not None:
+                stack.add(caller.f_code.co_name)
+                caller = caller.f_back
+            calls.append((names[frame.f_code], stack, type(rows), ints))
 
-def test_operator_rows_reach_elimination_as_ints(monkeypatch):
-    calls = []  # (eliminating function, functions on the stack, all values ints)
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        # the hook sees a Fraction row, in in_span itself and in
+        # sparse_ranks' own reduced_form
+        assert not _exact.in_span({}, [([0], [Fraction(1, 2)])])
+        assert _exact.sparse_ranks([[([0, 1], [1, Fraction(1, 2)]), ([0], [1])]]) == [2]
+        seen = [(name, ints) for name, _, _, ints in calls]
+        calls.clear()
 
-    def recording(fn, name):
-        # the rows are the last argument of both: reduced_form(rows) and
-        # in_span(reduced, rows)
-        def wrapper(*args):
-            rows = list(args[-1])
-            frame, names = sys._getframe(1), set()
-            while frame is not None:
-                names.add(frame.f_code.co_name)
-                frame = frame.f_back
-            calls.append((name, names, all(type(x) is int for _, vals in rows for x in vals)))
-            return fn(*args[:-1], rows)
-
-        return wrapper
-
-    for name in ("reduced_form", "in_span"):
-        fn = getattr(_exact, name)
-        _rebind(monkeypatch, fn, recording(fn, name))
-    # the rebinding is seen: a Fraction row is recorded, by in_span itself
-    # and by sparse_ranks' own reduced_form
-    assert not _exact.in_span({}, [([0], [Fraction(1, 2)])])
-    assert _exact.sparse_ranks([[([0, 1], [1, Fraction(1, 2)]), ([0], [1])]]) == [2]
-    assert [(name, ints) for name, _, ints in calls] == [("in_span", False), ("reduced_form", False)]
-    calls.clear()
-
-    mo.g22_case()
-    elements = [
-        mo.from_signature(sig)
-        for family, params in ((SigFamily.SO_PQ, (2, 3)), (SigFamily.SU_PQ, (2, 2)), (SigFamily.SOSTAR_2N, (3,)))
-        for sig in enumerate_signatures(family, params, order_le_4=True)
-    ]
-    # a rational element: an so(2,3) class whose negative coordinates are
-    # turned by 3-4-5 rotations
-    base = mo.from_signature(Signature(SigFamily.SO_PQ, (2, 3), ((1, 0, 1), (2, 1, 1))))
-    rows = [list(r) for r in base.entries]
-    for i in (2, 3):
-        rot = [[Fraction(int(r == c)) for c in range(5)] for r in range(5)]
-        rot[i][i] = rot[i + 1][i + 1] = Fraction(3, 5)
-        rot[i][i + 1], rot[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
-        rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
-    rational = mo.element(base.ambient, rows)
+        mo.g22_case()
+        elements = [
+            mo.from_signature(sig)
+            for family, params in ((SigFamily.SO_PQ, (2, 3)), (SigFamily.SU_PQ, (2, 2)), (SigFamily.SOSTAR_2N, (3,)))
+            for sig in enumerate_signatures(family, params, order_le_4=True)
+        ]
+        # a rational element: an so(2,3) class whose negative coordinates
+        # are turned by 3-4-5 rotations
+        base = mo.from_signature(Signature(SigFamily.SO_PQ, (2, 3), ((1, 0, 1), (2, 1, 1))))
+        rows = [list(r) for r in base.entries]
+        for i in (2, 3):
+            rot = [[Fraction(int(r == c)) for c in range(5)] for r in range(5)]
+            rot[i][i] = rot[i + 1][i + 1] = Fraction(3, 5)
+            rot[i][i + 1], rot[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
+            rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
+        rational = mo.element(base.ambient, rows)
+        assert mo.matrix_fixed_dims(rational) == mo.matrix_fixed_dims(base)
+        for e in elements:
+            mo.matrix_fixed_dims(e)
+    finally:
+        sys.setprofile(saved)
+    assert seen == [("in_span", False), ("reduced_form", False)]
     assert any(type(x) is Fraction for r in rational.entries for x in r)
-    assert mo.matrix_fixed_dims(rational) == mo.matrix_fixed_dims(base)
-    for e in elements:
-        mo.matrix_fixed_dims(e)
     assert len(elements) > 20
+    assert {kind for _, _, kind, _ in calls} <= {list, tuple}
     # element's span tests, and sparse_ranks' reduced forms under
     # matrix_fixed_dims
-    checked = [(name, ints) for name, names, ints in calls if name == "in_span" or "matrix_fixed_dims" in names]
+    checked = [(name, ints) for name, stack, _, ints in calls if name == "in_span" or "matrix_fixed_dims" in stack]
     assert {name for name, _ in checked} == {"in_span", "reduced_form"}
     assert all(ints for _, ints in checked)
