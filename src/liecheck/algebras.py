@@ -273,7 +273,6 @@ _OUT_EXPONENT = {
 class OutGroup(NamedTuple):
     iso_type: OutIso
     exponent: int
-    all_order_le_2: bool
 
 
 _SORT_KEY = attrgetter("sort_key")
@@ -572,8 +571,11 @@ def real_forms(a: SimpleAlgebra) -> tuple[str, ...]:
 
 
 def out_group(a: SimpleAlgebra) -> OutGroup:
+    """The outer automorphism group of `a`: its isomorphism type and its
+    exponent, the lcm of the element orders (so every element has order
+    at most 2 exactly when ``exponent <= 2``)."""
     iso = _out_iso(require_simple(a))
-    return OutGroup(iso, _OUT_EXPONENT[iso], iso in (OutIso.TRIVIAL, OutIso.Z2, OutIso.Z2xZ2))
+    return OutGroup(iso, _OUT_EXPONENT[iso])
 
 
 def _out_iso(a: SimpleAlgebra) -> OutIso:

@@ -119,8 +119,6 @@ _CASE_BLOCK = (
     "    }"
 )
 _SPOOL_CHUNK = 1 << 18
-# the keys of a product check in `verify --json`: its fields but the two ranks
-_PRODUCT_KEYS = tuple(k for k in vf.SemisimpleReport._fields if k not in ("rk_total", "rk_min"))
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -155,8 +153,7 @@ def _write_verify_json(args, tally, passed, products, spool) -> None:
         "worst_strict_margin": tally.worst_strict_margin,
         "cases": [],
         "products": [
-            {k: getattr(p, k) for k in _PRODUCT_KEYS} | {"factors": [al.render(a) for a in p.factors]}
-            for p in products
+            p._asdict() | {"factors": [al.render(a) for a in p.factors]} for p in products
         ],
     }
     head, key, tail = json.dumps(doc, indent=2).partition('"cases": [')
@@ -266,7 +263,9 @@ def _write_atlas(payload, out):
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         return
-    tmp = "%s.%d.tmp" % (out, os.getpid())
+    # a name of this call's own: a file left by a killed run, even one with
+    # this pid, is neither reused nor removed
+    tmp = "%s.%d.%s.tmp" % (out, os.getpid(), os.urandom(4).hex())
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:

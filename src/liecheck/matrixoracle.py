@@ -38,7 +38,6 @@ from liecheck._exact import in_span, reduced_form, sparse_ranks
 from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims, require_simple
 from liecheck.centralizers import (
     SIG_AMBIENT,
-    InvalidSignature,
     OracleInvariantError,
     SigFamily,
     Signature,
@@ -505,8 +504,9 @@ class G2RotationReport(NamedTuple):
     S(O(1,2) x U(1,1)), of dimension 3 + 4 - 1 = 6, but the determinant of a
     realified unitary block is identically +1, so the determinant condition
     removes components rather than dimensions: the exact kernel computation
-    returns 7.  Both numbers are recorded side by side.  The report states
-    no verdict: g2(2)'s is `verify.check_restricted_form`'s margin,
+    returns 7.  Both numbers are recorded side by side, with the ambient
+    and the signature of the element measured.  The report states no
+    verdict: g2(2)'s is `verify.check_restricted_form`'s margin,
     ``strict_target - chain_upper_bound``, through the pass rule.
     """
 
@@ -517,10 +517,6 @@ class G2RotationReport(NamedTuple):
     compact_centralizer_dim: int
     chain_upper_bound: int
     strict_target: int
-    half_turn: FixedDims
-    half_signature: Signature
-    half_turn_chain: int
-    zero_turn_rejected: bool
 
 
 def g22_case() -> G2RotationReport:
@@ -528,27 +524,18 @@ def g22_case() -> G2RotationReport:
 
     The chain is dim S^A <= dim C_g(A) - dim C_K(A), with dim C_K(A) = 2
     (an SO(2) x SO(2) inside the SO(4) isotropy of the exceptional form),
-    checked against the target dim S - rk_R = 6 of g2(2).  Both turns are
-    built by `from_signature` from the signatures the report records.  The
-    half turn is an involution whose centralizer is strictly larger; there
-    the chain is not strict and the case belongs to the involution route.
-    The zero angle degenerates to the identity, whose single-tag class
-    `from_signature` must reject as central.
+    checked against the target dim S - rk_R = 6 of g2(2).  The one element
+    is built by `from_signature` from the signature the report records.
+    The half turn, an involution whose chain 9 - 2 = 7 is not strict (the
+    involution route's case), and the zero angle, the central identity
+    that `from_signature` rejects, are checked in tests/test_matrixoracle.py.
     """
     quarter_signature = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (2, 1, 1)))
-    half_signature = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (-1, 2, 2)))
     quarter = from_signature(quarter_signature)
     quarter_dims = matrix_fixed_dims(quarter)
-    half_dims = matrix_fixed_dims(from_signature(half_signature))
     g = dims(SimpleAlgebra(Family.G2_2))
 
     compact_centralizer_dim = 2
-    try:
-        from_signature(Signature(SigFamily.SO_PQ, (3, 4), ((1, 3, 4),)))
-    except InvalidSignature:
-        zero_turn_rejected = True
-    else:
-        zero_turn_rejected = False
     return G2RotationReport(
         ambient=quarter.ambient,
         quarter_turn=quarter_dims,
@@ -557,8 +544,4 @@ def g22_case() -> G2RotationReport:
         compact_centralizer_dim=compact_centralizer_dim,
         chain_upper_bound=quarter_dims.dim_centralizer_g - compact_centralizer_dim,
         strict_target=g.dim_s - g.rk_r,
-        half_turn=half_dims,
-        half_signature=half_signature,
-        half_turn_chain=half_dims.dim_centralizer_g - compact_centralizer_dim,
-        zero_turn_rejected=zero_turn_rejected,
     )

@@ -143,16 +143,16 @@ class VcdResult(NamedTuple):
 class SemisimpleReport(NamedTuple):
     """Product-level margins for a semisimple algebra.
 
-    ``product_bound`` sums the per-factor strict bounds; the summed bound
-    beats the naive one (``naive_fixed_dim`` may exceed ``naive_bound``,
-    which is why the per-factor argument cannot be shortcut).  The swap
-    fields cover involutions exchanging two isomorphic factors.
+    ``product_bound`` sums the per-factor strict bounds, dim S - rk_total;
+    ``naive_bound`` restates it beside ``naive_fixed_dim``, which may
+    exceed it (``naive_exceeds``): fixing all but one factor is no
+    shortcut past the per-factor argument.  The swap fields cover
+    involutions exchanging two isomorphic factors.  Every field is
+    written by ``verify --json``.
     """
 
     factors: tuple
     dim_s: int
-    rk_total: int
-    rk_min: int
     product_bound: int
     product_margin: int
     naive_fixed_dim: int
@@ -529,13 +529,11 @@ def check_semisimple(factors) -> SemisimpleReport:
         raise TooFewFactors("a product check needs at least two simple factors")
     per = [dims(a) for a in factors]
     dim_s = sum(d.dim_s for d in per)
-    rk_total = sum(d.rk_r for d in per)
     rk_min = min(d.rk_r for d in per)
     product_bound = sum(d.dim_s - d.rk_r for d in per)
     product_margin = (dim_s - rk_min) - product_bound
     top = {a: inv.max_fixed_dim(a)[0] for a in dict.fromkeys(factors)}
     naive_fixed_dim = max(dim_s - d.dim_s + top[a] for a, d in zip(factors, per))
-    naive_bound = dim_s - rk_total
     duplicated = {a for a in factors if factors.count(a) >= 2}
     if duplicated:
         swap_fixed_dim = dim_s - min(dims(a).dim_s for a in duplicated)
@@ -551,13 +549,11 @@ def check_semisimple(factors) -> SemisimpleReport:
     return SemisimpleReport(
         factors=factors,
         dim_s=dim_s,
-        rk_total=rk_total,
-        rk_min=rk_min,
         product_bound=product_bound,
         product_margin=product_margin,
         naive_fixed_dim=naive_fixed_dim,
-        naive_bound=naive_bound,
-        naive_exceeds=naive_fixed_dim > naive_bound,
+        naive_bound=product_bound,
+        naive_exceeds=naive_fixed_dim > product_bound,
         swap_fixed_dim=swap_fixed_dim,
         swap_margin=swap_margin,
         passed=passed,

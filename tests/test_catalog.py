@@ -367,7 +367,7 @@ def test_out_groups():
         (a,) = parse_algebra(name).simples
         og = out_group(a)
         assert og.iso_type.value == iso, name
-        assert og.all_order_le_2 == le2, name
+        assert (og.exponent <= 2) == le2, name
 
 
 def test_out_group_exponents():

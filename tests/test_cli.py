@@ -386,6 +386,19 @@ def test_verify_json_is_the_dumped_payload(capsys, scope):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+def test_verify_json_products_write_every_report_field(capsys):
+    # a report field no document writes has no reader: each product object
+    # holds exactly the fields of `SemisimpleReport`, in order
+    rc, out, _ = run(capsys, "verify", "--json", "--scope", "all", "--max-param", "8")
+    assert rc == 0
+    products = json.loads(out)["products"]
+    reports = vf.sweep("all", 8).products
+    assert len(products) == len(reports) > 0
+    for obj, rep in zip(products, reports):
+        assert list(obj) == list(vf.SemisimpleReport._fields)
+        assert obj["factors"] == [al.render(a) for a in rep.factors]
+
+
 def _recounted_tally(rep):
     """`SweepReport`'s tally fields, counted again from ``rep.cases``."""
     strict = {}  # algebra -> its smallest strict margin, in case order
@@ -667,6 +680,24 @@ def test_failed_export_keeps_the_earlier_atlas(tmp_path, capsys):
     assert rc == 0 and out == "wrote %s (%d entries)\n" % (out_path, len(json.loads(out_path.read_text())["entries"]))
     assert stat.S_IMODE(out_path.stat().st_mode) == 0o640
     assert os.listdir(tmp_path) == ["atlas.json"]
+
+
+def test_export_passes_a_stale_temporary_file_of_its_pid(tmp_path, capsys):
+    # a killed export leaves its temporary file; a later run with the same
+    # pid writes the atlas beside it and leaves it as it was
+    out_path = tmp_path / "atlas.json"
+    stale = tmp_path / ("atlas.json.%d.tmp" % os.getpid())
+    stale.write_bytes(b"")
+    before = os.stat(stale)
+    rc, out, err = run(capsys, "export", "--max-param", "4", "--out", str(out_path))
+    assert (rc, err) == (0, "") and out.startswith("wrote %s " % out_path)
+    payload = json.loads(out_path.read_text())
+    schema = json.loads(resources.files("liecheck").joinpath("data/atlas.schema.json").read_text())
+    jsonschema.validate(payload, schema)
+    assert payload == cli.export_payload(4)
+    after = os.stat(stale)
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (before.st_ino, 0, before.st_mtime_ns)
+    assert sorted(os.listdir(tmp_path)) == ["atlas.json", stale.name]
 
 
 def test_export_writes_a_non_regular_target_in_place(tmp_path, capsys):

@@ -172,7 +172,7 @@ def _catalog_value_line(a):
         d.rk_cpt,
         out.iso_type.value,
         out.exponent,
-        out.all_order_le_2,
+        out.exponent <= 2,
         cpt,
         render(complexify(a)),
     )
@@ -254,7 +254,7 @@ def _presentation_line(a):
     out = out_group(a)
     return "%s%r\t%s\t%r\t%s\t%s\t%s %d %s\n" % (
         a.family.value, a.params, render(a), tuple(dims(a)), cpt, render(complexify(a)),
-        out.iso_type.value, out.exponent, out.all_order_le_2,
+        out.iso_type.value, out.exponent, out.exponent <= 2,
     )
 
 

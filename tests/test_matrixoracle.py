@@ -634,6 +634,10 @@ def test_conjugation_invariance_hand_picked():
     assert matrix_fixed_dims(moved) == FixedDims(16, 6, 10)
 
 
+# blockdiag(1, -I_2, I_2, -I_2), the square of g2(2)'s quarter turn
+G22_HALF_TURN = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (-1, 2, 2))
+
+
 def test_g22_rotation_case_report():
     r = g22_case()
     assert r.ambient.family is Family.SO and r.ambient.params == (3, 4)
@@ -650,21 +654,22 @@ def test_g22_rotation_case_report():
     assert signature_dim(r.quarter_signature) == r.quarter_turn.dim_s_fixed
     assert signature_compact_dim(r.quarter_signature) == 3
 
-    # half turn: involution, centralizer strictly larger, chain not strict
-    assert r.half_turn == FixedDims(9, 3, 6)
-    assert r.half_turn_chain == 7
-    assert r.half_turn_chain >= r.strict_target
-    assert signature_dim(r.half_signature) == r.half_turn.dim_s_fixed
 
-    # zero angle degenerates to the identity
-    assert r.zero_turn_rejected is True
+def test_g22_half_turn_chain_is_not_strict():
+    # the half turn is an involution with a strictly larger centralizer:
+    # the chain bound reaches the target, so the case is the involution route's
+    r = g22_case()
+    half = matrix_fixed_dims(from_signature(G22_HALF_TURN))
+    assert half == FixedDims(9, 3, 6)
+    chain = half.dim_centralizer_g - r.compact_centralizer_dim
+    assert chain == 7 >= r.strict_target == 6
+    assert signature_dim(G22_HALF_TURN) == half.dim_s_fixed
 
 
-def test_g22_zero_turn_flag_reports_an_accepted_identity(monkeypatch):
-    # the stored flag can report a fault: were the central identity class
-    # accepted, the report would say so
-    monkeypatch.setattr(mo, "_validate", lambda sig: None)
-    assert g22_case().zero_turn_rejected is False
+def test_g22_zero_turn_is_the_rejected_identity():
+    # the zero angle degenerates to the identity, a central element class
+    with pytest.raises(InvalidSignature, match="central"):
+        from_signature(sig(SigFamily.SO_PQ, (3, 4), (1, 3, 4)))
 
 
 def test_g22_quarter_matches_direct_signature_construction():
@@ -687,8 +692,7 @@ def test_g22_turns_are_the_written_out_element():
     half = tuple(
         tuple(x if i == j else 0 for j in range(7)) for i, x in enumerate((1, -1, -1, 1, 1, -1, -1))
     )
-    r = g22_case()
-    q, h = from_signature(r.quarter_signature), from_signature(r.half_signature)
+    q, h = from_signature(g22_case().quarter_signature), from_signature(G22_HALF_TURN)
     assert (q.entries, q.order) == (quarter, 4)
     assert (h.entries, h.order) == (half, 2)
     assert {type(x) for row in q.entries + h.entries for x in row} == {int}
@@ -757,7 +761,7 @@ def test_matrix_tests_pass_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     names = _raise_tests()
-    assert len(names) == 11
+    assert len(names) == 12
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
         + ["%s::%s" % (Path(__file__), name) for name in names],
@@ -768,4 +772,4 @@ def test_matrix_tests_pass_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "24 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]
+    assert "25 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]

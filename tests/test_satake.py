@@ -148,7 +148,6 @@ def test_complex_out_group_is_diagram_automorphisms_times_z2():
         out = out_group(a)
         assert orders[out.iso_type] == 2 * len(aut), a.name
         assert out.exponent == exponent, a.name
-        assert out.all_order_le_2 == (exponent == 2), a.name
         # Aut is a 2-group except for D4's S3
         assert len(aut) & (len(aut) - 1) == 0 or (kind, rank) == ("D", 4), a.name
     assert len(complex_forms) == 45
