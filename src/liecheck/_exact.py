@@ -5,8 +5,8 @@ there is no floating point and hence no tolerance anywhere.
 
 A sparse row is a pair (columns, values): strictly increasing columns and
 a nonzero value for each, so an all-zero row has no columns.  There is one
-elimination, `reduced_form`: every rank counts its pivots, and every span
-test reads a form it built.
+elimination, `reduced_form`: every rank past two rows counts its pivots,
+and every span test reads a form it built.
 
 `reduced_form` eliminates a set of sparse rows once into reduced echelon
 form over Q: each pivot is 1 and every other pivot column is cleared, so
@@ -21,10 +21,14 @@ columns of their union once into classes joined through shared rows, and
 ranks each set class by class: the operators arising from block-diagonal
 group elements decompose into many small blocks, and eliminating them
 separately keeps each reduced form small.  A class holding a single row
-of a set counts 1.  A larger one counts the pivots of its `reduced_form`,
-unless it holds the same rows as when it was last eliminated: then it
-takes that rank again (a class of the matrix oracle's operator rows that
-holds only k rows has the same rows in the k set and in the whole).
+of a set counts 1.  A class holding two counts 1 when the two rows have
+the same columns and proportional values, tested by cross-multiplication,
+and 2 otherwise; no elimination runs.  A class of three or more rows
+counts the pivots of its `reduced_form`, unless it holds the same rows as
+when it was last eliminated: then it takes that rank again (a class of
+the matrix oracle's operator rows that holds only k rows has the same
+rows in the k set and in the whole, as in a compact ambient, where the k
+set is every row).
 
 `rank` takes dense rows and hands their nonzeros to `sparse_ranks`.
 """
@@ -41,7 +45,11 @@ def sparse_ranks(row_sets):
 
     The partition is taken from the union of the sets, so it may be coarser
     than one set alone needs; rows of different classes never share a
-    column, so each set's rank is the sum of its ranks per class.
+    column, so each set's rank is the sum of its ranks per class.  A class
+    of one row has rank 1; one of two rows has rank 1 exactly when the rows
+    have the same columns and proportional values, else 2.  Only a class of
+    three or more rows is eliminated, unless a set holds the same rows of
+    it as when it was last eliminated: then it takes that rank again.
     """
     parent = {}
 
@@ -78,6 +86,14 @@ def sparse_ranks(row_sets):
         for key, members in by_class.items():
             if len(members) == 1:
                 total += 1
+                continue
+            if len(members) == 2:
+                # rank 1 when a = f * b: the same columns, compared as sequences
+                # (a list may meet a tuple), and a[i] * b[0] == b[i] * a[0] at each
+                (ca, va), (cb, vb) = members
+                a0, b0 = va[0], vb[0]
+                proportional = tuple(ca) == tuple(cb) and all(x * b0 == y * a0 for x, y in zip(va, vb))
+                total += 1 if proportional else 2
                 continue
             prior = last.get(key)
             if prior is None or prior[0] != members:

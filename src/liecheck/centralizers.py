@@ -325,7 +325,7 @@ def _check_budget(family, params):
     params = _check_params(family, params)
     if _candidate_count(family, params) > ENUMERATION_BUDGET:
         raise OutOfDomain(
-            f"{family.value}{params}: more than the enumeration budget of "
+            f"{algebras._name(SIG_AMBIENT[family], params)}: more than the enumeration budget of "
             f"{ENUMERATION_BUDGET} candidate signatures"
         )
     return params

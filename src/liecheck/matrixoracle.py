@@ -109,13 +109,10 @@ def _size(a: SimpleAlgebra) -> int:
         raise UnsupportedFamily(f"no matrix basis wired for {a.family.value}")
     field, _, scale, least = shape
     if min(a.params) < least:
-        raise OutOfDomain(f"{a.family.value}{a.params}: the model needs sizes >= {least}")
+        raise OutOfDomain(f"{a.name}: the model needs sizes >= {least}")
     size = len(_UNITS[field]["1"]) * scale * sum(a.params)
     if size > MATRIX_SIZE_LIMIT:
-        raise OutOfDomain(
-            f"{a.family.value}{a.params} acts on R^{size}, past the matrix size limit "
-            f"{MATRIX_SIZE_LIMIT}"
-        )
+        raise OutOfDomain(f"{a.name} acts on R^{size}, past the matrix size limit {MATRIX_SIZE_LIMIT}")
     return size
 
 

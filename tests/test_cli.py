@@ -230,6 +230,24 @@ def test_oracle_matrix_refuses_models_past_the_size_limit(capsys, monkeypatch):
     assert "68" in err and "64" in err
 
 
+@pytest.mark.parametrize(
+    "flags, model",
+    [
+        (("so", "--n", "100", "--matrix"), (al.Family.SO_CPT, (100,))),
+        (("su", "--p", "0", "--q", "3", "--matrix"), (al.Family.SU, (0, 3))),
+        (("su", "--p", "10", "--q", "12"), (al.Family.SU, (10, 12))),
+    ],
+)
+def test_oracle_refusals_name_the_algebra(capsys, flags, model):
+    # the matrix model's size refusals and the enumeration budget name the
+    # model as `info` renders an algebra (so(100), su(0,3), su(10,12)), not
+    # by its family's enum value and a Python tuple
+    name = al.render(al.SimpleAlgebra(*model))
+    rc, out, err = run(capsys, "oracle", "--family", *flags)
+    assert rc == 2 and out == ""
+    assert err.split()[1].rstrip(":") == name, err
+
+
 def test_bounded_families_are_the_closed_forms():
     F = cz.SigFamily
     sample = {

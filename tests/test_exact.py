@@ -138,6 +138,17 @@ def _sparse(rows):
     return [([c for c, x in enumerate(row) if x], [x for x in row if x]) for row in rows]
 
 
+def _dense(rows, width=8):
+    """Sparse rows as dense rows of `width` entries."""
+    out = []
+    for cols, vals in rows:
+        row = [0] * width
+        for c, x in zip(cols, vals):
+            row[c] = x
+        out.append(row)
+    return out
+
+
 def test_sparse_ranks_hand_picked():
     assert _exact.sparse_ranks([]) == []
     assert _exact.sparse_ranks([[], [((), ())]]) == [0, 0]
@@ -156,9 +167,52 @@ def test_sparse_ranks_hand_picked():
     assert [reference_rank(m[:4]), reference_rank(m[:2]), reference_rank(m[2:3])] == [2, 1, 1]
     assert reference_rank(m) == 3
 
+    # a class of two rows is ranked by cross-multiplication, not eliminated
+    pairs = [
+        # proportional by an int ratio, and by a negative Fraction one
+        ([([0, 2], [1, 3]), ([0, 2], [2, 6])], 1),
+        ([([1, 3, 4], [Fraction(1, 2), 3, -1]), ([1, 3, 4], [Fraction(-1, 3), -2, Fraction(2, 3)])], 1),
+        # the same columns, but proportional in the first two values only
+        ([([0, 1, 2], [1, 2, 3]), ([0, 1, 2], [2, 4, 7])], 2),
+        ([([0, 1], [1, 2]), ([0, 1], [3, 5])], 2),
+        # different columns that share one, with equal values there
+        ([([0, 1], [1, 1]), ([1, 2], [1, 1])], 2),
+        ([([0, 1], [1, 1]), ([0], [1])], 2),
+        # a list support and a tuple one: columns compare as sequences
+        ([([0, 2], [1, 3]), ((0, 2), (2, 6))], 1),
+        ([((0, 2), (1, 3)), ([0, 2], [1, 4])], 2),
+    ]
+    for pair, want in pairs:
+        assert _exact.sparse_ranks([pair]) == [want] == [reference_rank(_dense(pair))], pair
 
-@given(st.one_of(small_matrices, mixed_matrices))
-@settings(max_examples=100)
+    # a proportional pair and a pair that is not, beside a class of three
+    # rows of rank 2 (the third is the first less the second), which is
+    # eliminated; the later sets hold the same three rows, so the memo
+    # answers them
+    pair = [([0, 1], [1, 2]), ((0, 1), (Fraction(-1, 2), -1))]
+    other = [([2, 3], [1, 1]), ([2, 3], [1, -1])]
+    triple = [([5, 6], [1, 1]), ([6, 7], [1, 1]), ([5, 7], [1, -1])]
+    sets = [pair + other + triple, triple + pair[:1], triple]
+    assert _exact.sparse_ranks(sets) == [5, 3, 2]
+    assert [reference_rank(_dense(rows)) for rows in sets] == [5, 3, 2]
+
+
+# a nonzero multiplier, an int or a fraction
+_nonzero = st.integers(-9, 9).filter(bool)
+_factors = st.one_of(_nonzero, st.builds(Fraction, _nonzero, st.integers(2, 4)))
+
+
+def _with_a_multiple(matrices):
+    """Matrices with a nonzero multiple of their first row appended, so the
+    first and last rows are a proportional pair."""
+    return st.tuples(matrices, _factors).map(lambda t: t[0] + [[t[1] * x for x in t[0][0]]])
+
+
+_any_matrices = st.one_of(small_matrices, mixed_matrices)
+
+
+@given(st.one_of(_any_matrices, _with_a_multiple(_any_matrices)))
+@settings(max_examples=200)
 def test_sparse_ranks_match_reference(rows):
     # several sets over the partition of their union, which is coarser than
     # any one of them needs; an empty set and an all-zero row ride along
@@ -171,6 +225,8 @@ def test_sparse_ranks_match_reference(rows):
         range(half),
         range(half, len(sparse)),
         range(0),
+        # the first and last rows: a row and its multiple when one was drawn
+        sorted({0, len(rows) - 1}),
     ]
     got = _exact.sparse_ranks([[sparse[i] for i in pick] for pick in picks])
     dense = rows + [[0] * len(rows[0])]

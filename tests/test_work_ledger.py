@@ -50,7 +50,10 @@ hook of the same kind reads the `rows` argument of every
 `_exact.reduced_form` and `_exact.in_span` call, and shows that every value
 of every row they receive from `element`'s span tests or under
 `matrix_fixed_dims` is an int, for `g22_case` and a criterion-3 subset
-that includes a rational element.
+that includes a rational element.  The subset's 44 classes call no
+`reduced_form` under `matrix_fixed_dims`: each of their column classes
+holds at most two rows of a set, and `sparse_ranks` ranks those without
+elimination.
 """
 
 import json
@@ -193,9 +196,10 @@ def test_operator_rows_reach_elimination_as_ints():
     sys.setprofile(profile)
     try:
         # the hook sees a Fraction row, in in_span itself and in
-        # sparse_ranks' own reduced_form
+        # sparse_ranks' own reduced_form: three rows of one class, since a
+        # class of two is ranked without elimination
         assert not _exact.in_span({}, [([0], [Fraction(1, 2)])])
-        assert _exact.sparse_ranks([[([0, 1], [1, Fraction(1, 2)]), ([0], [1])]]) == [2]
+        assert _exact.sparse_ranks([[([0, 1], [1, Fraction(1, 2)]), ([0], [1]), ([1], [1])]]) == [2]
         seen = [(name, ints) for name, _, _, ints in calls]
         calls.clear()
 
@@ -216,13 +220,18 @@ def test_operator_rows_reach_elimination_as_ints():
             rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
         rational = mo.element(base.ambient, rows)
         assert mo.matrix_fixed_dims(rational) == mo.matrix_fixed_dims(base)
+        start = len(calls)
         for e in elements:
             mo.matrix_fixed_dims(e)
     finally:
         sys.setprofile(saved)
+    # every column class of these classes' operator rows holds at most two
+    # rows of a set, so none is eliminated (an elimination per class of two
+    # rows made 100 calls here)
+    assert [name for name, stack, _, _ in calls[start:] if "matrix_fixed_dims" in stack] == []
     assert seen == [("in_span", False), ("reduced_form", False)]
     assert any(type(x) is Fraction for r in rational.entries for x in r)
-    assert len(elements) > 20
+    assert len(elements) == 44
     assert {kind for _, _, kind, _ in calls} <= {list, tuple}
     # element's span tests, and sparse_ranks' reduced forms under
     # matrix_fixed_dims
