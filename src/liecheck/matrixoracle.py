@@ -4,6 +4,8 @@ For a finite-order isometry A of the defining structure, the oracle computes
 the kernel of X -> A X A^-1 - X over exact rationals, restricted to the
 ambient algebra g, to the maximal compact k, and to the symmetric part p.
 That yields (dim C_g(A), dim C_k(A), dim S^A) with no tolerances anywhere.
+The module reports kernel dimensions only; the verdicts they enter belong
+to `liecheck.verify`.
 
 Conventions.
 
@@ -35,7 +37,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from liecheck._exact import in_span, reduced_form, sparse_ranks
-from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, dims, require_simple
+from liecheck.algebras import Family, InputError, OutOfDomain, SimpleAlgebra, require_simple
 from liecheck.centralizers import (
     SIG_AMBIENT,
     OracleInvariantError,
@@ -491,54 +493,18 @@ def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
 # the rank-two exceptional rotation case
 
 
-class G2RotationReport(NamedTuple):
-    """Exact centralizer data for blockdiag(1, R_t, I_2, R_t) in SO(3,4).
+def g22_case() -> FixedDims:
+    """Exact kernel dims of blockdiag(1, R, I_2, R) in so(3,4), R the quarter turn.
 
     The split rank-two exceptional algebra acts on the seven-dimensional
     space of imaginary split octonions, where the invariant form has
     signature (3,4); the double rotation above is the image of a torus
-    element.  At t = pi/2 its centralizer is often counted as
-    S(O(1,2) x U(1,1)), of dimension 3 + 4 - 1 = 6, but the determinant of a
-    realified unitary block is identically +1, so the determinant condition
-    removes components rather than dimensions: the exact kernel computation
-    returns 7.  Both numbers are recorded side by side, with the ambient
-    and the signature of the element measured.  The report states no
-    verdict: g2(2)'s is `verify.check_restricted_form`'s margin,
-    ``strict_target - chain_upper_bound``, through the pass rule.
+    element, built by `from_signature`.  Its centralizer is often counted
+    as S(O(1,2) x U(1,1)), of dimension 3 + 4 - 1 = 6, but the determinant
+    of a realified unitary block is identically +1, so the determinant
+    condition removes components rather than dimensions: the exact kernel
+    computation returns 7.  g2(2)'s chain and verdict are formed by
+    `verify.check_restricted_form`.
     """
-
-    ambient: SimpleAlgebra
-    quarter_turn: FixedDims
-    quarter_signature: Signature
-    counted_centralizer_dim: int
-    compact_centralizer_dim: int
-    chain_upper_bound: int
-    strict_target: int
-
-
-def g22_case() -> G2RotationReport:
-    """Bound dim S^A inside so(3,4) for the quarter-turn torus element.
-
-    The chain is dim S^A <= dim C_g(A) - dim C_K(A), with dim C_K(A) = 2
-    (an SO(2) x SO(2) inside the SO(4) isotropy of the exceptional form),
-    checked against the target dim S - rk_R = 6 of g2(2).  The one element
-    is built by `from_signature` from the signature the report records.
-    The half turn, an involution whose chain 9 - 2 = 7 is not strict (the
-    involution route's case), and the zero angle, the central identity
-    that `from_signature` rejects, are checked in tests/test_matrixoracle.py.
-    """
-    quarter_signature = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (2, 1, 1)))
-    quarter = from_signature(quarter_signature)
-    quarter_dims = matrix_fixed_dims(quarter)
-    g = dims(SimpleAlgebra(Family.G2_2))
-
-    compact_centralizer_dim = 2
-    return G2RotationReport(
-        ambient=quarter.ambient,
-        quarter_turn=quarter_dims,
-        quarter_signature=quarter_signature,
-        counted_centralizer_dim=6,
-        compact_centralizer_dim=compact_centralizer_dim,
-        chain_upper_bound=quarter_dims.dim_centralizer_g - compact_centralizer_dim,
-        strict_target=g.dim_s - g.rk_r,
-    )
+    quarter = Signature(SigFamily.SO_PQ, (3, 4), ((1, 1, 2), (2, 1, 1)))
+    return matrix_fixed_dims(from_signature(quarter))

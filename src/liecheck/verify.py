@@ -305,30 +305,36 @@ def check_restricted_form(a: SimpleAlgebra) -> CaseResult:
     Semisimple inner classes are conjugate into a distinguished noncompact
     subgroup; its unitary-type description carries an explicit centralizer
     dimension bound, which must clear the target with room rk twice over
-    (once at the ambient level, once inside the subgroup).
+    (once at the ambient level, once inside the subgroup).  g2(2)'s bound is
+    a chain formed here from the exact kernel dim of its quarter turn
+    (`matrixoracle.g22_case`); f4(4) is settled by `f44_equality_case`.
     """
     a = require_simple(a)
     row = _RESTRICTED_INDEX.get(a.family)
     if row is None:
         raise MissingTableRow(render(a))
     if a.family is Family.G2_2:
-        rep = mo.g22_case()
-        margin = rep.strict_target - rep.chain_upper_bound
+        # the chain dim S^A <= dim C_g(A) - dim C_K(A) for the quarter turn:
+        # the "- 2" is dim C_K(A), an SO(2) x SO(2) inside the SO(4)
+        # isotropy, and "counted 6" the usual count of C_g(A) as
+        # S(O(1,2) x U(1,1)), printed beside the exact kernel dim
+        centralizer = mo.g22_case().dim_centralizer_g
+        d = dims(a)
+        target = d.dim_s - d.rk_r
+        chain = centralizer - 2
         witness = (
             "restricted pair %s / %s: quarter-turn centralizer computed exactly, "
-            "dim %d (counted %d); chain %d - %d = %d < %d"
+            "dim %d (counted 6); chain %d - 2 = %d < %d"
             % (
                 row.g_label,
                 row.k_label,
-                rep.quarter_turn.dim_centralizer_g,
-                rep.counted_centralizer_dim,
-                rep.quarter_turn.dim_centralizer_g,
-                rep.compact_centralizer_dim,
-                rep.chain_upper_bound,
-                rep.strict_target,
+                centralizer,
+                centralizer,
+                chain,
+                target,
             )
         )
-        return CaseResult(a, ROUTE_RESTRICTED, margin, witness)
+        return CaseResult(a, ROUTE_RESTRICTED, target - chain, witness)
     if a.family is Family.F4_4:
         return f44_equality_case()
     d = dims(a)

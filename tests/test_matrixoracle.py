@@ -634,35 +634,30 @@ def test_conjugation_invariance_hand_picked():
     assert matrix_fixed_dims(moved) == FixedDims(16, 6, 10)
 
 
-# blockdiag(1, -I_2, I_2, -I_2), the square of g2(2)'s quarter turn
+# blockdiag(1, R, I_2, R), R the quarter turn: g2(2)'s torus element, and
+# blockdiag(1, -I_2, I_2, -I_2), its square
+G22_QUARTER_TURN = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (2, 1, 1))
 G22_HALF_TURN = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (-1, 2, 2))
 
 
 def test_g22_rotation_case_report():
-    r = g22_case()
-    assert r.ambient.family is Family.SO and r.ambient.params == (3, 4)
-
-    # quarter turn: exact kernel dims, recorded next to the classical count 6
-    assert r.quarter_turn == FixedDims(7, 3, 4)
-    assert r.counted_centralizer_dim == 6
-    assert r.quarter_turn.dim_centralizer_g != r.counted_centralizer_dim
-    assert r.compact_centralizer_dim == 2
-    assert r.chain_upper_bound == r.quarter_turn.dim_centralizer_g - 2 == 5
-    assert r.strict_target == 6
+    # quarter turn: exact kernel dims, in the so(3,4) model
+    assert g22_case() == FixedDims(7, 3, 4)
+    assert from_signature(G22_QUARTER_TURN).ambient == model(Family.SO, 3, 4)
 
     # the independent combinatorial route must reproduce the kernel numbers
-    assert signature_dim(r.quarter_signature) == r.quarter_turn.dim_s_fixed
-    assert signature_compact_dim(r.quarter_signature) == 3
+    assert signature_dim(G22_QUARTER_TURN) == g22_case().dim_s_fixed == 4
+    assert signature_compact_dim(G22_QUARTER_TURN) == 3
 
 
 def test_g22_half_turn_chain_is_not_strict():
     # the half turn is an involution with a strictly larger centralizer:
     # the chain bound reaches the target, so the case is the involution route's
-    r = g22_case()
+    d = algebras.dims(algebras.simple(Family.G2_2))
     half = matrix_fixed_dims(from_signature(G22_HALF_TURN))
     assert half == FixedDims(9, 3, 6)
-    chain = half.dim_centralizer_g - r.compact_centralizer_dim
-    assert chain == 7 >= r.strict_target == 6
+    chain = half.dim_centralizer_g - 2  # dim C_K(A) of SO(2) x SO(2)
+    assert chain == 7 >= d.dim_s - d.rk_r == 6
     assert signature_dim(G22_HALF_TURN) == half.dim_s_fixed
 
 
@@ -673,8 +668,7 @@ def test_g22_zero_turn_is_the_rejected_identity():
 
 
 def test_g22_quarter_matches_direct_signature_construction():
-    s = sig(SigFamily.SO_PQ, (3, 4), (1, 1, 2), (2, 1, 1))
-    assert matrix_fixed_dims(from_signature(s)) == g22_case().quarter_turn
+    assert matrix_fixed_dims(from_signature(G22_QUARTER_TURN)) == g22_case()
 
 
 def test_g22_turns_are_the_written_out_element():
@@ -692,7 +686,7 @@ def test_g22_turns_are_the_written_out_element():
     half = tuple(
         tuple(x if i == j else 0 for j in range(7)) for i, x in enumerate((1, -1, -1, 1, 1, -1, -1))
     )
-    q, h = from_signature(g22_case().quarter_signature), from_signature(G22_HALF_TURN)
+    q, h = from_signature(G22_QUARTER_TURN), from_signature(G22_HALF_TURN)
     assert (q.entries, q.order) == (quarter, 4)
     assert (h.entries, h.order) == (half, 2)
     assert {type(x) for row in q.entries + h.entries for x in row} == {int}

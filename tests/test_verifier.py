@@ -1051,3 +1051,15 @@ def test_restricted_rows_frozen():
         )
         for r in rows
     ] == RESTRICTED_ROWS
+
+
+def test_restricted_subgroups_are_involution_rows():
+    # each restricted-form subgroup is the fixed algebra of one involution
+    # row of its algebra, so the two hand tables name the same subgroup
+    dim_s_restricted = {r["algebra"]: r["dim_s_restricted"] for r in vf.restricted_rows()}
+    for family, row in vf._RESTRICTED_INDEX.items():
+        a = A(family)
+        entries = [e for e in inv.isotropy_entries(a) if e.template == row.g_label]
+        assert len(entries) == 1, row.g_label
+        assert len(entries[0].dims_s) == 1
+        assert entries[0].dims_s[0] == dim_s_restricted[al.render(a)]
