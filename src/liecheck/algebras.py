@@ -173,12 +173,12 @@ def _check_params(family, params):
             raise OutOfDomain(f"{family.value} takes (p, q), got {params}")
         p, q = params
         if p < 0 or q < 0 or p + q < 1:
-            raise OutOfDomain(f"{family.value}{params}: sizes must be nonnegative, not both zero")
+            raise OutOfDomain(f"{_name(family, params)}: sizes must be nonnegative, not both zero")
     elif family in _ONE_PARAM:
         if len(params) != 1:
             raise OutOfDomain(f"{family.value} takes one parameter, got {params}")
         if params[0] < 1:
-            raise OutOfDomain(f"{family.value}({params[0]}): size must be >= 1")
+            raise OutOfDomain(f"{_name(family, params)}: size must be >= 1")
     elif params:
         raise OutOfDomain(f"{family.value} takes no parameters, got {params}")
 

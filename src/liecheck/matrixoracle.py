@@ -22,6 +22,13 @@ Conventions.
   standard models this means real-orthogonal matrices, possibly conjugated
   by another such).  Without that, the k/p split of the kernel would not be
   meaningful.
+* Every element the verbs build is a signed permutation, A e_i = s_i
+  e_tau(i) with s_i = +-1.  Then A^-1 = A^t, so A E_ij A^-1 =
+  s_i s_j E_tau(i)tau(j): `element` finds the order by following tau with
+  its signs and reads each operator row off the basis matrix's cells.  Any
+  other element, rational or with several nonzeros in a row, takes the
+  sparse-product path (`_sparse_mul`, `_operator_rows`), which also stays
+  as the reference the index maps are tested against.
 * Models are presentation-faithful: ``model(Family.SU, 2, 2)`` builds the
   su(2,2) matrix picture even though the abstract algebra is isomorphic to
   so(2,4).  The canonical catalog collapses such pairs; this module must
@@ -154,6 +161,18 @@ def _sparse_mul(a, b):
     return out
 
 
+def _primitive(acc):
+    """The row of a {cell: int} map divided by the gcd of its values: its
+    nonzero cells in increasing order and their values (the zero row when
+    every value is 0)."""
+    g = gcd(*acc.values())
+    if not g:
+        return [], []
+    keep = [cell for cell, v in acc.items() if v]
+    keep.sort()
+    return keep, [acc[cell] // g for cell in keep]
+
+
 def _operator_rows(a, inv, basis):
     """A primitive integer multiple of A M A^-1 - M as a sparse row, for each
     sparse basis matrix M; A and A^-1 come as lists of {column: value} rows.
@@ -188,13 +207,48 @@ def _operator_rows(a, inv, basis):
                 for c, y in targets:
                     cell = base + c
                     acc[cell] = get(cell, 0) + coeff * y
-        g = gcd(*acc.values())  # 0 for the zero row
-        if g:
-            keep = [cell for cell, v in acc.items() if v]
-            keep.sort()
-            out.append((keep, [acc[cell] // g for cell in keep]))
-        else:
-            out.append(([], []))
+        out.append(_primitive(acc))
+    return tuple(out)
+
+
+def _signed_permutation(a):
+    """A as a list of (tau(i), s_i) with A e_i = s_i e_tau(i), when A, given
+    as sparse rows, is a signed permutation: every row holds one nonzero, an
+    int 1 or -1, and no two rows share a column.  Else None."""
+    signed = [None] * len(a)
+    for r, row in enumerate(a):
+        if len(row) != 1:
+            return None
+        ((c, x),) = row.items()
+        # a Fraction entry is not integral, so it is never 1 or -1
+        if x not in (1, -1) or signed[c] is not None:
+            return None
+        signed[c] = (r, x)
+    return signed
+
+
+def _signed_mul(a, b):
+    """The product A B of two signed permutations: B e_i = s e_t, so
+    A B e_i = s A e_t."""
+    return [(a[t][0], s * a[t][1]) for t, s in b]
+
+
+def _signed_operator_rows(signed, basis):
+    """`_operator_rows` for a signed permutation A e_i = s_i e_tau(i): then
+    A^-1 = A^t, so A E_ij A^-1 = s_i s_j E_tau(i)tau(j), and each row of
+    A M A^-1 - M is read off M's cells, with no inverse and no product."""
+    n = len(signed)
+    out = []
+    for m in basis:
+        acc = {}
+        get = acc.get
+        for i, j, x in m:
+            cell = i * n + j
+            acc[cell] = get(cell, 0) - x
+            (ti, si), (tj, sj) = signed[i], signed[j]
+            cell = ti * n + tj
+            acc[cell] = get(cell, 0) + si * sj * x
+        out.append(_primitive(acc))
     return tuple(out)
 
 
@@ -354,8 +408,14 @@ def _entry(x):
 def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
     """Validate entries, finite order, and both invariance requirements.
 
-    The rows are read once, into the entries and into sparse rows, on which
-    the order test and A^-1 are computed.  Conjugation preserves the ambient
+    The rows are read once, into the entries and into sparse rows.  When
+    these are a signed permutation, one int 1 or -1 in each row and in each
+    column, the order test follows the index map and each operator row is
+    read off s_i s_j E_tau(i)tau(j) = A E_ij A^-1 (A^-1 = A^t), with no
+    inverse and no product.  Otherwise the order test and A^-1 come from
+    sparse products, and `_operator_rows` conjugates; that path serves
+    every rational element and is the reference for the first.  The same
+    span tests follow on both paths.  Conjugation preserves the ambient
     exactly when every operator row lies in the span of the basis, and the
     maximal compact when every k row lies in the span of the k basis.  Both
     spans are reduced once per ambient (`_bases`).  The k span lies inside
@@ -370,20 +430,28 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
         raise InvalidElement(f"expected a {n} x {n} matrix of lists or tuples for {ambient}")
     entries = [[x if type(x) is int else _entry(x) for x in r] for r in rows]
     a = [dict(compress(enumerate(r), r)) for r in entries]
-    eye = [{i: 1} for i in range(n)]
-    a2 = _sparse_mul(a, a)
-    if a == eye:
-        order, inv = 1, a
-    elif a2 == eye:
-        order, inv = 2, a
-    elif _sparse_mul(a2, a2) == eye:
-        order, inv = 4, _sparse_mul(a2, a)
+    signed = _signed_permutation(a)
+    if signed is None:
+        m, one, mul = a, [{i: 1} for i in range(n)], _sparse_mul
+    else:
+        m, one, mul = signed, [(i, 1) for i in range(n)], _signed_mul
+    m2 = mul(m, m)
+    if m == one:
+        order = 1
+    elif m2 == one:
+        order = 2
+    elif mul(m2, m2) == one:
+        order = 4
     else:
         raise InvalidElement("element order must divide 4")
 
     basis = _bases(ambient)
     nk = len(basis.k)
-    moved = _operator_rows(a, inv, basis.matrices)
+    if signed is None:
+        inv = a if order < 4 else _sparse_mul(m2, a)  # A^3
+        moved = _operator_rows(a, inv, basis.matrices)
+    else:
+        moved = _signed_operator_rows(signed, basis.matrices)
     # A M A^-1 lies in a span that holds M exactly when A M A^-1 - M does
     if not in_span(basis.k_span, moved[:nk]):
         if not in_span(basis.span, moved):

@@ -91,7 +91,20 @@ def test_info_sizes_are_ascii_decimal(capsys, name):
 def test_info_negative_sizes_are_out_of_domain(capsys):
     rc, out, err = run(capsys, "info", "sl(-3,R)")
     assert rc == 2 and out == ""
-    assert err == "error: sl_r(-3): size must be >= 1\n"
+    assert err == "error: sl(-3,R): size must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["info", "so(-1,3)"], "so(-1,3): sizes must be nonnegative, not both zero"),
+        (["info", "so*(-2)"], "so*(-2): size must be >= 1"),
+        (["oracle", "--family", "su", "--n", "0", "--matrix"], "su(0): size must be >= 1"),
+    ],
+)
+def test_catalog_refusals_name_the_algebra_as_info_renders_it(capsys, argv, message):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
 
 
 _PAST_THE_CAP = "sl(1%s,R)" % ("0" * 2199)

@@ -99,7 +99,7 @@ CATALOG_VALUES_64_SHA256 = "785a445b7adb9044171a18fb56baa705cda21db19bfa0c9bf74a
 CANONICAL_FORMS_64_COUNT = 3 * (64 * 65 // 2 + 64) + 10 * 64 + 22
 CANONICAL_FORMS_64_SHA256 = "f9f142dd92609fd230110866a08b11ad905c75479f872f095c24c2401c53d8ff"
 PRESENTATIONS_COUNT = 22 + 10 * 69 + 3 * (40 * 40 - 1)
-PRESENTATIONS_SHA256 = "5824445743847def7ca02b589d36bc223216c0ff487c3dd0e7b6681b4e895dc2"
+PRESENTATIONS_SHA256 = "ed60b68d726ce2922f4e47594560da083d864d4b793b32bb9e4fe33565375890"
 VERIFY_JSON_SHA256 = {
     ("all", "12"): "bcb14958858ea4d71c7b0c80dc7f6e56550ec18b57041266c7b3f0050849827d",
     ("complex", "8"): "091582fcba778e5875fc89924bdacb657f01b6e882e14eba4edb5e362f115eb5",

@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, permutations, product
 from pathlib import Path
 
@@ -482,6 +482,110 @@ def test_span_membership_gives_the_rank_verdict():
     ]
 
 
+def _outcome(build):
+    """What `build()` returns, or the message of the InvalidElement it
+    raises."""
+    try:
+        return build()
+    except InvalidElement as exc:
+        return str(exc)
+
+
+def _sparse_reference(e):
+    """(order, operator rows) of a validated element, from `_sparse_mul` and
+    `_operator_rows` called directly."""
+    a = [{j: x for j, x in enumerate(row) if x} for row in e.entries]
+    eye = [{i: 1} for i in range(len(a))]
+    a2 = mo._sparse_mul(a, a)
+    order = next(k for k, power in ((1, a), (2, a2), (4, mo._sparse_mul(a2, a2))) if power == eye)
+    inv = mo._sparse_mul(a2, a) if order == 4 else a
+    return order, mo._operator_rows(a, inv, mo._bases(e.ambient).matrices)
+
+
+def _small_models():
+    """Every model whose parameters total at most 7."""
+    for family in mo._SHAPES:
+        if family in algebras._TWO_PARAM:
+            params = [(p, s - p) for s in range(1, 8) for p in range(s + 1)]
+        else:
+            params = [(s,) for s in range(1, 8)]
+        for x in params:
+            try:
+                yield model(family, *x)
+            except OutOfDomain:
+                pass
+
+
+def test_signed_permutations_match_the_sparse_product_path(monkeypatch):
+    # each element through `element` twice, with the signed-permutation
+    # path and with its detector off, must give the same MatrixElement or
+    # the same refusal; an accepted one also matches `_operator_rows`
+    # called directly
+    builds = [
+        *(partial(element, model(Family.SO, 1, 2), rows) for rows in _signed_permutations(3)),
+        *(partial(element, model(Family.SO, 2, 2), rows) for rows in _signed_permutations(4)),
+        *(
+            partial(element, model(mo.SIG_AMBIENT[family], *params), mo._realized(s))
+            for family, params in CRITERION_3
+            for s in enumerate_signatures(family, params, order_le_4=True)
+        ),
+        *(partial(identity_element, a) for a in _small_models()),
+        *(
+            partial(q_split_element, a)
+            for a in _small_models()
+            if a.family in (Family.SL_R, Family.SO, Family.SO_CPT)
+        ),
+    ]
+    fast = [_outcome(build) for build in builds]
+    monkeypatch.setattr(mo, "_signed_permutation", lambda a: None)
+    tally = Counter()
+    for build, got in zip(builds, fast):
+        want = _outcome(build)
+        assert type(got) is type(want) and got == want, build
+        if type(got) is str:
+            tally[got.split()[0]] += 1
+        else:
+            assert (got.order, got.operator_rows) == _sparse_reference(got), build
+            tally[got.order] += 1
+    # 1,400 accepted: 1,130 criterion-3 classes, 16 + 112 signed
+    # permutations, 109 identities and 33 q_splits; 304 refused alike, 192
+    # of order 3, 6 or 8 and 112 transpositions that break the form
+    assert tally == {1: 111, 2: 401, 4: 888, "element": 192, "conjugation": 112}
+
+
+HALF = Fraction(1, 2)
+ALGEBRA = "conjugation does not preserve the ambient algebra"
+COMPACT = (
+    "conjugation must preserve the maximal compact subalgebra; "
+    "bring the element to the standard orthogonal position first"
+)
+
+
+@pytest.mark.parametrize(
+    "family, params, rows, message",
+    [
+        # a row with two nonzeros
+        (Family.SO_CPT, (3,), [[1, 1, 0], [0, -1, 0], [0, 0, 1]], ALGEBRA),
+        # a first row whose one nonzero is 2, or 1/2: involutions of
+        # sl(2,R) that move so(2) out of itself, and the so(2,2) block swap
+        # with scales 2 and 1/2
+        (Family.SL_R, (2,), [[0, 2], [HALF, 0]], COMPACT),
+        (Family.SL_R, (2,), [[0, HALF], [2, 0]], COMPACT),
+        (Family.SO, (2, 2), [[0, 0, 2, 0], [0, 0, 0, 2], [HALF, 0, 0, 0], [0, HALF, 0, 0]], ALGEBRA),
+        # a repeated column
+        (Family.SO, (1, 2), [[1, 0, 0], [0, 0, 1], [0, 0, 1]], "element order must divide 4"),
+    ],
+    ids=["two-nonzeros", "entry-2", "entry-half", "scaled-swap", "repeated-column"],
+)
+def test_non_signed_permutations_keep_the_sparse_path(family, params, rows, message):
+    # the sparse rows `element` reads these entries into
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    assert mo._signed_permutation(a) is None
+    with pytest.raises(InvalidElement) as exc:
+        element(model(family, *params), rows)
+    assert str(exc.value) == message
+
+
 def test_rejects_wrong_shape():
     with pytest.raises(InvalidElement):
         element(model(Family.SO, 2, 3), eye(4))
@@ -755,7 +859,7 @@ def test_matrix_tests_pass_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     env["PYTEST_DISABLE_PLUGIN_AUTOLOAD"] = "1"
     names = _raise_tests()
-    assert len(names) == 12
+    assert len(names) == 13
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
         + ["%s::%s" % (Path(__file__), name) for name in names],
@@ -766,4 +870,4 @@ def test_matrix_tests_pass_under_optimize():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert "25 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]
+    assert "30 passed" in proc.stdout.splitlines()[-1], proc.stdout[-2000:]

@@ -53,12 +53,15 @@ of every row they receive from `element`'s span tests or under
 that includes a rational element.  The subset's 44 classes call no
 `reduced_form` under `matrix_fixed_dims`: each of their column classes
 holds at most two rows of a set, and `sparse_ranks` ranks those without
-elimination.
+elimination.  The same hook shows that those classes, signed permutations
+all, build their operator rows from index maps with no `_sparse_mul` or
+`_operator_rows` call, and that the rational element takes both.
 """
 
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +178,29 @@ def _mul(a, b):
     return [[sum(x * y[c] for x, y in zip(row, b)) for c in range(len(b[0]))] for row in a]
 
 
+def _subset():
+    """The criterion-3 subset: the 44 order-<=4 classes of so(2,3), su(2,2)
+    and so*(6)."""
+    return [
+        sig
+        for family, params in ((SigFamily.SO_PQ, (2, 3)), (SigFamily.SU_PQ, (2, 2)), (SigFamily.SOSTAR_2N, (3,)))
+        for sig in enumerate_signatures(family, params, order_le_4=True)
+    ]
+
+
+def _rational():
+    """A rational element's base class and rows: an so(2,3) class whose
+    negative coordinates are turned by 3-4-5 rotations."""
+    base = mo.from_signature(Signature(SigFamily.SO_PQ, (2, 3), ((1, 0, 1), (2, 1, 1))))
+    rows = [list(r) for r in base.entries]
+    for i in (2, 3):
+        rot = [[Fraction(int(r == c)) for c in range(5)] for r in range(5)]
+        rot[i][i] = rot[i + 1][i + 1] = Fraction(3, 5)
+        rot[i][i + 1], rot[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
+        rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
+    return base, rows
+
+
 def test_operator_rows_reach_elimination_as_ints():
     # (eliminating function, functions on the stack, the rows' type, all
     # values ints); both take their rows as `rows`: reduced_form(rows) and
@@ -204,20 +230,8 @@ def test_operator_rows_reach_elimination_as_ints():
         calls.clear()
 
         mo.g22_case()
-        elements = [
-            mo.from_signature(sig)
-            for family, params in ((SigFamily.SO_PQ, (2, 3)), (SigFamily.SU_PQ, (2, 2)), (SigFamily.SOSTAR_2N, (3,)))
-            for sig in enumerate_signatures(family, params, order_le_4=True)
-        ]
-        # a rational element: an so(2,3) class whose negative coordinates
-        # are turned by 3-4-5 rotations
-        base = mo.from_signature(Signature(SigFamily.SO_PQ, (2, 3), ((1, 0, 1), (2, 1, 1))))
-        rows = [list(r) for r in base.entries]
-        for i in (2, 3):
-            rot = [[Fraction(int(r == c)) for c in range(5)] for r in range(5)]
-            rot[i][i] = rot[i + 1][i + 1] = Fraction(3, 5)
-            rot[i][i + 1], rot[i + 1][i] = Fraction(-4, 5), Fraction(4, 5)
-            rows = _mul(_mul(rot, rows), [list(c) for c in zip(*rot)])
+        elements = [mo.from_signature(sig) for sig in _subset()]
+        base, rows = _rational()
         rational = mo.element(base.ambient, rows)
         assert mo.matrix_fixed_dims(rational) == mo.matrix_fixed_dims(base)
         start = len(calls)
@@ -238,3 +252,37 @@ def test_operator_rows_reach_elimination_as_ints():
     checked = [(name, ints) for name, stack, _, ints in calls if name == "in_span" or "matrix_fixed_dims" in stack]
     assert {name for name, _ in checked} == {"in_span", "reduced_form"}
     assert all(ints for _, ints in checked)
+
+
+def test_signed_permutations_skip_the_sparse_products():
+    # the subset's classes are signed permutations: their rows are read off
+    # index maps, with no sparse product; the rational element, whose rows
+    # hold several nonzeros, takes the order test's three products (its
+    # order is 4) and one `_operator_rows` call
+    names = {
+        fn.__code__: fn.__name__
+        for fn in (mo._sparse_mul, mo._operator_rows, mo._signed_operator_rows)
+    }
+    counts = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sigs, (base, rows) = _subset(), _rational()
+    seen = []
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for sig in sigs:
+            mo.from_signature(sig)
+        seen.append(dict(counts))
+        counts.clear()
+        mo.element(base.ambient, rows)
+        seen.append(dict(counts))
+    finally:
+        sys.setprofile(saved)
+    assert seen == [
+        {"_signed_operator_rows": 44},
+        {"_sparse_mul": 3, "_operator_rows": 1},
+    ]
