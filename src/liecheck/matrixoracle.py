@@ -25,10 +25,14 @@ Conventions.
 * Every element the verbs build is a signed permutation, A e_i = s_i
   e_tau(i) with s_i = +-1.  Then A^-1 = A^t, so A E_ij A^-1 =
   s_i s_j E_tau(i)tau(j): `element` finds the order by following tau with
-  its signs and reads each operator row off the basis matrix's cells.  Any
-  other element, rational or with several nonzeros in a row, takes the
-  sparse-product path (`_sparse_mul`, `_operator_rows`), which also stays
-  as the reference the index maps are tested against.
+  its signs, and maps each basis matrix M_b through it.  When every image
+  is eps_b M_pi(b), a basis matrix of M_b's own part up to sign, A
+  preserves the ambient and its compact part with no span test, and
+  `matrix_fixed_dims` counts the cycles of this basis map.  Any other
+  element, rational, with several nonzeros in a row, or a signed
+  permutation whose images leave the basis, takes the sparse-product path
+  (`_sparse_mul`, `_operator_rows`, span tests, elimination), which makes
+  every refusal and is the reference the basis maps are tested against.
 * Models are presentation-faithful: ``model(Family.SU, 2, 2)`` builds the
   su(2,2) matrix picture even though the abstract algebra is isomorphic to
   so(2,4).  The canonical catalog collapses such pairs; this module must
@@ -71,34 +75,39 @@ class FixedDims(NamedTuple):
 class MatrixElement(NamedTuple):
     """A validated finite-order element in the defining representation.
 
-    Integral entries are ints, the others Fractions.  ``operator_rows`` holds,
-    for every basis matrix M of the ambient (the k basis first, then p), the
-    primitive integer multiple of A M A^-1 - M: the positive multiple whose
-    values are coprime ints.  These are the rows of X -> A X A^-1 - X, up to
-    a positive scale per row, that validation found inside the span of the
-    basis (the k rows inside the span of the k basis), and that
-    `matrix_fixed_dims` eliminates.  Each is a sparse row in the sense of
-    `liecheck._exact`: the flattened cells i * N + j it reaches, strictly
-    increasing, and their nonzero values.
+    Integral entries are ints, the others Fractions.  On the map path
+    ``basis_map`` holds, for every basis matrix M_b of the ambient (the k
+    basis first, then p), the pair (pi(b), eps_b) with A M_b A^-1 =
+    eps_b M_pi(b) and eps_b = +-1, and ``operator_rows`` is ().  On the span
+    path ``basis_map`` is None and ``operator_rows`` holds, for every basis
+    matrix M, the primitive integer multiple of A M A^-1 - M: the positive
+    multiple whose values are coprime ints.  These are the rows of
+    X -> A X A^-1 - X, up to a positive scale per row, that validation found
+    inside the span of the basis (the k rows inside the span of the k
+    basis), and that `matrix_fixed_dims` eliminates.  Each is a sparse row
+    in the sense of `liecheck._exact`: the flattened cells i * N + j it
+    reaches, strictly increasing, and their nonzero values.
     """
 
     ambient: SimpleAlgebra
     entries: tuple
     order: int
     operator_rows: tuple
+    basis_map: tuple | None
 
     def __repr__(self):
         return f"MatrixElement(ambient={self.ambient!r}, entries={self.entries!r}, order={self.order!r})"
 
     def __hash__(self):
-        # the rows hold lists, and they follow from the other three fields
+        # the rows hold lists, and they and the map follow from the other
+        # three fields
         return hash(self[:3])
 
 
-# largest realified size N accepted by `model`.  An element's operator rows
-# keep only their nonzeros: a few per basis matrix for the signed
-# permutations and diagonals built here, but up to N^2 each for a dense
-# element, whose rows can still take dim g * N^2 entries
+# largest realified size N accepted by `model`.  A signed permutation that
+# maps the basis keeps one pair per basis matrix; other elements' operator
+# rows keep only their nonzeros, but up to N^2 each for a dense element,
+# whose rows can still take dim g * N^2 entries
 MATRIX_SIZE_LIMIT = 64
 
 
@@ -233,25 +242,6 @@ def _signed_mul(a, b):
     return [(a[t][0], s * a[t][1]) for t, s in b]
 
 
-def _signed_operator_rows(signed, basis):
-    """`_operator_rows` for a signed permutation A e_i = s_i e_tau(i): then
-    A^-1 = A^t, so A E_ij A^-1 = s_i s_j E_tau(i)tau(j), and each row of
-    A M A^-1 - M is read off M's cells, with no inverse and no product."""
-    n = len(signed)
-    out = []
-    for m in basis:
-        acc = {}
-        get = acc.get
-        for i, j, x in m:
-            cell = i * n + j
-            acc[cell] = get(cell, 0) - x
-            (ti, si), (tj, sj) = signed[i], signed[j]
-            cell = ti * n + tj
-            acc[cell] = get(cell, 0) + si * sj * x
-        out.append(_primitive(acc))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # bases: one division-ring builder
 #
@@ -368,14 +358,18 @@ _SHAPES = {
 
 
 class _Basis(NamedTuple):
-    """An ambient's basis matrices, k, p and k + p, and the reduced forms of
-    the spans of their sparse rows: of k + p, and of k alone."""
+    """An ambient's basis matrices, k, p and k + p, the reduced forms of the
+    spans of their sparse rows, of k + p and of k alone, and ``index``:
+    each basis matrix M_b, its cells times the sign eps that makes the first
+    value positive, mapped to (b, eps), so that a matrix and its negation
+    both find b."""
 
     k: tuple
     p: tuple
     matrices: tuple
     span: dict
     k_span: dict
+    index: dict
 
 
 @lru_cache(maxsize=None)
@@ -389,8 +383,41 @@ def _bases(a: SimpleAlgebra) -> _Basis:
     # one pivot per row exactly when the rows are independent
     if len(span) != len(rows):
         raise OracleInvariantError(f"basis matrices of {a} are not independent")
+    index = {}
+    for b, m in enumerate(k + p):
+        if m[0][2] > 0:
+            index[m] = (b, 1)
+        else:
+            index[tuple((i, j, -x) for i, j, x in m)] = (b, -1)
     # a compact ambient has no p basis: its k span is the whole span
-    return _Basis(k, p, k + p, span, reduced_form(rows[: len(k)]) if p else span)
+    return _Basis(k, p, k + p, span, reduced_form(rows[: len(k)]) if p else span, index)
+
+
+def _basis_map(signed, basis):
+    """The basis map of a signed permutation A e_i = s_i e_tau(i): for each
+    basis matrix M_b, (pi(b), eps_b) with A M_b A^-1 = eps_b M_pi(b), when
+    every image is a basis matrix of M_b's own part up to sign.  Else None.
+
+    A^-1 = A^t, so A E_ij A^-1 = s_i s_j E_tau(i)tau(j): the image of M_b is
+    read off its cells, sorted as the basis matrices are, and looked up in
+    `_Basis.index`.
+    """
+    index, nk = basis.index, len(basis.k)
+    out = []
+    for b, m in enumerate(basis.matrices):
+        image = []
+        for i, j, x in m:
+            (ti, si), (tj, sj) = signed[i], signed[j]
+            image.append((ti, tj, si * sj * x))
+        image.sort()
+        if image[0][2] > 0:
+            hit, flip = index.get(tuple(image)), 1
+        else:
+            hit, flip = index.get(tuple([(i, j, -x) for i, j, x in image])), -1
+        if hit is None or (hit[0] < nk) != (b < nk):
+            return None
+        out.append((hit[0], flip * hit[1]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +437,14 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
 
     The rows are read once, into the entries and into sparse rows.  When
     these are a signed permutation, one int 1 or -1 in each row and in each
-    column, the order test follows the index map and each operator row is
-    read off s_i s_j E_tau(i)tau(j) = A E_ij A^-1 (A^-1 = A^t), with no
-    inverse and no product.  Otherwise the order test and A^-1 come from
-    sparse products, and `_operator_rows` conjugates; that path serves
-    every rational element and is the reference for the first.  The same
-    span tests follow on both paths.  Conjugation preserves the ambient
+    column, the order test follows the index map, and `_basis_map` maps
+    each basis matrix through it.  When every image is, up to sign, a basis
+    matrix of its own part, conjugation preserves the ambient and its
+    maximal compact, and the element carries the map: no span test runs.
+
+    Every other element takes the span path, which makes every refusal:
+    the order test and A^-1 come from sparse products, `_operator_rows`
+    conjugates, and span tests follow.  Conjugation preserves the ambient
     exactly when every operator row lies in the span of the basis, and the
     maximal compact when every k row lies in the span of the k basis.  Both
     spans are reduced once per ambient (`_bases`).  The k span lies inside
@@ -446,12 +475,16 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
         raise InvalidElement("element order must divide 4")
 
     basis = _bases(ambient)
+    entries = tuple(map(tuple, entries))
+    if signed is not None:
+        basis_map = _basis_map(signed, basis)
+        if basis_map is not None:
+            return MatrixElement(ambient, entries, order, (), basis_map)
+        # the order test squared the index map; A^3 needs the sparse square
+        m2 = _sparse_mul(a, a) if order == 4 else None
+    inv = a if order < 4 else _sparse_mul(m2, a)  # A^3
+    moved = _operator_rows(a, inv, basis.matrices)
     nk = len(basis.k)
-    if signed is None:
-        inv = a if order < 4 else _sparse_mul(m2, a)  # A^3
-        moved = _operator_rows(a, inv, basis.matrices)
-    else:
-        moved = _signed_operator_rows(signed, basis.matrices)
     # A M A^-1 lies in a span that holds M exactly when A M A^-1 - M does
     if not in_span(basis.k_span, moved[:nk]):
         if not in_span(basis.span, moved):
@@ -462,7 +495,7 @@ def element(ambient: SimpleAlgebra, rows) -> MatrixElement:
         )
     if not in_span(basis.span, moved[nk:]):
         raise InvalidElement("conjugation does not preserve the ambient algebra")
-    return MatrixElement(ambient, tuple(map(tuple, entries)), order, moved)
+    return MatrixElement(ambient, entries, order, moved, None)
 
 
 def identity_element(ambient: SimpleAlgebra) -> MatrixElement:
@@ -542,8 +575,18 @@ def from_signature(sig: Signature) -> MatrixElement:
 
 
 def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
-    """(dim C_g(A), dim C_k(A), dim S^A) by exact kernel computation."""
-    nk = len(_bases(e.ambient).k)
+    """(dim C_g(A), dim C_k(A), dim S^A) by exact kernel computation.
+
+    On the map path conjugation permutes the basis up to signs, so its fixed
+    space has one dimension for each cycle b -> pi(b) -> ... whose signs
+    eps_b multiply to +1, and none for a cycle whose signs multiply to -1;
+    k cycles count toward C_k, p cycles toward S^A.  On the span path the
+    operator rows are ranked.
+    """
+    basis = _bases(e.ambient)
+    nk = len(basis.k)
+    if e.basis_map is not None:
+        return _cycle_dims(e.basis_map, len(basis.matrices), nk)
     rows = e.operator_rows
     rank_k, rank_p, rank_g = sparse_ranks([rows[:nk], rows[nk:], rows])
     fixed_k = nk - rank_k
@@ -555,6 +598,29 @@ def matrix_fixed_dims(e: MatrixElement) -> FixedDims:
             f"fixed dimensions do not split: {fixed_g} != {fixed_k} + {fixed_p}"
         )
     return FixedDims(fixed_g, fixed_k, fixed_p)
+
+
+def _cycle_dims(basis_map, n, nk):
+    """FixedDims of a basis map of n basis matrices, the first nk of them k."""
+    targets = [t for t, _ in basis_map]
+    if (
+        sorted(targets) != list(range(n))
+        or any((t < nk) != (b < nk) for b, t in enumerate(targets))
+        or any(eps not in (1, -1) for _, eps in basis_map)
+    ):
+        raise OracleInvariantError("the basis map is not a signed bijection of the basis that keeps k and p")
+    fixed = [0, 0]  # k, p
+    seen = [False] * n
+    for b in range(n):
+        if seen[b]:
+            continue
+        sign, c = 1, b
+        while not seen[c]:
+            seen[c] = True
+            c, eps = basis_map[c]
+            sign *= eps
+        fixed[b >= nk] += sign == 1
+    return FixedDims(fixed[0] + fixed[1], fixed[0], fixed[1])
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,8 @@ sys.exit(rc)
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_oracle_matrix_at_the_size_limit_stays_small():
     # so(64) acts on R^64 with 2016 basis matrices: dense operator rows took
-    # 2016 x 64^2 cells and peaked at 145 MB; sparse rows keep the nonzeros
+    # 2016 x 64^2 cells and peaked at 145 MB; q_split keeps a basis map of
+    # 2016 pairs
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -53,6 +53,7 @@ from functools import lru_cache
 
 import pytest
 
+from _basismap import operator_rows
 from liecheck import cli
 from liecheck import involutions as inv
 from liecheck import verify as vf
@@ -398,12 +399,13 @@ def _mul(a, b):
 
 
 def test_operator_rows_are_sparse_up_to_7():
-    # every stored row: strictly increasing columns, no zero value, every
-    # value an int and the values of each row coprime.  The elements flip
+    # every operator row, stored on the span path or expanded from the
+    # basis map on the map path: strictly increasing columns, no zero
+    # value, every value an int and the values of each row coprime.  The elements flip
     # the first F-coordinate, turn it a quarter over C and H, and over R
     # conjugate the flip by a Pythagorean rotation, so that some cells
     # cancel to zero and some entries are fractions.
-    rational_rows = nonempty = 0
+    rational_rows = nonempty = mapped = 0
     for m in _matrix_models_up_to_7():
         field = mo._SHAPES[m.family][0]
         size = mo._size(m)
@@ -426,9 +428,14 @@ def test_operator_rows_are_sparse_up_to_7():
         k, p = mo._bases(m)[:2]
         assert all(_is_sparse_row(row, size * size) for row in mo._sparse_rows(k + p, size)), m
         for e in elements:
-            assert len(e.operator_rows) == len(k + p)
+            # a signed permutation stores its basis map, expanded here
+            mapped += e.basis_map is not None
+            rows = operator_rows(e)
+            assert len(rows) == len(k + p)
+            if e.basis_map is not None:
+                assert e.operator_rows == () and len(e.basis_map) == len(k + p)
             rational = any(type(x) is Fraction for r in e.entries for x in r)
-            for row in e.operator_rows:
+            for row in rows:
                 assert _is_sparse_row(row, size * size), (m, e.entries, row)
                 assert all(type(x) is int for x in row[1]), (m, e.entries, row)
                 if row[0]:
@@ -436,3 +443,4 @@ def test_operator_rows_are_sparse_up_to_7():
                 nonempty += bool(row[0])
                 rational_rows += rational and bool(row[0])
     assert nonempty > 2000 and rational_rows > 200, (nonempty, rational_rows)
+    assert mapped > 200, mapped

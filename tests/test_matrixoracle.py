@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from _basismap import operator_rows
 from liecheck import algebras, centralizers
 from liecheck import matrixoracle as mo
 from liecheck import verify as vf
@@ -113,11 +114,24 @@ def test_identity_centralizer_is_everything():
         assert matrix_fixed_dims(e) == FixedDims(*expected), (family, params)
 
 
+def _turned_reflection():
+    """diag(1, -1, 1) on so(1,2), conjugated by a 3-4-5 rotation of the two
+    negative coordinates: a valid element with Fraction entries, which
+    takes the span path."""
+    flip = [[Fraction(int(i == j) * (-1 if i == 1 else 1)) for j in range(3)] for i in range(3)]
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    return mul(mul(rotation(3, 1, 2, c, s), flip), rotation(3, 1, 2, c, -s))
+
+
 def test_matrix_element_hashes_and_its_repr_leaves_out_the_rows():
-    e = identity_element(model(Family.SO, 1, 2))
-    again = identity_element(model(Family.SO, 1, 2))
-    assert e == again and hash(e) == hash(again)
-    assert e.operator_rows and repr(e) == f"MatrixElement(ambient={e.ambient!r}, entries={e.entries!r}, order=1)"
+    # the identity carries a basis map, the turned reflection operator rows
+    for build in (identity_element, partial(element, rows=_turned_reflection())):
+        e = build(model(Family.SO, 1, 2))
+        again = build(model(Family.SO, 1, 2))
+        assert e == again and hash(e) == hash(again)
+        assert bool(e.operator_rows) != bool(e.basis_map)
+        assert repr(e) == f"MatrixElement(ambient={e.ambient!r}, entries={e.entries!r}, order={e.order})"
+    assert e.operator_rows and e.basis_map is None and e.order == 2
 
 
 def realified(field, n, terms):
@@ -518,9 +532,10 @@ def _small_models():
 
 def test_signed_permutations_match_the_sparse_product_path(monkeypatch):
     # each element through `element` twice, with the signed-permutation
-    # path and with its detector off, must give the same MatrixElement or
-    # the same refusal; an accepted one also matches `_operator_rows`
-    # called directly
+    # path and with its detector off, must give the same entries and order
+    # or the same refusal.  Every accepted one takes the map path, and its
+    # basis map, expanded into eps M_pi(b) - M_b, gives the rows of the
+    # span path and of `_operator_rows` called directly
     builds = [
         *(partial(element, model(Family.SO, 1, 2), rows) for rows in _signed_permutations(3)),
         *(partial(element, model(Family.SO, 2, 2), rows) for rows in _signed_permutations(4)),
@@ -541,11 +556,14 @@ def test_signed_permutations_match_the_sparse_product_path(monkeypatch):
     tally = Counter()
     for build, got in zip(builds, fast):
         want = _outcome(build)
-        assert type(got) is type(want) and got == want, build
+        assert type(got) is type(want), build
         if type(got) is str:
+            assert got == want, build
             tally[got.split()[0]] += 1
         else:
-            assert (got.order, got.operator_rows) == _sparse_reference(got), build
+            assert got.basis_map is not None and want.basis_map is None, build
+            assert got[:3] == want[:3] and operator_rows(got) == want.operator_rows, build
+            assert (got.order, operator_rows(got)) == _sparse_reference(got), build
             tally[got.order] += 1
     # 1,400 accepted: 1,130 criterion-3 classes, 16 + 112 signed
     # permutations, 109 identities and 33 q_splits; 304 refused alike, 192
@@ -584,6 +602,62 @@ def test_non_signed_permutations_keep_the_sparse_path(family, params, rows, mess
     with pytest.raises(InvalidElement) as exc:
         element(model(family, *params), rows)
     assert str(exc.value) == message
+
+
+# the order-<=4 classes of every signature family, up to these sizes
+MAP_SIZES = [
+    (SigFamily.SO_N, [(n,) for n in range(2, 9)]),
+    (SigFamily.SU_N, [(n,) for n in range(2, 6)]),
+    (SigFamily.SP_N_COMPACT, [(n,) for n in range(1, 4)]),
+    (SigFamily.SO_PQ, [(p, s - p) for s in range(2, 7) for p in range(1, s // 2 + 1)]),
+    (SigFamily.SU_PQ, [(p, s - p) for s in range(2, 6) for p in range(1, s // 2 + 1)]),
+    (SigFamily.SP_PQ, [(p, s - p) for s in range(2, 5) for p in range(1, s // 2 + 1)]),
+    (SigFamily.SOSTAR_2N, [(n,) for n in range(2, 6)]),
+]
+
+
+def test_basis_maps_count_what_the_span_path_ranks(monkeypatch):
+    # every class takes the map path, and the cycle counts equal both the
+    # span path's ranks, with the detector off, and the signature recipe
+    classes = [
+        s
+        for family, sizes in MAP_SIZES
+        for params in sizes
+        for s in enumerate_signatures(family, params, order_le_4=True)
+    ]
+    mapped = [from_signature(s) for s in classes]
+    assert all(e.basis_map is not None for e in mapped)
+    counted = [matrix_fixed_dims(e) for e in mapped]
+    monkeypatch.setattr(mo, "_signed_permutation", lambda a: None)
+    for s, e, got in zip(classes, mapped, counted):
+        ranked = element(e.ambient, e.entries)
+        assert ranked.basis_map is None, s
+        assert got == matrix_fixed_dims(ranked), s
+        if s.family in (SigFamily.SO_N, SigFamily.SU_N, SigFamily.SP_N_COMPACT):
+            assert got == (signature_dim(s), signature_dim(s), 0), s
+        else:
+            assert (got.dim_s_fixed, got.dim_centralizer_k) == (signature_dim(s), signature_compact_dim(s)), s
+    assert len({s.family for s in classes}) == 7 and len(classes) == 472
+
+
+def test_signed_permutations_the_map_misses_take_the_span_path():
+    # a coordinate swap of su(3) is a valid signed permutation, but it takes
+    # the trace-free diagonal i(E_11 - E_22) to i(E_00 - E_22), which is no
+    # basis matrix: the span path counts the dims of its eigenvalues
+    # (1, 1, -1)
+    swap = [[0] * 6 for _ in range(6)]
+    for i, j in ((0, 1), (1, 0), (2, 2), (3, 4), (4, 3), (5, 5)):
+        swap[i][j] = 1
+    a = model(Family.SU_CPT, 3)
+    e = element(a, swap)
+    assert e.basis_map is None and e.order == 2
+    diagonal = from_signature(sig(SigFamily.SU_N, (3,), (1, 2, 0), (-1, 1, 0)))
+    assert matrix_fixed_dims(e) == matrix_fixed_dims(diagonal) == FixedDims(4, 4, 0)
+    # swapping the positive coordinate of so(1,2) with a negative one takes
+    # the compact basis matrix E_12 - E_21 to E_02 - E_20, no basis matrix
+    # up to sign: the span path refuses it, with its message
+    transposition = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    assert _outcome(partial(element, model(Family.SO, 1, 2), transposition)) == ALGEBRA
 
 
 def test_rejects_wrong_shape():
@@ -833,10 +907,24 @@ def test_broken_invariants_raise_named_errors(monkeypatch):
     with pytest.raises(mo.OracleInvariantError, match=r"fill \(1, 1\) of \(1, 2\)"):
         mo._realized(sig(SigFamily.SU_PQ, (1, 2), (1, 1, 0), (-1, 0, 1)))
     # operator rows whose k and p parts overlap cannot split the fixed space
-    e = identity_element(model(Family.SO, 1, 2))
+    e = element(model(Family.SO, 1, 2), _turned_reflection())
+    assert e.basis_map is None
     bump = ((0,), (1,))  # the sparse row of a 1 in the first cell
-    with pytest.raises(mo.OracleInvariantError):
+    with pytest.raises(mo.OracleInvariantError, match="do not split"):
         matrix_fixed_dims(e._replace(operator_rows=(bump, bump, bump)))
+    # so(1,2) has one k basis matrix, 0, and two p ones: a basis map must
+    # be a bijection of the three that keeps k and p, with signs +-1
+    e = identity_element(model(Family.SO, 1, 2))
+    assert e.basis_map == ((0, 1), (1, 1), (2, 1))
+    for broken in (
+        ((0, 1), (1, 1), (1, 1)),
+        ((0, 1), (1, 1)),
+        ((0, 1), (1, 1), (2, 1), (3, 1)),
+        ((1, 1), (0, 1), (2, 1)),
+        ((0, 1), (2, 1), (1, 2)),
+    ):
+        with pytest.raises(mo.OracleInvariantError, match="basis map"):
+            matrix_fixed_dims(e._replace(basis_map=broken))
 
 
 def _raise_tests():

@@ -50,12 +50,16 @@ hook of the same kind reads the `rows` argument of every
 `_exact.reduced_form` and `_exact.in_span` call, and shows that every value
 of every row they receive from `element`'s span tests or under
 `matrix_fixed_dims` is an int, for `g22_case` and a criterion-3 subset
-that includes a rational element.  The subset's 44 classes call no
-`reduced_form` under `matrix_fixed_dims`: each of their column classes
-holds at most two rows of a set, and `sparse_ranks` ranks those without
-elimination.  The same hook shows that those classes, signed permutations
-all, build their operator rows from index maps with no `_sparse_mul` or
-`_operator_rows` call, and that the rational element takes both.
+that includes a rational element, all on the span path (the
+signed-permutation detector is turned off).  The subset's 44 classes call
+no `reduced_form` under `matrix_fixed_dims` there: each of their column
+classes holds at most two rows of a set, and `sparse_ranks` ranks those
+without elimination.  With the detector on, a second hook counts calls,
+and shows that those classes, signed permutations that map the basis onto
+itself up to signs, are validated and counted through their basis maps,
+with no `_sparse_mul`, `_operator_rows`, `in_span`, `reduced_form` or
+`sparse_ranks` call, while the rational element takes the sparse products,
+`_operator_rows` and the span tests.
 """
 
 import json
@@ -201,10 +205,12 @@ def _rational():
     return base, rows
 
 
-def test_operator_rows_reach_elimination_as_ints():
+def test_operator_rows_reach_elimination_as_ints(monkeypatch):
     # (eliminating function, functions on the stack, the rows' type, all
     # values ints); both take their rows as `rows`: reduced_form(rows) and
-    # in_span(reduced, rows)
+    # in_span(reduced, rows).  The signed-permutation detector is off, so
+    # that every element below takes the span path.
+    monkeypatch.setattr(mo, "_signed_permutation", lambda a: None)
     calls = []
     names = {_exact.reduced_form.__code__: "reduced_form", _exact.in_span.__code__: "in_span"}
 
@@ -255,13 +261,21 @@ def test_operator_rows_reach_elimination_as_ints():
 
 
 def test_signed_permutations_skip_the_sparse_products():
-    # the subset's classes are signed permutations: their rows are read off
-    # index maps, with no sparse product; the rational element, whose rows
-    # hold several nonzeros, takes the order test's three products (its
-    # order is 4) and one `_operator_rows` call
+    # the subset's classes are signed permutations that map the basis: once
+    # their bases are built, they are validated and counted with no sparse
+    # product, span test, elimination or rank; the rational element, whose
+    # rows hold several nonzeros, takes the order test's three products (its
+    # order is 4), one `_operator_rows` call and two span tests, of its k
+    # rows and of its p rows
     names = {
         fn.__code__: fn.__name__
-        for fn in (mo._sparse_mul, mo._operator_rows, mo._signed_operator_rows)
+        for fn in (
+            mo._sparse_mul,
+            mo._operator_rows,
+            _exact.in_span,
+            _exact.reduced_form,
+            _exact.sparse_ranks,
+        )
     }
     counts = Counter()
 
@@ -270,12 +284,14 @@ def test_signed_permutations_skip_the_sparse_products():
             counts[names[frame.f_code]] += 1
 
     sigs, (base, rows) = _subset(), _rational()
+    for sig in sigs:
+        mo.from_signature(sig)  # builds each ambient's bases
     seen = []
     saved = sys.getprofile()
     sys.setprofile(profile)
     try:
         for sig in sigs:
-            mo.from_signature(sig)
+            mo.matrix_fixed_dims(mo.from_signature(sig))
         seen.append(dict(counts))
         counts.clear()
         mo.element(base.ambient, rows)
@@ -283,6 +299,6 @@ def test_signed_permutations_skip_the_sparse_products():
     finally:
         sys.setprofile(saved)
     assert seen == [
-        {"_signed_operator_rows": 44},
-        {"_sparse_mul": 3, "_operator_rows": 1},
+        {},
+        {"_sparse_mul": 3, "_operator_rows": 1, "in_span": 2},
     ]
