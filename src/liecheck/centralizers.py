@@ -7,10 +7,10 @@ is again a product of classical groups, so its dimension is a polynomial
 in the multiplicities; `signature_dim` evaluates that polynomial and
 `oracle_max` maximizes it exactly, which is what the closed-form bounds in
 `bound` are validated against.  `enumerate_signatures` streams every
-class and `oracle_max` walks only the best angle multisets, both over one
-prefix generator (`_prefixes`) and one step rule (`_steps`); their budget
-sums each prefix run's fills, stopping once past it.  The tests check
-`oracle_max` against the brute-force maximum over `enumerate_signatures`.
+class, and `oracle_max` reads each run's best off a value table and walks
+only the witness, both over one prefix generator (`_prefixes`) and one
+step rule (`_steps`); their budget sums each prefix run's fills, stopping
+once past it.  The tests check `oracle_max` against the brute force.
 
 Conventions:
   * Tags 1 and -1 are the real eigenvalues; integer tags >= 2 are
@@ -59,10 +59,9 @@ class OracleInvariantError(RuntimeError):
 # su(10,11): 94,664 in 0.39-0.76 s, sp(5,10): 92,823 in 0.31-0.58 s, at
 # tracemalloc peaks of 0.1 to 1.6 MB; five runs each on a 2-core x86-64
 # host, Python 3.11), so the budget is under 1 s of work; the criterion-2
-# sizes (n <= 12, p+q <= 10) need at most 32,926.  `oracle_max` builds no
-# candidate, but refuses the same sizes so that its refusals stay those of
-# `enumerate_signatures`; its slowest in-budget calls, su(9,12) and
-# su(10,11), take about 0.01 s.
+# sizes (n <= 12, p+q <= 10) need at most 32,926.  `oracle_max` refuses the
+# same sizes, though it builds no candidate: in budget it takes at most about
+# 3 ms (sp(5,10), sp(3,14)), and 1.5 ms on su(9,12) and su(10,11).
 ENUMERATION_BUDGET = 100_000
 
 
@@ -469,75 +468,76 @@ def _candidate_count(family, params):
     return total
 
 
-def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):
-    """The best (dim, pairs) among the multisets that `_steps` walks from
-    (p, q) under the cap (cap_a, cap_b), with at least need pairs; dim
-    adds term(a, b) once per pair, and ties go to the largest tuple.  None
-    when no multiset qualifies.
+def _value_table(family, p, q):
+    """table[i][j][need], (i, j) <= (p, q), need 0 to 2: the best angle-term
+    sum of a pair multiset filling (i, j) with at least need pairs, or None.
+    Each state reads `_steps` once, cap lifted: a first pair, plus its rest."""
+    term, total = _ROWS[family].angle, family is SigFamily.SOSTAR_2N  # su's +-1 blocks too
+    table = []
+    for i in range(p + 1):
+        table.append(row := [])
+        for j in range(q + 1):
+            best, two = 0, -1  # every sum is >= 0, and a nonempty state has a fill
+            for a, b, rest_p, rest_q in _steps(i, j, i, j, total):
+                d = term(a, b) + table[rest_p][rest_q][0]
+                if d > best:
+                    best = d
+                if d > two and (rest_p or rest_q):
+                    two = d
+            row.append((best, best if i or j else None, two if two >= 0 else None))
+    return table
 
-    First pairs run in descending order and differ, so the first to reach
-    the best dimension is the largest tuple among those that do.  memo
-    holds each state's answer."""
-    if cap_a > p:  # a <= p < cap_a: only the shape bounds the first pair
-        cap_a, cap_b = p, max(p, q)
-    if need == 1 and (p or q):  # a nonempty fill has a pair
-        need = 0
-    key = (p, q, cap_a, cap_b, need)
-    if key in memo:
-        return memo[key]
-    best = None if p or q or need else (0, ())
-    for a, b, rest_p, rest_q in _steps(p, q, cap_a, cap_b, total):
-        rest = _best_pairs(rest_p, rest_q, a, b, need - 1 if need else 0, term, total, memo)
-        if rest is not None:
-            d = term(a, b) + rest[0]
-            if best is None or d > best[0]:
-                best = d, ((a, b),) + rest[1]
-    memo[key] = best
-    return best
+
+def _witness_blocks(family, p, q, need, table):
+    """The largest angle-block tuple of at least need pairs reaching the
+    table's value for (p, q): each pair is the first under the last, in
+    `_steps`' order, whose term plus its remainder's value meets the target."""
+    term, total = _ROWS[family].angle, family is SigFamily.SOSTAR_2N
+    blocks, tags, cap_a, cap_b, target = (), iter(_angle_tags(family, p, q)), p, q, table[p][q][need]
+    while p or q:
+        need = max(need - 1, 0)
+        for a, b, rest_p, rest_q in _steps(p, q, cap_a, cap_b, total):
+            rest = table[rest_p][rest_q][need]
+            if rest is not None and term(a, b) + rest == target:
+                break
+        else:
+            raise OracleInvariantError(f"no pair under {(cap_a, cap_b)} reaches {target} in {(p, q)}")
+        blocks += ((next(tags), a, b),)
+        p, q, cap_a, cap_b, target = rest_p, rest_q, a, b, rest
+    return blocks
 
 
 def oracle_max(family: SigFamily, params):
     """Exact maximum of signature_dim and the attaining signature.
 
-    Only defined for the families with a closed-form bound.  Ties are
-    broken toward the lexicographically largest block tuple, so the
-    witness is independent of enumeration order.  For each +-1 prefix of
-    `_prefixes`, `_best_pairs` finds the best angle multiset by a walk
-    memoised on (remainder, cap, blocks still needed), one memo per call;
-    the prefix's blocks and the needed count keep the class non-central.
-    Tags depend only on position, so the winning pairs are tagged at the
-    end: the order on pair tuples is the order on block tuples.  The
-    winner becomes a `Signature`, re-checked through `signature_dim`.
-    Raises OutOfDomain outside `bound`'s domain,
-    and when more than ENUMERATION_BUDGET candidate signatures exist: the
-    walk builds none of them, but keeps `enumerate_signatures`' gate so
-    that the two refuse the same sizes.
+    Only for the families with a closed-form bound; ties go to the largest
+    block tuple.  Each +-1 prefix of `_prefixes` reads its run's dimension
+    off one `_value_table`, built for this call only, needing the pairs that
+    keep the class non-central; only the runs at the maximum walk the cap
+    (`_witness_blocks`), and the winning `Signature` is re-checked through
+    `signature_dim`.  Raises OutOfDomain outside `bound`'s domain and past
+    ENUMERATION_BUDGET candidates, which the table does not build: the gate
+    keeps its refusals those of `enumerate_signatures`.
     """
     bound(family, params)  # domain gate only
     params = _check_budget(family, params)
-    row = _ROWS[family]
-    real, term, centre = row.real, row.angle, row.centre  # su's +-1 blocks share the angle term
-    total = family is SigFamily.SOSTAR_2N
-    memo = {}
-    best_dim, best = -1, ()  # every dimension is >= 0 and every tuple > ()
+    row, width = _ROWS[family], _ANGLE_WIDTH[family]  # remainders count angle widths
+    p, q = params if len(params) == 2 else (*params, 0)
+    table = _value_table(family, p // width, q // width)
+    best_dim, runs = -1, []  # every dimension is >= 0
     for prefix, (rp, rq) in _prefixes(family, params):
-        found = _best_pairs(rp, rq, rp, rq, max(2 - len(prefix), 0), term, total, memo)
-        if found is None:
-            continue
-        d = centre + found[0]
-        for _, a, b in prefix:
-            d += real(a, b)
-        if d >= best_dim:
-            tags = _angle_tags(family, rp, rq)
-            blocks = prefix + tuple((t, a, b) for t, (a, b) in zip(tags, found[1]))
-            if d > best_dim or blocks > best:
-                best_dim, best = d, blocks
-    if not best:
-        raise OutOfDomain(f"no non-central classes for {family.value}{params}")
+        need = 2 - len(prefix)  # a prefix holds at most the 1 and -1 blocks
+        found = table[rp][rq][need]
+        if found is not None:
+            d = row.centre + found + sum(row.real(a, b) for _, a, b in prefix)
+            if d > best_dim:
+                best_dim, runs = d, []
+            if d == best_dim:
+                runs.append((prefix, rp, rq, need))
+    if not runs:
+        raise OracleInvariantError(f"no non-central classes for {family.value}{params}")
+    best = max(prefix + _witness_blocks(family, rp, rq, need, table) for prefix, rp, rq, need in runs)
     witness = Signature(family, params, best)
-    checked = signature_dim(witness)
-    if checked != best_dim:
-        raise OracleInvariantError(
-            f"{witness}: enumerated dimension {best_dim}, signature_dim {checked}"
-        )
+    if (checked := signature_dim(witness)) != best_dim:
+        raise OracleInvariantError(f"{witness}: enumerated dimension {best_dim}, signature_dim {checked}")
     return best_dim, witness

@@ -25,6 +25,7 @@ from liecheck.algebras import (
     SIZE_LIMIT,
     Family,
     OutOfDomain,
+    ParseError,
     ReductiveAlgebra,
     SimpleAlgebra,
     algebra,
@@ -153,6 +154,14 @@ def test_out_of_domain():
         algebra(Family.SO, -1, 3)
     with pytest.raises(OutOfDomain):
         algebra(Family.SU, 2)  # wrong arity
+
+
+def test_parse_refuses_odd_matrix_sizes_and_empty_summands():
+    # sp(2n,R) and so*(2n) are named by their even matrix size
+    with pytest.raises(OutOfDomain, match=r"^sp\(3,R\): matrix size must be even$"):
+        parse_algebra("sp(3,R)")
+    with pytest.raises(ParseError, match=r"^empty summand \(at position 8\)$"):
+        parse_algebra("sl(2,R)+")
 
 
 def test_algebra_takes_int_parameters_only():

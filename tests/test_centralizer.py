@@ -133,6 +133,8 @@ def test_malformed_signatures_rejected():
         signature_dim(sig(SigFamily.SO_N, (7,), (1, 6, 1), (-1, 1, 0)))  # definite
     with pytest.raises(InvalidSignature):
         signature_dim(sig(SigFamily.SU_PQ, (2, 3), (1, 2, 2), (-1, 0, 0)))  # empty block
+    with pytest.raises(InvalidSignature, match="so. real-eigenvalue blocks carry one multiplicity"):
+        signature_dim(sig(SigFamily.SOSTAR_2N, (4,), (1, 2, 1), (2, 1, 0)))  # so* +-1 block
 
 
 def test_non_int_signature_data_rejected():
@@ -188,11 +190,13 @@ def test_oracle_max_witnesses():
 
 
 # at the edge of ENUMERATION_BUDGET: so(52), su(45) and so*(26) are the
-# largest in budget, su(10,11) and sp(5,10) the largest q at their p
+# largest in budget, su(9,12), su(10,11) and sp(5,10) the largest q at
+# their p
 _LARGEST_IN_BUDGET = [
     (SigFamily.SO_N, (52,)),
     (SigFamily.SU_N, (45,)),
     (SigFamily.SOSTAR_2N, (13,)),
+    (SigFamily.SU_PQ, (9, 12)),
     (SigFamily.SU_PQ, (10, 11)),
     (SigFamily.SP_PQ, (5, 10)),
 ]
@@ -519,6 +523,100 @@ def test_oracle_max_matches_brute_force_reference():
         want_value, want_blocks = _reference_max(family, params)
         assert (value, witness.blocks) == (want_value, want_blocks), (family, params)
         assert witness == Signature(family, params, want_blocks)
+
+
+# bounded sizes with n <= 40 or p + q <= 16 within ENUMERATION_BUDGET
+CAPPED_WALK_SIZES = 208
+
+
+def _best_pairs(p, q, cap_a, cap_b, need, term, total, memo):
+    """The best (dim, pairs) among the multisets that `_steps` walks from
+    (p, q) under the cap (cap_a, cap_b), with at least need pairs; dim
+    adds term(a, b) once per pair, and ties go to the largest tuple.  None
+    when no multiset qualifies.
+
+    First pairs run in descending order and differ, so the first to reach
+    the best dimension is the largest tuple among those that do.  memo
+    holds each state's answer."""
+    if cap_a > p:  # a <= p < cap_a: only the shape bounds the first pair
+        cap_a, cap_b = p, max(p, q)
+    if need == 1 and (p or q):  # a nonempty fill has a pair
+        need = 0
+    key = (p, q, cap_a, cap_b, need)
+    if key in memo:
+        return memo[key]
+    best = None if p or q or need else (0, ())
+    for a, b, rest_p, rest_q in centralizers._steps(p, q, cap_a, cap_b, total):
+        rest = _best_pairs(rest_p, rest_q, a, b, need - 1 if need else 0, term, total, memo)
+        if rest is not None:
+            d = term(a, b) + rest[0]
+            if best is None or d > best[0]:
+                best = d, ((a, b),) + rest[1]
+    memo[key] = best
+    return best
+
+
+def _capped_walk_max(family, params):
+    """(dim, blocks) of `oracle_max` by a capped walk: for each +-1 prefix,
+    `_best_pairs` finds the best angle multiset, memoised on (remainder,
+    cap, pairs still needed) within one call, and the largest block tuple
+    wins a tie."""
+    row = centralizers._ROWS[family]
+    total = family is SigFamily.SOSTAR_2N
+    memo = {}
+    best_dim, best = -1, ()
+    for prefix, (rp, rq) in _prefixes(family, params):
+        found = _best_pairs(rp, rq, rp, rq, max(2 - len(prefix), 0), row.angle, total, memo)
+        if found is None:
+            continue
+        d = row.centre + found[0] + sum(row.real(a, b) for _, a, b in prefix)
+        if d >= best_dim:
+            tags = centralizers._angle_tags(family, rp, rq)
+            blocks = prefix + tuple((t, a, b) for t, (a, b) in zip(tags, found[1]))
+            if d > best_dim or blocks > best:
+                best_dim, best = d, blocks
+    return best_dim, best
+
+
+def test_oracle_max_matches_the_capped_walk_on_every_bounded_size_in_budget():
+    # the value table against the walk it replaced: the same maximum and
+    # the same witness blocks on every bounded family's sizes within the
+    # budget, n <= 40 and p + q <= 16
+    one = ((SigFamily.SO_N, 3), (SigFamily.SU_N, 2), (SigFamily.SOSTAR_2N, 2))
+    cases = [(family, (n,)) for family, least in one for n in range(least, 41)]
+    two = (SigFamily.SU_PQ, SigFamily.SP_PQ)
+    cases += [(family, (p, q)) for family in two for p in range(1, 9) for q in range(p, 17 - p) if p + q >= 3]
+    checked = 0
+    for family, params in cases:
+        if _candidate_count(family, params) > ENUMERATION_BUDGET:
+            continue
+        value, witness = oracle_max(family, params)
+        assert (value, witness.blocks) == _capped_walk_max(family, params), (family, params)
+        checked += 1
+    assert checked == CAPPED_WALK_SIZES
+
+
+def test_oracle_max_refuses_a_run_set_with_no_non_central_class(monkeypatch):
+    # every size in `bound`'s domain has a non-central class, so no run
+    # reaching the maximum is a bug: here the one run is a central class
+    monkeypatch.setattr(centralizers, "_prefixes", lambda family, params: iter([(((1, 3, 0),), (0, 0))]))
+    with pytest.raises(OracleInvariantError, match="no non-central classes"):
+        oracle_max(SigFamily.SO_N, (3,))
+
+
+def test_oracle_max_walk_refuses_a_table_it_cannot_reach(monkeypatch):
+    # a table that overstates the top remainder's value leaves the witness
+    # walk no first pair that reaches it
+    value_table = centralizers._value_table
+
+    def overstated(family, p, q):
+        table = value_table(family, p, q)
+        table[p][q] = tuple(v + 1 for v in table[p][q])
+        return table
+
+    monkeypatch.setattr(centralizers, "_value_table", overstated)
+    with pytest.raises(OracleInvariantError, match="no pair under"):
+        oracle_max(SigFamily.SU_N, (3,))
 
 
 def _reference_refuses(s):

@@ -41,20 +41,23 @@ accepts at parameters (), (0..69) and (0..39)^2, so the noncanonical
 The largest-size oracle answers were taken from the code before
 `oracle_max` stopped building angle tables and scanning every candidate
 (about 3 s of work there); they pin the value and witness at five sizes
-on the edge of `ENUMERATION_BUDGET`, one per bounded family.
+on the edge of `ENUMERATION_BUDGET`, one per bounded family.  The sixth,
+su(9,12), was taken from the code before `oracle_max` read its maximum off
+a value table instead of a capped walk memoised on the cap.
 Refreeze only when an answer is meant to change.
 """
 
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from _basismap import operator_rows
-from liecheck import cli
+from liecheck import centralizers, cli
 from liecheck import involutions as inv
 from liecheck import verify as vf
 from liecheck import matrixoracle as mo
@@ -88,6 +91,7 @@ ORACLE_MAX_LARGEST = {
     (SigFamily.SO_N, (52,)): (1275, ((1, 51, 0), (-1, 1, 0))),
     (SigFamily.SU_N, (45,)): (1936, ((1, 44, 0), (-1, 1, 0))),
     (SigFamily.SOSTAR_2N, (13,)): (132, ((1, 12, 0), (2, 1, 0))),
+    (SigFamily.SU_PQ, (9, 12)): (198, ((1, 9, 11), (-1, 0, 1))),
     (SigFamily.SU_PQ, (10, 11)): (200, ((1, 10, 10), (-1, 0, 1))),
     (SigFamily.SP_PQ, (5, 10)): (180, ((1, 5, 9), (2, 0, 1))),
 }
@@ -335,6 +339,35 @@ def test_oracle_max_on_criterion_2_cases():
         value, witness = oracle_max(family, params)
         digest.update(("%s%r\t%d\t%r\n" % (family.value, params, value, witness.blocks)).encode())
     assert digest.hexdigest() == ORACLE_MAX_C2_SHA256
+
+
+# `_steps` call events, generator resumes included, over one pass of
+# `oracle_max` on the criterion-2 cases: a ceiling, as in the work ledger.
+# The capped walk memoised on the cap that the value table replaced made
+# 20,155, in 19,813 frames of its own
+ORACLE_MAX_C2_STEPS = 10_159
+
+
+def test_oracle_max_steps_stay_within_their_ceiling():
+    steps = centralizers._steps.__code__
+    passes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is steps:
+            passes[-1] += 1
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for _ in range(2):
+            passes.append(0)
+            for family, params in _criterion_2_cases():
+                oracle_max(family, params)
+    finally:
+        sys.setprofile(saved)
+    assert passes[0] <= ORACLE_MAX_C2_STEPS, passes
+    # no call leaves state for the next
+    assert passes[1] == passes[0]
 
 
 def test_oracle_max_at_the_largest_in_budget_sizes():
